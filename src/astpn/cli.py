@@ -2,7 +2,9 @@
 
 Configuration comes from a JSON file (--config) overridden by explicit flags;
 every run writes the resolved configuration next to its outputs. Exit codes:
-0 success, 1 usage error, 2 data or checkpoint error, 3 failed check.
+0 success, 1 usage error, 2 data or checkpoint error, 3 failed check (a
+gradcheck failure, or training that reached a non-finite loss or parameter;
+no checkpoint with a non-finite value is written).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -18,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .datapipe import (
+    CROP_MARGIN,
     DatasetError,
     by_identity,
     identity_labels,
@@ -130,6 +134,10 @@ def _load_index(cfg: RunConfig):
     samples = preprocess_dataset(load_dataset(cfg.data_root))
     if not samples:
         raise DatasetError(f"dataset root {cfg.data_root} holds no sequences")
+    sizes = sorted({s.frame_hw for s in samples})
+    if len(sizes) > 1:
+        raise DatasetError(f"{cfg.data_root}: sequences differ in frame size {sizes}; "
+                           "all must share one")
     index = by_identity(samples)
     usable = sorted(pid for pid, cams in index.items() if len(cams) >= 2)
     if not usable:
@@ -140,7 +148,19 @@ def _load_index(cfg: RunConfig):
 def _frame_hw_after_crop(index) -> tuple[int, int]:
     sample = next(iter(next(iter(index.values())).values()))
     h, w = sample.frame_hw
-    return h - 8, w - 8
+    return h - CROP_MARGIN, w - CROP_MARGIN
+
+
+def _save_if_finite(params, path: Path) -> bool:
+    """Write a checkpoint unless a parameter holds an inf or a nan."""
+    bad = [name for name, t in params.named_tensors().items()
+           if not np.isfinite(t.data).all()]
+    if bad:
+        print(f"error: training diverged: non-finite values in {', '.join(bad)}; "
+              f"{path} not written", file=sys.stderr)
+        return False
+    save_checkpoint(params, path)
+    return True
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -168,17 +188,24 @@ def cmd_train(args: argparse.Namespace) -> int:
             pair = next(stream)
             graph = Graph()
             loss = total_loss(graph, pair, params, loss_cfg)
+            value = loss.item()
+            if not math.isfinite(value):
+                print(f"error: training diverged: epoch {epoch} reached loss {value}",
+                      file=sys.stderr)
+                return EXIT_CHECK
             graph.backward(loss)
             sgd_step(params, lr)
-            total += loss.item()
+            total += value
         mean_loss = total / pairs_per_epoch
         log_lines.append(f"{epoch},{mean_loss:.17g}")
         print(f"epoch {epoch}: mean loss {mean_loss:.6f}")
         if cfg.save_every > 0 and (epoch + 1) % cfg.save_every == 0:
-            save_checkpoint(params, out_dir / f"checkpoint_epoch_{epoch + 1}.astp")
+            if not _save_if_finite(params, out_dir / f"checkpoint_epoch_{epoch + 1}.astp"):
+                return EXIT_CHECK
 
     (out_dir / "train_log.csv").write_text("\n".join(log_lines) + "\n")
-    save_checkpoint(params, out_dir / "checkpoint.astp")
+    if not _save_if_finite(params, out_dir / "checkpoint.astp"):
+        return EXIT_CHECK
     print(f"saved {out_dir / 'checkpoint.astp'}")
     return EXIT_OK
 
@@ -215,11 +242,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         index, usable = _load_index(cfg)
         _check_params_match(params, cfg, _frame_hw_after_crop(index))
         curves = []
+        features = {}  # every trial draws its test identities from one index
         for trial in range(cfg.trials):
             split = make_split(usable, cfg.seed, trial, cfg.split_mode)
             curves.append(compute_cmc(index, split.test, params, loss_cfg,
                                       eval_k=eval_k, seed=cfg.seed,
-                                      meta={"trial": trial}))
+                                      meta={"trial": trial}, features=features))
         dataset_name = Path(cfg.data_root).name or "dataset"
 
     base = out_dir / f"cmc_{dataset_name}_{cfg.variant}_{stamp}"

@@ -84,17 +84,30 @@ def _eval_sequence(sample: SequenceSample, eval_k: int | None) -> SequenceSample
 
 def compute_cmc(index: dict[str, dict[str, SequenceSample]], test_ids, params: AstpnParams,
                 cfg: LossConfig, eval_k: int | None = None, seed: int = 0,
-                meta: dict | None = None) -> CmcCurve:
+                meta: dict | None = None, features: dict | None = None) -> CmcCurve:
     """Evaluate one probe-vs-gallery pass over the given identities.
 
     The lexicographically first camera of each identity is the probe view and
     the second the gallery view; identities with more than two cameras get a
     seeded random choice of two. eval_k limits every sequence to its first
     eval_k frames (single-shot evaluation passes 1); None uses full sequences.
+
+    features memoizes feature vectors by (person_id, camera_id). Calls that
+    share one dict must also share index, params, cfg and eval_k; each
+    sequence is then featurised once however many passes include it.
     """
     ids = sorted(test_ids)
     if not ids:
         raise DatasetError("no identities to evaluate")
+    if features is None:
+        features = {}
+
+    def feature(pid: str, cam: str) -> np.ndarray:
+        if (pid, cam) not in features:
+            features[pid, cam] = extract_feature(
+                _eval_sequence(index[pid][cam], eval_k), params, cfg)
+        return features[pid, cam]
+
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
     probe_feats, gallery_feats = [], []
     for pid in ids:
@@ -106,10 +119,8 @@ def compute_cmc(index: dict[str, dict[str, SequenceSample]], test_ids, params: A
         if len(cams) > 2:
             chosen = sorted(rng.choice(len(cams), size=2, replace=False))
             cams = [cams[chosen[0]], cams[chosen[1]]]
-        probe_feats.append(extract_feature(
-            _eval_sequence(index[pid][cams[0]], eval_k), params, cfg))
-        gallery_feats.append(extract_feature(
-            _eval_sequence(index[pid][cams[1]], eval_k), params, cfg))
+        probe_feats.append(feature(pid, cams[0]))
+        gallery_feats.append(feature(pid, cams[1]))
     full_meta = {"n_identities": len(ids), "seed": seed}
     full_meta.update(meta or {})
     return cmc_from_features(probe_feats, ids, gallery_feats, ids, meta=full_meta)

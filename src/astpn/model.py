@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import (
+    CONV_KERNEL,
     AttentionParams,
     ConvStackParams,
     DEFAULT_BINS,
@@ -46,15 +47,12 @@ class LossConfig:
     use_identity_loss: bool = True
     rnn_output: str = "pre_tanh"
     spp_bins: tuple[tuple[int, int], ...] = DEFAULT_BINS
-    feature_branch: str = "probe"  # which vector extract_feature returns
 
     def __post_init__(self):
         if self.margin < 0:
             raise ValueError(f"margin must be non-negative, got {self.margin}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.feature_branch not in ("probe", "gallery", "mean"):
-            raise ValueError(f"unknown feature branch {self.feature_branch!r}")
 
 
 @dataclass
@@ -121,9 +119,22 @@ def init_params(seed: int, n_identities: int, cfg: LossConfig,
     return AstpnParams(conv, rnn, att, classifier_w, classifier_b)
 
 
-def _branch_rows(graph: Graph, frames: np.ndarray, params: AstpnParams,
-                 cfg: LossConfig) -> Tensor:
-    """One Siamese branch: conv stack, spatial head, recurrence. Returns (T, N)."""
+def _frame_stack(seq) -> np.ndarray:
+    frames = np.asarray(seq.frames, dtype=np.float64)
+    if frames.ndim != 4:
+        raise ShapeError(f"a sequence needs a (T,C,H,W) frame stack, got shape {frames.shape}")
+    if frames.shape[0] == 0:
+        raise ValueError("a sequence needs at least one frame")
+    return frames
+
+
+def branch_rows(graph: Graph, frames: np.ndarray, params: AstpnParams,
+                cfg: LossConfig) -> Tensor:
+    """One Siamese branch: conv stack, spatial head, recurrence. Returns (T, N).
+
+    The branch never sees the other sequence of a pair, so one sequence's
+    rows can be pooled against any partner.
+    """
     x = Tensor(frames)
     fmap = conv_stack_forward(graph, x, params.conv)
     if cfg.variant == "atpn_only":
@@ -134,23 +145,14 @@ def _branch_rows(graph: Graph, frames: np.ndarray, params: AstpnParams,
     return rnn_forward(graph, reps, params.rnn, cfg.rnn_output)
 
 
-def forward_pair(graph: Graph, probe, gallery, params: AstpnParams,
-                 cfg: LossConfig) -> tuple[Tensor, Tensor]:
-    """Map a probe/gallery sequence pair to their pooled feature vectors.
+def pool_pair(graph: Graph, p_rows: Tensor, g_rows: Tensor, params: AstpnParams,
+              cfg: LossConfig) -> tuple[Tensor, Tensor]:
+    """Pool two branches' (T, N) rows over time into their feature vectors.
 
-    probe and gallery are SequenceSample objects (or anything with a
-    (T,C,H,W) .frames array). The temporal pooling depends on the variant:
-    attentive for astpn and atpn_only, arithmetic mean for aspn_only and
-    mean_pool, elementwise max over time for max_pool.
+    Attentive for astpn and atpn_only, where each sequence's weights depend
+    on the other; arithmetic mean for aspn_only and mean_pool; elementwise
+    max over time for max_pool.
     """
-    p_frames = np.asarray(probe.frames, dtype=np.float64)
-    g_frames = np.asarray(gallery.frames, dtype=np.float64)
-    if p_frames.ndim != 4 or g_frames.ndim != 4:
-        raise ShapeError("forward_pair needs (T,C,H,W) frame stacks")
-    if p_frames.shape[0] == 0 or g_frames.shape[0] == 0:
-        raise ValueError("forward_pair needs non-empty sequences")
-    p_rows = _branch_rows(graph, p_frames, params, cfg)
-    g_rows = _branch_rows(graph, g_frames, params, cfg)
     if cfg.variant in ("astpn", "atpn_only"):
         return attentive_summary(graph, p_rows, g_rows, params.att)
     if cfg.variant in ("aspn_only", "mean_pool"):
@@ -158,6 +160,20 @@ def forward_pair(graph: Graph, probe, gallery, params: AstpnParams,
         v_g = graph.scale(graph.sum_along(g_rows, 0), 1.0 / g_rows.shape[0])
         return v_p, v_g
     return graph.max_along(p_rows, 0), graph.max_along(g_rows, 0)
+
+
+def forward_pair(graph: Graph, probe, gallery, params: AstpnParams,
+                 cfg: LossConfig) -> tuple[Tensor, Tensor]:
+    """Map a probe/gallery sequence pair to their pooled feature vectors.
+
+    probe and gallery are SequenceSample objects (or anything with a
+    (T,C,H,W) .frames array): each runs through branch_rows, then
+    pool_pair pools the two together.
+    """
+    p_frames, g_frames = _frame_stack(probe), _frame_stack(gallery)
+    p_rows = branch_rows(graph, p_frames, params, cfg)
+    g_rows = branch_rows(graph, g_frames, params, cfg)
+    return pool_pair(graph, p_rows, g_rows, params, cfg)
 
 
 def hinge_loss(graph: Graph, v_p: Tensor, v_g: Tensor, same_person: bool,
@@ -207,14 +223,13 @@ def sgd_step(params: AstpnParams, lr: float) -> None:
 
 
 def extract_feature(seq, params: AstpnParams, cfg: LossConfig) -> np.ndarray:
-    """Feature vector for one sequence via a self-pair, without taping."""
+    """Feature vector for one sequence, without taping: its branch rows run
+    once and are pooled against themselves, giving the probe vector of the
+    self-pair."""
     graph = Graph(record=False)
-    v_p, v_g = forward_pair(graph, seq, seq, params, cfg)
-    if cfg.feature_branch == "probe":
-        return v_p.data
-    if cfg.feature_branch == "gallery":
-        return v_g.data
-    return 0.5 * (v_p.data + v_g.data)
+    rows = branch_rows(graph, _frame_stack(seq), params, cfg)
+    v_p, _ = pool_pair(graph, rows, rows, params, cfg)
+    return v_p.data
 
 
 # ---- checkpoint format ----
@@ -291,11 +306,7 @@ def load_checkpoint(path) -> AstpnParams:
     for name in arrays:
         if name not in expected:
             raise CheckpointError(f"{path}: unknown tensor {name}")
-    if arrays["classifier.weight"].shape[0] != n_identities:
-        raise CheckpointError(
-            f"{path}: header says {n_identities} identities but classifier.weight "
-            f"has {arrays['classifier.weight'].shape[0]} rows"
-        )
+    _check_shape_chain(arrays, n_identities, path)
     conv = ConvStackParams(
         kernels=[Tensor(arrays[f"conv{i}.kernel"]) for i in (1, 2, 3)],
         biases=[Tensor(arrays[f"conv{i}.bias"]) for i in (1, 2, 3)],
@@ -305,3 +316,36 @@ def load_checkpoint(path) -> AstpnParams:
     return AstpnParams(conv, rnn, att,
                        Tensor(arrays["classifier.weight"]),
                        Tensor(arrays["classifier.bias"]))
+
+
+def _check_shape_chain(arrays: dict[str, np.ndarray], n_identities: int, path) -> None:
+    """Each conv layer takes the previous layer's output channels, and the
+    recurrence, attention and classifier agree on one feature dim."""
+
+    def extent(name, axis):
+        shape = arrays[name].shape
+        if len(shape) <= axis:
+            raise CheckpointError(f"{path}: {name} has shape {shape}, too few axes")
+        return shape[axis]
+
+    if extent("classifier.weight", 0) != n_identities:
+        raise CheckpointError(
+            f"{path}: header says {n_identities} identities but classifier.weight "
+            f"has {arrays['classifier.weight'].shape[0]} rows"
+        )
+    expected = {}
+    cin = extent("conv1.kernel", 1)
+    for i in (1, 2, 3):
+        cout = extent(f"conv{i}.kernel", 0)
+        expected[f"conv{i}.kernel"] = (cout, cin, CONV_KERNEL, CONV_KERNEL)
+        expected[f"conv{i}.bias"] = (cout,)
+        cin = cout
+    n = extent("rnn.u_in", 0)
+    expected["rnn.u_in"] = (n, extent("rnn.u_in", 1))
+    expected["rnn.w_rec"] = expected["att.u_att"] = (n, n)
+    expected["classifier.weight"] = (n_identities, n)
+    expected["classifier.bias"] = (n_identities,)
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise CheckpointError(
+                f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")

@@ -2,15 +2,18 @@
 codes and emitted artifacts can be asserted directly."""
 
 import json
+import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from astpn.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from astpn.datapipe import make_split
-from astpn.model import LossConfig, init_params, load_checkpoint
+from astpn import evalkit
+from astpn.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, _save_if_finite, main
+from astpn.datapipe import by_identity, load_dataset, make_split, preprocess_dataset
+from astpn.model import LossConfig, init_params, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +96,46 @@ def test_train_save_every_emits_interim_checkpoints(cli_data, tmp_path):
     assert code == EXIT_OK
     assert (out / "checkpoint_epoch_1.astp").exists()
     assert (out / "checkpoint_epoch_2.astp").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_train_divergence_exits_check_and_keeps_only_finite_checkpoints(tmp_path):
+    root = tmp_path / "data4"
+    assert main(["synth", str(root), "--ids", "4", "--frames", "8", "--seed", "0"]) == EXIT_OK
+    out = tmp_path / "diverged"
+    # the loss overflows through epochs 0 and 1 and is nan in epoch 2
+    code = main(["train", "--data-root", str(root), "--out", str(out), "--lr", "1e6",
+                 "--epochs", "3", "--k", "4", "--split-mode", "all",
+                 "--feature-dim", "16", "--save-every", "1"])
+    assert code == EXIT_CHECK
+    assert not (out / "checkpoint.astp").exists()
+    saved = sorted(out.glob("*.astp"))
+    assert [p.name for p in saved] == ["checkpoint_epoch_1.astp", "checkpoint_epoch_2.astp"]
+    for path in saved:
+        for t in load_checkpoint(path).named_tensors().values():
+            assert np.isfinite(t.data).all()
+
+
+def test_save_if_finite_refuses_non_finite_parameters(tmp_path):
+    params = init_params(0, 2, LossConfig(), feature_dim=4)
+    assert _save_if_finite(params, tmp_path / "ok.astp")
+    params.rnn.w_rec.data[0, 0] = np.inf
+    assert not _save_if_finite(params, tmp_path / "bad.astp")
+    assert not (tmp_path / "bad.astp").exists()
+
+
+def test_mixed_frame_sizes_is_data_error(tmp_path):
+    root = tmp_path / "mixed"
+    other = tmp_path / "tall"
+    assert main(["synth", str(root), "--ids", "3", "--frames", "4"]) == EXIT_OK
+    assert main(["synth", str(other), "--ids", "1", "--frames", "4", "--height", "32",
+                 "--seed", "1"]) == EXIT_OK
+    shutil.copytree(other / "p000", root / "p999")
+    code = main(["train", "--data-root", str(root), "--out", str(tmp_path / "run"),
+                 "--epochs", "1", "--k", "4", "--split-mode", "all", "--feature-dim", "8",
+                 "--variant", "atpn_only"])
+    assert code == EXIT_DATA
 
 
 def test_train_missing_data_root_is_data_error(tmp_path):
@@ -198,6 +241,53 @@ def test_eval_checkpoint_config_mismatch_is_data_error(cli_data, trained_run, tm
     code = main(["eval", "--data-root", str(cli_data), "--out", str(out),
                  "--checkpoint", str(trained_run / "checkpoint.astp"),
                  "--feature-dim", "32", "--trials", "1"])
+    assert code == EXIT_DATA
+
+
+def test_eval_featurises_each_sequence_once_across_trials(cli_data, trained_run, tmp_path,
+                                                         monkeypatch):
+    calls = Counter()
+    original = evalkit.extract_feature
+
+    def counting(seq, params, cfg):
+        calls[seq.person_id, seq.camera_id] += 1
+        return original(seq, params, cfg)
+
+    monkeypatch.setattr(evalkit, "extract_feature", counting)
+    checkpoint = trained_run / "checkpoint.astp"
+    out = tmp_path / "memo"
+    code = main(["eval", "--data-root", str(cli_data), "--out", str(out),
+                 "--checkpoint", str(checkpoint), "--feature-dim", "16",
+                 "--trials", "3", "--split-mode", "half", "--seed", "0"])
+    assert code == EXIT_OK
+    ids = [f"p{i:03d}" for i in range(8)]
+    tests = [make_split(ids, 0, trial, "half").test for trial in range(3)]
+    distinct = set().union(*tests)
+    assert sum(len(t) for t in tests) > len(distinct)  # the trials overlap
+    assert calls == Counter({(pid, cam): 1 for pid in distinct for cam in ("cam0", "cam1")})
+
+    # the memo changes no float: evaluating each trial on its own, without
+    # it, writes the same CSV
+    monkeypatch.setattr(evalkit, "extract_feature", original)
+    index = by_identity(preprocess_dataset(load_dataset(cli_data)))
+    params = load_checkpoint(checkpoint)
+    curves = [evalkit.compute_cmc(index, test, params, LossConfig(), seed=0,
+                                  meta={"trial": trial})
+              for trial, test in enumerate(tests)]
+    reference, _ = evalkit.emit_report(curves, tmp_path / "reference" / "cmc")
+    assert next(out.glob("cmc_*.csv")).read_bytes() == reference.read_bytes()
+
+
+def test_eval_inconsistent_checkpoint_is_data_error(cli_data, tmp_path):
+    params = init_params(0, 4, LossConfig(), feature_dim=8)
+    params.att.u_att.data = np.zeros((5, 5))
+    checkpoint = tmp_path / "inconsistent.astp"
+    save_checkpoint(params, checkpoint)
+    code = main(["eval", "--data-root", str(cli_data), "--out", str(tmp_path / "a"),
+                 "--checkpoint", str(checkpoint), "--feature-dim", "8", "--trials", "1"])
+    assert code == EXIT_DATA
+    code = main(["eval", "--out", str(tmp_path / "b"), "--checkpoint", str(checkpoint),
+                 "--feature-dim", "8", "--cross-dataset", str(cli_data)])
     assert code == EXIT_DATA
 
 

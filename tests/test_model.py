@@ -23,7 +23,7 @@ from astpn.model import (
     sgd_step,
     total_loss,
 )
-from astpn.tensor import Graph, Tensor
+from astpn.tensor import Graph, ShapeError, Tensor
 
 TOY_BINS = ((2, 2), (1, 1))
 TOY_HW = (12, 8)
@@ -57,8 +57,6 @@ def test_loss_config_validation():
         LossConfig(margin=-1.0)
     with pytest.raises(ValueError):
         LossConfig(variant="bilinear")
-    with pytest.raises(ValueError):
-        LossConfig(feature_branch="both")
 
 
 def test_rnn_input_dim_spp_variants():
@@ -150,18 +148,20 @@ def test_forward_pair_rejects_empty_and_misshapen():
     flat = SequenceSample("a", "c0", np.zeros((5, 12, 8)))
     with pytest.raises(Exception):
         forward_pair(Graph(), flat, good, params, cfg)
+    with pytest.raises(ValueError):
+        extract_feature(empty, params, cfg)
+    with pytest.raises(ShapeError):
+        extract_feature(flat, params, cfg)
 
 
-def test_extract_feature_branch_selection():
-    pair = toy_pair()
-    params = toy_params(toy_cfg())
-    feats = {}
-    for branch in ("probe", "gallery", "mean"):
-        cfg = toy_cfg(feature_branch=branch)
-        feats[branch] = extract_feature(pair.probe, params, cfg)
-    np.testing.assert_allclose(
-        feats["mean"], 0.5 * (feats["probe"] + feats["gallery"]), rtol=1e-12)
-    assert not np.array_equal(feats["probe"], feats["gallery"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_extract_feature_is_probe_vector_of_self_pair_bitwise(variant):
+    seq = toy_pair(steps=3).probe
+    cfg = toy_cfg(variant)
+    params = toy_params(cfg)
+    v_p, _ = forward_pair(Graph(record=False), seq, seq, params, cfg)
+    feat = extract_feature(seq, params, cfg)
+    assert feat.tobytes() == v_p.data.tobytes()
 
 
 # ---- losses ----
@@ -458,4 +458,23 @@ def test_checkpoint_identity_count_mismatch(tmp_path):
     blob[8:12] = struct.pack("<I", 7)
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="identities"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("conv1.kernel", (16, 5, 3, 3)),
+    ("conv2.kernel", (32, 15, 5, 5)),
+    ("conv3.bias", (31,)),
+    ("rnn.u_in", (6,)),
+    ("rnn.w_rec", (6, 5)),
+    ("att.u_att", (5, 5)),
+    ("classifier.weight", (3, 5)),
+    ("classifier.bias", (2,)),
+])
+def test_checkpoint_shapes_that_do_not_chain(tmp_path, name, shape):
+    params = toy_params(toy_cfg(), n_ids=3, feature_dim=6)
+    params.named_tensors()[name].data = np.zeros(shape)
+    path = tmp_path / "model.astp"
+    save_checkpoint(params, path)
+    with pytest.raises(CheckpointError, match=f"{name} has shape"):
         load_checkpoint(path)
