@@ -30,6 +30,7 @@ from .datapipe import (
     pair_stream,
     preprocess_dataset,
     synth_dataset,
+    write_atomic,
     write_split_files,
 )
 from .evalkit import (
@@ -124,24 +125,26 @@ def config_hash(cfg: RunConfig) -> str:
 
 def write_resolved_config(cfg: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(
-        json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
+    write_atomic(out_dir / "config.json",
+                 json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
 
 
-def _load_index(cfg: RunConfig):
-    if not cfg.data_root:
+def _load_index(root):
+    """Index a dataset root by identity; also list the identities seen by two
+    or more cameras. Every sequence must share one frame size."""
+    if not root:
         raise DatasetError("no dataset root given (set --data-root or the config file)")
-    samples = preprocess_dataset(load_dataset(cfg.data_root))
+    samples = preprocess_dataset(load_dataset(root))
     if not samples:
-        raise DatasetError(f"dataset root {cfg.data_root} holds no sequences")
+        raise DatasetError(f"dataset root {root} holds no sequences")
     sizes = sorted({s.frame_hw for s in samples})
     if len(sizes) > 1:
-        raise DatasetError(f"{cfg.data_root}: sequences differ in frame size {sizes}; "
+        raise DatasetError(f"{root}: sequences differ in frame size {sizes}; "
                            "all must share one")
     index = by_identity(samples)
     usable = sorted(pid for pid, cams in index.items() if len(cams) >= 2)
     if not usable:
-        raise DatasetError(f"{cfg.data_root}: no identities with two cameras")
+        raise DatasetError(f"{root}: no identities with two cameras")
     return index, usable
 
 
@@ -167,7 +170,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     out_dir = Path(cfg.out)
     write_resolved_config(cfg, out_dir)
-    index, usable = _load_index(cfg)
+    index, usable = _load_index(cfg.data_root)
     split = make_split(usable, cfg.seed, cfg.trial, cfg.split_mode)
     write_split_files(split, out_dir / "splits")
 
@@ -203,7 +206,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             if not _save_if_finite(params, out_dir / f"checkpoint_epoch_{epoch + 1}.astp"):
                 return EXIT_CHECK
 
-    (out_dir / "train_log.csv").write_text("\n".join(log_lines) + "\n")
+    write_atomic(out_dir / "train_log.csv", "\n".join(log_lines) + "\n")
     if not _save_if_finite(params, out_dir / "checkpoint.astp"):
         return EXIT_CHECK
     print(f"saved {out_dir / 'checkpoint.astp'}")
@@ -231,16 +234,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     meta = {"config_hash": config_hash(cfg), "seed": cfg.seed}
 
+    params = load_checkpoint(cfg.checkpoint)
+    index, usable = _load_index(cfg.cross_dataset or cfg.data_root)
+    _check_params_match(params, cfg, _frame_hw_after_crop(index))
     if cfg.cross_dataset:
-        curve = cross_dataset_eval(cfg.checkpoint, cfg.cross_dataset, loss_cfg,
-                                   fraction=cfg.fraction, seed=cfg.seed, eval_k=eval_k)
+        curve = cross_dataset_eval(index, usable, params, loss_cfg, fraction=cfg.fraction,
+                                   seed=cfg.seed, eval_k=eval_k)
         curves = [curve]
-        meta.update(curve.meta)
+        meta.update(curve.meta, source=cfg.cross_dataset)
         dataset_name = Path(cfg.cross_dataset).name or "dataset"
     else:
-        params = load_checkpoint(cfg.checkpoint)
-        index, usable = _load_index(cfg)
-        _check_params_match(params, cfg, _frame_hw_after_crop(index))
         curves = []
         features = {}  # every trial draws its test identities from one index
         for trial in range(cfg.trials):
@@ -268,7 +271,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if not cfg.checkpoint:
         raise DatasetError("extract needs --checkpoint")
     params = load_checkpoint(cfg.checkpoint)
-    index, usable = _load_index(cfg)
+    index, usable = _load_index(cfg.data_root)
     _check_params_match(params, cfg, _frame_hw_after_crop(index))
     loss_cfg = cfg.loss_config()
     out_dir = Path(cfg.out)
@@ -280,7 +283,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             feat = extract_feature(seq, params, loss_cfg)
             lines.append(f"{pid},{cam}," + ",".join(f"{v:.17g}" for v in feat))
     path = out_dir / "features.csv"
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
     print(f"wrote {path} ({len(lines) - 1} sequences)")
     return EXIT_OK
 

@@ -9,6 +9,7 @@ sequence, plus horizontal and vertical dense optical flow scaled to [-1, 1].
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,28 @@ class DatasetError(Exception):
     """Raised when frame files or dataset structure cannot be used."""
 
 
-# ---- frame file formats ----
+# ---- artifact and frame file formats ----
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Replace the file at path with data (str is written as UTF-8).
+
+    The bytes go to a temporary file in the same directory, which is flushed
+    to disk and then renamed over path, so a reader (or a crash) sees the old
+    file or the new one, never a part. If any step fails the temporary file
+    is removed and the old file is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
@@ -372,8 +394,8 @@ def make_split(ids, seed: int, trial: int, mode: str = "half") -> DatasetSplit:
 def write_split_files(split: DatasetSplit, out_dir) -> None:
     out_dir = Path(out_dir) / f"trial_{split.trial}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "train.txt").write_text("".join(f"{i}\n" for i in split.train))
-    (out_dir / "test.txt").write_text("".join(f"{i}\n" for i in split.test))
+    write_atomic(out_dir / "train.txt", "".join(f"{i}\n" for i in split.train))
+    write_atomic(out_dir / "test.txt", "".join(f"{i}\n" for i in split.test))
 
 
 @dataclass

@@ -8,15 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datapipe import (
-    DatasetError,
-    SequenceSample,
-    augment,
-    by_identity,
-    load_dataset,
-    preprocess_dataset,
-)
-from .model import AstpnParams, LossConfig, extract_feature, load_checkpoint
+from .datapipe import DatasetError, SequenceSample, augment, write_atomic
+from .model import AstpnParams, LossConfig, extract_feature
 from .tensor import ShapeError
 
 REPORT_RANKS = (1, 5, 10, 20)
@@ -126,23 +119,26 @@ def compute_cmc(index: dict[str, dict[str, SequenceSample]], test_ids, params: A
     return cmc_from_features(probe_feats, ids, gallery_feats, ids, meta=full_meta)
 
 
-def cross_dataset_eval(checkpoint_path, test_root, cfg: LossConfig,
-                       fraction: float = 0.5, seed: int = 0,
-                       eval_k: int | None = None) -> CmcCurve:
-    """Evaluate a trained checkpoint on a seeded subset of another dataset."""
+def cross_dataset_eval(index: dict[str, dict[str, SequenceSample]], usable,
+                       params: AstpnParams, cfg: LossConfig, fraction: float = 0.5,
+                       seed: int = 0, eval_k: int | None = None) -> CmcCurve:
+    """Evaluate trained params on a seeded subset of another dataset.
+
+    index and usable (its identities seen by two or more cameras) come from
+    that dataset; fraction of the usable identities, at least one, are drawn
+    with the given seed.
+    """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    params = load_checkpoint(checkpoint_path)
-    index = by_identity(preprocess_dataset(load_dataset(test_root)))
-    usable = sorted(pid for pid, cams in index.items() if len(cams) >= 2)
+    usable = sorted(usable)
     if not usable:
-        raise DatasetError(f"{test_root}: no identities with two cameras")
+        raise DatasetError("no identities with two cameras")
     n_eval = max(1, round(fraction * len(usable)))
     rng = np.random.default_rng(seed)
     chosen = sorted(rng.choice(len(usable), size=n_eval, replace=False).tolist())
     ids = [usable[i] for i in chosen]
-    meta = {"fraction": fraction, "source": str(test_root)}
-    return compute_cmc(index, ids, params, cfg, eval_k=eval_k, seed=seed, meta=meta)
+    return compute_cmc(index, ids, params, cfg, eval_k=eval_k, seed=seed,
+                       meta={"fraction": fraction})
 
 
 def _fmt(x: float) -> str:
@@ -174,7 +170,7 @@ def emit_report(curves: list[CmcCurve], base_path, meta: dict | None = None) -> 
         cells = [str(r + 1), _fmt(means[r]), _fmt(stds[r])]
         cells += [_fmt(table[t, r]) for t in range(table.shape[0])]
         lines.append(",".join(cells))
-    csv_path.write_text("\n".join(lines) + "\n")
+    write_atomic(csv_path, "\n".join(lines) + "\n")
 
     summary = {
         "rank_means": {
@@ -186,5 +182,5 @@ def emit_report(curves: list[CmcCurve], base_path, meta: dict | None = None) -> 
     }
     summary.update(meta or {})
     json_path = base.with_suffix(".json")
-    json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_atomic(json_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return csv_path, json_path

@@ -156,30 +156,28 @@ def init_rnn(rng: np.random.Generator, input_dim: int, feature_dim: int) -> RnnP
     )
 
 
-def rnn_forward(graph: Graph, reps, params: RnnParams, output: str = "pre_tanh") -> Tensor:
+def rnn_forward(graph: Graph, reps: Tensor, params: RnnParams,
+                output: str = "pre_tanh") -> Tensor:
     """Run per-frame descriptors through the recurrence.
 
-    reps is a (T, L) Tensor (or a list of length-L vectors, which is stacked
-    first). Each step computes o_t = U_in r_t + W_rec s_{t-1} with
-    s_t = tanh(o_t) and s_0 = 0. Returns a (T, N) matrix whose row t is o_t,
-    or s_t when output="post_tanh".
+    reps is a (T, L) Tensor. Each step computes o_t = U_in r_t + W_rec s_{t-1}
+    with s_t = tanh(o_t) and s_0 = 0. The input projections of all steps are
+    one (T, L) @ (L, N) matmul, so only W_rec s_{t-1} runs per step. Returns a
+    (T, N) matrix whose row t is o_t, or s_t when output="post_tanh".
     """
     if output not in ("pre_tanh", "post_tanh"):
         raise ValueError(f"unknown rnn output mode {output!r}")
-    if isinstance(reps, (list, tuple)):
-        reps = graph.stack(list(reps))
     if reps.data.ndim != 2:
         raise ShapeError(f"rnn_forward needs a (T, L) input, got {reps.shape}")
     if reps.shape[1] != params.input_dim:
         raise ShapeError(
             f"rnn input rows of length {reps.shape[1]} do not match u_in {params.u_in.shape}"
         )
-    n_steps = reps.shape[0]
-    state = Tensor(np.zeros(params.feature_dim))
+    proj = graph.matmul(reps, graph.transpose(params.u_in))
+    state = Tensor(np.zeros(params.feature_dim), requires_grad=False)
     rows = []
-    for t in range(n_steps):
-        r_t = graph.take_row(reps, t)
-        o_t = graph.add(graph.matvec(params.u_in, r_t), graph.matvec(params.w_rec, state))
+    for t in range(reps.shape[0]):
+        o_t = graph.add(graph.take_row(proj, t), graph.matvec(params.w_rec, state))
         state = graph.tanh(o_t)
         rows.append(o_t if output == "pre_tanh" else state)
     return graph.stack(rows)

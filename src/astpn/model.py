@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datapipe import write_atomic
 from .layers import (
     CONV_KERNEL,
     AttentionParams,
@@ -133,9 +134,10 @@ def branch_rows(graph: Graph, frames: np.ndarray, params: AstpnParams,
     """One Siamese branch: conv stack, spatial head, recurrence. Returns (T, N).
 
     The branch never sees the other sequence of a pair, so one sequence's
-    rows can be pooled against any partner.
+    rows can be pooled against any partner. The frames are a constant of the
+    tape (requires_grad=False), so backward computes no gradient for them.
     """
-    x = Tensor(frames)
+    x = Tensor(frames, requires_grad=False)
     fmap = conv_stack_forward(graph, x, params.conv)
     if cfg.variant == "atpn_only":
         pooled = graph.maxpool2d(fmap, POOL_WINDOW, POOL_WINDOW)
@@ -240,6 +242,7 @@ def extract_feature(seq, params: AstpnParams, cfg: LossConfig) -> np.ndarray:
 
 
 def save_checkpoint(params: AstpnParams, path) -> None:
+    """Write params to path atomically: a failed save keeps the old file."""
     buf = bytearray(CHECKPOINT_MAGIC)
     buf += struct.pack("<I", CHECKPOINT_VERSION)
     buf += struct.pack("<I", params.n_identities)
@@ -251,8 +254,7 @@ def save_checkpoint(params: AstpnParams, path) -> None:
         for extent in t.data.shape:
             buf += struct.pack("<Q", extent)
         buf += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(buf)
+    write_atomic(path, buf)
 
 
 class _Reader:

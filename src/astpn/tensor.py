@@ -18,13 +18,19 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient buffer of the same shape."""
+    """A dense float64 array plus an optional gradient buffer of the same shape.
 
-    __slots__ = ("data", "grad")
+    requires_grad=False marks a constant, such as a stack of input frames:
+    Graph.backward never writes its grad, and ops whose vjp would spend real
+    work on its gradient (conv2d) skip that work.
+    """
 
-    def __init__(self, data):
+    __slots__ = ("data", "grad", "requires_grad")
+
+    def __init__(self, data, requires_grad: bool = True):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,7 +97,11 @@ class Graph:
         return out
 
     def backward(self, root: Tensor) -> None:
-        """Accumulate gradients of a scalar root into every reachable leaf."""
+        """Accumulate gradients of a scalar root into every reachable leaf.
+
+        A tensor with requires_grad=False receives nothing: its grad stays as
+        it was, and no gradient flows back through it.
+        """
         if root.data.shape != ():
             raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
         pending: dict[int, tuple[Tensor, np.ndarray]] = {
@@ -102,7 +112,7 @@ class Graph:
             if entry is None:
                 continue
             for t, g in zip(node.inputs, node.vjp(entry[1])):
-                if g is None:
+                if g is None or not t.requires_grad:
                     continue
                 key = id(t)
                 if key in pending:
@@ -124,7 +134,11 @@ class Graph:
         out = Tensor(ad @ bd)
 
         def vjp(g):
-            return g @ bd.T, ad.T @ g
+            # db takes b's memory layout: when b is a transposed view (the
+            # recurrence's U_in^T), the parameter behind it gets a C-ordered
+            # gradient, which SGD then reads without striding
+            db = (g.T @ ad).T if bd.flags.f_contiguous else ad.T @ g
+            return g @ bd.T, db
 
         return self._push(out, (a, b), vjp)
 
@@ -181,25 +195,28 @@ class Graph:
 
         xp = np.zeros((t_n, cin, hp, wp))
         xp[:, :, pad:pad + h, pad:pad + w] = xb
-        cols = np.empty((t_n, cin, kh, kw, ho, wo))
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, i, j] = xp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride]
-        cols2 = cols.reshape(t_n, cin * kh * kw, ho * wo)
+        # im2col: one column per output position of every frame, rows in the
+        # kernel's (Cin, kh, kw) order, so the whole batch is a single GEMM
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        win = win[:, :, ::stride, ::stride]  # (T, Cin, Ho, Wo, kh, kw)
+        cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(cin * kh * kw, t_n * ho * wo)
         k2 = kernel.data.reshape(cout, -1)
-        out_d = np.matmul(k2, cols2) + bias.data[:, None]
-        out_d = out_d.reshape(t_n, cout, ho, wo)
+        out_d = k2 @ cols
+        out_d += bias.data[:, None]
+        out_d = np.ascontiguousarray(out_d.reshape(cout, t_n, ho, wo).transpose(1, 0, 2, 3))
         out = Tensor(out_d if batched else out_d[0])
         kshape = kernel.shape
         xp_shape = xp.shape
 
         def vjp(g):
             g4 = g if batched else g[None]
-            g2 = g4.reshape(t_n, cout, ho * wo)
-            dbias = g2.sum(axis=(0, 2))
-            dkernel = np.matmul(g2, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(kshape)
-            dcols2 = np.matmul(k2.T, g2)
-            dcols = dcols2.reshape(t_n, cin, kh, kw, ho, wo)
+            g3 = g4.reshape(t_n, cout, ho * wo)
+            dbias = g3.sum(axis=(0, 2))
+            g2 = g3.transpose(1, 0, 2).reshape(cout, t_n * ho * wo)
+            dkernel = (g2 @ cols.T).reshape(kshape)
+            if not x.requires_grad:
+                return None, dkernel, dbias
+            dcols = np.matmul(k2.T, g3).reshape(t_n, cin, kh, kw, ho, wo)
             dxp = np.zeros(xp_shape)
             for i in range(kh):
                 for j in range(kw):

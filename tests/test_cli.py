@@ -235,6 +235,25 @@ def test_eval_cross_dataset_mode(trained_run, tmp_path):
     assert summary["n_probes"] == [3]
 
 
+def test_eval_cross_dataset_frame_size_is_data_error(tmp_path):
+    # an atpn_only checkpoint fixes the frame size through rnn.u_in: one from
+    # 24x16 frames cannot run on 32x16 frames, nor on a set of mixed sizes
+    params = init_params(0, 2, LossConfig(variant="atpn_only"), feature_dim=8,
+                         frame_hw=(16, 8))
+    checkpoint = tmp_path / "atpn.astp"
+    save_checkpoint(params, checkpoint)
+    tall = tmp_path / "tall"
+    assert main(["synth", str(tall), "--ids", "2", "--frames", "4", "--height", "32"]) == EXIT_OK
+    mixed = tmp_path / "mixed"
+    assert main(["synth", str(mixed), "--ids", "2", "--frames", "4"]) == EXIT_OK
+    shutil.copytree(tall / "p000", mixed / "p999")
+    for root in (tall, mixed):
+        code = main(["eval", "--out", str(tmp_path / root.name), "--checkpoint", str(checkpoint),
+                     "--feature-dim", "8", "--variant", "atpn_only",
+                     "--cross-dataset", str(root), "--fraction", "1.0"])
+        assert code == EXIT_DATA
+
+
 def test_eval_checkpoint_config_mismatch_is_data_error(cli_data, trained_run, tmp_path):
     # checkpoint trained with feature_dim 16; claiming 32 must be rejected
     out = tmp_path / "bad"

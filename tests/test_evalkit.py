@@ -16,7 +16,7 @@ from astpn.evalkit import (
     emit_report,
     rank_gallery,
 )
-from astpn.model import LossConfig, init_params, save_checkpoint
+from astpn.model import LossConfig, init_params
 from astpn.tensor import ShapeError
 
 TOY_CFG = LossConfig(spp_bins=((2, 2), (1, 1)))
@@ -208,26 +208,24 @@ def test_compute_cmc_missing_identity(synth_index):
         compute_cmc(synth_index, [], params, TOY_CFG)
 
 
-def test_cross_dataset_eval_full_fraction_covers_all(tmp_path, synth_root, synth_index):
+def test_cross_dataset_eval_full_fraction_covers_all(synth_index):
     params = init_params(0, 8, TOY_CFG, feature_dim=8, frame_hw=(16, 8))
-    ckpt = tmp_path / "m.astp"
-    save_checkpoint(params, ckpt)
-    curve = cross_dataset_eval(ckpt, synth_root, TOY_CFG, fraction=1.0, seed=0)
+    curve = cross_dataset_eval(synth_index, sorted(synth_index), params, TOY_CFG,
+                               fraction=1.0, seed=0)
     assert curve.n_probes == 8
     direct = compute_cmc(synth_index, sorted(synth_index), params, TOY_CFG)
     np.testing.assert_array_equal(curve.values, direct.values)
 
 
-def test_cross_dataset_eval_fraction_selects_subset(tmp_path, synth_root):
+def test_cross_dataset_eval_fraction_selects_subset(synth_index):
     params = init_params(0, 8, TOY_CFG, feature_dim=8, frame_hw=(16, 8))
-    ckpt = tmp_path / "m.astp"
-    save_checkpoint(params, ckpt)
-    half = cross_dataset_eval(ckpt, synth_root, TOY_CFG, fraction=0.5, seed=0)
+    usable = sorted(synth_index)
+    half = cross_dataset_eval(synth_index, usable, params, TOY_CFG, fraction=0.5, seed=0)
     assert half.n_probes == 4
-    again = cross_dataset_eval(ckpt, synth_root, TOY_CFG, fraction=0.5, seed=0)
+    again = cross_dataset_eval(synth_index, usable, params, TOY_CFG, fraction=0.5, seed=0)
     np.testing.assert_array_equal(half.values, again.values)
     with pytest.raises(ValueError):
-        cross_dataset_eval(ckpt, synth_root, TOY_CFG, fraction=0.0)
+        cross_dataset_eval(synth_index, usable, params, TOY_CFG, fraction=0.0)
 
 
 # ---- reports ----

@@ -49,6 +49,13 @@ def test_gradcheck_passes_on_every_tensor():
     assert all(report.checked[name] >= 1 for name in expected)
 
 
+def test_gradcheck_step_does_not_cross_a_kink_on_seed_505():
+    # a step of 1e-5 crosses a ReLU/max kink on this seed and fails correct
+    # code by 2e-4
+    report = run_gradcheck(seed=505, samples_per_tensor=24)
+    assert report.passed, report.worst
+
+
 def test_gradcheck_detects_corrupted_gradient():
     report = run_gradcheck(seed=0, samples_per_tensor=8, corrupt="rnn.u_in")
     assert not report.passed

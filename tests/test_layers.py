@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from astpn.layers import (
     AttentionParams,
@@ -195,12 +197,27 @@ def test_rnn_single_step_ignores_recurrence(rng):
     np.testing.assert_allclose(out.data[0], params.u_in.data @ r[0], rtol=1e-12)
 
 
-def test_rnn_accepts_list_of_vectors(rng):
-    params = init_rnn(rng, input_dim=5, feature_dim=3)
-    rows = rng.standard_normal((4, 5))
-    a = rnn_forward(Graph(), Tensor(rows), params)
-    b = rnn_forward(Graph(), [Tensor(r) for r in rows], params)
-    np.testing.assert_array_equal(a.data, b.data)
+def rnn_reference(reps, u_in, w_rec, output):
+    """The recurrence one step at a time: o_t = U r_t + W s_{t-1}, s_t = tanh(o_t)."""
+    state = np.zeros(u_in.shape[0])
+    rows = []
+    for r in reps:
+        o = u_in @ r + w_rec @ state
+        state = np.tanh(o)
+        rows.append(o if output == "pre_tanh" else state)
+    return np.stack(rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(1, 12), st.integers(1, 6),
+       st.sampled_from(["pre_tanh", "post_tanh"]), st.integers(0, 2**32 - 1))
+def test_rnn_property_matches_stepwise_reference(steps, input_dim, feature_dim, output, seed):
+    rng = np.random.default_rng(seed)
+    params = init_rnn(rng, input_dim=input_dim, feature_dim=feature_dim)
+    reps = rng.standard_normal((steps, input_dim))
+    out = rnn_forward(Graph(), Tensor(reps), params, output=output)
+    expected = rnn_reference(reps, params.u_in.data, params.w_rec.data, output)
+    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
 
 def test_rnn_zero_recurrence_is_frame_independent(rng):

@@ -2,6 +2,7 @@
 and checkpoint round trips."""
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -394,6 +395,21 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     save_checkpoint(params, p1)
     save_checkpoint(load_checkpoint(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_checkpoint_save_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.astp"
+    save_checkpoint(toy_params(toy_cfg(), seed=5), path)
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(toy_params(toy_cfg(), seed=6), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
 
 
 def test_checkpoint_bad_magic(tmp_path):

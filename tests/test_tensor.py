@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from astpn.tensor import Graph, ShapeError, Tensor
 
@@ -127,6 +129,17 @@ def test_transpose_roundtrip_and_gradient(rng):
     check_op_gradients(lambda g: g.transpose(x), [x])
 
 
+def test_transposed_operand_gets_a_c_ordered_gradient(rng):
+    # SGD reads the gradient of a parameter used through transpose (the
+    # recurrence's U_in) without striding
+    a = Tensor(rng.standard_normal((3, 4)))
+    u = Tensor(rng.standard_normal((5, 4)))
+    g = Graph()
+    g.backward(g.sum_all(g.matmul(a, g.transpose(u))))
+    assert u.grad.flags.c_contiguous
+    np.testing.assert_allclose(u.grad, np.ones((5, 3)) @ a.data, rtol=1e-15)
+
+
 # ---- convolution ----
 
 
@@ -210,6 +223,62 @@ def test_conv2d_shape_errors(rng):
         g.conv2d(x, Tensor(np.zeros((4, 3, 9, 9))), b, pad=0, stride=1)  # kernel too big
     with pytest.raises(ShapeError):
         g.conv2d(x, Tensor(np.zeros((4, 3, 3, 3))), Tensor(np.zeros(5)), pad=0, stride=1)
+
+
+@st.composite
+def conv_cases(draw, max_extent=7):
+    """A random conv2d problem: input (batched or not), kernel, bias, pad,
+    stride, and fixed random weights for the output."""
+    cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pad, stride = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    h = draw(st.integers(max(1, kh - 2 * pad), max_extent))
+    w = draw(st.integers(max(1, kw - 2 * pad), max_extent))
+    frames = draw(st.sampled_from([None, 1, 2]))  # None: unbatched (Cin,H,W)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((cin, h, w) if frames is None else (frames, cin, h, w))
+    kernel = rng.standard_normal((cout, cin, kh, kw))
+    bias = rng.standard_normal(cout)
+    ho, wo = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+    weights = rng.standard_normal(x.shape[:-3] + (cout, ho, wo))
+    return x, kernel, bias, pad, stride, weights
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(conv_cases())
+def test_conv2d_property_matches_direct_sum(case):
+    x, kernel, bias, pad, stride, _ = case
+    out = Graph().conv2d(Tensor(x), Tensor(kernel), Tensor(bias), pad=pad, stride=stride)
+    frames = x if x.ndim == 4 else x[None]
+    expected = np.stack([conv2d_reference(f, kernel, bias, pad, stride) for f in frames])
+    np.testing.assert_allclose(out.data, expected if x.ndim == 4 else expected[0],
+                               rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(conv_cases(max_extent=5))
+def test_conv2d_property_gradient(case):
+    x, kernel, bias, pad, stride, weights = case
+    tensors = [Tensor(x), Tensor(kernel), Tensor(bias)]
+    w = Tensor(weights)
+    check_op_gradients(lambda g: g.mul(g.conv2d(*tensors, pad=pad, stride=stride), w),
+                       tensors)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(conv_cases())
+def test_conv2d_property_constant_input_gets_no_gradient(case):
+    x, kernel, bias, pad, stride, weights = case
+    grads = []
+    for requires_grad in (True, False):
+        xt, kt, bt = Tensor(x, requires_grad=requires_grad), Tensor(kernel), Tensor(bias)
+        g = Graph()
+        g.backward(g.sum_all(g.mul(g.conv2d(xt, kt, bt, pad=pad, stride=stride),
+                                   Tensor(weights))))
+        assert (xt.grad is not None) == requires_grad
+        grads.append((kt.grad, bt.grad))
+    for with_x, without_x in zip(*grads):
+        np.testing.assert_array_equal(with_x, without_x)
 
 
 # ---- pooling ----
@@ -543,6 +612,15 @@ def test_backward_ignores_unrelated_ops(rng):
     g.backward(out)
     assert x.grad is not None
     assert y.grad is None
+
+
+def test_backward_never_writes_grad_of_a_constant(rng):
+    a = Tensor(rng.standard_normal((3, 4)))
+    c = Tensor(rng.standard_normal((4, 2)), requires_grad=False)
+    g = Graph()
+    g.backward(g.sum_all(g.matmul(a, c)))
+    assert c.grad is None
+    np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ c.data.T, rtol=1e-15)
 
 
 def test_long_composite_program_gradient(rng):
