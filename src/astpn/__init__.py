@@ -40,7 +40,6 @@ from .datapipe import (
     pair_stream,
     preprocess_dataset,
     rgb_to_yuv,
-    rgb_to_yuv_normalized,
     sample_subsequence,
     synth_dataset,
 )

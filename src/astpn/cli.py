@@ -86,6 +86,14 @@ class RunConfig:
     def __post_init__(self):
         if self.spp_bins is None:
             self.spp_bins = [[8, 8], [4, 4], [2, 2], [1, 1]]
+        # a value may come from a flag or from --config: either way a data error
+        checks = (("trials", self.trials >= 1, ">= 1"), ("trial", self.trial >= 0, ">= 0"),
+                  ("k", self.k >= 1, ">= 1"), ("feature_dim", self.feature_dim >= 1, ">= 1"),
+                  ("margin", self.margin >= 0, ">= 0"),
+                  ("fraction", 0 < self.fraction <= 1, "in (0, 1]"))
+        for name, ok, bound in checks:
+            if not ok:
+                raise DatasetError(f"{name} must be {bound}, got {getattr(self, name)}")
 
     def loss_config(self) -> LossConfig:
         return LossConfig(

@@ -204,11 +204,6 @@ def standardize_channels(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def rgb_to_yuv_normalized(frames) -> np.ndarray:
-    """YUV-convert a whole sequence and standardize each channel over it."""
-    return standardize_channels(np.stack([rgb_to_yuv(f) for f in frames]))
-
-
 def _box_sum(img: np.ndarray, radius: int) -> np.ndarray:
     """Sum over a (2r+1)^2 window, truncated at the image border."""
     h, w = img.shape
@@ -278,15 +273,14 @@ def preprocess_sequence(raw: RawSequence) -> SequenceSample:
     Flow at step t is computed between luminance frames t and t+1; the last
     frame reuses the previous flow field (zero flow for one-frame sequences).
     """
-    yuv = rgb_to_yuv_normalized(raw.frames)
-    lum = [rgb_to_yuv(f)[0] for f in raw.frames]
-    n = len(lum)
-    flows = [lucas_kanade_flow(lum[t], lum[t + 1]) for t in range(n - 1)]
+    yuv = np.stack([rgb_to_yuv(f) for f in raw.frames])
+    lum = yuv[:, 0]
+    flows = [lucas_kanade_flow(lum[t], lum[t + 1]) for t in range(len(lum) - 1)]
     flows.append(flows[-1] if flows else np.zeros((2,) + lum[0].shape))
     return SequenceSample(
         person_id=raw.person_id,
         camera_id=raw.camera_id,
-        frames=np.concatenate([yuv, np.stack(flows)], axis=1),
+        frames=np.concatenate([standardize_channels(yuv), np.stack(flows)], axis=1),
         paths=raw.paths,
     )
 
@@ -413,7 +407,9 @@ def identity_labels(ids) -> dict[str, int]:
     return {pid: i for i, pid in enumerate(sorted(ids))}
 
 
-def _pick_cameras(cams: dict[str, SequenceSample], pid: str, rng) -> tuple[str, str]:
+def pick_cameras(cams: dict[str, SequenceSample], pid: str, rng) -> tuple[str, str]:
+    """Two of an identity's cameras in sorted order: its only two, or a draw
+    of two from rng when it has more."""
     names = sorted(cams)
     if len(names) < 2:
         raise DatasetError(f"identity {pid} needs two cameras, found {len(names)}")
@@ -443,12 +439,12 @@ def pair_stream(index: dict[str, dict[str, SequenceSample]], train_ids, k: int, 
     while True:
         for i in rng.permutation(len(ids)):
             pid = ids[i]
-            cam_a, cam_b = _pick_cameras(index[pid], pid, rng)
+            cam_a, cam_b = pick_cameras(index[pid], pid, rng)
             yield PairBatch(draw(pid, cam_a), draw(pid, cam_b), True,
                             labels[pid], labels[pid])
             others = [q for q in ids if q != pid]
             other = others[int(rng.integers(0, len(others)))]
-            other_a, other_b = _pick_cameras(index[other], other, rng)
+            other_a, other_b = pick_cameras(index[other], other, rng)
             yield PairBatch(draw(pid, cam_a), draw(other, other_b), False,
                             labels[pid], labels[other])
 

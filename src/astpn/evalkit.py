@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datapipe import DatasetError, SequenceSample, augment, write_atomic
+from .datapipe import DatasetError, SequenceSample, augment, pick_cameras, write_atomic
 from .model import AstpnParams, LossConfig, extract_feature
 from .tensor import ShapeError
 
@@ -106,14 +106,9 @@ def compute_cmc(index: dict[str, dict[str, SequenceSample]], test_ids, params: A
     for pid in ids:
         if pid not in index:
             raise DatasetError(f"identity {pid} not present in the dataset")
-        cams = sorted(index[pid])
-        if len(cams) < 2:
-            raise DatasetError(f"identity {pid} needs two cameras, found {len(cams)}")
-        if len(cams) > 2:
-            chosen = sorted(rng.choice(len(cams), size=2, replace=False))
-            cams = [cams[chosen[0]], cams[chosen[1]]]
-        probe_feats.append(feature(pid, cams[0]))
-        gallery_feats.append(feature(pid, cams[1]))
+        cam_p, cam_g = pick_cameras(index[pid], pid, rng)
+        probe_feats.append(feature(pid, cam_p))
+        gallery_feats.append(feature(pid, cam_g))
     full_meta = {"n_identities": len(ids), "seed": seed}
     full_meta.update(meta or {})
     return cmc_from_features(probe_feats, ids, gallery_feats, ids, meta=full_meta)

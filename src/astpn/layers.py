@@ -2,8 +2,8 @@
 and the two-way attentive temporal pooling head.
 
 All forwards take an explicit Graph so the same code serves training and
-gradient-free extraction. Frame inputs may carry a leading time axis; the
-per-frame convolutional work is then batched through single tape ops.
+gradient-free extraction. Frame inputs are (T,C,H,W) stacks only: the
+per-frame convolutional work of a whole sequence runs through single tape ops.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def conv_stack_output_hw(hw: tuple[int, int]) -> tuple[int, int]:
 
 
 def conv_stack_forward(graph: Graph, frames: Tensor, params: ConvStackParams) -> Tensor:
-    """Run (T,Cin,H,W) or (Cin,H,W) input through conv/tanh(/pool) x3."""
+    """Run a (T,Cin,H,W) stack through conv/tanh(/pool) x3."""
     h = frames
     for i in range(3):
         h = graph.tanh(graph.conv2d(h, params.kernels[i], params.biases[i],
@@ -113,13 +113,12 @@ def spp_forward(graph: Graph, fmap: Tensor, cfg: SppConfig = SppConfig()) -> Ten
 
     For each bin grid the map is partitioned into cells, each cell max-pooled,
     and the results flattened channel-major; levels are concatenated in bin
-    order. A (C,H,W) map yields a vector of length C * sum(mw*mh); batched
-    (T,C,H,W) input yields one descriptor per row.
+    order. A (T,C,H,W) map yields a (T, C * sum(mw*mh)) matrix, one
+    descriptor per row.
     """
-    shape = fmap.shape
-    if len(shape) not in (3, 4):
-        raise ShapeError(f"spp_forward needs a (C,H,W) or (T,C,H,W) map, got {shape}")
-    h, w = shape[-2], shape[-1]
+    if len(fmap.shape) != 4:
+        raise ShapeError(f"spp_forward needs a (T,C,H,W) map, got {fmap.shape}")
+    h, w = fmap.shape[2:]
     parts = []
     for mw, mh in cfg.bins:
         if h < mw or w < mh:
@@ -130,7 +129,7 @@ def spp_forward(graph: Graph, fmap: Tensor, cfg: SppConfig = SppConfig()) -> Ten
             for c0, c1 in _cell_bounds(w, mh)
         ]
         parts.append(graph.region_maxpool(fmap, regions))
-    return graph.concat(parts, axis=0 if len(shape) == 3 else 1)
+    return graph.concat(parts, axis=1)
 
 
 @dataclass

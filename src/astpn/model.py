@@ -152,15 +152,18 @@ def pool_pair(graph: Graph, p_rows: Tensor, g_rows: Tensor, params: AstpnParams,
     """Pool two branches' (T, N) rows over time into their feature vectors.
 
     Attentive for astpn and atpn_only, where each sequence's weights depend
-    on the other; arithmetic mean for aspn_only and mean_pool; elementwise
-    max over time for max_pool.
+    on the other; uniform weights 1/T for aspn_only and mean_pool, through
+    the same ops as attentive pooling; elementwise max over time for
+    max_pool.
     """
     if cfg.variant in ("astpn", "atpn_only"):
         return attentive_summary(graph, p_rows, g_rows, params.att)
     if cfg.variant in ("aspn_only", "mean_pool"):
-        v_p = graph.scale(graph.sum_along(p_rows, 0), 1.0 / p_rows.shape[0])
-        v_g = graph.scale(graph.sum_along(g_rows, 0), 1.0 / g_rows.shape[0])
-        return v_p, v_g
+        def mean(rows):
+            w = Tensor(np.full(rows.shape[0], 1.0 / rows.shape[0]), requires_grad=False)
+            return graph.matvec(graph.transpose(rows), w)
+
+        return mean(p_rows), mean(g_rows)
     return graph.max_along(p_rows, 0), graph.max_along(g_rows, 0)
 
 

@@ -1,8 +1,8 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Every operation is a method on Graph, which records the calls it executes so
-that Graph.backward can replay them in reverse order and accumulate gradients.
-All arithmetic is 64-bit and deterministic: identical inputs give bitwise
+that Graph.backward can replay them once, in reverse order, and accumulate
+gradients. Image ops take (T,C,H,W) frame stacks only. All arithmetic is 64-bit and deterministic: identical inputs give bitwise
 identical outputs and gradients.
 """
 
@@ -25,7 +25,7 @@ class Tensor:
     work on its gradient (conv2d) skip that work.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = True):
         self.data = np.asarray(data, dtype=np.float64)
@@ -64,24 +64,25 @@ class _Node:
         self.vjp = vjp
 
 
-def _as_batch(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """View a (C,H,W) or (T,C,H,W) array as 4-d, reporting whether it was batched."""
-    if a.ndim == 3:
-        return a[None], False
-    if a.ndim == 4:
-        return a, True
-    raise ShapeError(f"expected a 3-d or 4-d operand, got shape {a.shape}")
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Columns of a (T,C,H,W) stack, one per output position of every frame,
+    rows in a kernel's (C, kh, kw) order: a correlation is then one GEMM."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # (T, C, Ho, Wo, kh, kw)
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(xp.shape[1] * kh * kw, -1)
 
 
 class Graph:
     """Tape of executed operations.
 
     A Graph and the tensors flowing through it form one forward pass. Calling
-    backward(root) walks the tape once in reverse execution order and adds
+    backward(root) replays the tape once in reverse execution order and adds
     d(root)/d(leaf) into the grad buffer of every leaf tensor reachable from
-    the root. Repeated backward calls keep accumulating. Construct with
-    record=False to run the same operations without keeping a tape (useful
-    for feature extraction, where no gradients are needed).
+    the root. Each node leaves the tape as its vjp runs, so the buffers it
+    saved are freed as soon as they are used; a replayed tape is empty and a
+    second backward raises. Construct with record=False to run the same
+    operations without keeping a tape (useful for feature extraction, where
+    no gradients are needed).
     """
 
     def __init__(self, record: bool = True):
@@ -97,17 +98,22 @@ class Graph:
         return out
 
     def backward(self, root: Tensor) -> None:
-        """Accumulate gradients of a scalar root into every reachable leaf.
+        """Accumulate gradients of a scalar root into every reachable leaf,
+        consuming the tape.
 
         A tensor with requires_grad=False receives nothing: its grad stays as
         it was, and no gradient flows back through it.
         """
         if root.data.shape != ():
             raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
+        if not self._tape:
+            raise RuntimeError("backward needs a recorded tape; a tape is replayed once")
         pending: dict[int, tuple[Tensor, np.ndarray]] = {
             id(root): (root, np.ones((), dtype=np.float64))
         }
-        for node in reversed(self._tape):
+        tape = self._tape
+        while tape:
+            node = tape.pop()
             entry = pending.pop(id(node.out), None)
             if entry is None:
                 continue
@@ -168,20 +174,21 @@ class Graph:
     # ---- convolution and pooling ----
 
     def conv2d(self, x: Tensor, kernel: Tensor, bias: Tensor, pad: int, stride: int) -> Tensor:
-        """Cross-correlate x with kernel under zero padding.
+        """Cross-correlate a (T,Cin,H,W) stack with kernel under zero padding.
 
-        x is (Cin,H,W) or batched (T,Cin,H,W); kernel is (Cout,Cin,kh,kw) and
-        bias is (Cout,). Output spatial extents follow the floor rule
-        (H + 2*pad - kh)//stride + 1.
+        kernel is (Cout,Cin,kh,kw) and bias is (Cout,). Output spatial extents
+        follow the floor rule (H + 2*pad - kh)//stride + 1. Forward, dkernel
+        and dx are each one GEMM over im2col columns.
         """
+        if x.data.ndim != 4:
+            raise ShapeError(f"conv2d needs a (T,C,H,W) input, got shape {x.shape}")
         if kernel.data.ndim != 4:
             raise ShapeError(f"conv2d kernel must be 4-d, got {kernel.shape}")
         if bias.data.ndim != 1 or bias.shape[0] != kernel.shape[0]:
             raise ShapeError(f"conv2d bias shape {bias.shape} does not match kernel {kernel.shape}")
         if pad < 0 or stride < 1:
             raise ShapeError(f"conv2d needs pad >= 0 and stride >= 1, got pad={pad} stride={stride}")
-        xb, batched = _as_batch(x.data)
-        t_n, cin, h, w = xb.shape
+        t_n, cin, h, w = x.shape
         cout, kcin, kh, kw = kernel.shape
         if kcin != cin:
             raise ShapeError(f"conv2d: input has {cin} channels but kernel expects {kcin}")
@@ -194,45 +201,42 @@ class Graph:
         wo = (wp - kw) // stride + 1
 
         xp = np.zeros((t_n, cin, hp, wp))
-        xp[:, :, pad:pad + h, pad:pad + w] = xb
-        # im2col: one column per output position of every frame, rows in the
-        # kernel's (Cin, kh, kw) order, so the whole batch is a single GEMM
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride]  # (T, Cin, Ho, Wo, kh, kw)
-        cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(cin * kh * kw, t_n * ho * wo)
-        k2 = kernel.data.reshape(cout, -1)
-        out_d = k2 @ cols
+        xp[:, :, pad:pad + h, pad:pad + w] = x.data
+        cols = _im2col(xp, kh, kw, stride)
+        kd = kernel.data
+        out_d = kd.reshape(cout, -1) @ cols
         out_d += bias.data[:, None]
-        out_d = np.ascontiguousarray(out_d.reshape(cout, t_n, ho, wo).transpose(1, 0, 2, 3))
-        out = Tensor(out_d if batched else out_d[0])
-        kshape = kernel.shape
-        xp_shape = xp.shape
+        out = Tensor(np.ascontiguousarray(out_d.reshape(cout, t_n, ho, wo).transpose(1, 0, 2, 3)))
 
         def vjp(g):
-            g4 = g if batched else g[None]
-            g3 = g4.reshape(t_n, cout, ho * wo)
+            g3 = g.reshape(t_n, cout, ho * wo)
             dbias = g3.sum(axis=(0, 2))
             g2 = g3.transpose(1, 0, 2).reshape(cout, t_n * ho * wo)
-            dkernel = (g2 @ cols.T).reshape(kshape)
+            dkernel = (g2 @ cols.T).reshape(kd.shape)
             if not x.requires_grad:
                 return None, dkernel, dbias
-            dcols = np.matmul(k2.T, g3).reshape(t_n, cin, kh, kw, ho, wo)
-            dxp = np.zeros(xp_shape)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += dcols[:, :, i, j]
-            dx = dxp[:, :, pad:pad + h, pad:pad + w]
-            return dx if batched else dx[0], dkernel, dbias
+            # dx correlates g, spread by the stride and offset by kh-1, kw-1,
+            # with the flipped kernel at stride 1; only the window over the
+            # unpadded input is needed
+            gp = np.zeros((t_n, cout, hp + kh - 1, wp + kw - 1))
+            gp[:, :, kh - 1:kh - 1 + ho * stride:stride, kw - 1:kw - 1 + wo * stride:stride] = g
+            gcols = _im2col(gp[:, :, pad:pad + h + kh - 1, pad:pad + w + kw - 1], kh, kw, 1)
+            kflip = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+            dx = (kflip @ gcols).reshape(cin, t_n, h, w).transpose(1, 0, 2, 3)
+            return dx, dkernel, dbias
 
         return self._push(out, (x, kernel, bias), vjp)
 
     def maxpool2d(self, x: Tensor, window: tuple[int, int], stride: tuple[int, int]) -> Tensor:
-        """Max over sliding windows; ties go to the first cell in row-major scan."""
+        """Max over sliding windows of a (T,C,H,W) stack; ties go to the first
+        cell in row-major scan."""
         wh, ww = window
         sh, sw = stride
         if min(wh, ww) < 1 or min(sh, sw) < 1:
             raise ShapeError(f"maxpool2d needs positive window and stride, got {window}, {stride}")
-        xb, batched = _as_batch(x.data)
+        if x.data.ndim != 4:
+            raise ShapeError(f"maxpool2d needs a (T,C,H,W) input, got shape {x.shape}")
+        xb = x.data
         t_n, c, h, w = xb.shape
         if wh > h or ww > w:
             raise ShapeError(f"maxpool2d window {window} larger than input {h}x{w}")
@@ -249,26 +253,26 @@ class Graph:
                 better = cand > best
                 best = np.where(better, cand, best)
                 best_pos = np.where(better, pos[None, None], best_pos)
-        out = Tensor(best if batched else best[0])
+        out = Tensor(best)
 
         def vjp(g):
-            g4 = g if batched else g[None]
             dx = np.zeros((t_n * c, h * w))
             rows_idx = np.arange(t_n * c)[:, None]
-            np.add.at(dx, (rows_idx, best_pos.reshape(t_n * c, -1)), g4.reshape(t_n * c, -1))
-            dx = dx.reshape(t_n, c, h, w)
-            return (dx if batched else dx[0],)
+            np.add.at(dx, (rows_idx, best_pos.reshape(t_n * c, -1)), g.reshape(t_n * c, -1))
+            return (dx.reshape(t_n, c, h, w),)
 
         return self._push(out, (x,), vjp)
 
     def region_maxpool(self, x: Tensor, regions: list[tuple[int, int, int, int]]) -> Tensor:
         """Max over explicit rectangular regions (r0, r1, c0, c1), half-open.
 
-        For (C,H,W) input the output is a vector of length C*len(regions)
+        A (T,C,H,W) input yields a (T, C*len(regions)) matrix whose rows are
         laid out channel-major: all regions of channel 0, then channel 1, and
-        so on. Batched (T,C,H,W) input yields a (T, C*len(regions)) matrix.
+        so on.
         """
-        xb, batched = _as_batch(x.data)
+        if x.data.ndim != 4:
+            raise ShapeError(f"region_maxpool needs a (T,C,H,W) input, got shape {x.shape}")
+        xb = x.data
         t_n, c, h, w = xb.shape
         n_r = len(regions)
         if n_r == 0:
@@ -282,16 +286,13 @@ class Graph:
             am = block.argmax(axis=2)
             vals[:, :, r] = np.take_along_axis(block, am[:, :, None], axis=2)[:, :, 0]
             pos[:, :, r] = (am // (c1 - c0) + r0) * w + (am % (c1 - c0) + c0)
-        out_d = vals.reshape(t_n, c * n_r)
-        out = Tensor(out_d if batched else out_d[0])
+        out = Tensor(vals.reshape(t_n, c * n_r))
 
         def vjp(g):
-            g2 = (g if batched else g[None]).reshape(t_n * c, n_r)
             dx = np.zeros((t_n * c, h * w))
             rows_idx = np.arange(t_n * c)[:, None]
-            np.add.at(dx, (rows_idx, pos.reshape(t_n * c, n_r)), g2)
-            dx = dx.reshape(t_n, c, h, w)
-            return (dx if batched else dx[0],)
+            np.add.at(dx, (rows_idx, pos.reshape(t_n * c, n_r)), g.reshape(t_n * c, n_r))
+            return (dx.reshape(t_n, c, h, w),)
 
         return self._push(out, (x,), vjp)
 
@@ -346,15 +347,6 @@ class Graph:
             return g * bd, g * ad
 
         return self._push(out, (a, b), vjp)
-
-    def scale(self, x: Tensor, c: float) -> Tensor:
-        c = float(c)
-        out = Tensor(x.data * c)
-
-        def vjp(g):
-            return (g * c,)
-
-        return self._push(out, (x,), vjp)
 
     # ---- shape plumbing ----
 
@@ -425,19 +417,6 @@ class Graph:
             dx = np.zeros(xshape)
             np.put_along_axis(dx, np.expand_dims(am, axis), np.expand_dims(g, axis), axis)
             return (dx,)
-
-        return self._push(out, (x,), vjp)
-
-    def sum_along(self, x: Tensor, axis: int) -> Tensor:
-        if x.data.ndim != 2:
-            raise ShapeError(f"sum_along needs a matrix, got {x.shape}")
-        if axis not in (0, 1):
-            raise ShapeError(f"sum_along: axis must be 0 or 1, got {axis}")
-        out = Tensor(x.data.sum(axis=axis))
-        n = x.data.shape[axis]
-
-        def vjp(g):
-            return (np.repeat(np.expand_dims(g, axis), n, axis=axis),)
 
         return self._push(out, (x,), vjp)
 

@@ -177,6 +177,34 @@ def test_config_file_invalid_json_is_data_error(tmp_path):
     assert main(["train", "--config", str(cfg_path)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("eval", ["--trials", "0"]),
+    ("eval", ["--cross-dataset", "{data}", "--fraction", "0"]),
+    ("train", ["--k", "0"]),
+    ("train", ["--margin", "-1"]),
+    ("train", ["--feature-dim", "0"]),
+    ("train", ["--trial", "-1"]),
+], ids=["trials", "fraction", "k", "margin", "feature_dim", "trial"])
+def test_out_of_range_config_value_is_data_error(cli_data, trained_run, tmp_path, capsys,
+                                                 command, flags):
+    argv = [command, "--data-root", str(cli_data), "--out", str(tmp_path / "out"),
+            "--feature-dim", "16", "--epochs", "0"]
+    if command == "eval":
+        argv += ["--checkpoint", str(trained_run / "checkpoint.astp")]
+    argv += [f.replace("{data}", str(cli_data)) for f in flags]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_out_of_range_value_in_config_file_is_data_error(cli_data, tmp_path):
+    cfg_path = tmp_path / "bad_k.json"
+    cfg_path.write_text(json.dumps({"k": 0, "epochs": 0, "feature_dim": 16}))
+    assert main(["train", "--config", str(cfg_path), "--data-root", str(cli_data),
+                 "--out", str(tmp_path / "out")]) == EXIT_DATA
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--epochs", "three"])

@@ -26,7 +26,6 @@ from astpn.datapipe import (
     read_frame,
     read_ppm,
     rgb_to_yuv,
-    rgb_to_yuv_normalized,
     sample_subsequence,
     standardize_channels,
     synth_dataset,
@@ -163,12 +162,6 @@ def test_standardize_constant_channel_is_zeroed():
     assert out[:, 1].std() > 0
 
 
-def test_rgb_to_yuv_normalized_shape(rng):
-    frames = [rng.integers(0, 256, size=(8, 6, 3), dtype=np.uint8) for _ in range(5)]
-    out = rgb_to_yuv_normalized(frames)
-    assert out.shape == (5, 3, 8, 6)
-
-
 # ---- optical flow ----
 
 
@@ -231,7 +224,10 @@ def test_preprocess_sequence_channel_layout(rng):
     assert sample.frames.shape == (4, 5, 16, 12)
     assert sample.n_frames == 4
     assert sample.frame_hw == (16, 12)
-    np.testing.assert_array_equal(sample.frames[:, :3], rgb_to_yuv_normalized(frames))
+    yuv = np.stack([rgb_to_yuv(f) for f in frames])
+    np.testing.assert_array_equal(sample.frames[:, :3], standardize_channels(yuv))
+    # flow reads the luminance before standardization
+    np.testing.assert_array_equal(sample.frames[0, 3:], lucas_kanade_flow(yuv[0, 0], yuv[1, 0]))
 
 
 def test_preprocess_last_frame_reuses_previous_flow(rng):

@@ -68,13 +68,13 @@ def test_conv_stack_single_frame_matches_batch(rng):
     frames = rng.uniform(-1, 1, size=(3, 5, 24, 16))
     g = Graph(record=False)
     batch = conv_stack_forward(g, Tensor(frames), params)
-    one = conv_stack_forward(g, Tensor(frames[1]), params)
-    np.testing.assert_array_equal(batch.data[1], one.data)
+    one = conv_stack_forward(g, Tensor(frames[1:2]), params)
+    np.testing.assert_array_equal(batch.data[1], one.data[0])
 
 
 def test_conv_stack_output_is_tanh_bounded(rng):
     params = init_conv_stack(rng, in_channels=5)
-    out = conv_stack_forward(Graph(), Tensor(rng.uniform(-1, 1, size=(5, 24, 16))), params)
+    out = conv_stack_forward(Graph(), Tensor(rng.uniform(-1, 1, size=(1, 5, 24, 16))), params)
     assert np.abs(out.data).max() < 1.0
 
 
@@ -90,9 +90,9 @@ def test_spp_length_is_2720_for_the_standard_stack(rng):
     cfg = SppConfig()
     assert cfg.cells_per_channel == 85
     assert cfg.output_length(32) == 2720
-    fmap = Tensor(rng.standard_normal((32, 13, 11)))
+    fmap = Tensor(rng.standard_normal((1, 32, 13, 11)))
     out = spp_forward(Graph(), fmap, cfg)
-    assert out.shape == (2720,)
+    assert out.shape == (1, 2720)
 
 
 def test_spp_per_level_cell_counts():
@@ -101,8 +101,8 @@ def test_spp_per_level_cell_counts():
 
 @pytest.mark.parametrize("hw", [(13, 11), (19, 15), (39, 23), (8, 8), (100, 37)])
 def test_spp_length_independent_of_map_size(rng, hw):
-    fmap = Tensor(rng.standard_normal((32,) + hw))
-    assert spp_forward(Graph(), fmap, SppConfig()).shape == (2720,)
+    fmap = Tensor(rng.standard_normal((1, 32) + hw))
+    assert spp_forward(Graph(), fmap, SppConfig()).shape == (1, 2720)
 
 
 def test_spp_batched_rows_match_single(rng):
@@ -110,15 +110,15 @@ def test_spp_batched_rows_match_single(rng):
     g = Graph(record=False)
     batch = spp_forward(g, Tensor(fmaps), SppConfig())
     assert batch.shape == (4, 8 * 85)
-    single = spp_forward(g, Tensor(fmaps[2]), SppConfig())
-    np.testing.assert_array_equal(batch.data[2], single.data)
+    single = spp_forward(g, Tensor(fmaps[2:3]), SppConfig())
+    np.testing.assert_array_equal(batch.data[2], single.data[0])
 
 
 def test_spp_final_level_is_global_max_per_channel(rng):
-    fmap = rng.standard_normal((6, 10, 8))
+    fmap = rng.standard_normal((2, 6, 10, 8))
     out = spp_forward(Graph(), Tensor(fmap), SppConfig())
-    # the last 6 values are the (1,1) level: one global max per channel
-    np.testing.assert_array_equal(out.data[-6:], fmap.max(axis=(1, 2)))
+    # the last 6 values of a row are the (1,1) level: one global max per channel
+    np.testing.assert_array_equal(out.data[:, -6:], fmap.max(axis=(2, 3)))
 
 
 def test_spp_cells_cover_the_whole_map(rng):
@@ -127,45 +127,53 @@ def test_spp_cells_cover_the_whole_map(rng):
     # one cell of the global (1,1) level
     for h, w in [(13, 11), (9, 8), (16, 16)]:
         for r, c in [(0, 0), (h - 1, w - 1), (h // 2, w // 3)]:
-            fmap = np.zeros((1, h, w))
-            fmap[0, r, c] = 5.0
-            out = spp_forward(Graph(), Tensor(fmap), SppConfig())
-            levels = np.split(out.data, np.cumsum([64, 16, 4])[:3])
+            fmap = np.zeros((1, 1, h, w))
+            fmap[0, 0, r, c] = 5.0
+            out = spp_forward(Graph(), Tensor(fmap), SppConfig()).data[0]
+            levels = np.split(out, np.cumsum([64, 16, 4])[:3])
             for grid, vals in zip(SppConfig().bins, levels):
                 assert (vals == 5.0).sum() >= 1, f"level {grid} missed ({r},{c}) on {h}x{w}"
-            assert out.data[-1] == 5.0
+            assert out[-1] == 5.0
 
 
 def test_spp_dominant_value_reaches_every_level(rng):
-    fmap = rng.standard_normal((3, 12, 10))
-    fmap[1, 4, 7] = 99.0
+    fmap = rng.standard_normal((1, 3, 12, 10))
+    fmap[0, 1, 4, 7] = 99.0
     out = spp_forward(Graph(), Tensor(fmap), SppConfig())
-    levels = np.split(out.data, np.cumsum([3 * 64, 3 * 16, 3 * 4])[:3])
+    levels = np.split(out.data[0], np.cumsum([3 * 64, 3 * 16, 3 * 4])[:3])
     for grid, vals in zip(SppConfig().bins, levels):
         assert (vals == 99.0).sum() >= 1, f"level {grid}"
 
 
 def test_spp_rejects_too_small_maps(rng):
     with pytest.raises(ShapeError):
-        spp_forward(Graph(), Tensor(rng.standard_normal((2, 7, 8))), SppConfig())
+        spp_forward(Graph(), Tensor(rng.standard_normal((1, 2, 7, 8))), SppConfig())
+
+
+def test_frame_layers_need_a_4d_stack(rng):
+    with pytest.raises(ShapeError):
+        spp_forward(Graph(), Tensor(rng.standard_normal((2, 9, 8))), SppConfig())
+    with pytest.raises(ShapeError):
+        conv_stack_forward(Graph(), Tensor(rng.standard_normal((5, 24, 16))),
+                           init_conv_stack(rng, in_channels=5))
 
 
 def test_spp_custom_bins(rng):
     cfg = SppConfig(bins=((2, 2), (1, 1)))
-    out = spp_forward(Graph(), Tensor(rng.standard_normal((4, 6, 6))), cfg)
-    assert out.shape == (4 * 5,)
+    out = spp_forward(Graph(), Tensor(rng.standard_normal((1, 4, 6, 6))), cfg)
+    assert out.shape == (1, 4 * 5)
 
 
 def test_spp_gradient_flows_to_max_positions(rng):
-    fmap = Tensor(rng.standard_normal((2, 8, 8)))
+    fmap = Tensor(rng.standard_normal((1, 2, 8, 8)))
     g = Graph()
     out = spp_forward(g, fmap, SppConfig(bins=((1, 1),)))
     g.backward(g.sum_all(out))
     # one unit of gradient per channel, at that channel's argmax
     assert fmap.grad.sum() == 2.0
     for c in range(2):
-        flat = np.argmax(fmap.data[c])
-        assert fmap.grad[c].reshape(-1)[flat] == 1.0
+        flat = np.argmax(fmap.data[0, c])
+        assert fmap.grad[0, c].reshape(-1)[flat] == 1.0
 
 
 # ---- recurrence ----

@@ -2,10 +2,11 @@
 backward against central finite differences, plus tape mechanics."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from astpn.tensor import Graph, ShapeError, Tensor
@@ -162,11 +163,11 @@ def conv2d_reference(x, kernel, bias, pad, stride):
 
 @pytest.mark.parametrize("h,w,pad,stride", [(6, 5, 0, 1), (6, 5, 2, 1), (9, 7, 4, 2), (5, 5, 1, 3)])
 def test_conv2d_matches_direct_sum(rng, h, w, pad, stride):
-    x = Tensor(rng.standard_normal((3, h, w)))
+    x = Tensor(rng.standard_normal((1, 3, h, w)))
     kernel = Tensor(rng.standard_normal((4, 3, 3, 3)))
     bias = Tensor(rng.standard_normal(4))
     out = Graph().conv2d(x, kernel, bias, pad=pad, stride=stride)
-    expected = conv2d_reference(x.data, kernel.data, bias.data, pad, stride)
+    expected = conv2d_reference(x.data[0], kernel.data, bias.data, pad, stride)[None]
     assert out.shape == expected.shape
     np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
 
@@ -178,8 +179,8 @@ def test_conv2d_batched_equals_frame_by_frame(rng):
     g = Graph()
     batched = g.conv2d(frames, kernel, bias, pad=1, stride=1)
     for t in range(4):
-        single = g.conv2d(Tensor(frames.data[t]), kernel, bias, pad=1, stride=1)
-        np.testing.assert_array_equal(batched.data[t], single.data)
+        single = g.conv2d(Tensor(frames.data[t:t + 1]), kernel, bias, pad=1, stride=1)
+        np.testing.assert_array_equal(batched.data[t], single.data[0])
 
 
 @pytest.mark.parametrize("extent,kernel,pad,stride,expected", [
@@ -189,15 +190,15 @@ def test_conv2d_batched_equals_frame_by_frame(rng):
     (11, 3, 0, 2, 5),  # floor: the last column that does not fit is dropped
 ])
 def test_conv2d_output_extent_follows_floor_rule(rng, extent, kernel, pad, stride, expected):
-    x = Tensor(rng.standard_normal((1, extent, extent)))
+    x = Tensor(rng.standard_normal((1, 1, extent, extent)))
     k = Tensor(rng.standard_normal((1, 1, kernel, kernel)))
     b = Tensor(np.zeros(1))
     out = Graph().conv2d(x, k, b, pad=pad, stride=stride)
-    assert out.shape == (1, expected, expected)
+    assert out.shape == (1, 1, expected, expected)
 
 
 def test_conv2d_gradient(rng):
-    x = Tensor(rng.standard_normal((2, 5, 4)))
+    x = Tensor(rng.standard_normal((1, 2, 5, 4)))
     kernel = Tensor(rng.standard_normal((3, 2, 3, 3)))
     bias = Tensor(rng.standard_normal(3))
     check_op_gradients(lambda g: g.conv2d(x, kernel, bias, pad=1, stride=1),
@@ -205,7 +206,7 @@ def test_conv2d_gradient(rng):
 
 
 def test_conv2d_gradient_strided(rng):
-    x = Tensor(rng.standard_normal((1, 7, 6)))
+    x = Tensor(rng.standard_normal((1, 1, 7, 6)))
     kernel = Tensor(rng.standard_normal((2, 1, 3, 3)))
     bias = Tensor(rng.standard_normal(2))
     check_op_gradients(lambda g: g.conv2d(x, kernel, bias, pad=2, stride=2),
@@ -214,34 +215,44 @@ def test_conv2d_gradient_strided(rng):
 
 def test_conv2d_shape_errors(rng):
     g = Graph()
-    x = Tensor(rng.standard_normal((3, 5, 5)))
+    x = Tensor(rng.standard_normal((1, 3, 5, 5)))
     k = Tensor(rng.standard_normal((4, 2, 3, 3)))  # wrong input channel count
     b = Tensor(np.zeros(4))
     with pytest.raises(ShapeError):
         g.conv2d(x, k, b, pad=0, stride=1)
+    with pytest.raises(ShapeError):
+        g.conv2d(Tensor(x.data[0]), Tensor(np.zeros((4, 3, 3, 3))), b, pad=0, stride=1)
     with pytest.raises(ShapeError):
         g.conv2d(x, Tensor(np.zeros((4, 3, 9, 9))), b, pad=0, stride=1)  # kernel too big
     with pytest.raises(ShapeError):
         g.conv2d(x, Tensor(np.zeros((4, 3, 3, 3))), Tensor(np.zeros(5)), pad=0, stride=1)
 
 
-@st.composite
-def conv_cases(draw, max_extent=7):
-    """A random conv2d problem: input (batched or not), kernel, bias, pad,
-    stride, and fixed random weights for the output."""
-    cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    pad, stride = draw(st.integers(0, 2)), draw(st.integers(1, 3))
-    h = draw(st.integers(max(1, kh - 2 * pad), max_extent))
-    w = draw(st.integers(max(1, kw - 2 * pad), max_extent))
-    frames = draw(st.sampled_from([None, 1, 2]))  # None: unbatched (Cin,H,W)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.standard_normal((cin, h, w) if frames is None else (frames, cin, h, w))
-    kernel = rng.standard_normal((cout, cin, kh, kw))
+def conv_case(x_shape, k_shape, pad, stride, seed):
+    """A conv2d problem from its shapes and a seed: (T,Cin,H,W) input,
+    kernel, bias, pad, stride, and fixed random weights for the output."""
+    rng = np.random.default_rng(seed)
+    t_n, _, h, w = x_shape
+    cout, _, kh, kw = k_shape
+    x = rng.standard_normal(x_shape)
+    kernel = rng.standard_normal(k_shape)
     bias = rng.standard_normal(cout)
     ho, wo = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
-    weights = rng.standard_normal(x.shape[:-3] + (cout, ho, wo))
+    weights = rng.standard_normal((t_n, cout, ho, wo))
     return x, kernel, bias, pad, stride, weights
+
+
+@st.composite
+def conv_cases(draw, max_extent=7, max_pad=2):
+    """A random conv2d problem, as conv_case returns it."""
+    cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pad, stride = draw(st.integers(0, max_pad)), draw(st.integers(1, 3))
+    h = draw(st.integers(max(1, kh - 2 * pad), max_extent))
+    w = draw(st.integers(max(1, kw - 2 * pad), max_extent))
+    frames = draw(st.integers(1, 3))
+    return conv_case((frames, cin, h, w), (cout, cin, kh, kw), pad, stride,
+                     draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -249,10 +260,8 @@ def conv_cases(draw, max_extent=7):
 def test_conv2d_property_matches_direct_sum(case):
     x, kernel, bias, pad, stride, _ = case
     out = Graph().conv2d(Tensor(x), Tensor(kernel), Tensor(bias), pad=pad, stride=stride)
-    frames = x if x.ndim == 4 else x[None]
-    expected = np.stack([conv2d_reference(f, kernel, bias, pad, stride) for f in frames])
-    np.testing.assert_allclose(out.data, expected if x.ndim == 4 else expected[0],
-                               rtol=1e-10, atol=1e-12)
+    expected = np.stack([conv2d_reference(f, kernel, bias, pad, stride) for f in x])
+    np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -281,6 +290,41 @@ def test_conv2d_property_constant_input_gets_no_gradient(case):
         np.testing.assert_array_equal(with_x, without_x)
 
 
+def conv2d_dx_reference(g, kernel, x_shape, pad, stride):
+    """Input gradient by direct sum: every output position adds g times the
+    kernel into the padded input window it read."""
+    t_n, cin, h, w = x_shape
+    _, _, kh, kw = kernel.shape
+    dxp = np.zeros((t_n, cin, h + 2 * pad, w + 2 * pad))
+    for t in range(t_n):
+        for i in range(g.shape[2]):
+            for j in range(g.shape[3]):
+                window = (t, slice(None), slice(i * stride, i * stride + kh),
+                          slice(j * stride, j * stride + kw))
+                dxp[window] += np.tensordot(g[t, :, i, j], kernel, axes=1)
+    return dxp[:, :, pad:pad + h, pad:pad + w]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(conv_cases(max_extent=9, max_pad=5))
+@example(conv_case((1, 2, 6, 8), (2, 2, 3, 3), 0, 2, 0))  # stride 2: last row and column unread
+@example(conv_case((2, 1, 8, 8), (1, 1, 2, 2), 1, 3, 1))  # stride 3: last row and column unread
+@example(conv_case((1, 2, 3, 4), (2, 2, 2, 3), 3, 2, 2))  # pad past the kernel
+def test_conv2d_dx_matches_direct_sum(case):
+    x, kernel, bias, pad, stride, weights = case
+    xt = Tensor(x)
+    g = Graph()
+    out = g.conv2d(xt, Tensor(kernel), Tensor(bias), pad=pad, stride=stride)
+    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    np.testing.assert_allclose(xt.grad, conv2d_dx_reference(weights, kernel, x.shape, pad, stride),
+                               rtol=0, atol=1e-12)
+    # input rows and columns past the last window get no gradient at all
+    rows_end = (out.shape[2] - 1) * stride + kernel.shape[2] - pad
+    cols_end = (out.shape[3] - 1) * stride + kernel.shape[3] - pad
+    assert not xt.grad[:, :, rows_end:].any()
+    assert not xt.grad[:, :, :, cols_end:].any()
+
+
 # ---- pooling ----
 
 
@@ -299,27 +343,27 @@ def maxpool_reference(x, window, stride):
 
 @pytest.mark.parametrize("window,stride", [((2, 2), (2, 2)), ((3, 2), (1, 2)), ((2, 3), (2, 1))])
 def test_maxpool2d_matches_window_loop(rng, window, stride):
-    x = Tensor(rng.standard_normal((3, 8, 9)))
+    x = Tensor(rng.standard_normal((2, 3, 8, 9)))
     out = Graph().maxpool2d(x, window, stride)
-    np.testing.assert_array_equal(out.data, maxpool_reference(x.data, window, stride))
+    np.testing.assert_array_equal(out.data, [maxpool_reference(f, window, stride) for f in x.data])
 
 
 def test_maxpool2d_gradient(rng):
-    x = Tensor(rng.standard_normal((2, 6, 6)))
+    x = Tensor(rng.standard_normal((1, 2, 6, 6)))
     check_op_gradients(lambda g: g.maxpool2d(x, (2, 2), (2, 2)), [x])
 
 
 def test_maxpool2d_tie_goes_to_first_window_cell():
-    x = Tensor(np.ones((1, 2, 2)))
+    x = Tensor(np.ones((1, 1, 2, 2)))
     g = Graph()
     out = g.maxpool2d(x, (2, 2), (2, 2))
     g.backward(g.sum_all(out))
-    np.testing.assert_array_equal(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
+    np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
 def test_maxpool2d_gradient_mass_is_conserved(rng):
     # disjoint windows: every upstream unit lands on exactly one input cell
-    x = Tensor(rng.standard_normal((4, 8, 6)))
+    x = Tensor(rng.standard_normal((2, 4, 8, 6)))
     g = Graph()
     out = g.maxpool2d(x, (2, 2), (2, 2))
     g.backward(g.sum_all(out))
@@ -328,30 +372,30 @@ def test_maxpool2d_gradient_mass_is_conserved(rng):
 
 
 def test_maxpool2d_overlapping_windows_accumulate():
-    x = Tensor(np.array([[[0.0, 1.0, 0.0]]]))  # centre wins every window
+    x = Tensor(np.array([[[[0.0, 1.0, 0.0]]]]))  # centre wins every window
     g = Graph()
     out = g.maxpool2d(x, (1, 2), (1, 1))
     g.backward(g.sum_all(out))
-    np.testing.assert_array_equal(x.grad, [[[0.0, 2.0, 0.0]]])
+    np.testing.assert_array_equal(x.grad, [[[[0.0, 2.0, 0.0]]]])
 
 
 def test_maxpool2d_window_larger_than_input(rng):
     with pytest.raises(ShapeError):
-        Graph().maxpool2d(Tensor(rng.standard_normal((1, 2, 2))), (3, 3), (1, 1))
+        Graph().maxpool2d(Tensor(rng.standard_normal((1, 1, 2, 2))), (3, 3), (1, 1))
 
 
 def test_region_maxpool_matches_slicing(rng):
-    x = Tensor(rng.standard_normal((3, 6, 4)))
+    x = Tensor(rng.standard_normal((1, 3, 6, 4)))
     regions = [(0, 3, 0, 2), (0, 3, 2, 4), (3, 6, 0, 4)]
     out = Graph().region_maxpool(x, regions)
-    assert out.shape == (9,)
-    expected = [x.data[c, r0:r1, c0:c1].max()
-                for c in range(3) for (r0, r1, c0, c1) in regions]
+    assert out.shape == (1, 9)
+    expected = [[x.data[0, c, r0:r1, c0:c1].max()
+                 for c in range(3) for (r0, r1, c0, c1) in regions]]
     np.testing.assert_array_equal(out.data, expected)
 
 
 def test_region_maxpool_gradient(rng):
-    x = Tensor(rng.standard_normal((2, 5, 5)))
+    x = Tensor(rng.standard_normal((2, 2, 5, 5)))
     regions = [(0, 2, 0, 5), (2, 5, 0, 5), (0, 5, 0, 3)]
     check_op_gradients(lambda g: g.region_maxpool(x, regions), [x])
 
@@ -361,13 +405,21 @@ def test_region_maxpool_batched_rows(rng):
     regions = [(0, 5, 0, 5), (1, 3, 1, 3)]
     out = Graph().region_maxpool(x, regions)
     assert out.shape == (4, 4)
-    single = Graph().region_maxpool(Tensor(x.data[2]), regions)
-    np.testing.assert_array_equal(out.data[2], single.data)
+    single = Graph().region_maxpool(Tensor(x.data[2:3]), regions)
+    np.testing.assert_array_equal(out.data[2], single.data[0])
 
 
 def test_region_maxpool_out_of_bounds(rng):
     with pytest.raises(ShapeError):
-        Graph().region_maxpool(Tensor(rng.standard_normal((1, 4, 4))), [(0, 5, 0, 4)])
+        Graph().region_maxpool(Tensor(rng.standard_normal((1, 1, 4, 4))), [(0, 5, 0, 4)])
+
+
+def test_pooling_ops_need_a_4d_stack(rng):
+    x = Tensor(rng.standard_normal((2, 4, 4)))
+    with pytest.raises(ShapeError):
+        Graph().maxpool2d(x, (2, 2), (2, 2))
+    with pytest.raises(ShapeError):
+        Graph().region_maxpool(x, [(0, 4, 0, 4)])
 
 
 # ---- elementwise ----
@@ -406,15 +458,6 @@ def test_binary_elementwise_oracle_and_gradient(rng, op):
     check_op_gradients(lambda g: getattr(g, op)(a, b), [a, b])
     with pytest.raises(ShapeError):
         getattr(Graph(), op)(a, Tensor(np.zeros((4, 3))))
-
-
-def test_scale_gradient(rng):
-    x = Tensor(rng.standard_normal(5))
-    g = Graph()
-    out = g.scale(x, -2.5)
-    np.testing.assert_array_equal(out.data, -2.5 * x.data)
-    g.backward(g.sum_all(out))
-    np.testing.assert_array_equal(x.grad, np.full(5, -2.5))
 
 
 # ---- shape plumbing ----
@@ -473,14 +516,6 @@ def test_max_along_tie_takes_first_occurrence():
     out = g.max_along(x, 1)
     g.backward(g.sum_all(out))
     np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0]])
-
-
-@pytest.mark.parametrize("axis", [0, 1])
-def test_sum_along_gradient(rng, axis):
-    x = Tensor(rng.standard_normal((3, 4)))
-    out = Graph().sum_along(x, axis)
-    np.testing.assert_allclose(out.data, x.data.sum(axis=axis), rtol=1e-15)
-    check_op_gradients(lambda g: g.sum_along(x, axis), [x])
 
 
 def test_sum_all_gradient_is_ones(rng):
@@ -575,14 +610,30 @@ def test_diamond_graph_gradient(rng):
     check_op_gradients(build, [x])
 
 
-def test_repeated_backward_accumulates():
+def test_second_backward_raises_and_keeps_grads():
     x = Tensor(np.array([3.0]))
+    w = Tensor(np.array([-2.0]))
     g = Graph()
-    out = g.sum_all(g.mul(x, x))
+    out = g.sum_all(g.mul(g.mul(x, x), w))
     g.backward(out)
-    first = x.grad.copy()
+    first = (x.grad.copy(), w.grad.copy())
+    assert len(g) == 0
+    with pytest.raises(RuntimeError):
+        g.backward(out)
+    np.testing.assert_array_equal(x.grad, first[0])
+    np.testing.assert_array_equal(w.grad, first[1])
+
+
+def test_backward_frees_what_only_the_tape_holds(rng):
+    x = Tensor(rng.standard_normal(3))
+    g = Graph()
+    hidden = g.tanh(x)
+    out = g.sum_all(g.mul(hidden, hidden))
+    ref = weakref.ref(hidden)
+    del hidden
+    assert ref() is not None
     g.backward(out)
-    np.testing.assert_array_equal(x.grad, 2 * first)
+    assert ref() is None
 
 
 def test_backward_requires_scalar_root(rng):
