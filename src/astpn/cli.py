@@ -15,6 +15,8 @@ import json
 import math
 import sys
 import time
+import types
+import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -50,7 +52,7 @@ from .model import (
     sgd_step,
     total_loss,
 )
-from .tensor import Graph
+from .tensor import Graph, ShapeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,7 +75,7 @@ class RunConfig:
     variant: str = "astpn"
     rnn_output: str = "pre_tanh"
     use_identity_loss: bool = True
-    spp_bins: list = None
+    spp_bins: list | None = None
     split_mode: str = "half"
     save_every: int = 0
     lr_decay_every: int = 0
@@ -105,6 +107,20 @@ class RunConfig:
         )
 
 
+def _check_json_types(loaded: dict, source: str) -> None:
+    """Reject config values whose JSON type does not fit the RunConfig field:
+    a bool is not an int, and an int is a float."""
+    hints = typing.get_type_hints(RunConfig)
+    for name, value in loaded.items():
+        hint = hints[name]
+        kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        if float in kinds:
+            kinds += (int,)
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            raise DatasetError(f"{source}: {name} must be {getattr(hint, '__name__', hint)}, "
+                               f"got {value!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file, then explicit flags."""
     values = {}
@@ -118,6 +134,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(loaded) - known
         if unknown:
             raise DatasetError(f"config file {config_path}: unknown keys {sorted(unknown)}")
+        _check_json_types(loaded, f"config file {config_path}")
         values.update(loaded)
     for f in fields(RunConfig):
         flag_value = getattr(args, f.name, None)
@@ -400,7 +417,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, CheckpointError) as exc:
+    except (DatasetError, CheckpointError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

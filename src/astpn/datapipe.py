@@ -205,16 +205,16 @@ def standardize_channels(stack: np.ndarray) -> np.ndarray:
 
 
 def _box_sum(img: np.ndarray, radius: int) -> np.ndarray:
-    """Sum over a (2r+1)^2 window, truncated at the image border."""
-    h, w = img.shape
-    ii = np.zeros((h + 1, w + 1))
-    ii[1:, 1:] = img.cumsum(axis=0).cumsum(axis=1)
-    r0 = np.clip(np.arange(h) - radius, 0, h)
-    r1 = np.clip(np.arange(h) + radius + 1, 0, h)
+    """Sum over a (2r+1)^2 window of the last two axes, truncated at the
+    image border; leading axes are independent images."""
+    h, w = img.shape[-2:]
+    ii = np.zeros(img.shape[:-2] + (h + 1, w + 1))
+    ii[..., 1:, 1:] = img.cumsum(axis=-2).cumsum(axis=-1)
+    r0 = np.clip(np.arange(h) - radius, 0, h)[:, None]
+    r1 = np.clip(np.arange(h) + radius + 1, 0, h)[:, None]
     c0 = np.clip(np.arange(w) - radius, 0, w)
     c1 = np.clip(np.arange(w) + radius + 1, 0, w)
-    return (ii[np.ix_(r1, c1)] - ii[np.ix_(r0, c1)]
-            - ii[np.ix_(r1, c0)] + ii[np.ix_(r0, c0)])
+    return ii[..., r1, c1] - ii[..., r0, c1] - ii[..., r1, c0] + ii[..., r0, c0]
 
 
 def lucas_kanade_flow(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -222,15 +222,17 @@ def lucas_kanade_flow(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
 
     Per pixel the classic normal equations are solved over a 5x5 uniform
     window with Tikhonov damping, using central-difference spatial gradients
-    of prev and temporal difference nxt - prev. Returns (2,H,W): horizontal
-    flow first, vertical second, both in [-1, 1] (multiply by FLOW_MAX_PX
-    for pixels).
+    of prev and temporal difference nxt - prev. prev and nxt are (H,W)
+    frames or equal (N,H,W) stacks of frame pairs. Returns (2,H,W), or
+    (N,2,H,W) for stacks: horizontal flow first, vertical second, both in
+    [-1, 1] (multiply by FLOW_MAX_PX for pixels).
     """
     prev = np.asarray(prev, dtype=np.float64)
     nxt = np.asarray(nxt, dtype=np.float64)
-    if prev.shape != nxt.shape or prev.ndim != 2:
-        raise DatasetError(f"flow needs two equal (H,W) frames, got {prev.shape} and {nxt.shape}")
-    gy, gx = np.gradient(prev)
+    if prev.shape != nxt.shape or prev.ndim not in (2, 3):
+        raise DatasetError(f"flow needs two equal (H,W) frames or (N,H,W) stacks, "
+                           f"got {prev.shape} and {nxt.shape}")
+    gy, gx = np.gradient(prev, axis=(-2, -1))
     gt = nxt - prev
     sxx = _box_sum(gx * gx, FLOW_WINDOW_RADIUS) + FLOW_DAMPING
     syy = _box_sum(gy * gy, FLOW_WINDOW_RADIUS) + FLOW_DAMPING
@@ -240,7 +242,7 @@ def lucas_kanade_flow(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     det = sxx * syy - sxy * sxy
     u = (-syy * sxt + sxy * syt) / det
     v = (sxy * sxt - sxx * syt) / det
-    return np.clip(np.stack([u, v]) / FLOW_MAX_PX, -1.0, 1.0)
+    return np.clip(np.stack([u, v], axis=-3) / FLOW_MAX_PX, -1.0, 1.0)
 
 
 # ---- preprocessed sequences ----
@@ -275,12 +277,15 @@ def preprocess_sequence(raw: RawSequence) -> SequenceSample:
     """
     yuv = np.stack([rgb_to_yuv(f) for f in raw.frames])
     lum = yuv[:, 0]
-    flows = [lucas_kanade_flow(lum[t], lum[t + 1]) for t in range(len(lum) - 1)]
-    flows.append(flows[-1] if flows else np.zeros((2,) + lum[0].shape))
+    if len(lum) > 1:
+        flows = lucas_kanade_flow(lum[:-1], lum[1:])
+        flows = np.concatenate([flows, flows[-1:]])
+    else:
+        flows = np.zeros((1, 2) + lum.shape[1:])
     return SequenceSample(
         person_id=raw.person_id,
         camera_id=raw.camera_id,
-        frames=np.concatenate([standardize_channels(yuv), np.stack(flows)], axis=1),
+        frames=np.concatenate([standardize_channels(yuv), flows], axis=1),
         paths=raw.paths,
     )
 

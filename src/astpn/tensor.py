@@ -64,12 +64,24 @@ class _Node:
         self.vjp = vjp
 
 
+# Column bytes one conv2d block may hold (a single frame's columns form a
+# block even when they exceed it): a block is lowered and multiplied while it
+# is still in cache, and the tape keeps only the last block's columns.
+CONV_BLOCK_BYTES = 16 * 2**20
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """Columns of a (T,C,H,W) stack, one per output position of every frame,
     rows in a kernel's (C, kh, kw) order: a correlation is then one GEMM."""
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]  # (T, C, Ho, Wo, kh, kw)
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(xp.shape[1] * kh * kw, -1)
+
+
+def _frame_blocks(t_n: int, frame_bytes: int) -> list[tuple[int, int]]:
+    """Split T frames into runs of whole frames of at most CONV_BLOCK_BYTES."""
+    step = max(1, CONV_BLOCK_BYTES // frame_bytes)
+    return [(t0, min(t0 + step, t_n)) for t0 in range(0, t_n, step)]
 
 
 class Graph:
@@ -177,8 +189,13 @@ class Graph:
         """Cross-correlate a (T,Cin,H,W) stack with kernel under zero padding.
 
         kernel is (Cout,Cin,kh,kw) and bias is (Cout,). Output spatial extents
-        follow the floor rule (H + 2*pad - kh)//stride + 1. Forward, dkernel
-        and dx are each one GEMM over im2col columns.
+        follow the floor rule (H + 2*pad - kh)//stride + 1. The frames are
+        taken in blocks whose im2col columns fill at most CONV_BLOCK_BYTES
+        (16 MiB): each block is padded, lowered and multiplied by the kernel
+        in one GEMM, so a stack that fits one block is one GEMM. Backward
+        keeps only the last block's columns and rebuilds the others for
+        dkernel; dx is a GEMM per block of the output gradient, spread by the
+        stride, with the flipped kernel.
         """
         if x.data.ndim != 4:
             raise ShapeError(f"conv2d needs a (T,C,H,W) input, got shape {x.shape}")
@@ -200,36 +217,56 @@ class Graph:
         ho = (hp - kh) // stride + 1
         wo = (wp - kw) // stride + 1
 
-        xp = np.zeros((t_n, cin, hp, wp))
-        xp[:, :, pad:pad + h, pad:pad + w] = x.data
-        cols = _im2col(xp, kh, kw, stride)
         kd = kernel.data
-        out_d = kd.reshape(cout, -1) @ cols
-        out_d += bias.data[:, None]
-        out = Tensor(np.ascontiguousarray(out_d.reshape(cout, t_n, ho, wo).transpose(1, 0, 2, 3)))
+        k2 = kd.reshape(cout, -1)
+        blocks = _frame_blocks(t_n, k2.shape[1] * ho * wo * 8)
+
+        def lowered(t0, t1):
+            xp = np.zeros((t1 - t0, cin, hp, wp))
+            xp[:, :, pad:pad + h, pad:pad + w] = x.data[t0:t1]
+            return _im2col(xp, kh, kw, stride)
+
+        out_d = np.empty((t_n, cout, ho, wo))
+        for t0, t1 in blocks:
+            last_cols = lowered(t0, t1)
+            prod = k2 @ last_cols
+            prod += bias.data[:, None]
+            out_d[t0:t1] = prod.reshape(cout, t1 - t0, ho, wo).transpose(1, 0, 2, 3)
+        out = Tensor(out_d)
 
         def vjp(g):
-            g3 = g.reshape(t_n, cout, ho * wo)
-            dbias = g3.sum(axis=(0, 2))
-            g2 = g3.transpose(1, 0, 2).reshape(cout, t_n * ho * wo)
-            dkernel = (g2 @ cols.T).reshape(kd.shape)
+            dbias = g.reshape(t_n, cout, ho * wo).sum(axis=(0, 2))
+            dkernel = None
+            for t0, t1 in reversed(blocks):
+                cols = last_cols if t1 == t_n else lowered(t0, t1)
+                part = g[t0:t1].transpose(1, 0, 2, 3).reshape(cout, -1) @ cols.T
+                dkernel = part if dkernel is None else dkernel + part
+            dkernel = dkernel.reshape(kd.shape)
             if not x.requires_grad:
                 return None, dkernel, dbias
             # dx correlates g, spread by the stride and offset by kh-1, kw-1,
             # with the flipped kernel at stride 1; only the window over the
             # unpadded input is needed
-            gp = np.zeros((t_n, cout, hp + kh - 1, wp + kw - 1))
-            gp[:, :, kh - 1:kh - 1 + ho * stride:stride, kw - 1:kw - 1 + wo * stride:stride] = g
-            gcols = _im2col(gp[:, :, pad:pad + h + kh - 1, pad:pad + w + kw - 1], kh, kw, 1)
             kflip = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-            dx = (kflip @ gcols).reshape(cin, t_n, h, w).transpose(1, 0, 2, 3)
+            dx = np.empty((t_n, cin, h, w))
+            for t0, t1 in _frame_blocks(t_n, kflip.shape[1] * h * w * 8):
+                gp = np.zeros((t1 - t0, cout, hp + kh - 1, wp + kw - 1))
+                gp[:, :, kh - 1:kh - 1 + ho * stride:stride,
+                   kw - 1:kw - 1 + wo * stride:stride] = g[t0:t1]
+                gcols = _im2col(gp[:, :, pad:pad + h + kh - 1, pad:pad + w + kw - 1], kh, kw, 1)
+                dx[t0:t1] = (kflip @ gcols).reshape(cin, t1 - t0, h, w).transpose(1, 0, 2, 3)
             return dx, dkernel, dbias
 
         return self._push(out, (x, kernel, bias), vjp)
 
     def maxpool2d(self, x: Tensor, window: tuple[int, int], stride: tuple[int, int]) -> Tensor:
         """Max over sliding windows of a (T,C,H,W) stack; ties go to the first
-        cell in row-major scan."""
+        cell in row-major scan.
+
+        Each window cell (i, j) is one strided view of the input (a tap). The
+        max is np.maximum over the taps, and backward adds g into each tap's
+        view where that tap was the first to hold the max.
+        """
         wh, ww = window
         sh, sw = stride
         if min(wh, ww) < 1 or min(sh, sw) < 1:
@@ -242,24 +279,26 @@ class Graph:
             raise ShapeError(f"maxpool2d window {window} larger than input {h}x{w}")
         ho = (h - wh) // sh + 1
         wo = (w - ww) // sw + 1
-        rows = np.arange(ho) * sh
-        cols = np.arange(wo) * sw
-        best = np.full((t_n, c, ho, wo), -np.inf)
-        best_pos = np.zeros((t_n, c, ho, wo), dtype=np.int64)
-        for i in range(wh):
-            for j in range(ww):
-                cand = xb[:, :, i:i + ho * sh:sh, j:j + wo * sw:sw]
-                pos = (rows[:, None] + i) * w + (cols[None, :] + j)
-                better = cand > best
-                best = np.where(better, cand, best)
-                best_pos = np.where(better, pos[None, None], best_pos)
+        taps = [(slice(None), slice(None), slice(i, i + ho * sh, sh), slice(j, j + wo * sw, sw))
+                for i in range(wh) for j in range(ww)]
+        best = xb[taps[0]].copy()
+        for tap in taps[1:]:
+            np.maximum(best, xb[tap], out=best)
+        # firsts[k]: tap k holds the max and no earlier tap does
+        firsts = []
+        taken = np.zeros(best.shape, dtype=bool)
+        for tap in taps:
+            first = xb[tap] == best
+            first &= ~taken
+            taken |= first
+            firsts.append(first)
         out = Tensor(best)
 
         def vjp(g):
-            dx = np.zeros((t_n * c, h * w))
-            rows_idx = np.arange(t_n * c)[:, None]
-            np.add.at(dx, (rows_idx, best_pos.reshape(t_n * c, -1)), g.reshape(t_n * c, -1))
-            return (dx.reshape(t_n, c, h, w),)
+            dx = np.zeros((t_n, c, h, w))
+            for tap, first in zip(taps, firsts):
+                dx[tap] += np.where(first, g, 0.0)
+            return (dx,)
 
         return self._push(out, (x,), vjp)
 
@@ -303,7 +342,10 @@ class Graph:
         od = out.data
 
         def vjp(g):
-            return (g * (1.0 - od * od),)
+            d = od * od
+            np.subtract(1.0, d, out=d)
+            d *= g
+            return (d,)
 
         return self._push(out, (x,), vjp)
 

@@ -205,6 +205,45 @@ def test_out_of_range_value_in_config_file_is_data_error(cli_data, tmp_path):
                  "--out", str(tmp_path / "out")]) == EXIT_DATA
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("values", [
+    {"k": "4"}, {"epochs": "2"}, {"k": True}, {"k": 4.0}, {"margin": "3"},
+    {"use_identity_loss": 1}, {"data_root": 7}, {"spp_bins": "8"},
+], ids=["k-str", "epochs-str", "k-bool", "k-float", "margin-str", "bool-int", "root-int",
+        "bins-str"])
+def test_config_file_value_of_wrong_type_is_data_error(cli_data, tmp_path, capsys, values):
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps({"data_root": str(cli_data), "epochs": 0,
+                                    "feature_dim": 16, **values}))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert_one_error_line(capsys)
+
+
+def test_config_file_int_for_float_field_is_accepted(cli_data, tmp_path):
+    cfg_path = tmp_path / "int_margin.json"
+    cfg_path.write_text(json.dumps({"margin": 2, "lr_decay_factor": 1, "epochs": 0,
+                                    "feature_dim": 16}))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--data-root", str(cli_data),
+                 "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "config.json").read_text())["margin"] == 2
+
+
+def test_shape_error_in_a_command_is_data_error(cli_data, tmp_path, capsys):
+    # an SPP bin finer than the 16x8 crops' conv map fails inside the model
+    cfg_path = tmp_path / "fine_bins.json"
+    cfg_path.write_text(json.dumps({"spp_bins": [[16, 16]], "epochs": 1, "k": 4,
+                                    "feature_dim": 16}))
+    assert main(["train", "--config", str(cfg_path), "--data-root", str(cli_data),
+                 "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert_one_error_line(capsys)
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--epochs", "three"])

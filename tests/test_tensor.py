@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from astpn import tensor
 from astpn.tensor import Graph, ShapeError, Tensor
 
 FD_H = 1e-6
@@ -243,14 +244,14 @@ def conv_case(x_shape, k_shape, pad, stride, seed):
 
 
 @st.composite
-def conv_cases(draw, max_extent=7, max_pad=2):
+def conv_cases(draw, max_extent=7, max_pad=2, max_frames=3):
     """A random conv2d problem, as conv_case returns it."""
     cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     pad, stride = draw(st.integers(0, max_pad)), draw(st.integers(1, 3))
     h = draw(st.integers(max(1, kh - 2 * pad), max_extent))
     w = draw(st.integers(max(1, kw - 2 * pad), max_extent))
-    frames = draw(st.integers(1, 3))
+    frames = draw(st.integers(1, max_frames))
     return conv_case((frames, cin, h, w), (cout, cin, kh, kw), pad, stride,
                      draw(st.integers(0, 2**32 - 1)))
 
@@ -325,6 +326,74 @@ def test_conv2d_dx_matches_direct_sum(case):
     assert not xt.grad[:, :, :, cols_end:].any()
 
 
+def conv2d_results(case):
+    """Forward output and the gradients of x, kernel and bias for a case."""
+    x, kernel, bias, pad, stride, weights = case
+    xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
+    g = Graph()
+    out = g.conv2d(xt, kt, bt, pad=pad, stride=stride)
+    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    return out.data, xt.grad, kt.grad, bt.grad
+
+
+def frame_column_bytes(case):
+    """im2col bytes per frame of the forward and of dx, whichever is smaller."""
+    x, kernel, _, _, _, weights = case
+    cout, cin, kh, kw = kernel.shape
+    return min(cin * weights.shape[2] * weights.shape[3], cout * x.shape[2] * x.shape[3]) * kh * kw * 8
+
+
+def assert_close_to_rounding(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=1e-12,
+                               atol=1e-12 * max(1.0, np.abs(expected).max()))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(conv_cases(max_extent=9, max_pad=5, max_frames=5), st.integers(1, 2))
+@example(conv_case((5, 2, 8, 8), (3, 2, 3, 3), 1, 1, 3), 1)
+@example(conv_case((4, 3, 9, 7), (2, 3, 2, 3), 5, 3, 4), 2)
+def test_conv2d_frame_blocks_match_one_block(case, frames_per_block):
+    one_block = conv2d_results(case)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "CONV_BLOCK_BYTES", frames_per_block * frame_column_bytes(case))
+        blocked = conv2d_results(case)
+    # blocks are GEMMs of other widths, and BLAS may round a product's
+    # column tail differently; dkernel also sums its blocks in another order
+    for actual, expected in zip(blocked[:3], one_block[:3]):
+        assert_close_to_rounding(actual, expected)
+    np.testing.assert_array_equal(blocked[3], one_block[3])
+
+
+def closure_arrays(fn):
+    """Every ndarray fn's closure holds, through nested closures too."""
+    found = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value) and getattr(value, "__closure__", None) and value is not fn:
+            found += closure_arrays(value)
+    return found
+
+
+def test_conv2d_vjp_keeps_at_most_one_block_of_columns(monkeypatch):
+    case = conv_case((6, 2, 9, 7), (3, 2, 3, 3), 1, 1, 5)
+    one_block = conv2d_results(case)
+    x, kernel, bias, pad, stride, weights = case
+    block_bytes = 2 * frame_column_bytes(case)
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", block_bytes)
+    xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
+    g = Graph()
+    out = g.conv2d(xt, kt, bt, pad=pad, stride=stride)
+    kept = closure_arrays(g._tape[-1].vjp)
+    assert kept and max(a.nbytes for a in kept) <= block_bytes
+    # all of the stack's columns would be three blocks
+    assert 3 * block_bytes <= x.shape[0] * kernel[0].size * out.shape[2] * out.shape[3] * 8
+    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    for actual, expected in zip((out.data, xt.grad, kt.grad, bt.grad), one_block):
+        assert_close_to_rounding(actual, expected)
+
+
 # ---- pooling ----
 
 
@@ -377,6 +446,46 @@ def test_maxpool2d_overlapping_windows_accumulate():
     out = g.maxpool2d(x, (1, 2), (1, 1))
     g.backward(g.sum_all(out))
     np.testing.assert_array_equal(x.grad, [[[[0.0, 2.0, 0.0]]]])
+
+
+def maxpool_grad_reference(x, window, stride, g):
+    """Input gradient by a direct window loop: each output's g goes to the
+    first max cell of its window in row-major scan."""
+    (wh, ww), (sh, sw) = window, stride
+    dx = np.zeros_like(x)
+    for t, c, i, j in np.ndindex(g.shape):
+        win = x[t, c, i * sh:i * sh + wh, j * sw:j * sw + ww]
+        a, b = np.unravel_index(np.argmax(win), win.shape)
+        dx[t, c, i * sh + a, j * sw + b] += g[t, c, i, j]
+    return dx
+
+
+@st.composite
+def pool_cases(draw):
+    """Small-integer frames, so windows tie, with integer output weights, so
+    overlapping windows sum exactly in any order."""
+    window = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    stride = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(window[0], 8)), draw(st.integers(window[1], 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-2, 3, size=(draw(st.integers(1, 2)), draw(st.integers(1, 3)), h, w))
+    out_hw = (h - window[0]) // stride[0] + 1, (w - window[1]) // stride[1] + 1
+    g = rng.integers(1, 5, size=x.shape[:2] + out_hw)
+    return x.astype(float), window, stride, g.astype(float)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(pool_cases())
+@example((np.array([[[[0.0, 1.0, 0.0]]]]), (1, 2), (1, 1), np.array([[[[1.0, 1.0]]]])))
+@example((np.ones((1, 1, 3, 3)), (2, 2), (1, 1), np.full((1, 1, 2, 2), 3.0)))
+def test_maxpool2d_property_matches_window_loop(case):
+    x, window, stride, weights = case
+    xt = Tensor(x)
+    g = Graph()
+    out = g.maxpool2d(xt, window, stride)
+    np.testing.assert_array_equal(out.data, [maxpool_reference(f, window, stride) for f in x])
+    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    np.testing.assert_array_equal(xt.grad, maxpool_grad_reference(x, window, stride, weights))
 
 
 def test_maxpool2d_window_larger_than_input(rng):
