@@ -42,7 +42,9 @@ from .evalkit import (
     emit_report,
 )
 from .gradcheck import run_gradcheck
+from .layers import SppConfig
 from .model import (
+    VARIANTS,
     CheckpointError,
     LossConfig,
     init_params,
@@ -96,6 +98,21 @@ class RunConfig:
         for name, ok, bound in checks:
             if not ok:
                 raise DatasetError(f"{name} must be {bound}, got {getattr(self, name)}")
+        choices = (("variant", VARIANTS), ("rnn_output", ("pre_tanh", "post_tanh")),
+                   ("split_mode", ("half", "all")))
+        for name, allowed in choices:
+            if getattr(self, name) not in allowed:
+                raise DatasetError(f"{name} must be one of {', '.join(allowed)}, "
+                                   f"got {getattr(self, name)!r}")
+        bins = self.spp_bins
+        if not (bins and all(isinstance(b, (list, tuple)) and len(b) == 2
+                             and all(type(n) is int and n >= 1 for n in b) for b in bins)):
+            raise DatasetError(f"spp_bins must be a non-empty list of [int, int] pairs "
+                               f"of at least 1, got {bins!r}")
+        try:
+            SppConfig(tuple(tuple(b) for b in bins))
+        except ShapeError as exc:
+            raise DatasetError(str(exc)) from exc
 
     def loss_config(self) -> LossConfig:
         return LossConfig(

@@ -140,7 +140,7 @@ def branch_rows(graph: Graph, frames: np.ndarray, params: AstpnParams,
     x = Tensor(frames, requires_grad=False)
     fmap = conv_stack_forward(graph, x, params.conv)
     if cfg.variant == "atpn_only":
-        pooled = graph.maxpool2d(fmap, POOL_WINDOW, POOL_WINDOW)
+        pooled = graph.maxpool2d(fmap, POOL_WINDOW)
         reps = graph.reshape(pooled, (pooled.shape[0], -1))
     else:
         reps = spp_forward(graph, fmap, SppConfig(cfg.spp_bins))

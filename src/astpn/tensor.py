@@ -259,45 +259,42 @@ class Graph:
 
         return self._push(out, (x, kernel, bias), vjp)
 
-    def maxpool2d(self, x: Tensor, window: tuple[int, int], stride: tuple[int, int]) -> Tensor:
-        """Max over sliding windows of a (T,C,H,W) stack; ties go to the first
-        cell in row-major scan.
+    def maxpool2d(self, x: Tensor, window: tuple[int, int]) -> Tensor:
+        """Max over the tiling windows of a (T,C,H,W) stack, stride equal to
+        the window; rows and columns past the last whole window are dropped.
+        Ties go to the first cell in row-major scan.
 
         Each window cell (i, j) is one strided view of the input (a tap). The
-        max is np.maximum over the taps, and backward adds g into each tap's
-        view where that tap was the first to hold the max.
+        max is np.maximum over the taps. The windows are disjoint, so backward
+        assigns g into each tap's view of a zeroed dx where that tap was the
+        first to hold the max.
         """
         wh, ww = window
-        sh, sw = stride
-        if min(wh, ww) < 1 or min(sh, sw) < 1:
-            raise ShapeError(f"maxpool2d needs positive window and stride, got {window}, {stride}")
+        if min(wh, ww) < 1:
+            raise ShapeError(f"maxpool2d needs a positive window, got {window}")
         if x.data.ndim != 4:
             raise ShapeError(f"maxpool2d needs a (T,C,H,W) input, got shape {x.shape}")
         xb = x.data
         t_n, c, h, w = xb.shape
         if wh > h or ww > w:
             raise ShapeError(f"maxpool2d window {window} larger than input {h}x{w}")
-        ho = (h - wh) // sh + 1
-        wo = (w - ww) // sw + 1
-        taps = [(slice(None), slice(None), slice(i, i + ho * sh, sh), slice(j, j + wo * sw, sw))
+        ho, wo = h // wh, w // ww
+        taps = [(slice(None), slice(None), slice(i, ho * wh, wh), slice(j, wo * ww, ww))
                 for i in range(wh) for j in range(ww)]
         best = xb[taps[0]].copy()
         for tap in taps[1:]:
             np.maximum(best, xb[tap], out=best)
-        # firsts[k]: tap k holds the max and no earlier tap does
-        firsts = []
-        taken = np.zeros(best.shape, dtype=bool)
-        for tap in taps:
-            first = xb[tap] == best
-            first &= ~taken
-            taken |= first
-            firsts.append(first)
         out = Tensor(best)
 
         def vjp(g):
             dx = np.zeros((t_n, c, h, w))
-            for tap, first in zip(taps, firsts):
-                dx[tap] += np.where(first, g, 0.0)
+            taken = np.zeros(best.shape, dtype=bool)
+            for tap in taps:
+                # first: this tap holds the max and no earlier tap does
+                first = xb[tap] == best
+                first &= ~taken
+                taken |= first
+                np.multiply(first, g, out=dx[tap])
             return (dx,)
 
         return self._push(out, (x,), vjp)
@@ -307,7 +304,9 @@ class Graph:
 
         A (T,C,H,W) input yields a (T, C*len(regions)) matrix whose rows are
         laid out channel-major: all regions of channel 0, then channel 1, and
-        so on.
+        so on. Ties go to the first cell in row-major scan. One gather reads
+        every region through a (size, R) table of flat positions, each
+        region's column listing its cells row-major, padded with its last one.
         """
         if x.data.ndim != 4:
             raise ShapeError(f"region_maxpool needs a (T,C,H,W) input, got shape {x.shape}")
@@ -316,21 +315,26 @@ class Graph:
         n_r = len(regions)
         if n_r == 0:
             raise ShapeError("region_maxpool needs at least one region")
-        vals = np.empty((t_n, c, n_r))
-        pos = np.empty((t_n, c, n_r), dtype=np.int64)
-        for r, (r0, r1, c0, c1) in enumerate(regions):
-            if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
-                raise ShapeError(f"region {(r0, r1, c0, c1)} out of bounds for {h}x{w} input")
-            block = xb[:, :, r0:r1, c0:c1].reshape(t_n, c, -1)
-            am = block.argmax(axis=2)
-            vals[:, :, r] = np.take_along_axis(block, am[:, :, None], axis=2)[:, :, 0]
-            pos[:, :, r] = (am // (c1 - c0) + r0) * w + (am % (c1 - c0) + c0)
+        r0, r1, c0, c1 = np.array(regions, dtype=np.int64).T
+        bad = ~((0 <= r0) & (r0 < r1) & (r1 <= h) & (0 <= c0) & (c0 < c1) & (c1 <= w))
+        if bad.any():
+            raise ShapeError(f"region {tuple(regions[int(bad.argmax())])} out of bounds "
+                             f"for {h}x{w} input")
+        widths = c1 - c0
+        areas = (r1 - r0) * widths
+        size = int(areas.max())
+        k = np.minimum(np.arange(size)[:, None], areas - 1)  # (size, R)
+        table = (r0 + k // widths) * w + c0 + k % widths
+        block = xb.reshape(t_n, c, h * w)[:, :, table]  # (T, C, size, R)
+        vals = block.max(axis=2)
+        first = np.where(block == vals[:, :, None], np.arange(size)[:, None], size).min(axis=2)
+        # flat index of each region's first max in the whole (T,C,H,W) input
+        pos = table[first, np.arange(n_r)] + np.arange(t_n * c).reshape(t_n, c, 1) * (h * w)
         out = Tensor(vals.reshape(t_n, c * n_r))
 
         def vjp(g):
-            dx = np.zeros((t_n * c, h * w))
-            rows_idx = np.arange(t_n * c)[:, None]
-            np.add.at(dx, (rows_idx, pos.reshape(t_n * c, n_r)), g.reshape(t_n * c, n_r))
+            # one scatter; overlapping regions may share a position, so add
+            dx = np.bincount(pos.ravel(), weights=g.ravel(), minlength=xb.size)
             return (dx.reshape(t_n, c, h, w),)
 
         return self._push(out, (x,), vjp)

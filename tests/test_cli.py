@@ -224,6 +224,20 @@ def test_config_file_value_of_wrong_type_is_data_error(cli_data, tmp_path, capsy
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("values", [
+    {"variant": "nope"}, {"split_mode": "x"}, {"rnn_output": "zzz"}, {"spp_bins": [[0, 0]]},
+    {"spp_bins": [["a", 1]]}, {"spp_bins": [3]}, {"spp_bins": []},
+    {"spp_bins": [[8, 8], [3, 3]]},
+], ids=["variant", "split-mode", "rnn-output", "bins-zero", "bins-str", "bins-not-pairs",
+        "bins-empty", "bins-not-halving"])
+def test_config_file_bad_choice_or_bins_is_data_error(cli_data, tmp_path, capsys, values):
+    cfg_path = tmp_path / "choices.json"
+    cfg_path.write_text(json.dumps({"data_root": str(cli_data), "epochs": 0,
+                                    "feature_dim": 16, **values}))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert_one_error_line(capsys)
+
+
 def test_config_file_int_for_float_field_is_accepted(cli_data, tmp_path):
     cfg_path = tmp_path / "int_margin.json"
     cfg_path.write_text(json.dumps({"margin": 2, "lr_decay_factor": 1, "epochs": 0,

@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from astpn.layers import (
     AttentionParams,
     RnnParams,
     SppConfig,
+    _cell_bounds,
     attention_matrix,
     attentive_summary,
     conv_out_extent,
@@ -174,6 +175,104 @@ def test_spp_gradient_flows_to_max_positions(rng):
     for c in range(2):
         flat = np.argmax(fmap.data[0, c])
         assert fmap.grad[0, c].reshape(-1)[flat] == 1.0
+
+
+@pytest.mark.parametrize("bins", [((8, 8), (3, 3)), ((4, 4), (1, 1)), ((3, 3), (1, 1)),
+                                  ((1, 1), (2, 2)), ((2, 2), (1, 1), (1, 1)),
+                                  ((4, 2), (2, 2)), (), ((0, 0),)])
+def test_spp_config_rejects_bins_that_do_not_halve(bins):
+    with pytest.raises(ShapeError):
+        SppConfig(bins=bins)
+
+
+@pytest.mark.parametrize("bins", [((8, 8), (4, 4), (2, 2), (1, 1)), ((2, 2), (1, 1)),
+                                  ((1, 1),), ((16, 16),), ((4, 2), (2, 1))])
+def test_spp_config_accepts_halving_bins(bins):
+    assert SppConfig(bins=bins).bins == bins
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 4, 5, 8, 16])
+def test_cell_bounds_nest_two_into_one(cells):
+    # cell i of n cells is exactly the union of cells 2i and 2i+1 of 2n cells
+    for extent in range(2 * cells, 300):
+        fine = _cell_bounds(extent, 2 * cells)
+        for i, (lo, hi) in enumerate(_cell_bounds(extent, cells)):
+            (lo_a, hi_a), (lo_b, hi_b) = fine[2 * i], fine[2 * i + 1]
+            assert lo_b <= hi_a, f"cells {2 * i}, {2 * i + 1} of {extent} leave a gap"
+            assert (lo, hi) == (lo_a, hi_b), f"cell {i} of {cells} over {extent}"
+
+
+def spp_columns(h, w, bins, channels):
+    """(channel, r0, r1, c0, c1) of every output column, in output order:
+    levels in bin order, each channel-major with its cells row-major."""
+    return [(ch, r0, r1, c0, c1) for mw, mh in bins for ch in range(channels)
+            for r0, r1 in _cell_bounds(h, mw) for c0, c1 in _cell_bounds(w, mh)]
+
+
+def spp_reference(fmap, bins, weights):
+    """Every cell max-pooled by direct slicing, and the input gradient of
+    sum(weights * out) with each cell's weight on its first max."""
+    t_n, c, h, w = fmap.shape
+    columns = spp_columns(h, w, bins, c)
+    out = np.empty((t_n, len(columns)))
+    dx = np.zeros_like(fmap)
+    for t in range(t_n):
+        for col, (ch, r0, r1, c0, c1) in enumerate(columns):
+            block = fmap[t, ch, r0:r1, c0:c1]
+            out[t, col] = block.max()
+            a, b = np.unravel_index(np.argmax(block), block.shape)
+            dx[t, ch, r0 + a, c0 + b] += weights[t, col]
+    return out, dx
+
+
+@st.composite
+def spp_cases(draw):
+    """A halving bin chain, finest first, and a map no smaller than its
+    finest grid; integer output weights keep gradient sums exact."""
+    levels = draw(st.integers(1, 4))
+    coarse = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    bins = tuple((coarse[0] << k, coarse[1] << k) for k in reversed(range(levels)))
+    h, w = draw(st.integers(bins[0][0], 40)), draw(st.integers(bins[0][1], 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fmap = rng.standard_normal((draw(st.integers(1, 2)), draw(st.integers(1, 3)), h, w))
+    weights = rng.integers(1, 5, size=(fmap.shape[0], SppConfig(bins).output_length(fmap.shape[1])))
+    return fmap, bins, weights.astype(float)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(spp_cases())
+@example((np.arange(40.0).reshape(1, 1, 8, 5), ((4, 4), (2, 2), (1, 1)), np.ones((1, 21))))
+def test_spp_property_matches_per_cell_loop(case):
+    fmap, bins, weights = case
+    x = Tensor(fmap)
+    g = Graph()
+    out = spp_forward(g, x, SppConfig(bins))
+    expected, dx = spp_reference(fmap, bins, weights)
+    np.testing.assert_array_equal(out.data, expected)
+    # continuous values: each cell's max sits at one position
+    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    np.testing.assert_array_equal(x.grad, dx)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**32 - 1), st.data())
+def test_spp_tie_gradient_lands_on_a_max_of_its_cell(levels, channels, seed, data):
+    bins = tuple((1 << k, 1 << k) for k in reversed(range(levels)))
+    h = data.draw(st.integers(bins[0][0], 9))
+    w = data.draw(st.integers(bins[0][1], 9))
+    fmap = np.random.default_rng(seed).integers(-1, 2, size=(1, channels, h, w)).astype(float)
+    columns = spp_columns(h, w, bins, channels)
+    for col, (ch, r0, r1, c0, c1) in enumerate(columns):
+        x = Tensor(fmap)
+        g = Graph()
+        out = spp_forward(g, x, SppConfig(bins))
+        onehot = np.zeros((1, len(columns)))
+        onehot[0, col] = 1.0
+        g.backward(g.sum_all(g.mul(out, Tensor(onehot, requires_grad=False))))
+        assert np.count_nonzero(x.grad) == 1 and x.grad.sum() == 1.0
+        (r, c), = np.argwhere(x.grad[0, ch] == 1.0)
+        assert r0 <= r < r1 and c0 <= c < c1
+        assert fmap[0, ch, r, c] == fmap[0, ch, r0:r1, c0:c1].max()
 
 
 # ---- recurrence ----
@@ -387,3 +486,34 @@ def test_attentive_summary_gradient(rng):
             lo = loss()
             flat[i] = orig
             assert gflat[i] == pytest.approx((hi - lo) / (2 * h), rel=1e-5, abs=1e-7)
+
+
+def softmax_reference(v):
+    z = np.exp(v - v.max())
+    return z / z.sum()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 6), st.floats(0.1, 4.0),
+       st.integers(0, 2**32 - 1))
+def test_attention_head_property_matches_numpy_reference(t_p, t_g, n, scale, seed):
+    rng = np.random.default_rng(seed)
+    p = scale * rng.standard_normal((t_p, n))
+    gal = scale * rng.standard_normal((t_g, n))
+    u = rng.standard_normal((n, n))
+    params = AttentionParams(u_att=Tensor(u))
+    g = Graph(record=False)
+    affinity = attention_matrix(g, Tensor(p), Tensor(gal), params)
+    expected = np.tanh(p @ u @ gal.T)
+    np.testing.assert_allclose(affinity.data, expected, rtol=0, atol=1e-12)
+    t_row, t_col = temporal_weights(g, affinity)
+    np.testing.assert_array_equal(t_row.data, affinity.data.max(axis=1))
+    np.testing.assert_array_equal(t_col.data, affinity.data.max(axis=0))
+    a_p = g.softmax(t_row)
+    np.testing.assert_allclose(a_p.data, softmax_reference(expected.max(axis=1)),
+                               rtol=0, atol=1e-12)
+    v_p, v_g = attentive_summary(g, Tensor(p), Tensor(gal), params)
+    np.testing.assert_allclose(v_p.data, softmax_reference(expected.max(axis=1)) @ p,
+                               rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(v_g.data, softmax_reference(expected.max(axis=0)) @ gal,
+                               rtol=0, atol=1e-12 * scale)

@@ -397,35 +397,33 @@ def test_conv2d_vjp_keeps_at_most_one_block_of_columns(monkeypatch):
 # ---- pooling ----
 
 
-def maxpool_reference(x, window, stride):
+def maxpool_reference(x, window):
     c, h, w = x.shape
     wh, ww = window
-    sh, sw = stride
-    ho = (h - wh) // sh + 1
-    wo = (w - ww) // sw + 1
+    ho, wo = h // wh, w // ww
     out = np.zeros((c, ho, wo))
     for i in range(ho):
         for j in range(wo):
-            out[:, i, j] = x[:, i * sh:i * sh + wh, j * sw:j * sw + ww].max(axis=(1, 2))
+            out[:, i, j] = x[:, i * wh:(i + 1) * wh, j * ww:(j + 1) * ww].max(axis=(1, 2))
     return out
 
 
-@pytest.mark.parametrize("window,stride", [((2, 2), (2, 2)), ((3, 2), (1, 2)), ((2, 3), (2, 1))])
-def test_maxpool2d_matches_window_loop(rng, window, stride):
+@pytest.mark.parametrize("window", [(2, 2), (3, 2), (2, 3)])
+def test_maxpool2d_matches_window_loop(rng, window):
     x = Tensor(rng.standard_normal((2, 3, 8, 9)))
-    out = Graph().maxpool2d(x, window, stride)
-    np.testing.assert_array_equal(out.data, [maxpool_reference(f, window, stride) for f in x.data])
+    out = Graph().maxpool2d(x, window)
+    np.testing.assert_array_equal(out.data, [maxpool_reference(f, window) for f in x.data])
 
 
 def test_maxpool2d_gradient(rng):
     x = Tensor(rng.standard_normal((1, 2, 6, 6)))
-    check_op_gradients(lambda g: g.maxpool2d(x, (2, 2), (2, 2)), [x])
+    check_op_gradients(lambda g: g.maxpool2d(x, (2, 2)), [x])
 
 
 def test_maxpool2d_tie_goes_to_first_window_cell():
     x = Tensor(np.ones((1, 1, 2, 2)))
     g = Graph()
-    out = g.maxpool2d(x, (2, 2), (2, 2))
+    out = g.maxpool2d(x, (2, 2))
     g.backward(g.sum_all(out))
     np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
@@ -434,63 +432,54 @@ def test_maxpool2d_gradient_mass_is_conserved(rng):
     # disjoint windows: every upstream unit lands on exactly one input cell
     x = Tensor(rng.standard_normal((2, 4, 8, 6)))
     g = Graph()
-    out = g.maxpool2d(x, (2, 2), (2, 2))
+    out = g.maxpool2d(x, (2, 2))
     g.backward(g.sum_all(out))
     assert x.grad.sum() == out.data.size
     assert set(np.unique(x.grad)) <= {0.0, 1.0}
 
 
-def test_maxpool2d_overlapping_windows_accumulate():
-    x = Tensor(np.array([[[[0.0, 1.0, 0.0]]]]))  # centre wins every window
-    g = Graph()
-    out = g.maxpool2d(x, (1, 2), (1, 1))
-    g.backward(g.sum_all(out))
-    np.testing.assert_array_equal(x.grad, [[[[0.0, 2.0, 0.0]]]])
-
-
-def maxpool_grad_reference(x, window, stride, g):
+def maxpool_grad_reference(x, window, g):
     """Input gradient by a direct window loop: each output's g goes to the
     first max cell of its window in row-major scan."""
-    (wh, ww), (sh, sw) = window, stride
+    wh, ww = window
     dx = np.zeros_like(x)
     for t, c, i, j in np.ndindex(g.shape):
-        win = x[t, c, i * sh:i * sh + wh, j * sw:j * sw + ww]
+        win = x[t, c, i * wh:(i + 1) * wh, j * ww:(j + 1) * ww]
         a, b = np.unravel_index(np.argmax(win), win.shape)
-        dx[t, c, i * sh + a, j * sw + b] += g[t, c, i, j]
+        dx[t, c, i * wh + a, j * ww + b] += g[t, c, i, j]
     return dx
 
 
 @st.composite
 def pool_cases(draw):
-    """Small-integer frames, so windows tie, with integer output weights, so
-    overlapping windows sum exactly in any order."""
+    """Small-integer frames, so windows tie, with integer output weights;
+    extents need not be multiples of the window."""
     window = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    stride = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     h, w = draw(st.integers(window[0], 8)), draw(st.integers(window[1], 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.integers(-2, 3, size=(draw(st.integers(1, 2)), draw(st.integers(1, 3)), h, w))
-    out_hw = (h - window[0]) // stride[0] + 1, (w - window[1]) // stride[1] + 1
-    g = rng.integers(1, 5, size=x.shape[:2] + out_hw)
-    return x.astype(float), window, stride, g.astype(float)
+    g = rng.integers(1, 5, size=x.shape[:2] + (h // window[0], w // window[1]))
+    return x.astype(float), window, g.astype(float)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(pool_cases())
-@example((np.array([[[[0.0, 1.0, 0.0]]]]), (1, 2), (1, 1), np.array([[[[1.0, 1.0]]]])))
-@example((np.ones((1, 1, 3, 3)), (2, 2), (1, 1), np.full((1, 1, 2, 2), 3.0)))
+@example((np.array([[[[0.0, 1.0, 1.0]]]]), (1, 2), np.array([[[[1.0]]]])))
+@example((np.ones((1, 1, 3, 3)), (2, 2), np.full((1, 1, 1, 1), 3.0)))
+@example((np.ones((1, 2, 4, 4)), (2, 2), np.arange(1.0, 9.0).reshape(1, 2, 2, 2)))
 def test_maxpool2d_property_matches_window_loop(case):
-    x, window, stride, weights = case
+    x, window, weights = case
     xt = Tensor(x)
     g = Graph()
-    out = g.maxpool2d(xt, window, stride)
-    np.testing.assert_array_equal(out.data, [maxpool_reference(f, window, stride) for f in x])
+    out = g.maxpool2d(xt, window)
+    np.testing.assert_array_equal(out.data, [maxpool_reference(f, window) for f in x])
     g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
-    np.testing.assert_array_equal(xt.grad, maxpool_grad_reference(x, window, stride, weights))
+    np.testing.assert_array_equal(xt.grad, maxpool_grad_reference(x, window, weights))
 
 
 def test_maxpool2d_window_larger_than_input(rng):
     with pytest.raises(ShapeError):
-        Graph().maxpool2d(Tensor(rng.standard_normal((1, 1, 2, 2))), (3, 3), (1, 1))
+        Graph().maxpool2d(Tensor(rng.standard_normal((1, 1, 2, 2))), (3, 3))
 
 
 def test_region_maxpool_matches_slicing(rng):
@@ -518,6 +507,48 @@ def test_region_maxpool_batched_rows(rng):
     np.testing.assert_array_equal(out.data[2], single.data[0])
 
 
+@st.composite
+def region_cases(draw):
+    """Small-integer maps, so regions tie, and arbitrary regions: they may
+    overlap, repeat, be single cells or cover the whole map."""
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rows = st.tuples(st.integers(0, h - 1), st.integers(1, h)).map(sorted)
+    cols = st.tuples(st.integers(0, w - 1), st.integers(1, w)).map(sorted)
+    spans = st.tuples(rows, cols).filter(lambda rc: rc[0][0] < rc[0][1] and rc[1][0] < rc[1][1])
+    regions = [(r0, r1, c0, c1) for (r0, r1), (c0, c1) in
+               draw(st.lists(spans, min_size=1, max_size=6))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-2, 3, size=(draw(st.integers(1, 3)), draw(st.integers(1, 3)), h, w))
+    g = rng.integers(1, 5, size=(x.shape[0], x.shape[1] * len(regions)))
+    return x.astype(float), regions, g.astype(float)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(region_cases())
+@example((np.ones((1, 1, 1, 1)), [(0, 1, 0, 1)], np.ones((1, 1))))
+@example((np.ones((2, 2, 3, 4)), [(0, 3, 0, 4), (1, 2, 2, 3), (0, 3, 0, 4)],
+          np.arange(1.0, 13.0).reshape(2, 6)))
+def test_region_maxpool_property_matches_slicing(case):
+    x, regions, weights = case
+    t_n, c, h, w = x.shape
+    xt = Tensor(x)
+    g = Graph()
+    out = g.region_maxpool(xt, regions)
+    expected = [[x[t, ch, r0:r1, c0:c1].max() for ch in range(c) for (r0, r1, c0, c1) in regions]
+                for t in range(t_n)]
+    np.testing.assert_array_equal(out.data, expected)
+    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    # each region's weight lands on its first max cell in row-major scan
+    dx = np.zeros_like(x)
+    for t in range(t_n):
+        for ch in range(c):
+            for r, (r0, r1, c0, c1) in enumerate(regions):
+                block = x[t, ch, r0:r1, c0:c1]
+                a, b = np.unravel_index(np.argmax(block), block.shape)
+                dx[t, ch, r0 + a, c0 + b] += weights[t, ch * len(regions) + r]
+    np.testing.assert_array_equal(xt.grad, dx)
+
+
 def test_region_maxpool_out_of_bounds(rng):
     with pytest.raises(ShapeError):
         Graph().region_maxpool(Tensor(rng.standard_normal((1, 1, 4, 4))), [(0, 5, 0, 4)])
@@ -526,7 +557,7 @@ def test_region_maxpool_out_of_bounds(rng):
 def test_pooling_ops_need_a_4d_stack(rng):
     x = Tensor(rng.standard_normal((2, 4, 4)))
     with pytest.raises(ShapeError):
-        Graph().maxpool2d(x, (2, 2), (2, 2))
+        Graph().maxpool2d(x, (2, 2))
     with pytest.raises(ShapeError):
         Graph().region_maxpool(x, [(0, 4, 0, 4)])
 
