@@ -24,9 +24,9 @@ import numpy as np
 
 from .datapipe import (
     CROP_MARGIN,
+    SPLIT_MODES,
     DatasetError,
     by_identity,
-    identity_labels,
     load_dataset,
     make_split,
     pair_stream,
@@ -40,13 +40,15 @@ from .evalkit import (
     compute_cmc,
     cross_dataset_eval,
     emit_report,
+    eval_sequence,
 )
 from .gradcheck import run_gradcheck
-from .layers import SppConfig
+from .layers import RNN_OUTPUTS
 from .model import (
     VARIANTS,
     CheckpointError,
     LossConfig,
+    extract_feature,
     init_params,
     load_checkpoint,
     rnn_input_dim,
@@ -61,6 +63,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
 
+# the allowed values of RunConfig's choice fields, each set kept beside the
+# code that branches on it
+FIELD_CHOICES = {"variant": VARIANTS, "rnn_output": RNN_OUTPUTS, "split_mode": SPLIT_MODES}
+
 
 @dataclass
 class RunConfig:
@@ -70,14 +76,14 @@ class RunConfig:
     trials: int = 10
     trial: int = 0
     k: int = 16
-    margin: float = 3.0
+    margin: float = LossConfig.margin
     feature_dim: int = 128
     lr: float = 0.001
     epochs: int = 700
-    variant: str = "astpn"
-    rnn_output: str = "pre_tanh"
-    use_identity_loss: bool = True
-    spp_bins: list | None = None
+    variant: str = LossConfig.variant
+    rnn_output: str = LossConfig.rnn_output
+    use_identity_loss: bool = LossConfig.use_identity_loss
+    spp_bins: list | None = None  # None means LossConfig's bins
     split_mode: str = "half"
     save_every: int = 0
     lr_decay_every: int = 0
@@ -89,29 +95,25 @@ class RunConfig:
 
     def __post_init__(self):
         if self.spp_bins is None:
-            self.spp_bins = [[8, 8], [4, 4], [2, 2], [1, 1]]
+            self.spp_bins = [list(b) for b in LossConfig.spp_bins]
         # a value may come from a flag or from --config: either way a data error
         checks = (("trials", self.trials >= 1, ">= 1"), ("trial", self.trial >= 0, ">= 0"),
                   ("k", self.k >= 1, ">= 1"), ("feature_dim", self.feature_dim >= 1, ">= 1"),
-                  ("margin", self.margin >= 0, ">= 0"),
                   ("fraction", 0 < self.fraction <= 1, "in (0, 1]"))
         for name, ok, bound in checks:
             if not ok:
                 raise DatasetError(f"{name} must be {bound}, got {getattr(self, name)}")
-        choices = (("variant", VARIANTS), ("rnn_output", ("pre_tanh", "post_tanh")),
-                   ("split_mode", ("half", "all")))
-        for name, allowed in choices:
-            if getattr(self, name) not in allowed:
-                raise DatasetError(f"{name} must be one of {', '.join(allowed)}, "
-                                   f"got {getattr(self, name)!r}")
+        if self.split_mode not in SPLIT_MODES:
+            raise DatasetError(f"split_mode must be one of {', '.join(SPLIT_MODES)}, "
+                               f"got {self.split_mode!r}")
         bins = self.spp_bins
         if not (bins and all(isinstance(b, (list, tuple)) and len(b) == 2
                              and all(type(n) is int and n >= 1 for n in b) for b in bins)):
             raise DatasetError(f"spp_bins must be a non-empty list of [int, int] pairs "
                                f"of at least 1, got {bins!r}")
         try:
-            SppConfig(tuple(tuple(b) for b in bins))
-        except ShapeError as exc:
+            self.loss_config()  # LossConfig checks the fields it takes
+        except ValueError as exc:  # ShapeError included
             raise DatasetError(str(exc)) from exc
 
     def loss_config(self) -> LossConfig:
@@ -124,13 +126,21 @@ class RunConfig:
         )
 
 
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _field_kinds(name: str) -> tuple[type, ...]:
+    """The types a RunConfig field admits, NoneType last for an optional one."""
+    hint = _FIELD_TYPES[name]
+    return typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+
+
 def _check_json_types(loaded: dict, source: str) -> None:
     """Reject config values whose JSON type does not fit the RunConfig field:
     a bool is not an int, and an int is a float."""
-    hints = typing.get_type_hints(RunConfig)
     for name, value in loaded.items():
-        hint = hints[name]
-        kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        hint = _FIELD_TYPES[name]
+        kinds = _field_kinds(name)
         if float in kinds:
             kinds += (int,)
         if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
@@ -306,9 +316,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    from .model import extract_feature
-    from .datapipe import augment
-
     cfg = resolve_config(args)
     if not cfg.checkpoint:
         raise DatasetError("extract needs --checkpoint")
@@ -316,13 +323,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
     index, usable = _load_index(cfg.data_root)
     _check_params_match(params, cfg, _frame_hw_after_crop(index))
     loss_cfg = cfg.loss_config()
+    eval_k = 1 if cfg.single_shot else None
     out_dir = Path(cfg.out)
     write_resolved_config(cfg, out_dir)
     lines = ["person_id,camera_id," + ",".join(f"f{i}" for i in range(cfg.feature_dim))]
     for pid in usable:
         for cam in sorted(index[pid]):
-            seq = augment(index[pid][cam], "test")
-            feat = extract_feature(seq, params, loss_cfg)
+            feat = extract_feature(eval_sequence(index[pid][cam], eval_k), params, loss_cfg)
             lines.append(f"{pid},{cam}," + ",".join(f"{v:.17g}" for v in feat))
     path = out_dir / "features.csv"
     write_atomic(path, "\n".join(lines) + "\n")
@@ -364,31 +371,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One --field-name flag per RunConfig field, typed by its annotation;
+    spp_bins is set in the config file only."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--data-root", dest="data_root")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--trial", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--variant", choices=["astpn", "atpn_only", "aspn_only",
-                                         "mean_pool", "max_pool"])
-    p.add_argument("--rnn-output", dest="rnn_output", choices=["pre_tanh", "post_tanh"])
-    p.add_argument("--use-identity-loss", dest="use_identity_loss",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--split-mode", dest="split_mode", choices=["half", "all"])
-    p.add_argument("--save-every", dest="save_every", type=int)
-    p.add_argument("--lr-decay-every", dest="lr_decay_every", type=int)
-    p.add_argument("--lr-decay-factor", dest="lr_decay_factor", type=float)
-    p.add_argument("--single-shot", dest="single_shot",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--cross-dataset", dest="cross_dataset")
-    p.add_argument("--fraction", type=float)
-    p.add_argument("--checkpoint")
+    for f in fields(RunConfig):
+        if f.name == "spp_bins":
+            continue
+        flag, kind = "--" + f.name.replace("_", "-"), _field_kinds(f.name)[0]
+        if kind is bool:
+            p.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(flag, dest=f.name, type=kind, choices=FIELD_CHOICES.get(f.name))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ FLOW_WINDOW_RADIUS = 2  # 5x5 uniform window
 FLOW_DAMPING = 1e-4
 CROP_MARGIN = 8
 FRAME_CHANNELS = 5
+SPLIT_MODES = ("half", "all")
 
 
 class DatasetError(Exception):
@@ -377,11 +378,11 @@ def make_split(ids, seed: int, trial: int, mode: str = "half") -> DatasetSplit:
     """Seeded identity split. mode="half" is the usual disjoint 50/50 split
     (odd counts give the extra identity to train); mode="all" puts every
     identity in both halves, for memorization checks."""
+    if mode not in SPLIT_MODES:
+        raise ValueError(f"unknown split mode {mode!r}")
     ids = sorted(ids)
     if mode == "all":
         return DatasetSplit(tuple(ids), tuple(ids), seed, trial)
-    if mode != "half":
-        raise ValueError(f"unknown split mode {mode!r}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
     perm = rng.permutation(len(ids))
     n_train = (len(ids) + 1) // 2

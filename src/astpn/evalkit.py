@@ -68,7 +68,9 @@ def cmc_from_features(probe_feats, probe_ids, gallery_feats, gallery_ids,
     return CmcCurve(values=values, n_probes=len(probe_feats), meta=dict(meta or {}))
 
 
-def _eval_sequence(sample: SequenceSample, eval_k: int | None) -> SequenceSample:
+def eval_sequence(sample: SequenceSample, eval_k: int | None) -> SequenceSample:
+    """The view of a sequence that eval and extract featurise: its first eval_k
+    frames (all of them when None), centre-cropped."""
     if eval_k is not None:
         sample = SequenceSample(sample.person_id, sample.camera_id,
                                 sample.frames[:eval_k], sample.paths)
@@ -98,7 +100,7 @@ def compute_cmc(index: dict[str, dict[str, SequenceSample]], test_ids, params: A
     def feature(pid: str, cam: str) -> np.ndarray:
         if (pid, cam) not in features:
             features[pid, cam] = extract_feature(
-                _eval_sequence(index[pid][cam], eval_k), params, cfg)
+                eval_sequence(index[pid][cam], eval_k), params, cfg)
         return features[pid, cam]
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datapipe import PairBatch, SequenceSample
-from .model import AstpnParams, LossConfig, init_params, total_loss
+from .model import LossConfig, init_params, total_loss
 from .tensor import Graph
 
 FD_STEP = 1e-6

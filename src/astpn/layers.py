@@ -8,7 +8,7 @@ per-frame convolutional work of a whole sequence runs through single tape ops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ CONV_PAD = 4
 CONV_STRIDE = 1
 POOL_WINDOW = (2, 2)
 DEFAULT_BINS = ((8, 8), (4, 4), (2, 2), (1, 1))
+RNN_OUTPUTS = ("pre_tanh", "post_tanh")
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
@@ -39,10 +40,6 @@ class ConvStackParams:
 
     kernels: list[Tensor]
     biases: list[Tensor]
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernels[-1].shape[0]
 
 
 def init_conv_stack(rng: np.random.Generator, in_channels: int = 5) -> ConvStackParams:
@@ -191,7 +188,7 @@ def rnn_forward(graph: Graph, reps: Tensor, params: RnnParams,
     one (T, L) @ (L, N) matmul, so only W_rec s_{t-1} runs per step. Returns a
     (T, N) matrix whose row t is o_t, or s_t when output="post_tanh".
     """
-    if output not in ("pre_tanh", "post_tanh"):
+    if output not in RNN_OUTPUTS:
         raise ValueError(f"unknown rnn output mode {output!r}")
     if reps.data.ndim != 2:
         raise ShapeError(f"rnn_forward needs a (T, L) input, got {reps.shape}")
@@ -214,10 +211,6 @@ class AttentionParams:
     """Shared bilinear matrix scoring probe rows against gallery rows."""
 
     u_att: Tensor
-
-    @property
-    def feature_dim(self) -> int:
-        return self.u_att.shape[0]
 
 
 def init_attention(rng: np.random.Generator, feature_dim: int) -> AttentionParams:

@@ -15,6 +15,7 @@ from .layers import (
     ConvStackParams,
     DEFAULT_BINS,
     POOL_WINDOW,
+    RNN_OUTPUTS,
     RnnParams,
     SppConfig,
     attentive_summary,
@@ -50,10 +51,15 @@ class LossConfig:
     spp_bins: tuple[tuple[int, int], ...] = DEFAULT_BINS
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ValueError(f"margin must be non-negative, got {self.margin}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        if not self.margin >= 0:
+            raise ValueError(f"margin must be >= 0, got {self.margin}")
+        for name, allowed in (("variant", VARIANTS), ("rnn_output", RNN_OUTPUTS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
+                                 f"got {getattr(self, name)!r}")
+        if not isinstance(self.use_identity_loss, bool):
+            raise ValueError(f"use_identity_loss must be a bool, got {self.use_identity_loss!r}")
+        SppConfig(self.spp_bins)  # raises ShapeError unless the bins halve level by level
 
 
 @dataclass
@@ -86,10 +92,6 @@ class AstpnParams:
         named["classifier.weight"] = self.classifier_w
         named["classifier.bias"] = self.classifier_b
         return named
-
-    def clear_grads(self) -> None:
-        for t in self.named_tensors().values():
-            t.clear_grad()
 
 
 def rnn_input_dim(cfg: LossConfig, frame_hw: tuple[int, int] | None = None,

@@ -1,19 +1,47 @@
 """End-to-end command line tests, driven in-process through main() so exit
 codes and emitted artifacts can be asserted directly."""
 
+import argparse
 import json
 import shutil
 import subprocess
 import sys
+import typing
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from astpn import evalkit
-from astpn.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, _save_if_finite, main
-from astpn.datapipe import by_identity, load_dataset, make_split, preprocess_dataset
-from astpn.model import LossConfig, init_params, load_checkpoint, save_checkpoint
+from astpn.cli import (
+    EXIT_CHECK,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    RunConfig,
+    _save_if_finite,
+    build_parser,
+    main,
+)
+from astpn.datapipe import (
+    SPLIT_MODES,
+    SequenceSample,
+    augment,
+    by_identity,
+    load_dataset,
+    make_split,
+    preprocess_dataset,
+)
+from astpn.layers import RNN_OUTPUTS
+from astpn.model import (
+    VARIANTS,
+    LossConfig,
+    extract_feature,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +286,31 @@ def test_shape_error_in_a_command_is_data_error(cli_data, tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
+def test_config_flags_mirror_run_config_fields():
+    # one --field-name flag per RunConfig field but the file-only spp_bins,
+    # with the field's dest, annotated type and choice set
+    hints = typing.get_type_hints(RunConfig)
+    choices = {"variant": VARIANTS, "rnn_output": RNN_OUTPUTS, "split_mode": SPLIT_MODES}
+    expected = [f.name for f in fields(RunConfig) if f.name != "spp_bins"]
+    assert len(expected) == len(fields(RunConfig)) - 1 == 21
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command in ("train", "eval", "extract"):
+        actions = [a for a in commands[command]._actions if a.dest not in ("help", "config")]
+        assert [a.dest for a in actions] == expected
+        for action in actions:
+            flag = "--" + action.dest.replace("_", "-")
+            kind = typing.get_args(hints[action.dest]) or (hints[action.dest],)
+            if kind[0] is bool:
+                assert isinstance(action, argparse.BooleanOptionalAction)
+                assert action.option_strings == [flag, "--no-" + flag[2:]]
+            else:
+                assert action.option_strings == [flag]
+                assert action.type is kind[0]
+            assert action.default is None
+            assert action.choices == choices.get(action.dest)
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--epochs", "three"])
@@ -413,6 +466,26 @@ def test_extract_writes_feature_table(cli_data, trained_run, tmp_path):
     assert row[0] == "p000" and row[1] == "cam0"
     feats = np.array([float(v) for v in row[2:]])
     assert np.isfinite(feats).all()
+
+
+def test_extract_single_shot_rows_are_first_frame_features(cli_data, trained_run, tmp_path):
+    # extract featurises a sequence as eval does: under --single-shot its
+    # centre-cropped first frame
+    checkpoint = trained_run / "checkpoint.astp"
+    out = tmp_path / "feat_ss"
+    code = main(["extract", "--data-root", str(cli_data), "--out", str(out),
+                 "--checkpoint", str(checkpoint), "--feature-dim", "16", "--single-shot"])
+    assert code == EXIT_OK
+    index = by_identity(preprocess_dataset(load_dataset(cli_data)))
+    params = load_checkpoint(checkpoint)
+    rows = (out / "features.csv").read_text().splitlines()[1:]
+    assert len(rows) == 16
+    for row in rows:
+        pid, cam, *values = row.split(",")
+        full = index[pid][cam]
+        first = SequenceSample(pid, cam, full.frames[:1], full.paths)
+        expected = extract_feature(augment(first, "test"), params, LossConfig())
+        np.testing.assert_array_equal(np.array(values, dtype=np.float64), expected)
 
 
 # ---- gradcheck ----

@@ -58,6 +58,10 @@ def test_loss_config_validation():
         LossConfig(margin=-1.0)
     with pytest.raises(ValueError):
         LossConfig(variant="bilinear")
+    with pytest.raises(ValueError):
+        LossConfig(rnn_output="mid")
+    with pytest.raises(ShapeError):
+        LossConfig(spp_bins=((8, 8), (3, 3)))
 
 
 def test_rnn_input_dim_spp_variants():
