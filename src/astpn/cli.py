@@ -176,7 +176,10 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def write_resolved_config(cfg: RunConfig, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a parent that cannot hold it
+        raise DatasetError(f"--out {out_dir}: cannot make the directory: {exc.strerror}") from exc
     write_atomic(out_dir / "config.json",
                  json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
 

@@ -284,8 +284,11 @@ class _Reader:
 
 def load_checkpoint(path) -> AstpnParams:
     """Read a checkpoint back into a parameter bundle, byte for byte."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror}") from exc
     r = _Reader(blob, path)
     if r.take(4) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")

@@ -8,9 +8,33 @@ identical outputs and gradients.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 __all__ = ["Tensor", "Graph", "ShapeError"]
+
+
+def _pin_heap() -> None:
+    """Keep glibc from handing freed buffers back to the kernel.
+
+    A step frees and reallocates the same few buffers of up to tens of MiB.
+    By default glibc may serve them by mmap or trim them off the heap, and
+    each reuse then faults its pages in afresh. Buffers under 32 MiB (glibc's
+    own ceiling for its dynamic threshold) come from the heap, and the heap
+    is trimmed only past 128 MiB of free top. Other C libraries are left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's <malloc.h>
+    mallopt(m_mmap_threshold, 32 * 2**20)
+    mallopt(m_trim_threshold, 128 * 2**20)
+
+
+_pin_heap()
 
 
 class ShapeError(ValueError):
@@ -70,12 +94,16 @@ class _Node:
 CONV_BLOCK_BYTES = 16 * 2**20
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, buf: np.ndarray) -> np.ndarray:
     """Columns of a (T,C,H,W) stack, one per output position of every frame,
-    rows in a kernel's (C, kh, kw) order: a correlation is then one GEMM."""
+    rows in a kernel's (C, kh, kw) order: a correlation is then one GEMM.
+    They are written into the front of the flat buffer buf, and the result
+    is a 2-D view of it."""
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (T, C, Ho, Wo, kh, kw)
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(xp.shape[1] * kh * kw, -1)
+    win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)  # (C, kh, kw, T, Ho, Wo)
+    cols = buf[:win.size].reshape(win.shape)
+    cols[...] = win
+    return cols.reshape(xp.shape[1] * kh * kw, -1)
 
 
 def _frame_blocks(t_n: int, frame_bytes: int) -> list[tuple[int, int]]:
@@ -191,11 +219,13 @@ class Graph:
         kernel is (Cout,Cin,kh,kw) and bias is (Cout,). Output spatial extents
         follow the floor rule (H + 2*pad - kh)//stride + 1. The frames are
         taken in blocks whose im2col columns fill at most CONV_BLOCK_BYTES
-        (16 MiB): each block is padded, lowered and multiplied by the kernel
-        in one GEMM, so a stack that fits one block is one GEMM. Backward
-        keeps only the last block's columns and rebuilds the others for
-        dkernel; dx is a GEMM per block of the output gradient, spread by the
-        stride, with the flipped kernel.
+        (16 MiB): each block is copied into one zero-padded stack, lowered
+        into one column buffer and multiplied by the kernel in one GEMM, so a
+        stack that fits one block is one GEMM. The buffer ends the forward
+        holding the last block's columns, which backward keeps; it rebuilds
+        the others into the same buffer for dkernel. dx is a GEMM per block
+        of the output gradient, spread by the stride, with the flipped kernel,
+        through one spread stack and one column buffer of its own.
         """
         if x.data.ndim != 4:
             raise ShapeError(f"conv2d needs a (T,C,H,W) input, got shape {x.shape}")
@@ -220,11 +250,15 @@ class Graph:
         kd = kernel.data
         k2 = kd.reshape(cout, -1)
         blocks = _frame_blocks(t_n, k2.shape[1] * ho * wo * 8)
+        # one zero-ringed stack and one column buffer, sized for the first
+        # (largest) block, serve every block of the forward and the vjp
+        xp = np.zeros((blocks[0][1], cin, hp, wp))
+        buf = np.empty(k2.shape[1] * blocks[0][1] * ho * wo)
 
         def lowered(t0, t1):
-            xp = np.zeros((t1 - t0, cin, hp, wp))
-            xp[:, :, pad:pad + h, pad:pad + w] = x.data[t0:t1]
-            return _im2col(xp, kh, kw, stride)
+            xb = xp[:t1 - t0]
+            xb[:, :, pad:pad + h, pad:pad + w] = x.data[t0:t1]
+            return _im2col(xb, kh, kw, stride, buf)
 
         out_d = np.empty((t_n, cout, ho, wo))
         for t0, t1 in blocks:
@@ -232,6 +266,8 @@ class Graph:
             prod = k2 @ last_cols
             prod += bias.data[:, None]
             out_d[t0:t1] = prod.reshape(cout, t1 - t0, ho, wo).transpose(1, 0, 2, 3)
+        if len(blocks) == 1:
+            xp = None  # no block to rebuild: the tape need not keep the padded stack
         out = Tensor(out_d)
 
         def vjp(g):
@@ -249,11 +285,17 @@ class Graph:
             # unpadded input is needed
             kflip = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
             dx = np.empty((t_n, cin, h, w))
-            for t0, t1 in _frame_blocks(t_n, kflip.shape[1] * h * w * 8):
-                gp = np.zeros((t1 - t0, cout, hp + kh - 1, wp + kw - 1))
-                gp[:, :, kh - 1:kh - 1 + ho * stride:stride,
+            dblocks = _frame_blocks(t_n, kflip.shape[1] * h * w * 8)
+            # each block writes the same spread positions, so the ring and the
+            # stride's holes stay zero
+            gp = np.zeros((dblocks[0][1], cout, hp + kh - 1, wp + kw - 1))
+            gbuf = np.empty(kflip.shape[1] * dblocks[0][1] * h * w)
+            for t0, t1 in dblocks:
+                gb = gp[:t1 - t0]
+                gb[:, :, kh - 1:kh - 1 + ho * stride:stride,
                    kw - 1:kw - 1 + wo * stride:stride] = g[t0:t1]
-                gcols = _im2col(gp[:, :, pad:pad + h + kh - 1, pad:pad + w + kw - 1], kh, kw, 1)
+                gcols = _im2col(gb[:, :, pad:pad + h + kh - 1, pad:pad + w + kw - 1],
+                                kh, kw, 1, gbuf)
                 dx[t0:t1] = (kflip @ gcols).reshape(cin, t1 - t0, h, w).transpose(1, 0, 2, 3)
             return dx, dkernel, dbias
 
@@ -327,10 +369,12 @@ class Graph:
         table = (r0 + k // widths) * w + c0 + k % widths
         block = xb.reshape(t_n, c, h * w)[:, :, table]  # (T, C, size, R)
         vals = block.max(axis=2)
+        out = Tensor(vals.reshape(t_n, c * n_r))
+        if not self.record:
+            return out  # no vjp reads the first-max positions
         first = np.where(block == vals[:, :, None], np.arange(size)[:, None], size).min(axis=2)
         # flat index of each region's first max in the whole (T,C,H,W) input
         pos = table[first, np.arange(n_r)] + np.arange(t_n * c).reshape(t_n, c, 1) * (h * w)
-        out = Tensor(vals.reshape(t_n, c * n_r))
 
         def vjp(g):
             # one scatter; overlapping regions may share a position, so add

@@ -449,6 +449,29 @@ def test_eval_requires_checkpoint(cli_data, tmp_path):
                  "--out", str(tmp_path / "x")]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("command", ["eval", "extract"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_checkpoint_is_data_error(cli_data, tmp_path, capsys, command, kind):
+    checkpoint = tmp_path / "checkpoint.astp"
+    if kind == "directory":
+        checkpoint.mkdir()
+    assert main([command, "--data-root", str(cli_data), "--out", str(tmp_path / "out"),
+                 "--checkpoint", str(checkpoint)]) == EXIT_DATA
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "extract"])
+def test_out_that_is_a_file_is_data_error(cli_data, trained_run, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    argv = [command, "--data-root", str(cli_data), "--out", str(out), "--feature-dim", "16"]
+    if command != "train":
+        argv += ["--checkpoint", str(trained_run / "checkpoint.astp")]
+    assert main(argv) == EXIT_DATA
+    assert_one_error_line(capsys)
+    assert out.read_text() == "not a directory\n"
+
+
 # ---- extract ----
 
 

@@ -1,8 +1,13 @@
 """Engine tests: every op's forward against an independent oracle, every
 backward against central finite differences, plus tape mechanics."""
 
+import ctypes
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,6 +397,60 @@ def test_conv2d_vjp_keeps_at_most_one_block_of_columns(monkeypatch):
     g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
     for actual, expected in zip((out.data, xt.grad, kt.grad, bt.grad), one_block):
         assert_close_to_rounding(actual, expected)
+
+
+def test_conv2d_blocks_share_one_column_buffer_per_direction(monkeypatch):
+    case = conv_case((7, 2, 9, 7), (3, 2, 3, 3), 1, 2, 5)
+    one_block = conv2d_results(case)
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 2 * frame_column_bytes(case))
+    lowered = []
+    im2col = tensor._im2col
+
+    def recording(*args):
+        lowered.append(im2col(*args))
+        return lowered[-1]
+
+    monkeypatch.setattr(tensor, "_im2col", recording)
+    blocked = conv2d_results(case)
+    # forward: 4 blocks of at most 2 frames; dkernel rebuilds the first 3;
+    # dx: 7 blocks of one frame
+    assert len(lowered) == 4 + 3 + 7
+    cols, gcols = lowered[:7], lowered[7:]
+    assert all(np.shares_memory(c, cols[0]) for c in cols)
+    assert all(np.shares_memory(c, gcols[0]) for c in gcols)
+    assert not np.shares_memory(cols[0], gcols[0])
+    for actual, expected in zip(blocked, one_block):
+        assert_close_to_rounding(actual, expected)
+
+
+REUSE_PROBE = """
+import resource
+import numpy as np
+import astpn.tensor
+a = np.empty(24 * 2**20 // 8)
+a.fill(1.0)
+del a
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+a = np.empty(24 * 2**20 // 8)
+a.fill(2.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, a.nbytes // resource.getpagesize())
+"""
+
+
+def test_freed_buffers_are_reused_without_page_faults():
+    # importing astpn.tensor pins glibc's heap thresholds, so a freed 24 MiB
+    # buffer stays mapped and its reuse touches resident pages only; a fresh
+    # interpreter keeps the suite's own heap history out of the count
+    pytest.importorskip("resource")
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("the C library has no mallopt")
+    env = dict(os.environ, PYTHONPATH=str(Path(tensor.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", REUSE_PROBE], capture_output=True,
+                          text=True, env=env, check=True)
+    faults, pages = map(int, proc.stdout.split())
+    assert faults < 0.01 * pages
 
 
 # ---- pooling ----
