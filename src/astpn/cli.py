@@ -42,7 +42,7 @@ from .evalkit import (
     emit_report,
     eval_sequence,
 )
-from .gradcheck import run_gradcheck
+from .gradcheck import run_gradcheck, toy_tensor_names
 from .layers import RNN_OUTPUTS
 from .model import (
     VARIANTS,
@@ -356,6 +356,11 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    root = Path(args.root)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a parent that cannot hold it
+        raise DatasetError(f"{root}: cannot make the directory: {exc.strerror}") from exc
     n_files = synth_dataset(
         args.root, n_ids=args.ids, n_cams=args.cams, frames_per_seq=args.frames,
         size=(args.height, args.width), seed=args.seed if args.seed is not None else 0,
@@ -371,6 +376,22 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(EXIT_USAGE)
+
+
+def _checked(kind: type, ok, bound: str):
+    """An argparse type: kind(text), which must pass ok, else a usage error
+    saying it must be bound."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type when kind(text) fails
+    return parse
+
+
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -406,20 +427,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--samples", type=int, default=24)
-    p_grad.add_argument("--tol", type=float, default=1e-4)
-    p_grad.add_argument("--corrupt", help="tensor name whose gradient is perturbed")
+    p_grad.add_argument("--samples", type=_AT_LEAST_ONE, default=24)
+    p_grad.add_argument("--tol", type=_checked(float, lambda v: 0 < v < math.inf,
+                                               "positive and finite"), default=1e-4)
+    p_grad.add_argument("--corrupt", help="tensor name whose gradient is perturbed",
+                        type=_checked(str, lambda v: v in toy_tensor_names(),
+                                      "a toy model tensor, named as gradcheck lists them"))
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic PPM dataset")
     p_synth.add_argument("root")
-    p_synth.add_argument("--ids", type=int, default=8)
-    p_synth.add_argument("--cams", type=int, default=2)
-    p_synth.add_argument("--frames", type=int, default=16)
-    p_synth.add_argument("--height", type=int, default=24)
-    p_synth.add_argument("--width", type=int, default=16)
+    for flag, default in (("--ids", 8), ("--cams", 2), ("--frames", 16), ("--height", 24),
+                          ("--width", 16)):
+        p_synth.add_argument(flag, type=_AT_LEAST_ONE, default=default)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--signal-frames", dest="signal_frames", type=int)
+    p_synth.add_argument("--signal-frames", dest="signal_frames",
+                         type=_checked(int, lambda v: v >= 0, ">= 0"))
     p_synth.set_defaults(func=cmd_synth)
 
     return parser

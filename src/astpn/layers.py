@@ -17,7 +17,6 @@ from .tensor import Graph, ShapeError, Tensor
 CONV_CHANNELS = (16, 32, 32)
 CONV_KERNEL = 5
 CONV_PAD = 4
-CONV_STRIDE = 1
 POOL_WINDOW = (2, 2)
 DEFAULT_BINS = ((8, 8), (4, 4), (2, 2), (1, 1))
 RNN_OUTPUTS = ("pre_tanh", "post_tanh")
@@ -34,8 +33,7 @@ class ConvStackParams:
     """Kernels and biases for the three tanh conv layers.
 
     Layer shapes are fixed: 16x(Cin)x5x5, 32x16x5x5, 32x32x5x5, all with
-    padding 4 and stride 1; 2x2 max pooling (stride 2) follows the first two
-    layers only.
+    padding 4; 2x2 max pooling (stride 2) follows the first two layers only.
     """
 
     kernels: list[Tensor]
@@ -53,9 +51,8 @@ def init_conv_stack(rng: np.random.Generator, in_channels: int = 5) -> ConvStack
     return ConvStackParams(kernels, biases)
 
 
-def conv_out_extent(extent: int, kernel: int = CONV_KERNEL, pad: int = CONV_PAD,
-                    stride: int = CONV_STRIDE) -> int:
-    return (extent + 2 * pad - kernel) // stride + 1
+def conv_out_extent(extent: int, kernel: int = CONV_KERNEL, pad: int = CONV_PAD) -> int:
+    return extent + 2 * pad - kernel + 1
 
 
 def pool_out_extent(extent: int, window: int = 2, stride: int = 2) -> int:
@@ -76,8 +73,7 @@ def conv_stack_forward(graph: Graph, frames: Tensor, params: ConvStackParams) ->
     """Run a (T,Cin,H,W) stack through conv/tanh(/pool) x3."""
     h = frames
     for i in range(3):
-        h = graph.tanh(graph.conv2d(h, params.kernels[i], params.biases[i],
-                                    pad=CONV_PAD, stride=CONV_STRIDE))
+        h = graph.tanh(graph.conv2d(h, params.kernels[i], params.biases[i], pad=CONV_PAD))
         if i < 2:
             h = graph.maxpool2d(h, POOL_WINDOW)
     return h

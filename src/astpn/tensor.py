@@ -22,7 +22,9 @@ def _pin_heap() -> None:
     By default glibc may serve them by mmap or trim them off the heap, and
     each reuse then faults its pages in afresh. Buffers under 32 MiB (glibc's
     own ceiling for its dynamic threshold) come from the heap, and the heap
-    is trimmed only past 128 MiB of free top. Other C libraries are left alone.
+    is trimmed only past 1 GiB of free top: a train step at 128x64 crops
+    frees more than 128 MiB at its end, and would otherwise fault it all back
+    in on the next step. Other C libraries are left alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -31,7 +33,7 @@ def _pin_heap() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's <malloc.h>
     mallopt(m_mmap_threshold, 32 * 2**20)
-    mallopt(m_trim_threshold, 128 * 2**20)
+    mallopt(m_trim_threshold, 2**30)
 
 
 _pin_heap()
@@ -88,27 +90,56 @@ class _Node:
         self.vjp = vjp
 
 
-# Column bytes one conv2d block may hold (a single frame's columns form a
-# block even when they exceed it): a block is lowered and multiplied while it
-# is still in cache, and the tape keeps only the last block's columns.
+# Bytes one conv2d block may hold in its lowered columns (and, for dx, its
+# two accumulators); a single frame forms a block even when it exceeds this.
+# A block is lowered and multiplied while it is still in cache, and the tape
+# keeps only the last block's columns.
 CONV_BLOCK_BYTES = 16 * 2**20
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, buf: np.ndarray) -> np.ndarray:
+def _im2col(xp: np.ndarray, kh: int, kw: int, buf: np.ndarray) -> np.ndarray:
     """Columns of a (T,C,H,W) stack, one per output position of every frame,
     rows in a kernel's (C, kh, kw) order: a correlation is then one GEMM.
     They are written into the front of the flat buffer buf, and the result
     is a 2-D view of it."""
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)  # (C, kh, kw, T, Ho, Wo)
+    win = win.transpose(1, 4, 5, 0, 2, 3)  # (C, kh, kw, T, Ho, Wo)
     cols = buf[:win.size].reshape(win.shape)
     cols[...] = win
     return cols.reshape(xp.shape[1] * kh * kw, -1)
 
 
-def _frame_blocks(t_n: int, frame_bytes: int) -> list[tuple[int, int]]:
-    """Split T frames into runs of whole frames of at most CONV_BLOCK_BYTES."""
+def _width_cols(gp: np.ndarray, kw: int, buf: np.ndarray) -> np.ndarray:
+    """A (T,C,Hg,Wg) stack lowered along its width only: row (c, j) and
+    column (y, t, x) hold gp[t, c, y, x + j], for x below Wg - kw + 1.
+    Columns go image row first, so those of image rows y0 on are the 2-D
+    view's columns from y0*T*(Wg-kw+1) on: a strided matrix that BLAS reads
+    without a copy. Written into the front of the flat buffer buf."""
+    win = np.lib.stride_tricks.sliding_window_view(gp, kw, axis=3)
+    win = win.transpose(1, 4, 2, 0, 3)  # (C, kw, Hg, T, Wo)
+    cols = buf[:win.size].reshape(win.shape)
+    cols[...] = win
+    return cols.reshape(gp.shape[1] * kw, -1)
+
+
+def _pad_or_crop(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """a with ph zero rows added at top and bottom (|ph| rows cut when ph is
+    negative) and pw columns likewise at left and right; a itself when both
+    are 0."""
+    cut_h, cut_w = max(-ph, 0), max(-pw, 0)
+    a = a[:, :, cut_h:a.shape[2] - cut_h, cut_w:a.shape[3] - cut_w]
+    if ph <= 0 and pw <= 0:
+        return a
+    return np.pad(a, ((0, 0), (0, 0), (max(ph, 0),) * 2, (max(pw, 0),) * 2))
+
+
+def _frame_blocks(t_n: int, frame_bytes: int, even: bool = False) -> list[tuple[int, int]]:
+    """Split T frames into runs of whole frames of at most CONV_BLOCK_BYTES;
+    with even, into as few runs, of lengths as near equal as whole frames
+    allow (16 frames of 12 per block are then 8 + 8, not 12 + 4)."""
     step = max(1, CONV_BLOCK_BYTES // frame_bytes)
+    if even:
+        step = -(-t_n // -(-t_n // step))
     return [(t0, min(t0 + step, t_n)) for t0 in range(0, t_n, step)]
 
 
@@ -213,19 +244,22 @@ class Graph:
 
     # ---- convolution and pooling ----
 
-    def conv2d(self, x: Tensor, kernel: Tensor, bias: Tensor, pad: int, stride: int) -> Tensor:
-        """Cross-correlate a (T,Cin,H,W) stack with kernel under zero padding.
+    def conv2d(self, x: Tensor, kernel: Tensor, bias: Tensor, pad: int) -> Tensor:
+        """Cross-correlate a (T,Cin,H,W) stack with kernel under zero padding,
+        at stride 1.
 
-        kernel is (Cout,Cin,kh,kw) and bias is (Cout,). Output spatial extents
-        follow the floor rule (H + 2*pad - kh)//stride + 1. The frames are
-        taken in blocks whose im2col columns fill at most CONV_BLOCK_BYTES
-        (16 MiB): each block is copied into one zero-padded stack, lowered
-        into one column buffer and multiplied by the kernel in one GEMM, so a
-        stack that fits one block is one GEMM. The buffer ends the forward
-        holding the last block's columns, which backward keeps; it rebuilds
-        the others into the same buffer for dkernel. dx is a GEMM per block
-        of the output gradient, spread by the stride, with the flipped kernel,
-        through one spread stack and one column buffer of its own.
+        kernel is (Cout,Cin,kh,kw) and bias is (Cout,). The output is
+        (H + 2*pad - kh + 1) by (W + 2*pad - kw + 1). The frames are taken in
+        blocks whose im2col columns fill at most CONV_BLOCK_BYTES (16 MiB):
+        each block is copied into one zero-padded stack, lowered into one
+        column buffer and multiplied by the kernel in one GEMM, so a stack
+        that fits one block is one GEMM. The buffer ends the forward holding
+        the last block's columns, which backward keeps; it rebuilds the others
+        into the same buffer for dkernel. dx correlates the output gradient,
+        padded by kh-1-pad and kw-1-pad (cropped where negative), with the
+        flipped kernel: each block lowers it along its width only, into one
+        buffer of its own, and sums kh GEMMs, one per kernel row, each over
+        the columns from that row on.
         """
         if x.data.ndim != 4:
             raise ShapeError(f"conv2d needs a (T,C,H,W) input, got shape {x.shape}")
@@ -233,8 +267,8 @@ class Graph:
             raise ShapeError(f"conv2d kernel must be 4-d, got {kernel.shape}")
         if bias.data.ndim != 1 or bias.shape[0] != kernel.shape[0]:
             raise ShapeError(f"conv2d bias shape {bias.shape} does not match kernel {kernel.shape}")
-        if pad < 0 or stride < 1:
-            raise ShapeError(f"conv2d needs pad >= 0 and stride >= 1, got pad={pad} stride={stride}")
+        if pad < 0:
+            raise ShapeError(f"conv2d needs pad >= 0, got pad={pad}")
         t_n, cin, h, w = x.shape
         cout, kcin, kh, kw = kernel.shape
         if kcin != cin:
@@ -244,8 +278,7 @@ class Graph:
             raise ShapeError(
                 f"conv2d: kernel {kh}x{kw} does not fit input {h}x{w} padded by {pad}"
             )
-        ho = (hp - kh) // stride + 1
-        wo = (wp - kw) // stride + 1
+        ho, wo = hp - kh + 1, wp - kw + 1
 
         kd = kernel.data
         k2 = kd.reshape(cout, -1)
@@ -258,7 +291,7 @@ class Graph:
         def lowered(t0, t1):
             xb = xp[:t1 - t0]
             xb[:, :, pad:pad + h, pad:pad + w] = x.data[t0:t1]
-            return _im2col(xb, kh, kw, stride, buf)
+            return _im2col(xb, kh, kw, buf)
 
         out_d = np.empty((t_n, cout, ho, wo))
         for t0, t1 in blocks:
@@ -280,23 +313,27 @@ class Graph:
             dkernel = dkernel.reshape(kd.shape)
             if not x.requires_grad:
                 return None, dkernel, dbias
-            # dx correlates g, spread by the stride and offset by kh-1, kw-1,
-            # with the flipped kernel at stride 1; only the window over the
-            # unpadded input is needed
-            kflip = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+            # gp is (T, Cout, h+kh-1, w+kw-1): dx[t, :, y, x] sums, over
+            # kernel rows i, row i of the flipped kernel (Cin x Cout*kw)
+            # times the width-lowered gp rows y+i
+            gp = _pad_or_crop(g, kh - 1 - pad, kw - 1 - pad)
+            kslabs = kd[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(kh, cin, cout * kw)
             dx = np.empty((t_n, cin, h, w))
-            dblocks = _frame_blocks(t_n, kflip.shape[1] * h * w * 8)
-            # each block writes the same spread positions, so the ring and the
-            # stride's holes stay zero
-            gp = np.zeros((dblocks[0][1], cout, hp + kh - 1, wp + kw - 1))
-            gbuf = np.empty(kflip.shape[1] * dblocks[0][1] * h * w)
+            dblocks = _frame_blocks(t_n, (cout * kw * (h + kh - 1) + 2 * cin * h) * w * 8,
+                                    even=True)
+            n_max = dblocks[0][1] * h * w
+            gbuf = np.empty(cout * kw * (h + kh - 1) * dblocks[0][1] * w)
+            acc_buf, part_buf = np.empty(cin * n_max), np.empty(cin * n_max)
             for t0, t1 in dblocks:
-                gb = gp[:t1 - t0]
-                gb[:, :, kh - 1:kh - 1 + ho * stride:stride,
-                   kw - 1:kw - 1 + wo * stride:stride] = g[t0:t1]
-                gcols = _im2col(gb[:, :, pad:pad + h + kh - 1, pad:pad + w + kw - 1],
-                                kh, kw, 1, gbuf)
-                dx[t0:t1] = (kflip @ gcols).reshape(cin, t1 - t0, h, w).transpose(1, 0, 2, 3)
+                gcols = _width_cols(gp[t0:t1], kw, gbuf)
+                row, n = (t1 - t0) * w, (t1 - t0) * h * w
+                acc = acc_buf[:cin * n].reshape(cin, n)
+                part = part_buf[:cin * n].reshape(cin, n)
+                np.matmul(kslabs[0], gcols[:, :n], out=acc)
+                for i in range(1, kh):
+                    np.matmul(kslabs[i], gcols[:, i * row:i * row + n], out=part)
+                    acc += part
+                dx[t0:t1] = acc.reshape(cin, h, t1 - t0, w).transpose(2, 0, 1, 3)
             return dx, dkernel, dbias
 
         return self._push(out, (x, kernel, bias), vjp)

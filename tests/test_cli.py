@@ -70,6 +70,33 @@ def test_synth_writes_expected_tree(cli_data):
     assert (cli_data / "p000" / "cam0" / "00000.ppm").exists()
 
 
+def assert_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: argument {flag}: must be" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--ids", "0"), ("--cams", "0"), ("--frames", "0"), ("--height", "0"), ("--width", "-2"),
+    ("--signal-frames", "-1"),
+])
+def test_synth_bad_count_is_usage_error(tmp_path, capsys, flag, value):
+    root = tmp_path / "data"
+    assert_usage_error(capsys, ["synth", str(root), flag, value], flag)
+    assert not root.exists()
+
+
+def test_synth_root_that_is_a_file_is_data_error(tmp_path, capsys):
+    root = tmp_path / "data"
+    root.write_text("not a directory\n")
+    assert main(["synth", str(root), "--ids", "1", "--frames", "1"]) == EXIT_DATA
+    assert_one_error_line(capsys)
+    assert root.read_text() == "not a directory\n"
+
+
 # ---- train ----
 
 
@@ -524,6 +551,14 @@ def test_gradcheck_command_passes(capsys):
 def test_gradcheck_command_detects_corruption(capsys):
     assert main(["gradcheck", "--samples", "2", "--corrupt", "att.u_att"]) == EXIT_CHECK
     assert "FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--corrupt", "nope"), ("--samples", "-3"), ("--samples", "0"), ("--tol", "nan"),
+    ("--tol", "inf"), ("--tol", "0"),
+])
+def test_gradcheck_bad_argument_is_usage_error(capsys, flag, value):
+    assert_usage_error(capsys, ["gradcheck", flag, value], flag)
 
 
 # ---- console entry point ----

@@ -150,30 +150,29 @@ def test_transposed_operand_gets_a_c_ordered_gradient(rng):
 # ---- convolution ----
 
 
-def conv2d_reference(x, kernel, bias, pad, stride):
+def conv2d_reference(x, kernel, bias, pad):
     """Direct-sum cross-correlation oracle, one output element at a time."""
     cin, h, w = x.shape
     cout, _, kh, kw = kernel.shape
     xp = np.zeros((cin, h + 2 * pad, w + 2 * pad))
     xp[:, pad:pad + h, pad:pad + w] = x
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
     out = np.zeros((cout, ho, wo))
     for co in range(cout):
         for i in range(ho):
             for j in range(wo):
-                patch = xp[:, i * stride:i * stride + kh, j * stride:j * stride + kw]
+                patch = xp[:, i:i + kh, j:j + kw]
                 out[co, i, j] = (patch * kernel[co]).sum() + bias[co]
     return out
 
 
-@pytest.mark.parametrize("h,w,pad,stride", [(6, 5, 0, 1), (6, 5, 2, 1), (9, 7, 4, 2), (5, 5, 1, 3)])
-def test_conv2d_matches_direct_sum(rng, h, w, pad, stride):
+@pytest.mark.parametrize("h,w,pad", [(6, 5, 0), (6, 5, 2)])
+def test_conv2d_matches_direct_sum(rng, h, w, pad):
     x = Tensor(rng.standard_normal((1, 3, h, w)))
     kernel = Tensor(rng.standard_normal((4, 3, 3, 3)))
     bias = Tensor(rng.standard_normal(4))
-    out = Graph().conv2d(x, kernel, bias, pad=pad, stride=stride)
-    expected = conv2d_reference(x.data[0], kernel.data, bias.data, pad, stride)[None]
+    out = Graph().conv2d(x, kernel, bias, pad=pad)
+    expected = conv2d_reference(x.data[0], kernel.data, bias.data, pad)[None]
     assert out.shape == expected.shape
     np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
 
@@ -183,23 +182,18 @@ def test_conv2d_batched_equals_frame_by_frame(rng):
     kernel = Tensor(rng.standard_normal((3, 2, 3, 3)))
     bias = Tensor(rng.standard_normal(3))
     g = Graph()
-    batched = g.conv2d(frames, kernel, bias, pad=1, stride=1)
+    batched = g.conv2d(frames, kernel, bias, pad=1)
     for t in range(4):
-        single = g.conv2d(Tensor(frames.data[t:t + 1]), kernel, bias, pad=1, stride=1)
+        single = g.conv2d(Tensor(frames.data[t:t + 1]), kernel, bias, pad=1)
         np.testing.assert_array_equal(batched.data[t], single.data[0])
 
 
-@pytest.mark.parametrize("extent,kernel,pad,stride,expected", [
-    (64, 5, 4, 1, 68),
-    (13, 5, 4, 1, 17),
-    (10, 3, 0, 2, 4),
-    (11, 3, 0, 2, 5),  # floor: the last column that does not fit is dropped
-])
-def test_conv2d_output_extent_follows_floor_rule(rng, extent, kernel, pad, stride, expected):
+@pytest.mark.parametrize("extent,kernel,pad,expected", [(64, 5, 4, 68), (13, 5, 4, 17)])
+def test_conv2d_output_extent(rng, extent, kernel, pad, expected):
     x = Tensor(rng.standard_normal((1, 1, extent, extent)))
     k = Tensor(rng.standard_normal((1, 1, kernel, kernel)))
     b = Tensor(np.zeros(1))
-    out = Graph().conv2d(x, k, b, pad=pad, stride=stride)
+    out = Graph().conv2d(x, k, b, pad=pad)
     assert out.shape == (1, 1, expected, expected)
 
 
@@ -207,15 +201,7 @@ def test_conv2d_gradient(rng):
     x = Tensor(rng.standard_normal((1, 2, 5, 4)))
     kernel = Tensor(rng.standard_normal((3, 2, 3, 3)))
     bias = Tensor(rng.standard_normal(3))
-    check_op_gradients(lambda g: g.conv2d(x, kernel, bias, pad=1, stride=1),
-                       [x, kernel, bias])
-
-
-def test_conv2d_gradient_strided(rng):
-    x = Tensor(rng.standard_normal((1, 1, 7, 6)))
-    kernel = Tensor(rng.standard_normal((2, 1, 3, 3)))
-    bias = Tensor(rng.standard_normal(2))
-    check_op_gradients(lambda g: g.conv2d(x, kernel, bias, pad=2, stride=2),
+    check_op_gradients(lambda g: g.conv2d(x, kernel, bias, pad=1),
                        [x, kernel, bias])
 
 
@@ -225,27 +211,26 @@ def test_conv2d_shape_errors(rng):
     k = Tensor(rng.standard_normal((4, 2, 3, 3)))  # wrong input channel count
     b = Tensor(np.zeros(4))
     with pytest.raises(ShapeError):
-        g.conv2d(x, k, b, pad=0, stride=1)
+        g.conv2d(x, k, b, pad=0)
     with pytest.raises(ShapeError):
-        g.conv2d(Tensor(x.data[0]), Tensor(np.zeros((4, 3, 3, 3))), b, pad=0, stride=1)
+        g.conv2d(Tensor(x.data[0]), Tensor(np.zeros((4, 3, 3, 3))), b, pad=0)
     with pytest.raises(ShapeError):
-        g.conv2d(x, Tensor(np.zeros((4, 3, 9, 9))), b, pad=0, stride=1)  # kernel too big
+        g.conv2d(x, Tensor(np.zeros((4, 3, 9, 9))), b, pad=0)  # kernel too big
     with pytest.raises(ShapeError):
-        g.conv2d(x, Tensor(np.zeros((4, 3, 3, 3))), Tensor(np.zeros(5)), pad=0, stride=1)
+        g.conv2d(x, Tensor(np.zeros((4, 3, 3, 3))), Tensor(np.zeros(5)), pad=0)
 
 
-def conv_case(x_shape, k_shape, pad, stride, seed):
+def conv_case(x_shape, k_shape, pad, seed):
     """A conv2d problem from its shapes and a seed: (T,Cin,H,W) input,
-    kernel, bias, pad, stride, and fixed random weights for the output."""
+    kernel, bias, pad, and fixed random weights for the output."""
     rng = np.random.default_rng(seed)
     t_n, _, h, w = x_shape
     cout, _, kh, kw = k_shape
     x = rng.standard_normal(x_shape)
     kernel = rng.standard_normal(k_shape)
     bias = rng.standard_normal(cout)
-    ho, wo = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
-    weights = rng.standard_normal((t_n, cout, ho, wo))
-    return x, kernel, bias, pad, stride, weights
+    weights = rng.standard_normal((t_n, cout, h + 2 * pad - kh + 1, w + 2 * pad - kw + 1))
+    return x, kernel, bias, pad, weights
 
 
 @st.composite
@@ -253,42 +238,42 @@ def conv_cases(draw, max_extent=7, max_pad=2, max_frames=3):
     """A random conv2d problem, as conv_case returns it."""
     cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    pad, stride = draw(st.integers(0, max_pad)), draw(st.integers(1, 3))
+    pad = draw(st.integers(0, max_pad))
     h = draw(st.integers(max(1, kh - 2 * pad), max_extent))
     w = draw(st.integers(max(1, kw - 2 * pad), max_extent))
     frames = draw(st.integers(1, max_frames))
-    return conv_case((frames, cin, h, w), (cout, cin, kh, kw), pad, stride,
+    return conv_case((frames, cin, h, w), (cout, cin, kh, kw), pad,
                      draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(conv_cases())
 def test_conv2d_property_matches_direct_sum(case):
-    x, kernel, bias, pad, stride, _ = case
-    out = Graph().conv2d(Tensor(x), Tensor(kernel), Tensor(bias), pad=pad, stride=stride)
-    expected = np.stack([conv2d_reference(f, kernel, bias, pad, stride) for f in x])
+    x, kernel, bias, pad, _ = case
+    out = Graph().conv2d(Tensor(x), Tensor(kernel), Tensor(bias), pad=pad)
+    expected = np.stack([conv2d_reference(f, kernel, bias, pad) for f in x])
     np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(conv_cases(max_extent=5))
 def test_conv2d_property_gradient(case):
-    x, kernel, bias, pad, stride, weights = case
+    x, kernel, bias, pad, weights = case
     tensors = [Tensor(x), Tensor(kernel), Tensor(bias)]
     w = Tensor(weights)
-    check_op_gradients(lambda g: g.mul(g.conv2d(*tensors, pad=pad, stride=stride), w),
+    check_op_gradients(lambda g: g.mul(g.conv2d(*tensors, pad=pad), w),
                        tensors)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(conv_cases())
 def test_conv2d_property_constant_input_gets_no_gradient(case):
-    x, kernel, bias, pad, stride, weights = case
+    x, kernel, bias, pad, weights = case
     grads = []
     for requires_grad in (True, False):
         xt, kt, bt = Tensor(x, requires_grad=requires_grad), Tensor(kernel), Tensor(bias)
         g = Graph()
-        g.backward(g.sum_all(g.mul(g.conv2d(xt, kt, bt, pad=pad, stride=stride),
+        g.backward(g.sum_all(g.mul(g.conv2d(xt, kt, bt, pad=pad),
                                    Tensor(weights))))
         assert (xt.grad is not None) == requires_grad
         grads.append((kt.grad, bt.grad))
@@ -296,7 +281,7 @@ def test_conv2d_property_constant_input_gets_no_gradient(case):
         np.testing.assert_array_equal(with_x, without_x)
 
 
-def conv2d_dx_reference(g, kernel, x_shape, pad, stride):
+def conv2d_dx_reference(g, kernel, x_shape, pad):
     """Input gradient by direct sum: every output position adds g times the
     kernel into the padded input window it read."""
     t_n, cin, h, w = x_shape
@@ -305,47 +290,54 @@ def conv2d_dx_reference(g, kernel, x_shape, pad, stride):
     for t in range(t_n):
         for i in range(g.shape[2]):
             for j in range(g.shape[3]):
-                window = (t, slice(None), slice(i * stride, i * stride + kh),
-                          slice(j * stride, j * stride + kw))
+                window = (t, slice(None), slice(i, i + kh), slice(j, j + kw))
                 dxp[window] += np.tensordot(g[t, :, i, j], kernel, axes=1)
     return dxp[:, :, pad:pad + h, pad:pad + w]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(conv_cases(max_extent=9, max_pad=5))
-@example(conv_case((1, 2, 6, 8), (2, 2, 3, 3), 0, 2, 0))  # stride 2: last row and column unread
-@example(conv_case((2, 1, 8, 8), (1, 1, 2, 2), 1, 3, 1))  # stride 3: last row and column unread
-@example(conv_case((1, 2, 3, 4), (2, 2, 2, 3), 3, 2, 2))  # pad past the kernel
+@example(conv_case((2, 3, 8, 6), (2, 3, 5, 5), 4, 0))  # the model's: g read unpadded
+@example(conv_case((1, 2, 4, 5), (2, 2, 5, 2), 2, 1))  # g padded in height, cropped in width
+@example(conv_case((1, 2, 3, 4), (2, 2, 2, 3), 3, 2))  # pad past the kernel: g cropped
 def test_conv2d_dx_matches_direct_sum(case):
-    x, kernel, bias, pad, stride, weights = case
+    x, kernel, bias, pad, weights = case
     xt = Tensor(x)
     g = Graph()
-    out = g.conv2d(xt, Tensor(kernel), Tensor(bias), pad=pad, stride=stride)
+    out = g.conv2d(xt, Tensor(kernel), Tensor(bias), pad=pad)
     g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
-    np.testing.assert_allclose(xt.grad, conv2d_dx_reference(weights, kernel, x.shape, pad, stride),
+    np.testing.assert_allclose(xt.grad, conv2d_dx_reference(weights, kernel, x.shape, pad),
                                rtol=0, atol=1e-12)
-    # input rows and columns past the last window get no gradient at all
-    rows_end = (out.shape[2] - 1) * stride + kernel.shape[2] - pad
-    cols_end = (out.shape[3] - 1) * stride + kernel.shape[3] - pad
-    assert not xt.grad[:, :, rows_end:].any()
-    assert not xt.grad[:, :, :, cols_end:].any()
 
 
 def conv2d_results(case):
     """Forward output and the gradients of x, kernel and bias for a case."""
-    x, kernel, bias, pad, stride, weights = case
+    x, kernel, bias, pad, weights = case
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
     g = Graph()
-    out = g.conv2d(xt, kt, bt, pad=pad, stride=stride)
+    out = g.conv2d(xt, kt, bt, pad=pad)
     g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
     return out.data, xt.grad, kt.grad, bt.grad
 
 
-def frame_column_bytes(case):
-    """im2col bytes per frame of the forward and of dx, whichever is smaller."""
-    x, kernel, _, _, _, weights = case
+def forward_frame_bytes(case):
+    """im2col bytes per frame of the forward (and dkernel)."""
+    _, kernel, _, _, weights = case
+    return kernel[0].size * weights.shape[2] * weights.shape[3] * 8
+
+
+def dx_frame_bytes(case):
+    """Bytes per frame of dx: its width-lowered output gradient, which
+    spans h + kh - 1 rows, and its two accumulators."""
+    x, kernel, _, _, _ = case
     cout, cin, kh, kw = kernel.shape
-    return min(cin * weights.shape[2] * weights.shape[3], cout * x.shape[2] * x.shape[3]) * kh * kw * 8
+    _, _, h, w = x.shape
+    return (cout * kw * (h + kh - 1) + 2 * cin * h) * w * 8
+
+
+def frame_column_bytes(case):
+    """Bytes per frame of the forward and of dx, whichever is smaller."""
+    return min(forward_frame_bytes(case), dx_frame_bytes(case))
 
 
 def assert_close_to_rounding(actual, expected):
@@ -355,8 +347,8 @@ def assert_close_to_rounding(actual, expected):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(conv_cases(max_extent=9, max_pad=5, max_frames=5), st.integers(1, 2))
-@example(conv_case((5, 2, 8, 8), (3, 2, 3, 3), 1, 1, 3), 1)
-@example(conv_case((4, 3, 9, 7), (2, 3, 2, 3), 5, 3, 4), 2)
+@example(conv_case((5, 2, 8, 8), (3, 2, 3, 3), 1, 3), 1)
+@example(conv_case((4, 3, 9, 7), (2, 3, 2, 3), 5, 4), 2)
 def test_conv2d_frame_blocks_match_one_block(case, frames_per_block):
     one_block = conv2d_results(case)
     with pytest.MonkeyPatch.context() as mp:
@@ -382,14 +374,14 @@ def closure_arrays(fn):
 
 
 def test_conv2d_vjp_keeps_at_most_one_block_of_columns(monkeypatch):
-    case = conv_case((6, 2, 9, 7), (3, 2, 3, 3), 1, 1, 5)
+    case = conv_case((6, 2, 9, 7), (3, 2, 3, 3), 1, 5)
     one_block = conv2d_results(case)
-    x, kernel, bias, pad, stride, weights = case
+    x, kernel, bias, pad, weights = case
     block_bytes = 2 * frame_column_bytes(case)
     monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", block_bytes)
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
     g = Graph()
-    out = g.conv2d(xt, kt, bt, pad=pad, stride=stride)
+    out = g.conv2d(xt, kt, bt, pad=pad)
     kept = closure_arrays(g._tape[-1].vjp)
     assert kept and max(a.nbytes for a in kept) <= block_bytes
     # all of the stack's columns would be three blocks
@@ -400,22 +392,28 @@ def test_conv2d_vjp_keeps_at_most_one_block_of_columns(monkeypatch):
 
 
 def test_conv2d_blocks_share_one_column_buffer_per_direction(monkeypatch):
-    case = conv_case((7, 2, 9, 7), (3, 2, 3, 3), 1, 2, 5)
+    case = conv_case((7, 2, 9, 7), (3, 2, 3, 3), 1, 5)
     one_block = conv2d_results(case)
-    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 2 * frame_column_bytes(case))
-    lowered = []
-    im2col = tensor._im2col
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES",
+                        2 * max(forward_frame_bytes(case), dx_frame_bytes(case)))
+    lowered = {"_im2col": [], "_width_cols": []}
 
-    def recording(*args):
-        lowered.append(im2col(*args))
-        return lowered[-1]
+    def recording(name):
+        lower = getattr(tensor, name)
 
-    monkeypatch.setattr(tensor, "_im2col", recording)
+        def record(*args):
+            lowered[name].append(lower(*args))
+            return lowered[name][-1]
+
+        return record
+
+    for name in lowered:
+        monkeypatch.setattr(tensor, name, recording(name))
     blocked = conv2d_results(case)
-    # forward: 4 blocks of at most 2 frames; dkernel rebuilds the first 3;
-    # dx: 7 blocks of one frame
-    assert len(lowered) == 4 + 3 + 7
-    cols, gcols = lowered[:7], lowered[7:]
+    # forward: 4 blocks of at most 2 frames, and dkernel rebuilds the first
+    # 3; dx: 4 blocks of at most 2 frames
+    cols, gcols = lowered["_im2col"], lowered["_width_cols"]
+    assert (len(cols), len(gcols)) == (4 + 3, 4)
     assert all(np.shares_memory(c, cols[0]) for c in cols)
     assert all(np.shares_memory(c, gcols[0]) for c in gcols)
     assert not np.shares_memory(cols[0], gcols[0])
@@ -424,32 +422,49 @@ def test_conv2d_blocks_share_one_column_buffer_per_direction(monkeypatch):
 
 
 REUSE_PROBE = """
-import resource
+import resource, sys
 import numpy as np
 import astpn.tensor
-a = np.empty(24 * 2**20 // 8)
-a.fill(1.0)
-del a
+n = int(sys.argv[1])
+bufs = [np.empty(24 * 2**20 // 8) for _ in range(n)]
+for a in bufs:
+    a.fill(1.0)
+del a, bufs
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-a = np.empty(24 * 2**20 // 8)
-a.fill(2.0)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, a.nbytes // resource.getpagesize())
+bufs = [np.empty(24 * 2**20 // 8) for _ in range(n)]
+for a in bufs:
+    a.fill(2.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
+      n * a.nbytes // resource.getpagesize())
 """
 
 
-def test_freed_buffers_are_reused_without_page_faults():
-    # importing astpn.tensor pins glibc's heap thresholds, so a freed 24 MiB
-    # buffer stays mapped and its reuse touches resident pages only; a fresh
-    # interpreter keeps the suite's own heap history out of the count
+def reuse_faults(n_buffers):
+    """Minor faults and pages of refilling n freed 24 MiB buffers, in a fresh
+    interpreter that has imported astpn.tensor (so the suite's own heap
+    history stays out of the count)."""
     pytest.importorskip("resource")
     try:
         ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         pytest.skip("the C library has no mallopt")
     env = dict(os.environ, PYTHONPATH=str(Path(tensor.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", REUSE_PROBE], capture_output=True,
-                          text=True, env=env, check=True)
-    faults, pages = map(int, proc.stdout.split())
+    proc = subprocess.run([sys.executable, "-c", REUSE_PROBE, str(n_buffers)],
+                          capture_output=True, text=True, env=env, check=True)
+    return map(int, proc.stdout.split())
+
+
+def test_freed_buffers_are_reused_without_page_faults():
+    # importing astpn.tensor pins glibc's heap thresholds, so a freed 24 MiB
+    # buffer stays mapped and its reuse touches resident pages only
+    faults, pages = reuse_faults(1)
+    assert faults < 0.01 * pages
+
+
+def test_heap_freed_past_128_mib_is_kept():
+    # a train step at 128x64 crops frees more than 128 MiB of heap buffers at
+    # its end; the heap keeps them, so the next step refills resident pages
+    faults, pages = reuse_faults(7)
     assert faults < 0.01 * pages
 
 
