@@ -70,12 +70,19 @@ def conv_stack_output_hw(hw: tuple[int, int]) -> tuple[int, int]:
 
 
 def conv_stack_forward(graph: Graph, frames: Tensor, params: ConvStackParams) -> Tensor:
-    """Run a (T,Cin,H,W) stack through conv/tanh(/pool) x3."""
+    """Run a (T,Cin,H,W) stack through conv/tanh(/pool) x3.
+
+    Layers 1 and 2 pool before their tanh. np.tanh never decreases, so the
+    values are those of pooling after it, and tanh runs on a quarter of the
+    cells. A gradient can land on another cell of a window only where two
+    different pre-activations have the same tanh.
+    """
     h = frames
     for i in range(3):
-        h = graph.tanh(graph.conv2d(h, params.kernels[i], params.biases[i], pad=CONV_PAD))
+        h = graph.conv2d(h, params.kernels[i], params.biases[i], pad=CONV_PAD)
         if i < 2:
             h = graph.maxpool2d(h, POOL_WINDOW)
+        h = graph.tanh(h)
     return h
 
 

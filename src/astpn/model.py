@@ -174,12 +174,12 @@ def forward_pair(graph: Graph, probe, gallery, params: AstpnParams,
     """Map a probe/gallery sequence pair to their pooled feature vectors.
 
     probe and gallery are SequenceSample objects (or anything with a
-    (T,C,H,W) .frames array): each runs through branch_rows, then
-    pool_pair pools the two together.
+    (T,C,H,W) .frames array): each runs through branch_rows, the two at the
+    same time (Graph.branches), then pool_pair pools the two together.
     """
-    p_frames, g_frames = _frame_stack(probe), _frame_stack(gallery)
-    p_rows = branch_rows(graph, p_frames, params, cfg)
-    g_rows = branch_rows(graph, g_frames, params, cfg)
+    p_rows, g_rows = graph.branches(
+        lambda branch, frames: branch_rows(branch, frames, params, cfg),
+        [_frame_stack(probe), _frame_stack(gallery)])
     return pool_pair(graph, p_rows, g_rows, params, cfg)
 
 

@@ -8,7 +8,11 @@ identical outputs and gradients.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
+import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -24,19 +28,87 @@ def _pin_heap() -> None:
     own ceiling for its dynamic threshold) come from the heap, and the heap
     is trimmed only past 1 GiB of free top: a train step at 128x64 crops
     frees more than 128 MiB at its end, and would otherwise fault it all back
-    in on the next step. Other C libraries are left alone.
+    in on the next step. glibc keeps one arena: a buffer a worker thread of
+    Graph.branches frees then goes back to the pinned main heap, where the
+    next step's buffers are carved from resident pages, not to an arena of
+    that thread, which dies with the step. Other C libraries are left alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's <malloc.h>
+    m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8  # glibc's <malloc.h>
     mallopt(m_mmap_threshold, 32 * 2**20)
     mallopt(m_trim_threshold, 2**30)
+    mallopt(m_arena_max, 1)
 
 
 _pin_heap()
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
+    None where numpy's BLAS is some other library or has no such control."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(lib_path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS at one thread for the block, its previous count restored
+    after; BLAS is left alone where it has no control."""
+    control = _openblas_threads()
+    if control is None:
+        yield
+        return
+    get, put = control
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _at_once(calls: list) -> list:
+    """Results of the calls in order, run at the same time: the first on the
+    calling thread, each other on a thread of its own, OpenBLAS at one thread
+    each. Every thread is joined before this returns or raises; an exception
+    is raised after all calls end, the first call's first."""
+    results, errors = [None] * len(calls), [None] * len(calls)
+
+    def run(i):
+        try:
+            results[i] = calls[i]()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[i] = exc
+
+    workers = []
+    with _one_blas_thread():
+        try:
+            for i in range(1, len(calls)):
+                worker = threading.Thread(target=run, args=(i,))
+                worker.start()
+                workers.append(worker)
+            run(0)
+        finally:
+            for worker in workers:
+                worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 class ShapeError(ValueError):
@@ -82,6 +154,10 @@ class Tensor:
 
 
 class _Node:
+    """One taped op: its output, its inputs and its vjp. out is a tuple for a
+    Graph.branches node, whose vjp takes a list with one gradient, or None,
+    per output."""
+
     __slots__ = ("out", "inputs", "vjp")
 
     def __init__(self, out, inputs, vjp):
@@ -185,10 +261,16 @@ class Graph:
         tape = self._tape
         while tape:
             node = tape.pop()
-            entry = pending.pop(id(node.out), None)
-            if entry is None:
-                continue
-            for t, g in zip(node.inputs, node.vjp(entry[1])):
+            if type(node.out) is tuple:  # a branches node: a gradient or None per output
+                g_out = [pending.pop(id(out), (None, None))[1] for out in node.out]
+                if all(g is None for g in g_out):
+                    continue
+            else:
+                entry = pending.pop(id(node.out), None)
+                if entry is None:
+                    continue
+                g_out = entry[1]
+            for t, g in zip(node.inputs, node.vjp(g_out)):
                 if g is None or not t.requires_grad:
                     continue
                 key = id(t)
@@ -197,8 +279,63 @@ class Graph:
                 else:
                     pending[key] = (t, g)
         # whatever was never popped belongs to leaves (tensors no op produced)
-        for t, g in pending.values():
+        self._deposit(pending)
+
+    def _deposit(self, leaf_grads: dict) -> None:
+        for t, g in leaf_grads.values():
             t.accumulate_grad(g)
+
+    # ---- concurrency ----
+
+    def branches(self, fn, args: list) -> list[Tensor]:
+        """fn(graph, arg) for every arg at the same time, as independent
+        branches of this graph; their outputs in args order.
+
+        The first arg runs on the calling thread and each other on a thread
+        of its own, OpenBLAS at one thread each (see _at_once). Each branch
+        records on a sub-tape of its own, and the graph records one node
+        whose vjp replays the sub-tapes at the same time, each through
+        Graph.backward from the scalar sum(out * g). A sub-tape keeps its
+        leaf gradients; the vjp adds them last branch first, the order in
+        which one tape holding the branches in sequence would reach them, and
+        returns them as gradients of the leaves the branches read. fn must
+        not write to tensors the branches share.
+
+        An unrecorded graph runs the branches one after the other on the
+        calling thread, at the BLAS thread count it finds, as feature
+        extraction runs its one branch. OpenBLAS may round a product at one
+        thread differently from one at more, so a recorded graph's values
+        can differ from an unrecorded one's in the last bits.
+        """
+        if not self.record:
+            return [fn(self, arg) for arg in args]
+        subs = [_Branch() for _ in args]
+        outs = _at_once([functools.partial(fn, sub, arg) for sub, arg in zip(subs, args)])
+        leaves = {}
+        for sub in subs:
+            made = {id(node.out) for node in sub._tape}
+            for node in sub._tape:
+                for t in node.inputs:
+                    if t.requires_grad and id(t) not in made:
+                        leaves.setdefault(id(t), t)
+        inputs = tuple(leaves.values())
+
+        def vjp(gs):
+            calls = []
+            for sub, out, g in zip(subs, outs, gs):
+                if g is not None:
+                    root = sub.sum_all(sub.mul(out, Tensor(g, requires_grad=False)))
+                    calls.append(functools.partial(sub.backward, root))
+            _at_once(calls)
+            grads = []
+            for t in inputs:
+                parts = [sub.leaf_grads[id(t)][1] for sub in reversed(subs)
+                         if id(t) in sub.leaf_grads]
+                grads.append(functools.reduce(np.add, parts) if parts else None)
+            return grads
+
+        self._tape.append(_Node(tuple(outs), inputs, vjp))
+        return outs
 
     # ---- linear algebra ----
 
@@ -255,7 +392,7 @@ class Graph:
         column buffer and multiplied by the kernel in one GEMM, so a stack
         that fits one block is one GEMM. The buffer ends the forward holding
         the last block's columns, which backward keeps; it rebuilds the others
-        into the same buffer for dkernel. dx correlates the output gradient,
+        into the same buffer for dkernel, then frees it. dx correlates the output gradient,
         padded by kh-1-pad and kw-1-pad (cropped where negative), with the
         flipped kernel: each block lowers it along its width only, into one
         buffer of its own, and sums kh GEMMs, one per kernel row, each over
@@ -304,6 +441,7 @@ class Graph:
         out = Tensor(out_d)
 
         def vjp(g):
+            nonlocal xp, buf, last_cols
             dbias = g.reshape(t_n, cout, ho * wo).sum(axis=(0, 2))
             dkernel = None
             for t0, t1 in reversed(blocks):
@@ -311,6 +449,7 @@ class Graph:
                 part = g[t0:t1].transpose(1, 0, 2, 3).reshape(cout, -1) @ cols.T
                 dkernel = part if dkernel is None else dkernel + part
             dkernel = dkernel.reshape(kd.shape)
+            xp = buf = last_cols = cols = None  # free the columns before dx's buffers
             if not x.requires_grad:
                 return None, dkernel, dbias
             # gp is (T, Cout, h+kh-1, w+kw-1): dx[t, :, y, x] sums, over
@@ -589,3 +728,16 @@ class Graph:
             return (g * d,)
 
         return self._push(out, (logits,), vjp)
+
+
+class _Branch(Graph):
+    """The sub-graph of one Graph.branches branch. Its backward keeps the
+    leaf gradients in leaf_grads instead of adding them to the leaves, which
+    the other branches share."""
+
+    def __init__(self):
+        super().__init__()
+        self.leaf_grads: dict[int, tuple[Tensor, np.ndarray]] = {}
+
+    def _deposit(self, leaf_grads: dict) -> None:
+        self.leaf_grads = leaf_grads

@@ -4,21 +4,28 @@ and checkpoint round trips."""
 import math
 import os
 import struct
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from astpn import tensor
 from astpn.datapipe import PairBatch, SequenceSample
 from astpn.model import (
     CheckpointError,
     LossConfig,
     VARIANTS,
+    branch_rows,
     extract_feature,
     forward_pair,
     hinge_loss,
     identity_loss,
     init_params,
     load_checkpoint,
+    pool_pair,
     rnn_input_dim,
     save_checkpoint,
     sgd_step,
@@ -339,6 +346,96 @@ def test_training_step_changes_parameters_deterministically():
         snapshots.append({n: t.data.copy() for n, t in params.named_tensors().items()})
     for name in snapshots[0]:
         np.testing.assert_array_equal(snapshots[0][name], snapshots[1][name])
+
+
+# ---- the two branches at once ----
+
+
+def sequential_total_loss(graph, pair, params, cfg):
+    """total_loss with both branches on one tape, probe first, as a train
+    step ran them before they ran at once."""
+    p_rows = branch_rows(graph, pair.probe.frames, params, cfg)
+    g_rows = branch_rows(graph, pair.gallery.frames, params, cfg)
+    v_p, v_g = pool_pair(graph, p_rows, g_rows, params, cfg)
+    loss = hinge_loss(graph, v_p, v_g, pair.same_person, cfg.margin)
+    loss = graph.add(loss, identity_loss(graph, v_p, pair.probe_label, params))
+    return graph.add(loss, identity_loss(graph, v_g, pair.gallery_label, params))
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_concurrent_pair_gradients_match_one_sequential_tape(same):
+    # the two differ only in rounding: OpenBLAS at one thread against the
+    # default count, and w_rec's per-branch sums added as two parts; the
+    # largest deviation seen here was 2.4e-15 of a tensor's largest entry
+    cfg = toy_cfg()
+    pair = toy_pair(seed=4, same=same, steps=5)
+    grads = []
+    for loss_fn in (sequential_total_loss, total_loss):
+        params = toy_params(cfg, feature_dim=8)
+        g = Graph()
+        g.backward(loss_fn(g, pair, params, cfg))
+        grads.append({n: t.grad for n, t in params.named_tensors().items()})
+    for name, expected in grads[0].items():
+        scale = np.abs(expected).max()
+        assert scale > 0, name
+        assert np.abs(grads[1][name] - expected).max() <= 1e-12 * scale, name
+
+
+def train_steps(n_steps, seed=0):
+    cfg = toy_cfg()
+    params = toy_params(cfg, seed=seed, feature_dim=8)
+    for step in range(n_steps):
+        g = Graph()
+        g.backward(total_loss(g, toy_pair(seed=step, same=step % 2 == 0, steps=3), params, cfg))
+        sgd_step(params, lr=0.05)
+    return {n: t.data.copy() for n, t in params.named_tensors().items()}
+
+
+def test_same_seed_training_is_bitwise_repeatable():
+    first, second = train_steps(10), train_steps(10)
+    for name in first:
+        assert first[name].tobytes() == second[name].tobytes(), name
+
+
+def test_shape_error_in_one_branch_leaves_the_next_step_working():
+    cfg = toy_cfg()
+    params = toy_params(cfg)
+    good = toy_pair()
+    bad = PairBatch(good.probe, SequenceSample("b", "c1", good.gallery.frames[:, :4]),
+                    False, 0, 1)
+    threads = threading.active_count()
+    with pytest.raises(ShapeError, match="channels"):
+        total_loss(Graph(), bad, params, cfg)
+    assert threading.active_count() == threads
+    g = Graph()
+    g.backward(total_loss(g, good, params, cfg))
+    sgd_step(params, lr=0.01)
+    assert all(np.isfinite(t.data).all() for t in params.named_tensors().values())
+
+
+def test_train_step_leaves_thread_and_blas_counts_as_it_found_them():
+    cfg = toy_cfg()
+    params = toy_params(cfg)
+    control = tensor._openblas_threads()
+    threads = threading.active_count()
+    blas = control[0]() if control else None
+    g = Graph()
+    g.backward(total_loss(g, toy_pair(), params, cfg))
+    sgd_step(params, lr=0.01)
+    assert threading.active_count() == threads
+    if control is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread control")
+    assert control[0]() == blas
+
+
+def test_import_astpn_does_not_import_concurrent_futures():
+    # concurrent.futures costs 6-9 ms of import time; threading is enough
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, astpn; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # ---- initialization ----

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -439,8 +440,28 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
 """
 
 
-def reuse_faults(n_buffers):
-    """Minor faults and pages of refilling n freed 24 MiB buffers, in a fresh
+THREAD_REUSE_PROBE = """
+import resource, threading
+import numpy as np
+import astpn.tensor
+
+def on_worker():
+    a = np.empty(24 * 2**20 // 8)
+    a.fill(1.0)
+
+worker = threading.Thread(target=on_worker)
+worker.start()
+worker.join()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+a = np.empty(24 * 2**20 // 8)
+a.fill(2.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
+      a.nbytes // resource.getpagesize())
+"""
+
+
+def reuse_faults(probe, *args):
+    """Minor faults and pages of refilling freed 24 MiB buffers, in a fresh
     interpreter that has imported astpn.tensor (so the suite's own heap
     history stays out of the count)."""
     pytest.importorskip("resource")
@@ -449,7 +470,7 @@ def reuse_faults(n_buffers):
     except (AttributeError, OSError, TypeError):
         pytest.skip("the C library has no mallopt")
     env = dict(os.environ, PYTHONPATH=str(Path(tensor.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", REUSE_PROBE, str(n_buffers)],
+    proc = subprocess.run([sys.executable, "-c", probe, *map(str, args)],
                           capture_output=True, text=True, env=env, check=True)
     return map(int, proc.stdout.split())
 
@@ -457,14 +478,21 @@ def reuse_faults(n_buffers):
 def test_freed_buffers_are_reused_without_page_faults():
     # importing astpn.tensor pins glibc's heap thresholds, so a freed 24 MiB
     # buffer stays mapped and its reuse touches resident pages only
-    faults, pages = reuse_faults(1)
+    faults, pages = reuse_faults(REUSE_PROBE, 1)
     assert faults < 0.01 * pages
 
 
 def test_heap_freed_past_128_mib_is_kept():
     # a train step at 128x64 crops frees more than 128 MiB of heap buffers at
     # its end; the heap keeps them, so the next step refills resident pages
-    faults, pages = reuse_faults(7)
+    faults, pages = reuse_faults(REUSE_PROBE, 7)
+    assert faults < 0.01 * pages
+
+
+def test_buffer_freed_on_a_worker_thread_is_reused_on_the_main_thread():
+    # glibc keeps one arena, so what a Graph.branches worker frees goes back
+    # to the pinned main heap, not to an arena of a thread that is gone
+    faults, pages = reuse_faults(THREAD_REUSE_PROBE)
     assert faults < 0.01 * pages
 
 
@@ -913,3 +941,137 @@ def test_identical_runs_are_bitwise_identical(rng):
         results.append((out.data.copy(), x.grad.copy()))
     np.testing.assert_array_equal(results[0][0], results[1][0])
     np.testing.assert_array_equal(results[0][1], results[1][1])
+
+
+# ---- concurrent branches ----
+
+
+def branch_program(g, x, w, b):
+    """A branch that reads the shared leaves w and b: sum over rows of
+    tanh(x w + b), with w used twice."""
+    h = g.tanh(g.add(g.matmul(x, w), g.matmul(x, g.transpose(g.transpose(w)))))
+    return g.matmul(h, g.reshape(b, (b.shape[0], 1)))
+
+
+def test_branches_match_one_tape_in_sequence(rng):
+    w = Tensor(rng.standard_normal((3, 4)))
+    b = Tensor(rng.standard_normal(4))
+    xs = [Tensor(rng.standard_normal((5, 3)), requires_grad=False) for _ in range(2)]
+    grads, outs = [], []
+    for concurrent in (False, True):
+        g = Graph()
+        if concurrent:
+            rows = g.branches(lambda sub, x: branch_program(sub, x, w, b), xs)
+        else:
+            rows = [branch_program(g, x, w, b) for x in xs]
+        loss = g.sum_all(g.mul(rows[0], g.tanh(rows[1])))
+        g.backward(loss)
+        outs.append([r.data.copy() for r in rows])
+        grads.append((w.grad, b.grad))
+        w.clear_grad()
+        b.clear_grad()
+    for seq, conc in zip(outs[0], outs[1]):
+        np.testing.assert_allclose(conc, seq, rtol=1e-13, atol=1e-15)
+    for seq, conc in zip(grads[0], grads[1]):
+        np.testing.assert_allclose(conc, seq, rtol=1e-12, atol=1e-14)
+
+
+def test_branches_under_fast_thread_switching_match_one_tape(rng):
+    # more branches than cores, switching threads every few microseconds: a
+    # gradient lost or added twice between branches would show
+    w = Tensor(rng.standard_normal((3, 4)))
+    b = Tensor(rng.standard_normal(4))
+    xs = [Tensor(rng.standard_normal((5, 3)), requires_grad=False) for _ in range(6)]
+    g = Graph()
+    g.backward(g.sum_all(g.concat([branch_program(g, x, w, b) for x in xs])))
+    expected = (w.grad, b.grad)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            w.clear_grad()
+            b.clear_grad()
+            g = Graph()
+            rows = g.branches(lambda sub, x: branch_program(sub, x, w, b), xs)
+            g.backward(g.sum_all(g.concat(rows)))
+            for got, want in zip((w.grad, b.grad), expected):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_branches_gradient_matches_finite_differences(rng):
+    w = Tensor(rng.standard_normal((3, 4)))
+    b = Tensor(rng.standard_normal(4))
+    xs = [Tensor(rng.standard_normal((5, 3)), requires_grad=False) for _ in range(2)]
+
+    def build(g):
+        rows = g.branches(lambda sub, x: branch_program(sub, x, w, b), xs)
+        return g.mul(rows[0], rows[1])
+
+    check_op_gradients(build, [w, b])
+
+
+def test_branches_gradient_reaches_only_through_used_outputs(rng):
+    w = Tensor(rng.standard_normal((3, 4)))
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=False)
+    g = Graph()
+    used, unused = g.branches(lambda sub, a: sub.tanh(sub.matmul(a, w)), [x, x])
+    g.backward(g.sum_all(used))
+    expected = x.data.T @ (1 - np.tanh(x.data @ w.data) ** 2)
+    np.testing.assert_allclose(w.grad, expected, rtol=1e-13)
+
+
+def test_branches_run_at_once_with_one_blas_thread_each():
+    control = tensor._openblas_threads()
+    threads_before = threading.active_count()
+    blas_before = control[0]() if control else None
+    seen = []
+    barrier = threading.Barrier(2, timeout=30)
+
+    def branch(sub, x):
+        barrier.wait()  # returns only while both branches run
+        seen.append((threading.get_ident(), control[0]() if control else None))
+        return sub.tanh(x)
+
+    Graph().branches(branch, [Tensor(np.zeros(2)), Tensor(np.ones(2))])
+    assert len({ident for ident, _ in seen}) == 2
+    assert threading.active_count() == threads_before
+    if control:
+        assert [n for _, n in seen] == [1, 1]
+        assert control[0]() == blas_before
+
+
+def test_branches_raise_the_first_error_after_every_branch_ends():
+    finished = []
+
+    def branch(sub, x):
+        if x.item() == 1.0:
+            raise ShapeError("first")
+        if x.item() == 2.0:
+            raise ValueError("second")
+        finished.append(x.item())
+        return sub.tanh(x)
+
+    threads_before = threading.active_count()
+    with pytest.raises(ShapeError, match="first"):
+        Graph().branches(branch, [Tensor(np.ones(())), Tensor(np.full((), 2.0)),
+                                  Tensor(np.zeros(()))])
+    assert finished == [0.0]
+    assert threading.active_count() == threads_before
+    with pytest.raises(ValueError, match="second"):
+        Graph().branches(branch, [Tensor(np.zeros(())), Tensor(np.full((), 2.0))])
+
+
+def test_unrecorded_branches_run_in_sequence_on_the_calling_thread():
+    seen = []
+
+    def branch(sub, x):
+        seen.append(threading.get_ident())
+        return sub.tanh(x)
+
+    g = Graph(record=False)
+    outs = g.branches(branch, [Tensor(np.zeros(2)), Tensor(np.ones(2))])
+    assert seen == [threading.get_ident()] * 2
+    assert len(g) == 0
+    np.testing.assert_array_equal(outs[1].data, np.tanh(np.ones(2)))
