@@ -157,6 +157,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             loaded = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise DatasetError(f"config file {config_path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise DatasetError(f"config file {config_path}: top level is not a JSON object")
         known = {f.name for f in fields(RunConfig)}
         unknown = set(loaded) - known
         if unknown:

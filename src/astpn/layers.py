@@ -51,22 +51,22 @@ def init_conv_stack(rng: np.random.Generator, in_channels: int = 5) -> ConvStack
     return ConvStackParams(kernels, biases)
 
 
-def conv_out_extent(extent: int, kernel: int = CONV_KERNEL, pad: int = CONV_PAD) -> int:
-    return extent + 2 * pad - kernel + 1
+def conv_out_extent(extent: int) -> int:
+    return extent + 2 * CONV_PAD - CONV_KERNEL + 1
 
 
-def pool_out_extent(extent: int, window: int = 2, stride: int = 2) -> int:
-    return (extent - window) // stride + 1
+def pool_out_extent(extent: int) -> int:
+    return extent // 2
 
 
 def conv_stack_output_hw(hw: tuple[int, int]) -> tuple[int, int]:
     """Spatial extents after conv+pool, conv+pool, conv."""
-    h, w = hw
-    h = pool_out_extent(conv_out_extent(h))
-    w = pool_out_extent(conv_out_extent(w))
-    h = pool_out_extent(conv_out_extent(h))
-    w = pool_out_extent(conv_out_extent(w))
-    return conv_out_extent(h), conv_out_extent(w)
+    out = []
+    for e in hw:
+        for _ in range(2):
+            e = pool_out_extent(conv_out_extent(e))
+        out.append(conv_out_extent(e))
+    return tuple(out)
 
 
 def conv_stack_forward(graph: Graph, frames: Tensor, params: ConvStackParams) -> Tensor:
@@ -187,8 +187,7 @@ def rnn_forward(graph: Graph, reps: Tensor, params: RnnParams,
     """Run per-frame descriptors through the recurrence.
 
     reps is a (T, L) Tensor. Each step computes o_t = U_in r_t + W_rec s_{t-1}
-    with s_t = tanh(o_t) and s_0 = 0. The input projections of all steps are
-    one (T, L) @ (L, N) matmul, so only W_rec s_{t-1} runs per step. Returns a
+    with s_t = tanh(o_t) and s_0 = 0, all in one Graph.rnn node. Returns a
     (T, N) matrix whose row t is o_t, or s_t when output="post_tanh".
     """
     if output not in RNN_OUTPUTS:
@@ -199,14 +198,8 @@ def rnn_forward(graph: Graph, reps: Tensor, params: RnnParams,
         raise ShapeError(
             f"rnn input rows of length {reps.shape[1]} do not match u_in {params.u_in.shape}"
         )
-    proj = graph.matmul(reps, graph.transpose(params.u_in))
-    state = Tensor(np.zeros(params.feature_dim), requires_grad=False)
-    rows = []
-    for t in range(reps.shape[0]):
-        o_t = graph.add(graph.take_row(proj, t), graph.matvec(params.w_rec, state))
-        state = graph.tanh(o_t)
-        rows.append(o_t if output == "pre_tanh" else state)
-    return graph.stack(rows)
+    rows = graph.rnn(reps, params.u_in, params.w_rec)
+    return rows if output == "pre_tanh" else graph.tanh(rows)
 
 
 @dataclass

@@ -10,6 +10,7 @@ import numpy as np
 
 from .datapipe import write_atomic
 from .layers import (
+    CONV_CHANNELS,
     CONV_KERNEL,
     AttentionParams,
     ConvStackParams,
@@ -94,15 +95,14 @@ class AstpnParams:
         return named
 
 
-def rnn_input_dim(cfg: LossConfig, frame_hw: tuple[int, int] | None = None,
-                  channels: int = 32) -> int:
+def rnn_input_dim(cfg: LossConfig, frame_hw: tuple[int, int] | None = None) -> int:
     """Length of the per-frame descriptor feeding the recurrence."""
     if cfg.variant == "atpn_only":
         if frame_hw is None:
             raise ValueError("variant atpn_only needs the frame size to fix the rnn input dim")
         h, w = conv_stack_output_hw(frame_hw)
-        return channels * (h // 2) * (w // 2)
-    return SppConfig(cfg.spp_bins).output_length(channels)
+        return CONV_CHANNELS[-1] * (h // 2) * (w // 2)
+    return SppConfig(cfg.spp_bins).output_length(CONV_CHANNELS[-1])
 
 
 def init_params(seed: int, n_identities: int, cfg: LossConfig,

@@ -348,9 +348,9 @@ class Graph:
         out = Tensor(ad @ bd)
 
         def vjp(g):
-            # db takes b's memory layout: when b is a transposed view (the
-            # recurrence's U_in^T), the parameter behind it gets a C-ordered
-            # gradient, which SGD then reads without striding
+            # db takes b's memory layout: when b is a transposed view of a
+            # parameter, the parameter gets a C-ordered gradient, which SGD
+            # then reads without striding
             db = (g.T @ ad).T if bd.flags.f_contiguous else ad.T @ g
             return g @ bd.T, db
 
@@ -368,6 +368,38 @@ class Graph:
             return np.outer(g, xd), ad.T @ g
 
         return self._push(out, (a, x), vjp)
+
+    def rnn(self, reps: Tensor, u_in: Tensor, w_rec: Tensor) -> Tensor:
+        """The (T, N) rows o_t = U_in r_t + W_rec s_{t-1}, s_t = tanh(o_t),
+        s_0 = 0, for the rows r_t of reps: one GEMM for every U_in r_t, one
+        matvec per step. The vjp runs back through time on the kept states,
+        do_t = g_t + (1 - s_t*s_t) * (W_rec^T do_{t+1}), then one GEMM per input.
+        """
+        if reps.data.ndim != 2 or reps.shape[0] < 1:
+            raise ShapeError(f"rnn needs a (T, L) input with T >= 1, got {reps.shape}")
+        if u_in.data.ndim != 2 or u_in.shape[1] != reps.shape[1]:
+            raise ShapeError(f"rnn: u_in {u_in.shape} does not match rows of {reps.shape}")
+        if w_rec.shape != (u_in.shape[0],) * 2:
+            raise ShapeError(f"rnn: w_rec {w_rec.shape} does not match u_in {u_in.shape}")
+        rd, ud, wd = reps.data, u_in.data, w_rec.data
+        o = rd @ ud.T
+        s = np.empty_like(o)
+        np.tanh(o[0], out=s[0])
+        for t in range(1, len(o)):
+            o[t] += wd @ s[t - 1]
+            np.tanh(o[t], out=s[t])
+        out = Tensor(o)
+
+        def vjp(g):
+            do = np.array(g)  # a copy: another node may hold g too
+            for t in range(len(do) - 2, -1, -1):
+                d = s[t] * s[t]
+                np.subtract(1.0, d, out=d)
+                d *= wd.T @ do[t + 1]
+                do[t] += d
+            return do @ ud, do.T @ rd, do[1:].T @ s[:-1]
+
+        return self._push(out, (reps, u_in, w_rec), vjp)
 
     def transpose(self, x: Tensor) -> Tensor:
         if x.data.ndim != 2:
@@ -636,35 +668,6 @@ class Graph:
             return tuple(np.split(g, splits, axis=axis))
 
         return self._push(out, tuple(xs), vjp)
-
-    def stack(self, xs: list[Tensor]) -> Tensor:
-        """Stack equal-length vectors into a matrix, one vector per row."""
-        if not xs:
-            raise ShapeError("stack needs at least one tensor")
-        for x in xs:
-            if x.data.ndim != 1 or x.shape != xs[0].shape:
-                raise ShapeError(f"stack needs matching vectors, got {[x.shape for x in xs]}")
-        out = Tensor(np.stack([x.data for x in xs]))
-
-        def vjp(g):
-            return tuple(g[i] for i in range(len(xs)))
-
-        return self._push(out, tuple(xs), vjp)
-
-    def take_row(self, x: Tensor, i: int) -> Tensor:
-        if x.data.ndim != 2:
-            raise ShapeError(f"take_row needs a matrix, got {x.shape}")
-        if not 0 <= i < x.shape[0]:
-            raise ShapeError(f"row {i} out of range for shape {x.shape}")
-        xshape = x.data.shape
-        out = Tensor(x.data[i])
-
-        def vjp(g):
-            dx = np.zeros(xshape)
-            dx[i] = g
-            return (dx,)
-
-        return self._push(out, (x,), vjp)
 
     # ---- reductions ----
 

@@ -226,10 +226,14 @@ def test_config_file_unknown_key_is_data_error(tmp_path):
     assert main(["train", "--config", str(cfg_path)]) == EXIT_DATA
 
 
-def test_config_file_invalid_json_is_data_error(tmp_path):
+@pytest.mark.parametrize("body", ["{nope", "3", '[["k", 2]]', '"k"'],
+                         ids=["broken", "number", "array", "string"])
+def test_config_file_invalid_json_is_data_error(tmp_path, capsys, body):
     cfg_path = tmp_path / "broken.json"
-    cfg_path.write_text("{nope")
+    cfg_path.write_text(body)
     assert main(["train", "--config", str(cfg_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command,flags", [

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from astpn.layers import (
     CONV_PAD,
     POOL_WINDOW,
+    RNN_OUTPUTS,
     AttentionParams,
     RnnParams,
     SppConfig,
@@ -384,17 +385,18 @@ def test_rnn_rejects_wrong_input_dim(rng):
         rnn_forward(Graph(), Tensor(rng.standard_normal((4, 5))), params, output="mid")
 
 
-def test_rnn_gradient_through_time(rng):
+@pytest.mark.parametrize("output", RNN_OUTPUTS)
+def test_rnn_gradient_through_time(rng, output):
     params = init_rnn(rng, input_dim=3, feature_dim=2)
     reps = Tensor(rng.standard_normal((4, 3)))
 
     def loss():
         g = Graph(record=False)
-        out = rnn_forward(g, reps, params)
+        out = rnn_forward(g, reps, params, output)
         return float(out.data.sum())
 
     g = Graph()
-    out = rnn_forward(g, reps, params)
+    out = rnn_forward(g, reps, params, output)
     g.backward(g.sum_all(out))
     h = 1e-6
     for t in (params.u_in, params.w_rec, reps):
@@ -408,6 +410,13 @@ def test_rnn_gradient_through_time(rng):
             lo = loss()
             flat[i] = orig
             assert gflat[i] == pytest.approx((hi - lo) / (2 * h), rel=1e-5, abs=1e-7)
+
+
+def test_rnn_records_one_tape_node(rng):
+    params = init_rnn(rng, input_dim=5, feature_dim=3)
+    g = Graph()
+    rnn_forward(g, Tensor(rng.standard_normal((16, 5))), params)
+    assert len(g) == 1
 
 
 # ---- attention ----

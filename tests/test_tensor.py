@@ -138,14 +138,32 @@ def test_transpose_roundtrip_and_gradient(rng):
 
 
 def test_transposed_operand_gets_a_c_ordered_gradient(rng):
-    # SGD reads the gradient of a parameter used through transpose (the
-    # recurrence's U_in) without striding
+    # SGD reads the gradient of a parameter used through transpose without
+    # striding
     a = Tensor(rng.standard_normal((3, 4)))
     u = Tensor(rng.standard_normal((5, 4)))
     g = Graph()
     g.backward(g.sum_all(g.matmul(a, g.transpose(u))))
     assert u.grad.flags.c_contiguous
     np.testing.assert_allclose(u.grad, np.ones((5, 3)) @ a.data, rtol=1e-15)
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+def test_rnn_gradient(rng, steps):
+    reps = Tensor(rng.standard_normal((steps, 5)))
+    u_in = Tensor(rng.standard_normal((3, 5)) / 2)
+    w_rec = Tensor(rng.standard_normal((3, 3)) / 2)
+    check_op_gradients(lambda g: g.rnn(reps, u_in, w_rec), [reps, u_in, w_rec])
+
+
+@pytest.mark.parametrize("reps_shape,u_shape,w_shape", [
+    ((2, 5), (3, 4), (3, 3)), ((2, 5), (3, 5), (4, 4)), ((2, 5), (3, 5), (3, 4)),
+    ((2, 5), (5,), (3, 3)), ((0, 5), (3, 5), (3, 3)), ((5,), (3, 5), (3, 3)),
+])
+def test_rnn_rejects_mismatched_shapes(reps_shape, u_shape, w_shape):
+    with pytest.raises(ShapeError):
+        Graph().rnn(Tensor(np.zeros(reps_shape)), Tensor(np.zeros(u_shape)),
+                    Tensor(np.zeros(w_shape)))
 
 
 # ---- convolution ----
@@ -717,28 +735,6 @@ def test_concat_splits_gradient(rng):
     out = g.concat([a, b], axis=0)
     assert out.shape == (6, 3)
     check_op_gradients(lambda g: g.concat([a, b], axis=0), [a, b])
-
-
-def test_stack_requires_matching_vectors(rng):
-    with pytest.raises(ShapeError):
-        Graph().stack([Tensor(np.zeros(3)), Tensor(np.zeros(4))])
-    a, b = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal(4))
-    out = Graph().stack([a, b])
-    np.testing.assert_array_equal(out.data, np.stack([a.data, b.data]))
-    check_op_gradients(lambda g: g.stack([a, b]), [a, b])
-
-
-def test_take_row_gradient_is_one_hot_rows(rng):
-    x = Tensor(rng.standard_normal((4, 3)))
-    g = Graph()
-    out = g.take_row(x, 2)
-    np.testing.assert_array_equal(out.data, x.data[2])
-    g.backward(g.sum_all(out))
-    expected = np.zeros((4, 3))
-    expected[2] = 1.0
-    np.testing.assert_array_equal(x.grad, expected)
-    with pytest.raises(ShapeError):
-        g.take_row(x, 4)
 
 
 # ---- reductions ----
