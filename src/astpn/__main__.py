@@ -1,0 +1,4 @@
+from astpn.cli import run
+
+if __name__ == "__main__":
+    run()

@@ -9,12 +9,15 @@ sequence, plus horizontal and vertical dense optical flow scaled to [-1, 1].
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .tensor import _at_once
 
 FLOW_MAX_PX = 8.0
 FLOW_WINDOW_RADIUS = 2  # 5x5 uniform window
@@ -98,6 +101,8 @@ def read_ppm(path) -> np.ndarray:
     w, h, maxval = fields
     if maxval != 255:
         raise DatasetError(f"{path}: unsupported PPM maxval {maxval}")
+    if w == 0 or h == 0:
+        raise DatasetError(f"{path}: PPM of {w}x{h} pixels holds no image")
     pos += 1  # single whitespace byte after maxval
     raster = blob[pos:pos + w * h * 3]
     if len(raster) != w * h * 3:
@@ -115,12 +120,16 @@ def _read_png(path) -> np.ndarray:
 
 
 def read_frame(path) -> np.ndarray:
+    """Decode one frame file; an entry that cannot be read as a file (a
+    directory, say, or one without read permission) is a DatasetError."""
     path = Path(path)
-    if path.suffix.lower() == ".ppm":
-        return read_ppm(path)
-    if path.suffix.lower() == ".png":
-        return _read_png(path)
-    raise DatasetError(f"{path}: unsupported frame format {path.suffix!r}")
+    suffix = path.suffix.lower()
+    if suffix not in (".ppm", ".png"):
+        raise DatasetError(f"{path}: unsupported frame format {path.suffix!r}")
+    try:
+        return read_ppm(path) if suffix == ".ppm" else _read_png(path)
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read frame: {exc.strerror or exc}") from exc
 
 
 # ---- raw dataset ----
@@ -182,40 +191,65 @@ def load_dataset(root) -> list[RawSequence]:
 # ---- color conversion and flow ----
 
 
-def rgb_to_yuv(frame: np.ndarray) -> np.ndarray:
-    """BT.601 YUV from (H,W,3) RGB in 0..255; returns (3,H,W) float64."""
-    f = np.asarray(frame, dtype=np.float64)
+def rgb_to_yuv(frames: np.ndarray) -> np.ndarray:
+    """BT.601 YUV from RGB in 0..255: a (H,W,3) frame gives (3,H,W), and a
+    (...,H,W,3) stack of frames gives (...,3,H,W), all float64."""
+    f = np.asarray(frames)
     r, g, b = f[..., 0], f[..., 1], f[..., 2]
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    u = 0.492 * (b - y)
-    v = 0.877 * (r - y)
-    return np.stack([y, u, v])
+    out = np.empty(f.shape[:-3] + (3,) + f.shape[-3:-1])
+    y, u, v = out[..., 0, :, :], out[..., 1, :, :], out[..., 2, :, :]
+    np.multiply(r, 0.299, out=y, dtype=np.float64)
+    np.multiply(g, 0.587, out=u, dtype=np.float64)  # u and v hold terms of y first
+    np.multiply(b, 0.114, out=v, dtype=np.float64)
+    y += u
+    y += v
+    np.subtract(b, y, out=u)
+    u *= 0.492
+    np.subtract(r, y, out=v)
+    v *= 0.877
+    return out
 
 
-def standardize_channels(stack: np.ndarray) -> np.ndarray:
-    """Zero-mean unit-variance per channel over a (T,C,H,W) stack.
+def standardize_channels(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Zero-mean unit-variance per channel over a (T,C,H,W) stack, written
+    into out (a new array by default) and returned.
 
     Channels with (numerically) zero variance come back as all zeros.
     """
-    out = np.empty_like(stack)
+    out = np.empty_like(stack) if out is None else out
     for c in range(stack.shape[1]):
         channel = stack[:, c]
         std = channel.std()
-        out[:, c] = 0.0 if std < 1e-12 else (channel - channel.mean()) / std
+        if std < 1e-12:
+            out[:, c] = 0.0
+        else:
+            np.subtract(channel, channel.mean(), out=out[:, c])
+            out[:, c] /= std
     return out
 
 
 def _box_sum(img: np.ndarray, radius: int) -> np.ndarray:
     """Sum over a (2r+1)^2 window of the last two axes, truncated at the
-    image border; leading axes are independent images."""
+    image border; leading axes are independent images.
+
+    The integral image is built padded to (h+2r+1, w+2r+1): zeros above and
+    left of it, its last row and column repeated below and right. Each
+    window's four corners, truncation included, are then plain slices."""
     h, w = img.shape[-2:]
-    ii = np.zeros(img.shape[:-2] + (h + 1, w + 1))
-    ii[..., 1:, 1:] = img.cumsum(axis=-2).cumsum(axis=-1)
-    r0 = np.clip(np.arange(h) - radius, 0, h)[:, None]
-    r1 = np.clip(np.arange(h) + radius + 1, 0, h)[:, None]
-    c0 = np.clip(np.arange(w) - radius, 0, w)
-    c1 = np.clip(np.arange(w) + radius + 1, 0, w)
-    return ii[..., r1, c1] - ii[..., r0, c1] - ii[..., r1, c0] + ii[..., r0, c0]
+    d = 2 * radius + 1
+    ii = np.empty(img.shape[:-2] + (h + d, w + d))
+    ii[..., :radius + 1, :] = 0.0
+    ii[..., radius + 1:, :radius + 1] = 0.0
+    core = ii[..., radius + 1:h + radius + 1, radius + 1:w + radius + 1]
+    np.cumsum(img, axis=-2, out=core)
+    np.cumsum(core, axis=-1, out=core)
+    ii[..., radius + 1:h + radius + 1, w + radius + 1:] = ii[..., radius + 1:h + radius + 1,
+                                                             w + radius:w + radius + 1]
+    ii[..., h + radius + 1:, :] = ii[..., h + radius:h + radius + 1, :]
+    out = ii[..., d:, d:] - ii[..., :h, d:]
+    out -= ii[..., d:, :w]
+    out += ii[..., :h, :w]
+    return out
 
 
 def lucas_kanade_flow(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -224,26 +258,45 @@ def lucas_kanade_flow(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     Per pixel the classic normal equations are solved over a 5x5 uniform
     window with Tikhonov damping, using central-difference spatial gradients
     of prev and temporal difference nxt - prev. prev and nxt are (H,W)
-    frames or equal (N,H,W) stacks of frame pairs. Returns (2,H,W), or
-    (N,2,H,W) for stacks: horizontal flow first, vertical second, both in
-    [-1, 1] (multiply by FLOW_MAX_PX for pixels).
+    frames or equal (N,H,W) stacks of frame pairs, at least 2x2 pixels.
+    Returns (2,H,W), or (N,2,H,W) for stacks: horizontal flow first,
+    vertical second, both in [-1, 1] (multiply by FLOW_MAX_PX for pixels).
     """
     prev = np.asarray(prev, dtype=np.float64)
     nxt = np.asarray(nxt, dtype=np.float64)
     if prev.shape != nxt.shape or prev.ndim not in (2, 3):
         raise DatasetError(f"flow needs two equal (H,W) frames or (N,H,W) stacks, "
                            f"got {prev.shape} and {nxt.shape}")
+    h, w = prev.shape[-2:]
+    if h < 2 or w < 2:
+        raise DatasetError(f"optical flow needs frames of at least 2x2 pixels, got {h}x{w}")
     gy, gx = np.gradient(prev, axis=(-2, -1))
-    gt = nxt - prev
-    sxx = _box_sum(gx * gx, FLOW_WINDOW_RADIUS) + FLOW_DAMPING
-    syy = _box_sum(gy * gy, FLOW_WINDOW_RADIUS) + FLOW_DAMPING
-    sxy = _box_sum(gx * gy, FLOW_WINDOW_RADIUS)
-    sxt = _box_sum(gx * gt, FLOW_WINDOW_RADIUS)
-    syt = _box_sum(gy * gt, FLOW_WINDOW_RADIUS)
-    det = sxx * syy - sxy * sxy
-    u = (-syy * sxt + sxy * syt) / det
-    v = (sxy * sxt - sxx * syt) / det
-    return np.clip(np.stack([u, v], axis=-3) / FLOW_MAX_PX, -1.0, 1.0)
+    products = np.empty((5,) + prev.shape)  # gx*gx, gy*gy, gx*gy, gx*gt, gy*gt
+    np.multiply(gx, gx, out=products[0])
+    np.multiply(gy, gy, out=products[1])
+    np.multiply(gx, gy, out=products[2])
+    gt = np.subtract(nxt, prev, out=products[4])
+    np.multiply(gx, gt, out=products[3])
+    np.multiply(gy, gt, out=products[4])
+    sxx, syy, sxy, sxt, syt = _box_sum(products, FLOW_WINDOW_RADIUS)
+    sxx += FLOW_DAMPING
+    syy += FLOW_DAMPING
+    flow = np.empty(prev.shape[:-2] + (2,) + prev.shape[-2:])
+    u, v = flow[..., 0, :, :], flow[..., 1, :, :]
+    det = sxx * syy
+    term = sxy * sxy
+    det -= term
+    np.negative(syy, out=u)
+    u *= sxt
+    np.multiply(sxy, syt, out=term)
+    u += term
+    u /= det
+    np.multiply(sxy, sxt, out=v)
+    np.multiply(sxx, syt, out=term)
+    v -= term
+    v /= det
+    flow /= FLOW_MAX_PX
+    return np.clip(flow, -1.0, 1.0, out=flow)
 
 
 # ---- preprocessed sequences ----
@@ -270,29 +323,51 @@ class SequenceSample:
         return self.frames.shape[2], self.frames.shape[3]
 
 
-def preprocess_sequence(raw: RawSequence) -> SequenceSample:
-    """Attach standardized YUV and optical flow channels to a raw sequence.
+def _fill_frames(raw: RawSequence, out: np.ndarray) -> None:
+    """Write raw's standardized YUV and flow channels into out (T,5,H,W).
 
     Flow at step t is computed between luminance frames t and t+1; the last
     frame reuses the previous flow field (zero flow for one-frame sequences).
     """
-    yuv = np.stack([rgb_to_yuv(f) for f in raw.frames])
+    yuv = rgb_to_yuv(np.stack(raw.frames))
+    standardize_channels(yuv, out=out[:, :3])
     lum = yuv[:, 0]
     if len(lum) > 1:
-        flows = lucas_kanade_flow(lum[:-1], lum[1:])
-        flows = np.concatenate([flows, flows[-1:]])
+        out[:-1, 3:] = lucas_kanade_flow(lum[:-1], lum[1:])
+        out[-1, 3:] = out[-2, 3:]
     else:
-        flows = np.zeros((1, 2) + lum.shape[1:])
-    return SequenceSample(
-        person_id=raw.person_id,
-        camera_id=raw.camera_id,
-        frames=np.concatenate([standardize_channels(yuv), flows], axis=1),
-        paths=raw.paths,
-    )
+        out[:, 3:] = 0.0
+
+
+def preprocess_sequence(raw: RawSequence) -> SequenceSample:
+    """Attach standardized YUV and optical flow channels to a raw sequence."""
+    return preprocess_dataset([raw])[0]
 
 
 def preprocess_dataset(raws: list[RawSequence]) -> list[SequenceSample]:
-    return [preprocess_sequence(r) for r in raws]
+    """preprocess_sequence of every raw sequence, in input order.
+
+    One worker runs per CPU the process may use, never more than there are
+    sequences; worker k takes sequences k, k+n, ... (see tensor._at_once).
+    The result is bitwise equal to one thread's. Every output array is
+    allocated here before the workers start, so the long-lived stacks sit
+    together in the heap instead of between the workers' temporaries.
+    """
+    if not raws:
+        return []
+    stacks = [np.empty((len(r.frames), FRAME_CHANNELS) + r.frames[0].shape[:2]) for r in raws]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    n = min(cpus, len(raws))
+
+    def work(k: int) -> None:
+        for i in range(k, len(raws), n):
+            _fill_frames(raws[i], stacks[i])
+
+    _at_once([functools.partial(work, k) for k in range(n)])
+    return [SequenceSample(r.person_id, r.camera_id, f, r.paths) for r, f in zip(raws, stacks)]
 
 
 def by_identity(samples: list[SequenceSample]) -> dict[str, dict[str, SequenceSample]]:

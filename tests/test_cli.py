@@ -3,6 +3,7 @@ codes and emitted artifacts can be asserted directly."""
 
 import argparse
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import astpn
 from astpn import evalkit
 from astpn.cli import (
     EXIT_CHECK,
@@ -475,6 +477,37 @@ def test_eval_inconsistent_checkpoint_is_data_error(cli_data, tmp_path):
     assert code == EXIT_DATA
 
 
+def test_frame_entry_that_is_not_a_file_is_data_error(cli_data, trained_run, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(cli_data, data)
+    (data / "p000" / "cam0" / "zz.ppm").mkdir()
+    code = main(["eval", "--data-root", str(data), "--out", str(tmp_path / "out"),
+                 "--checkpoint", str(trained_run / "checkpoint.astp"),
+                 "--feature-dim", "16", "--trials", "1"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "zz.ppm" in err and err.count("error:") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["one-row", "zero-width"])
+def test_frames_too_small_for_flow_are_data_error(tmp_path, capsys, kind):
+    data = tmp_path / "data"
+    if kind == "one-row":
+        assert main(["synth", str(data), "--ids", "2", "--frames", "3", "--height", "1",
+                     "--width", "20"]) == EXIT_OK
+    else:
+        for pid in ("p0", "p1"):
+            for cam in ("cam0", "cam1"):
+                for t in range(2):
+                    frame = data / pid / cam / f"{t:05d}.ppm"
+                    frame.parent.mkdir(parents=True, exist_ok=True)
+                    frame.write_bytes(b"P6\n0 4\n255\n")
+    code = main(["train", "--data-root", str(data), "--out", str(tmp_path / "out"),
+                 "--epochs", "1", "--feature-dim", "8", "--k", "2"])
+    assert code == EXIT_DATA
+    assert_one_error_line(capsys)
+
+
 def test_eval_requires_checkpoint(cli_data, tmp_path):
     assert main(["eval", "--data-root", str(cli_data),
                  "--out", str(tmp_path / "x")]) == EXIT_DATA
@@ -568,8 +601,26 @@ def test_gradcheck_bad_argument_is_usage_error(capsys, flag, value):
 # ---- console entry point ----
 
 
+def source_env():
+    """The environment with this checkout's src/ on PYTHONPATH, so a child
+    interpreter imports the astpn under test with or without an install."""
+    src = os.path.dirname(os.path.dirname(astpn.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_console_script_wiring():
     proc = subprocess.run([sys.executable, "-c",
                            "from astpn.cli import run; run()"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=source_env())
     assert proc.returncode == EXIT_USAGE  # no arguments is a usage error
+    assert "usage:" in proc.stderr  # not an import failure, which also exits 1
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # a source checkout runs the CLI without an install: PYTHONPATH=src python -m astpn
+    proc = subprocess.run([sys.executable, "-m", "astpn", "synth", str(tmp_path / "d"),
+                           "--ids", "2", "--frames", "2"],
+                          capture_output=True, text=True, env=source_env(), cwd=tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len(list((tmp_path / "d").rglob("*.ppm"))) == 2 * 2 * 2

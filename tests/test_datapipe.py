@@ -2,15 +2,22 @@
 known motions, augmentation geometry, sampling, splits, and the synthetic
 dataset generator."""
 
+import hashlib
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from astpn import datapipe
 from astpn.datapipe import (
     CROP_MARGIN,
     DatasetError,
+    FLOW_DAMPING,
     FLOW_MAX_PX,
+    FLOW_WINDOW_RADIUS,
     PairBatch,
     RawSequence,
     SequenceSample,
@@ -32,6 +39,58 @@ from astpn.datapipe import (
     write_ppm,
     write_split_files,
 )
+
+
+# ---- reference implementations: the straightforward forms that the
+# preprocessing must match bit for bit ----
+
+
+def ref_box_sum(img, radius):
+    h, w = img.shape[-2:]
+    ii = np.zeros(img.shape[:-2] + (h + 1, w + 1))
+    ii[..., 1:, 1:] = img.cumsum(axis=-2).cumsum(axis=-1)
+    r0 = np.clip(np.arange(h) - radius, 0, h)[:, None]
+    r1 = np.clip(np.arange(h) + radius + 1, 0, h)[:, None]
+    c0 = np.clip(np.arange(w) - radius, 0, w)
+    c1 = np.clip(np.arange(w) + radius + 1, 0, w)
+    return ii[..., r1, c1] - ii[..., r0, c1] - ii[..., r1, c0] + ii[..., r0, c0]
+
+
+def ref_flow(prev, nxt):
+    gy, gx = np.gradient(prev, axis=(-2, -1))
+    gt = nxt - prev
+    sxx = ref_box_sum(gx * gx, FLOW_WINDOW_RADIUS) + FLOW_DAMPING
+    syy = ref_box_sum(gy * gy, FLOW_WINDOW_RADIUS) + FLOW_DAMPING
+    sxy = ref_box_sum(gx * gy, FLOW_WINDOW_RADIUS)
+    sxt = ref_box_sum(gx * gt, FLOW_WINDOW_RADIUS)
+    syt = ref_box_sum(gy * gt, FLOW_WINDOW_RADIUS)
+    det = sxx * syy - sxy * sxy
+    u = (-syy * sxt + sxy * syt) / det
+    v = (sxy * sxt - sxx * syt) / det
+    return np.clip(np.stack([u, v], axis=-3) / FLOW_MAX_PX, -1.0, 1.0)
+
+
+def ref_yuv(frame):
+    f = np.asarray(frame, dtype=np.float64)
+    r, g, b = f[..., 0], f[..., 1], f[..., 2]
+    y = 0.299 * r + 0.587 * g + 0.114 * b
+    return np.stack([y, 0.492 * (b - y), 0.877 * (r - y)])
+
+
+def ref_preprocess(raw):
+    yuv = np.stack([ref_yuv(f) for f in raw.frames])
+    std = np.empty_like(yuv)
+    for c in range(3):
+        channel = yuv[:, c]
+        sd = channel.std()
+        std[:, c] = 0.0 if sd < 1e-12 else (channel - channel.mean()) / sd
+    lum = yuv[:, 0]
+    if len(lum) > 1:
+        flows = ref_flow(lum[:-1], lum[1:])
+        flows = np.concatenate([flows, flows[-1:]])
+    else:
+        flows = np.zeros((1, 2) + lum.shape[1:])
+    return np.concatenate([std, flows], axis=1)
 
 
 def smooth_image(rng, h, w):
@@ -77,6 +136,20 @@ def test_read_frame_rejects_unknown_suffix(tmp_path):
     path = tmp_path / "frame.bmp"
     path.write_bytes(b"")
     with pytest.raises(DatasetError, match="format"):
+        read_frame(path)
+
+
+def test_ppm_rejects_empty_image(tmp_path):
+    path = tmp_path / "empty.ppm"
+    path.write_bytes(b"P6\n0 4\n255\n")
+    with pytest.raises(DatasetError, match="0x4"):
+        read_ppm(path)
+
+
+def test_read_frame_of_a_directory_names_the_path(tmp_path):
+    path = tmp_path / "zz.ppm"
+    path.mkdir()
+    with pytest.raises(DatasetError, match="zz.ppm: cannot read frame"):
         read_frame(path)
 
 
@@ -135,6 +208,15 @@ def test_yuv_white_and_black():
     np.testing.assert_allclose(yuv[1], 0.0, atol=1e-10)
     np.testing.assert_allclose(yuv[2], 0.0, atol=1e-10)
     np.testing.assert_array_equal(rgb_to_yuv(np.zeros((2, 2, 3), dtype=np.uint8)), 0.0)
+
+
+def test_yuv_of_a_stack_is_the_stack_of_frames_bitwise(rng):
+    frames = rng.integers(0, 256, size=(2, 3, 5, 7, 3), dtype=np.uint8)
+    out = rgb_to_yuv(frames)
+    assert out.shape == (2, 3, 3, 5, 7)
+    ref = np.stack([[ref_yuv(f) for f in row] for row in frames])
+    assert out.tobytes() == ref.tobytes()
+    assert rgb_to_yuv(frames[0, 0]).tobytes() == ref_yuv(frames[0, 0]).tobytes()
 
 
 def test_yuv_pure_red_weights():
@@ -214,6 +296,32 @@ def test_flow_shape_mismatch():
         lucas_kanade_flow(np.zeros((4, 4)), np.zeros((5, 4)))
 
 
+@pytest.mark.parametrize("hw", [(1, 20), (20, 1), (1, 1), (0, 4)])
+def test_flow_rejects_frames_under_two_by_two(hw):
+    with pytest.raises(DatasetError, match="at least 2x2"):
+        lucas_kanade_flow(np.zeros(hw), np.ones(hw))
+
+
+def test_box_sum_matches_reference_bitwise(rng):
+    for lead in ((), (2,), (2, 3)):
+        for h in range(1, 13):
+            for w in range(1, 13):
+                img = rng.standard_normal(lead + (h, w)) * 100.0
+                for radius in (1, 2, 3):
+                    got = datapipe._box_sum(img, radius)
+                    assert got.shape == img.shape
+                    assert got.tobytes() == ref_box_sum(img, radius).tobytes(), (lead, h, w, radius)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (2, 3, 5), (4, 24, 16), (2, 72, 40),
+                                   (17, 9)])
+def test_flow_matches_reference_bitwise(rng, shape):
+    prev = rng.uniform(0, 255, size=shape)
+    nxt = prev + rng.normal(0, 10, size=shape)
+    got = lucas_kanade_flow(prev, nxt)
+    assert got.tobytes() == ref_flow(prev, nxt).tobytes()
+
+
 # ---- preprocessing ----
 
 
@@ -240,6 +348,65 @@ def test_preprocess_single_frame_has_zero_flow(rng):
     frames = [rng.integers(0, 256, size=(14, 10, 3), dtype=np.uint8)]
     sample = preprocess_sequence(RawSequence("p", "c", frames, ()))
     np.testing.assert_array_equal(sample.frames[0, 3:], 0.0)
+
+
+@pytest.mark.parametrize("size,n_ids,frames", [((24, 16), 8, 16), ((72, 40), 2, 6)])
+def test_preprocess_dataset_matches_reference_bitwise(tmp_path, size, n_ids, frames):
+    synth_dataset(tmp_path, n_ids=n_ids, n_cams=2, frames_per_seq=frames, size=size, seed=3)
+    raws = load_dataset(tmp_path)
+    raws.append(RawSequence("solo", "cam0", raws[0].frames[:1], raws[0].paths[:1]))
+    samples = preprocess_dataset(raws)
+    for raw, sample in zip(raws, samples, strict=True):
+        assert sample.frames.tobytes() == ref_preprocess(raw).tobytes()
+        assert sample.frames.shape == (len(raw.frames), 5) + size
+
+
+def fake_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_preprocess_dataset_keeps_input_order_and_joins_its_threads(monkeypatch, rng):
+    fake_cpus(monkeypatch, 3)
+    raws = [RawSequence(f"p{i}", "cam0",
+                        [rng.integers(0, 256, size=(10, 8, 3), dtype=np.uint8)
+                         for _ in range(2 + i % 3)], ())
+            for i in range(7)]
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more workers than cores, switching as often as it can
+    try:
+        samples = preprocess_dataset(raws)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert [s.person_id for s in samples] == [r.person_id for r in raws]
+    for raw, sample in zip(raws, samples):
+        assert sample.frames.tobytes() == preprocess_sequence(raw).frames.tobytes()
+    assert preprocess_dataset([]) == []
+
+
+def test_preprocess_dataset_on_one_cpu_starts_no_thread(monkeypatch, synth_root):
+    raws = load_dataset(synth_root)[:3]
+    fake_cpus(monkeypatch, 1)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    samples = preprocess_dataset(raws)
+    assert [s.frames.tobytes() for s in samples] == [ref_preprocess(r).tobytes() for r in raws]
+
+
+def test_preprocess_dataset_error_in_a_worker_keeps_its_type(monkeypatch, rng):
+    fake_cpus(monkeypatch, 2)
+    raws = [RawSequence(f"p{i}", "cam0",
+                        [rng.integers(0, 256, size=(1, 20, 3), dtype=np.uint8)
+                         for _ in range(3)], ())
+            for i in range(4)]
+    before = threading.active_count()
+    with pytest.raises(DatasetError, match="at least 2x2"):
+        preprocess_dataset(raws)
+    assert threading.active_count() == before
 
 
 def test_by_identity_groups_cameras(synth_index):
@@ -458,6 +625,17 @@ def test_synth_dataset_is_bitwise_reproducible(tmp_path):
     for fa in sorted((tmp_path / "a").rglob("*.ppm")):
         fb = tmp_path / "b" / fa.relative_to(tmp_path / "a")
         assert fa.read_bytes() == fb.read_bytes(), fa.name
+
+
+def test_synth_dataset_bytes_are_pinned(tmp_path):
+    # every benchmark workload is generated through _box_sum (_smooth_noise):
+    # a change to its arithmetic would change the data every figure is made on
+    synth_dataset(tmp_path, n_ids=2, n_cams=2, frames_per_seq=3, size=(12, 10), seed=42,
+                  signal_frames=2)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.rglob("*.ppm")):
+        digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == "1606aa3873175f627a3e74a46692972629adbbb569c11aaccb7bad96b164a0d6"
 
 
 def test_synth_dataset_seeds_differ(tmp_path):
