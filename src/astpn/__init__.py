@@ -7,12 +7,10 @@ from .layers import (
     ConvStackParams,
     RnnParams,
     SppConfig,
-    attention_matrix,
     attentive_summary,
     conv_stack_forward,
     rnn_forward,
     spp_forward,
-    temporal_weights,
 )
 from .model import (
     AstpnParams,

@@ -99,7 +99,13 @@ class RunConfig:
         # a value may come from a flag or from --config: either way a data error
         checks = (("trials", self.trials >= 1, ">= 1"), ("trial", self.trial >= 0, ">= 0"),
                   ("k", self.k >= 1, ">= 1"), ("feature_dim", self.feature_dim >= 1, ">= 1"),
-                  ("fraction", 0 < self.fraction <= 1, "in (0, 1]"))
+                  ("fraction", 0 < self.fraction <= 1, "in (0, 1]"),
+                  ("lr", 0 < self.lr < math.inf, "positive and finite"),
+                  ("lr_decay_factor", 0 < self.lr_decay_factor < math.inf,
+                   "positive and finite"),
+                  ("epochs", self.epochs >= 0, ">= 0"),
+                  ("save_every", self.save_every >= 0, ">= 0"),
+                  ("lr_decay_every", self.lr_decay_every >= 0, ">= 0"))
         for name, ok, bound in checks:
             if not ok:
                 raise DatasetError(f"{name} must be {bound}, got {getattr(self, name)}")

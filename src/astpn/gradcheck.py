@@ -94,7 +94,9 @@ def run_gradcheck(seed: int = 0, samples_per_tensor: int = 24,
     loss = total_loss(graph, pair, params, cfg)
     graph.backward(loss)
     named = params.named_tensors()
-    analytic = {name: np.array(t.grad) for name, t in named.items()}
+    # a tensor the loss never reaches (u_att under plain pooling) has no grad
+    analytic = {name: np.zeros(t.shape) if t.grad is None else t.grad
+                for name, t in named.items()}
     if corrupt is not None:
         if corrupt not in analytic:
             raise ValueError(f"unknown tensor {corrupt!r}")

@@ -213,9 +213,10 @@ def init_attention(rng: np.random.Generator, feature_dim: int) -> AttentionParam
     return AttentionParams(u_att=uniform_init(rng, (feature_dim, feature_dim), feature_dim))
 
 
-def attention_matrix(graph: Graph, probe_seq: Tensor, gallery_seq: Tensor,
-                     params: AttentionParams) -> Tensor:
-    """tanh(P U G^T): pairwise frame affinities, probe rows by gallery columns."""
+def attentive_summary(graph: Graph, probe_seq: Tensor, gallery_seq: Tensor,
+                      params: AttentionParams) -> tuple[Tensor, Tensor]:
+    """Jointly pool both sequences' (T, N) rows with the two-way attentive
+    head, Graph.attend; a zero U weighs every frame 1/T."""
     n = params.u_att.shape[0]
     if probe_seq.data.ndim != 2 or probe_seq.shape[1] != n:
         raise ShapeError(f"probe rows {probe_seq.shape} do not match u_att {params.u_att.shape}")
@@ -223,23 +224,4 @@ def attention_matrix(graph: Graph, probe_seq: Tensor, gallery_seq: Tensor,
         raise ShapeError(
             f"gallery rows {gallery_seq.shape} do not match u_att {params.u_att.shape}"
         )
-    scores = graph.matmul(graph.matmul(probe_seq, params.u_att), graph.transpose(gallery_seq))
-    return graph.tanh(scores)
-
-
-def temporal_weights(graph: Graph, affinity: Tensor) -> tuple[Tensor, Tensor]:
-    """Row-wise max for the probe side, column-wise max for the gallery side."""
-    return graph.max_along(affinity, 1), graph.max_along(affinity, 0)
-
-
-def attentive_summary(graph: Graph, probe_seq: Tensor, gallery_seq: Tensor,
-                      params: AttentionParams) -> tuple[Tensor, Tensor]:
-    """Jointly pool both sequences: softmax the temporal weights from the
-    affinity matrix and form attention-weighted sums of the rows."""
-    affinity = attention_matrix(graph, probe_seq, gallery_seq, params)
-    t_p, t_g = temporal_weights(graph, affinity)
-    a_p = graph.softmax(t_p)
-    a_g = graph.softmax(t_g)
-    v_p = graph.matvec(graph.transpose(probe_seq), a_p)
-    v_g = graph.matvec(graph.transpose(gallery_seq), a_g)
-    return v_p, v_g
+    return graph.attend(probe_seq, gallery_seq, params.u_att)

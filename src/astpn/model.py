@@ -153,20 +153,22 @@ def pool_pair(graph: Graph, p_rows: Tensor, g_rows: Tensor, params: AstpnParams,
               cfg: LossConfig) -> tuple[Tensor, Tensor]:
     """Pool two branches' (T, N) rows over time into their feature vectors.
 
-    Attentive for astpn and atpn_only, where each sequence's weights depend
-    on the other; uniform weights 1/T for aspn_only and mean_pool, through
-    the same ops as attentive pooling; elementwise max over time for
-    max_pool.
+    astpn and atpn_only pool attentively, each sequence's weights depending
+    on the other. aspn_only and mean_pool run the same head with a constant
+    zero U, which weighs every frame 1/T. max_pool takes the elementwise max
+    over time: a maxpool2d of the (1, 1, T, N) view with window (T, 1).
     """
-    if cfg.variant in ("astpn", "atpn_only"):
-        return attentive_summary(graph, p_rows, g_rows, params.att)
-    if cfg.variant in ("aspn_only", "mean_pool"):
-        def mean(rows):
-            w = Tensor(np.full(rows.shape[0], 1.0 / rows.shape[0]), requires_grad=False)
-            return graph.matvec(graph.transpose(rows), w)
+    if cfg.variant == "max_pool":
+        def max_over_time(rows):
+            t_n, n = rows.shape
+            return graph.reshape(graph.maxpool2d(graph.reshape(rows, (1, 1, t_n, n)),
+                                                 (t_n, 1)), (n,))
 
-        return mean(p_rows), mean(g_rows)
-    return graph.max_along(p_rows, 0), graph.max_along(g_rows, 0)
+        return max_over_time(p_rows), max_over_time(g_rows)
+    att = params.att
+    if cfg.variant in ("aspn_only", "mean_pool"):
+        att = AttentionParams(Tensor(np.zeros(att.u_att.shape), requires_grad=False))
+    return attentive_summary(graph, p_rows, g_rows, att)
 
 
 def forward_pair(graph: Graph, probe, gallery, params: AstpnParams,

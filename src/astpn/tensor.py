@@ -155,8 +155,8 @@ class Tensor:
 
 class _Node:
     """One taped op: its output, its inputs and its vjp. out is a tuple for a
-    Graph.branches node, whose vjp takes a list with one gradient, or None,
-    per output."""
+    node with several outputs (Graph.branches, Graph.attend), whose vjp takes
+    a list with one gradient, or None, per output."""
 
     __slots__ = ("out", "inputs", "vjp")
 
@@ -261,7 +261,7 @@ class Graph:
         tape = self._tape
         while tape:
             node = tape.pop()
-            if type(node.out) is tuple:  # a branches node: a gradient or None per output
+            if type(node.out) is tuple:  # several outputs: a gradient or None for each
                 g_out = [pending.pop(id(out), (None, None))[1] for out in node.out]
                 if all(g is None for g in g_out):
                     continue
@@ -339,23 +339,6 @@ class Graph:
 
     # ---- linear algebra ----
 
-    def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.data.ndim != 2 or b.data.ndim != 2:
-            raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner extents differ, {a.shape} vs {b.shape}")
-        ad, bd = a.data, b.data
-        out = Tensor(ad @ bd)
-
-        def vjp(g):
-            # db takes b's memory layout: when b is a transposed view of a
-            # parameter, the parameter gets a C-ordered gradient, which SGD
-            # then reads without striding
-            db = (g.T @ ad).T if bd.flags.f_contiguous else ad.T @ g
-            return g @ bd.T, db
-
-        return self._push(out, (a, b), vjp)
-
     def matvec(self, a: Tensor, x: Tensor) -> Tensor:
         if a.data.ndim != 2 or x.data.ndim != 1:
             raise ShapeError(f"matvec needs a matrix and a vector, got {a.shape} and {x.shape}")
@@ -401,15 +384,49 @@ class Graph:
 
         return self._push(out, (reps, u_in, w_rec), vjp)
 
-    def transpose(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2:
-            raise ShapeError(f"transpose needs a 2-d operand, got {x.shape}")
-        out = Tensor(x.data.T)
+    def attend(self, p: Tensor, g: Tensor, u: Tensor) -> tuple[Tensor, Tensor]:
+        """Two-way attentive pooling of probe rows p (Tp, N) and gallery rows
+        g (Tg, M) under a bilinear u (N, M), as one node with two outputs.
 
-        def vjp(g):
-            return (g.T,)
+        A = tanh(p u g^T) scores every pair of frames. The probe weights a_p
+        are a softmax over A's row maxima, the gallery weights a_g one over
+        its column maxima, and the outputs are (p^T a_p, g^T a_g). A tied max
+        takes its first position. The vjp counts an output that got no
+        gradient as getting zeros, and gives a constant u no gradient.
+        """
+        pd, gd, ud = p.data, g.data, u.data
+        if not (pd.ndim == gd.ndim == 2 and ud.shape == (pd.shape[1], gd.shape[1])
+                and len(pd) and len(gd)):
+            raise ShapeError(f"attend needs (Tp, N) and (Tg, M) rows with Tp, Tg >= 1 and "
+                             f"an (N, M) u, got {p.shape}, {g.shape} and {u.shape}")
 
-        return self._push(out, (x,), vjp)
+        def softmax(x):
+            z = np.exp(x - x.max())
+            return z / z.sum()
+
+        pu = pd @ ud
+        a = np.tanh(pu @ gd.T)
+        rows, cols = np.arange(len(pd)), np.arange(len(gd))
+        at_p, at_g = a.argmax(axis=1), a.argmax(axis=0)
+        w_p, w_g = softmax(a[rows, at_p]), softmax(a[at_g, cols])
+        outs = (Tensor(pd.T @ w_p), Tensor(gd.T @ w_g))
+
+        def vjp(gs):
+            d_p, d_g = (np.zeros(x.shape[1]) if d is None else d for x, d in zip((pd, gd), gs))
+            e_p, e_g = pd @ d_p, gd @ d_g  # the weights' gradients
+            # each max passes its softmax gradient to its first position
+            da_g = np.zeros(a.shape)
+            da_g[at_g, cols] = w_g * (e_g - np.dot(e_g, w_g))
+            da_p = np.zeros(a.shape)
+            da_p[rows, at_p] = w_p * (e_p - np.dot(e_p, w_p))
+            ds = a * a
+            np.subtract(1.0, ds, out=ds)
+            ds *= da_g + da_p
+            dpu = ds @ gd
+            return (np.outer(w_p, d_p) + dpu @ ud.T, np.outer(w_g, d_g) + ds.T @ pu,
+                    pd.T @ dpu if u.requires_grad else None)
+
+        return self._push(outs, (p, g, u), vjp)
 
     # ---- convolution and pooling ----
 
@@ -580,7 +597,8 @@ class Graph:
         out = Tensor(vals.reshape(t_n, c * n_r))
         if not self.record:
             return out  # no vjp reads the first-max positions
-        first = np.where(block == vals[:, :, None], np.arange(size)[:, None], size).min(axis=2)
+        # the first cell holding the max; a nan max matches no cell and takes cell 0
+        first = (block == vals[:, :, None]).argmax(axis=2)
         # flat index of each region's first max in the whole (T,C,H,W) input
         pos = table[first, np.arange(n_r)] + np.arange(t_n * c).reshape(t_n, c, 1) * (h * w)
 
@@ -671,24 +689,6 @@ class Graph:
 
     # ---- reductions ----
 
-    def max_along(self, x: Tensor, axis: int) -> Tensor:
-        """Max over one axis of a matrix; ties keep the first occurrence."""
-        if x.data.ndim != 2:
-            raise ShapeError(f"max_along needs a matrix, got {x.shape}")
-        if axis not in (0, 1):
-            raise ShapeError(f"max_along: axis must be 0 or 1, got {axis}")
-        xd = x.data
-        am = xd.argmax(axis=axis)
-        out = Tensor(np.take_along_axis(xd, np.expand_dims(am, axis), axis).squeeze(axis))
-        xshape = xd.shape
-
-        def vjp(g):
-            dx = np.zeros(xshape)
-            np.put_along_axis(dx, np.expand_dims(am, axis), np.expand_dims(g, axis), axis)
-            return (dx,)
-
-        return self._push(out, (x,), vjp)
-
     def sum_all(self, x: Tensor) -> Tensor:
         out = Tensor(x.data.sum())
         xshape = x.data.shape
@@ -699,19 +699,6 @@ class Graph:
         return self._push(out, (x,), vjp)
 
     # ---- probability ----
-
-    def softmax(self, x: Tensor) -> Tensor:
-        """Softmax of a vector, computed with the max subtracted for stability."""
-        if x.data.ndim != 1 or x.size < 1:
-            raise ShapeError(f"softmax needs a non-empty vector, got shape {x.shape}")
-        z = np.exp(x.data - x.data.max())
-        y = z / z.sum()
-        out = Tensor(y)
-
-        def vjp(g):
-            return (y * (g - np.dot(g, y)),)
-
-        return self._push(out, (x,), vjp)
 
     def cross_entropy(self, logits: Tensor, label: int) -> Tensor:
         """Negative log softmax probability of the labelled class."""

@@ -29,12 +29,10 @@ from astpn.gradcheck import run_gradcheck
 from astpn.layers import (
     AttentionParams,
     SppConfig,
-    attention_matrix,
     attentive_summary,
     conv_stack_forward,
     init_conv_stack,
     spp_forward,
-    temporal_weights,
 )
 from astpn.model import (
     LossConfig,
@@ -76,7 +74,11 @@ def test_criterion_2_analytic_values():
     tanh_one = g.tanh(Tensor(np.array(1.0))).item()
     assert abs(tanh_one - math.tanh(1.0)) < 1e-12
 
-    soft = g.softmax(Tensor(np.array([math.log(2.0), 0.0])))
+    # the head's softmax: identity rows make the affinity tanh(U) and expose
+    # the probe weights, and this U puts its row maxima at ln 2 and 0
+    eye = Tensor(np.eye(2))
+    u = AttentionParams(u_att=Tensor(np.diag([math.atanh(math.log(2.0)), 0.0])))
+    soft, _ = attentive_summary(g, eye, eye, u)
     assert abs(soft.data[0] - 2.0 / 3.0) < 1e-12
     assert abs(soft.data[1] - 1.0 / 3.0) < 1e-12
 
@@ -114,17 +116,18 @@ def test_criterion_3_spp_fixed_length_across_resolutions(rng):
 
 
 def test_criterion_4_attention_identities(rng):
-    # transpose identity, bitwise: dyadic rational inputs make every product
-    # and sum exact, so reversing the roles of the two sequences must agree
-    # to the last bit on all 100 instances
+    # role swap, bitwise: dyadic rational inputs make every product and sum
+    # exact, so pooling the sequences the other way round under U^T must give
+    # the same two vectors, swapped, to the last bit on all 100 instances
     for _ in range(100):
         p = Tensor(rng.integers(-8, 9, size=(4, 6)) / 8.0)
         q = Tensor(rng.integers(-8, 9, size=(5, 6)) / 8.0)
         u = rng.integers(-8, 9, size=(6, 6)) / 8.0
         g = Graph(record=False)
-        a = attention_matrix(g, p, q, AttentionParams(u_att=Tensor(u)))
-        b = attention_matrix(g, q, p, AttentionParams(u_att=Tensor(u.T)))
-        assert np.array_equal(a.data.T, b.data)
+        v_p, v_q = attentive_summary(g, p, q, AttentionParams(u_att=Tensor(u)))
+        w_q, w_p = attentive_summary(g, q, p, AttentionParams(u_att=Tensor(u.T)))
+        assert v_p.data.tobytes() == w_p.data.tobytes()
+        assert v_q.data.tobytes() == w_q.data.tobytes()
 
     # zero attention matrix reduces attentive pooling to the arithmetic mean
     p = Tensor(rng.standard_normal((6, 5)))
@@ -134,16 +137,15 @@ def test_criterion_4_attention_identities(rng):
     np.testing.assert_allclose(v_p.data, p.data.mean(axis=0), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(v_g.data, q.data.mean(axis=0), rtol=1e-12, atol=1e-12)
 
-    # attention weight vectors are probability distributions
-    g = Graph(record=False)
+    # attention weight vectors are probability distributions: identity rows
+    # expose them, since P = I gives v_p = a_p
     params = AttentionParams(u_att=Tensor(rng.standard_normal((5, 5))))
-    affinity = attention_matrix(g, p, q, params)
-    t_p, t_g = temporal_weights(g, affinity)
-    for t in (t_p, t_g):
-        w = g.softmax(t)
+    a_p, a_g = attentive_summary(Graph(record=False), Tensor(np.eye(5)), Tensor(np.eye(5)),
+                                 params)
+    for w in (a_p, a_g):
         assert abs(w.data.sum() - 1.0) < 1e-12
         assert (w.data > 0).all()
-    report(4, "transpose identity bitwise x100, zero-matrix mean reduction, weights sum to 1")
+    report(4, "role swap bitwise x100, zero-matrix mean reduction, weights sum to 1")
 
 
 # ---- 5 and shared artifacts: synthetic overfit run ----

@@ -174,6 +174,24 @@ def test_train_divergence_exits_check_and_keeps_only_finite_checkpoints(tmp_path
             assert np.isfinite(t.data).all()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_train_with_a_nan_parameter_exits_check_without_a_checkpoint(cli_data, tmp_path,
+                                                                      capsys, monkeypatch):
+    # a nan kernel makes every conv map nan, which the pyramid pooling must
+    # carry to the loss rather than fail on
+    def nan_init(*args, **kwargs):
+        params = init_params(*args, **kwargs)
+        params.conv.kernels[0].data[0, 0, 0, 0] = np.nan
+        return params
+
+    monkeypatch.setattr(astpn.cli, "init_params", nan_init)
+    out = tmp_path / "nan"
+    assert main(["train", "--data-root", str(cli_data), "--out", str(out), "--epochs", "1",
+                 "--k", "4", "--feature-dim", "8"]) == EXIT_CHECK
+    assert_one_error_line(capsys)
+    assert not list(out.glob("*.astp"))
+
+
 def test_save_if_finite_refuses_non_finite_parameters(tmp_path):
     params = init_params(0, 2, LossConfig(), feature_dim=4)
     assert _save_if_finite(params, tmp_path / "ok.astp")
@@ -245,7 +263,17 @@ def test_config_file_invalid_json_is_data_error(tmp_path, capsys, body):
     ("train", ["--margin", "-1"]),
     ("train", ["--feature-dim", "0"]),
     ("train", ["--trial", "-1"]),
-], ids=["trials", "fraction", "k", "margin", "feature_dim", "trial"])
+    ("train", ["--lr", "0"]),
+    ("train", ["--lr", "nan"]),
+    ("train", ["--lr", "inf"]),
+    ("train", ["--lr-decay-factor", "nan"]),
+    ("train", ["--lr-decay-factor", "-0.5"]),
+    ("train", ["--epochs", "-1"]),
+    ("train", ["--save-every", "-2"]),
+    ("train", ["--lr-decay-every", "-1"]),
+], ids=["trials", "fraction", "k", "margin", "feature_dim", "trial", "lr-zero", "lr-nan",
+        "lr-inf", "decay-factor-nan", "decay-factor-negative", "epochs", "save-every",
+        "decay-every"])
 def test_out_of_range_config_value_is_data_error(cli_data, trained_run, tmp_path, capsys,
                                                  command, flags):
     argv = [command, "--data-root", str(cli_data), "--out", str(tmp_path / "out"),
@@ -264,6 +292,21 @@ def test_out_of_range_value_in_config_file_is_data_error(cli_data, tmp_path):
     cfg_path.write_text(json.dumps({"k": 0, "epochs": 0, "feature_dim": 16}))
     assert main(["train", "--config", str(cfg_path), "--data-root", str(cli_data),
                  "--out", str(tmp_path / "out")]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("values", [
+    {"lr": float("nan")}, {"lr": -1}, {"lr_decay_factor": 0}, {"epochs": -1},
+    {"save_every": -1}, {"lr_decay_every": -3},
+], ids=["lr-nan", "lr-negative", "decay-factor-zero", "epochs", "save-every", "decay-every"])
+def test_out_of_range_training_setting_in_config_file_is_data_error(cli_data, tmp_path,
+                                                                   capsys, values):
+    cfg_path = tmp_path / "bad_setting.json"
+    cfg_path.write_text(json.dumps({"epochs": 0, "feature_dim": 16, **values}))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--data-root", str(cli_data),
+                 "--out", str(out)]) == EXIT_DATA
+    assert_one_error_line(capsys)
+    assert not (out / "checkpoint.astp").exists()
 
 
 def assert_one_error_line(capsys):

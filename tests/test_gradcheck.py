@@ -13,6 +13,7 @@ from astpn.gradcheck import (
     central_difference,
     run_gradcheck,
 )
+from astpn.model import VARIANTS
 from astpn.tensor import Tensor
 
 
@@ -47,6 +48,15 @@ def test_gradcheck_passes_on_every_tensor():
     assert report.passed, report.worst
     assert report.worst_overall < DEFAULT_TOL
     assert all(report.checked[name] >= 1 for name in expected)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_gradcheck_passes_for_every_variant(variant):
+    # the plain pooling variants leave att.u_att without a gradient, which
+    # counts as zero and must match its zero finite differences
+    report = run_gradcheck(seed=0, samples_per_tensor=3, variant=variant)
+    assert report.passed, report.worst
+    assert len(report.worst) == 11
 
 
 def test_gradcheck_step_does_not_cross_a_kink_on_seed_505():

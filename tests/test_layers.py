@@ -17,7 +17,6 @@ from astpn.layers import (
     RnnParams,
     SppConfig,
     _cell_bounds,
-    attention_matrix,
     attentive_summary,
     conv_out_extent,
     conv_stack_forward,
@@ -28,7 +27,6 @@ from astpn.layers import (
     pool_out_extent,
     rnn_forward,
     spp_forward,
-    temporal_weights,
     uniform_init,
 )
 from astpn.tensor import Graph, ShapeError, Tensor
@@ -422,62 +420,73 @@ def test_rnn_records_one_tape_node(rng):
 # ---- attention ----
 
 
+def summarize(p, g, u):
+    """attentive_summary's (v_p, v_g) on plain arrays, without a tape."""
+    v_p, v_g = attentive_summary(Graph(record=False), Tensor(p), Tensor(g),
+                                 AttentionParams(u_att=Tensor(u)))
+    return v_p.data, v_g.data
+
+
 def test_attention_matrix_identity_weights_give_tanh_of_gram():
-    p = np.array([[1.0, 0.0], [0.0, 1.0]])
+    # identity U scores tanh(P G^T); identity probe rows expose its weights
+    p = np.eye(2)
     g_rows = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]])
-    params = AttentionParams(u_att=Tensor(np.eye(2)))
-    out = attention_matrix(Graph(), Tensor(p), Tensor(g_rows), params)
-    np.testing.assert_allclose(out.data, np.tanh(p @ g_rows.T), rtol=1e-15)
-    assert out.shape == (2, 3)  # rectangular: unequal sequence lengths are fine
+    v_p, v_g = summarize(p, g_rows, np.eye(2))
+    affinity = np.tanh(p @ g_rows.T)  # rectangular: unequal sequence lengths are fine
+    np.testing.assert_allclose(v_p, softmax_reference(affinity.max(axis=1)), rtol=1e-15)
+    np.testing.assert_allclose(v_g, softmax_reference(affinity.max(axis=0)) @ g_rows,
+                               rtol=1e-15)
 
 
 def test_attention_diagonal_self_match_is_tanh_one():
+    # frames 0 and 1 match themselves at tanh(1); the zero frame 2 scores 0
     p = np.eye(3)
-    params = AttentionParams(u_att=Tensor(np.eye(3)))
-    out = attention_matrix(Graph(), Tensor(p), Tensor(p), params)
-    np.testing.assert_allclose(np.diag(out.data), math.tanh(1.0), rtol=1e-15)
+    p[2] = 0.0
+    v_p, _ = summarize(p, p, np.eye(3))
+    t = math.tanh(1.0)
+    np.testing.assert_allclose(v_p[:2], math.exp(t) / (2 * math.exp(t) + 1), rtol=1e-15)
 
 
 def test_attention_transpose_identity_bitwise_on_dyadic_inputs(rng):
     # entries are small integer multiples of 2^-3, so every product and sum in
-    # the affinity computation is exact and both evaluation orders agree bitwise
+    # the affinity computation is exact: swapping the sequences and using U^T
+    # transposes it exactly, and swaps the pooled vectors bitwise
     for trial in range(100):
-        p = Tensor(rng.integers(-8, 9, size=(3, 4)) / 8.0)
-        gal = Tensor(rng.integers(-8, 9, size=(5, 4)) / 8.0)
+        p = rng.integers(-8, 9, size=(3, 4)) / 8.0
+        gal = rng.integers(-8, 9, size=(5, 4)) / 8.0
         u = rng.integers(-8, 9, size=(4, 4)) / 8.0
-        g = Graph(record=False)
-        a = attention_matrix(g, p, gal, AttentionParams(u_att=Tensor(u)))
-        b = attention_matrix(g, gal, p, AttentionParams(u_att=Tensor(u.T)))
-        np.testing.assert_array_equal(a.data.T, b.data)
+        v_p, v_g = summarize(p, gal, u)
+        w_g, w_p = summarize(gal, p, u.T)
+        assert v_p.tobytes() == w_p.tobytes() and v_g.tobytes() == w_g.tobytes()
 
 
 def test_attention_transpose_identity_on_generic_floats(rng):
-    p = Tensor(rng.standard_normal((4, 6)))
-    gal = Tensor(rng.standard_normal((7, 6)))
+    p = rng.standard_normal((4, 6))
+    gal = rng.standard_normal((7, 6))
     u = rng.standard_normal((6, 6))
-    g = Graph(record=False)
-    a = attention_matrix(g, p, gal, AttentionParams(u_att=Tensor(u)))
-    b = attention_matrix(g, gal, p, AttentionParams(u_att=Tensor(u.T)))
-    np.testing.assert_allclose(a.data.T, b.data, rtol=1e-12, atol=1e-12)
+    v_p, v_g = summarize(p, gal, u)
+    w_g, w_p = summarize(gal, p, u.T)
+    np.testing.assert_allclose(w_p, v_p, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(w_g, v_g, rtol=1e-12, atol=1e-12)
 
 
 def test_temporal_weights_select_row_and_column_maxes():
-    affinity = Tensor(np.array([[0.1, 0.9], [0.3, 0.2]]))
-    t_p, t_g = temporal_weights(Graph(), affinity)
-    np.testing.assert_array_equal(t_p.data, [0.9, 0.3])
-    np.testing.assert_array_equal(t_g.data, [0.3, 0.9])
+    # with P = G = I the affinity is tanh(U), here the matrix below; the
+    # probe weighs its row maxima 0.9, 0.3 and the gallery its column maxima
+    # 0.3, 0.9
+    affinity = np.array([[0.1, 0.9], [0.3, 0.2]])
+    a_p, a_g = summarize(np.eye(2), np.eye(2), np.arctanh(affinity))
+    np.testing.assert_allclose(a_p, softmax_reference(np.array([0.9, 0.3])), rtol=1e-15)
+    np.testing.assert_allclose(a_g, softmax_reference(np.array([0.3, 0.9])), rtol=1e-15)
 
 
 def test_attentive_summary_weights_sum_to_one(rng):
-    p = Tensor(rng.standard_normal((5, 4)))
-    gal = Tensor(rng.standard_normal((3, 4)))
-    params = init_attention(rng, 4)
-    g = Graph(record=False)
-    affinity = attention_matrix(g, p, gal, params)
-    t_p, t_g = temporal_weights(g, affinity)
-    a_p, a_g = g.softmax(t_p), g.softmax(t_g)
-    assert a_p.data.sum() == pytest.approx(1.0, abs=1e-12)
-    assert a_g.data.sum() == pytest.approx(1.0, abs=1e-12)
+    # identity rows expose the weights: P = I gives v_p = a_p
+    u = init_attention(rng, 5).u_att.data
+    a_p, a_g = summarize(np.eye(5), np.eye(5)[:3], u)
+    assert a_p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert a_g[:3].sum() == pytest.approx(1.0, abs=1e-12)
+    assert (a_p > 0).all() and (a_g[:3] > 0).all() and not a_g[3:].any()
 
 
 def test_attentive_summary_zero_weights_is_mean_pooling(rng):
@@ -505,8 +514,11 @@ def test_attentive_summary_is_convex_combination_of_rows(rng):
 def test_attention_rejects_mismatched_feature_dims(rng):
     params = init_attention(rng, 4)
     with pytest.raises(ShapeError):
-        attention_matrix(Graph(), Tensor(rng.standard_normal((3, 5))),
-                         Tensor(rng.standard_normal((3, 4))), params)
+        attentive_summary(Graph(), Tensor(rng.standard_normal((3, 5))),
+                          Tensor(rng.standard_normal((3, 4))), params)
+    with pytest.raises(ShapeError):
+        attentive_summary(Graph(), Tensor(rng.standard_normal((3, 4))),
+                          Tensor(rng.standard_normal((3, 5))), params)
 
 
 def test_attentive_summary_gradient(rng):
@@ -549,19 +561,9 @@ def test_attention_head_property_matches_numpy_reference(t_p, t_g, n, scale, see
     p = scale * rng.standard_normal((t_p, n))
     gal = scale * rng.standard_normal((t_g, n))
     u = rng.standard_normal((n, n))
-    params = AttentionParams(u_att=Tensor(u))
-    g = Graph(record=False)
-    affinity = attention_matrix(g, Tensor(p), Tensor(gal), params)
+    v_p, v_g = summarize(p, gal, u)
     expected = np.tanh(p @ u @ gal.T)
-    np.testing.assert_allclose(affinity.data, expected, rtol=0, atol=1e-12)
-    t_row, t_col = temporal_weights(g, affinity)
-    np.testing.assert_array_equal(t_row.data, affinity.data.max(axis=1))
-    np.testing.assert_array_equal(t_col.data, affinity.data.max(axis=0))
-    a_p = g.softmax(t_row)
-    np.testing.assert_allclose(a_p.data, softmax_reference(expected.max(axis=1)),
-                               rtol=0, atol=1e-12)
-    v_p, v_g = attentive_summary(g, Tensor(p), Tensor(gal), params)
-    np.testing.assert_allclose(v_p.data, softmax_reference(expected.max(axis=1)) @ p,
+    np.testing.assert_allclose(v_p, softmax_reference(expected.max(axis=1)) @ p,
                                rtol=0, atol=1e-12 * scale)
-    np.testing.assert_allclose(v_g.data, softmax_reference(expected.max(axis=0)) @ gal,
+    np.testing.assert_allclose(v_g, softmax_reference(expected.max(axis=0)) @ gal,
                                rtol=0, atol=1e-12 * scale)

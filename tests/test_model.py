@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from astpn import tensor
+from astpn.layers import RNN_OUTPUTS
 from astpn.datapipe import PairBatch, SequenceSample
 from astpn.model import (
     CheckpointError,
@@ -128,6 +129,18 @@ def test_max_pool_takes_elementwise_max_over_time():
     cfg_mean = toy_cfg("mean_pool")
     v_mean, _ = forward_pair(Graph(), pair.probe, pair.gallery, params, cfg_mean)
     assert (v_p.data >= v_mean.data - 1e-12).all()
+
+
+def test_max_pool_is_the_max_over_time_and_its_gradient_takes_the_first_max():
+    rows = Tensor(np.array([[1.0, -2.0, 0.5], [3.0, -2.0, 0.5], [3.0, -4.0, 0.0]]))
+    cfg = toy_cfg("max_pool")
+    g = Graph()
+    v_p, v_g = pool_pair(g, rows, rows, toy_params(cfg, feature_dim=3), cfg)
+    np.testing.assert_array_equal(v_p.data, [3.0, -2.0, 0.5])
+    np.testing.assert_array_equal(v_g.data, v_p.data)
+    g.backward(g.sum_all(g.mul(v_p, Tensor(np.array([1.0, 2.0, 3.0])))))
+    np.testing.assert_array_equal(rows.grad, [[0.0, 2.0, 3.0], [1.0, 0.0, 0.0],
+                                              [0.0, 0.0, 0.0]])
 
 
 def test_atpn_only_uses_plain_pooling_head():
@@ -302,6 +315,33 @@ def test_mean_pool_leaves_attention_without_gradient():
     g.backward(total_loss(g, pair, params, cfg))
     assert params.att.u_att.grad is None
     assert params.rnn.u_in.grad is not None
+
+
+def test_every_public_graph_op_serves_the_model(monkeypatch):
+    # one positive and one negative training step and one extraction, for
+    # every variant and recurrence output, call every public Graph method: an
+    # op that no layer needs any more fails here
+    public = {name for name, value in vars(Graph).items()
+              if callable(value) and not name.startswith("_")}
+    called = set()
+
+    def recording(name, method):
+        def record(*args, **kwargs):
+            called.add(name)
+            return method(*args, **kwargs)
+        return record
+
+    for name in public:
+        monkeypatch.setattr(Graph, name, recording(name, getattr(Graph, name)))
+    for variant in VARIANTS:
+        for rnn_output in RNN_OUTPUTS:
+            cfg = toy_cfg(variant, rnn_output=rnn_output)
+            params = toy_params(cfg)
+            for same in (True, False):
+                g = Graph()
+                g.backward(total_loss(g, toy_pair(same=same), params, cfg))
+            extract_feature(toy_pair().probe, params, cfg)
+    assert called == public
 
 
 # ---- SGD ----

@@ -92,32 +92,6 @@ def test_accumulate_grad_adds():
 # ---- linear algebra ----
 
 
-def test_matmul_matches_triple_loop(rng):
-    a = Tensor(rng.standard_normal((4, 6)))
-    b = Tensor(rng.standard_normal((6, 3)))
-    out = Graph().matmul(a, b)
-    expected = np.zeros((4, 3))
-    for i in range(4):
-        for j in range(3):
-            for k in range(6):
-                expected[i, j] += a.data[i, k] * b.data[k, j]
-    np.testing.assert_allclose(out.data, expected, rtol=1e-12)
-
-
-def test_matmul_rejects_bad_shapes():
-    g = Graph()
-    with pytest.raises(ShapeError):
-        g.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
-    with pytest.raises(ShapeError):
-        g.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
-
-
-def test_matmul_gradient(rng):
-    a = Tensor(rng.standard_normal((3, 5)))
-    b = Tensor(rng.standard_normal((5, 2)))
-    check_op_gradients(lambda g: g.matmul(a, b), [a, b])
-
-
 def test_matvec_matches_numpy(rng):
     a = Tensor(rng.standard_normal((4, 7)))
     x = Tensor(rng.standard_normal(7))
@@ -128,24 +102,6 @@ def test_matvec_gradient(rng):
     a = Tensor(rng.standard_normal((4, 3)))
     x = Tensor(rng.standard_normal(3))
     check_op_gradients(lambda g: g.matvec(a, x), [a, x])
-
-
-def test_transpose_roundtrip_and_gradient(rng):
-    x = Tensor(rng.standard_normal((3, 5)))
-    g = Graph()
-    np.testing.assert_array_equal(g.transpose(g.transpose(x)).data, x.data)
-    check_op_gradients(lambda g: g.transpose(x), [x])
-
-
-def test_transposed_operand_gets_a_c_ordered_gradient(rng):
-    # SGD reads the gradient of a parameter used through transpose without
-    # striding
-    a = Tensor(rng.standard_normal((3, 4)))
-    u = Tensor(rng.standard_normal((5, 4)))
-    g = Graph()
-    g.backward(g.sum_all(g.matmul(a, g.transpose(u))))
-    assert u.grad.flags.c_contiguous
-    np.testing.assert_allclose(u.grad, np.ones((5, 3)) @ a.data, rtol=1e-15)
 
 
 @pytest.mark.parametrize("steps", [1, 4])
@@ -164,6 +120,223 @@ def test_rnn_rejects_mismatched_shapes(reps_shape, u_shape, w_shape):
     with pytest.raises(ShapeError):
         Graph().rnn(Tensor(np.zeros(reps_shape)), Tensor(np.zeros(u_shape)),
                     Tensor(np.zeros(w_shape)))
+
+
+# ---- attention ----
+
+
+def attend_composition(p, g, u, d_p, d_g):
+    """The head as separate ops compute it, in plain numpy: outputs and
+    gradients of p^T softmax(max_j A) and g^T softmax(max_i A), A = tanh(p u
+    g^T), each gradient summed in the order a tape of those ops adds it. d_p
+    or d_g is None for an output that gets no gradient."""
+    pu = p @ u
+    a = np.tanh(pu @ g.T)
+    am_p, am_g = a.argmax(axis=1), a.argmax(axis=0)
+    t_p = np.take_along_axis(a, am_p[:, None], 1)[:, 0]
+    t_g = np.take_along_axis(a, am_g[None], 0)[0]
+    w_p, w_g = (np.exp(t - t.max()) / np.exp(t - t.max()).sum() for t in (t_p, t_g))
+    outs = (p.T @ w_p, g.T @ w_g)
+    dp = dg = da = None
+    if d_g is not None:
+        dg = np.outer(d_g, w_g).T
+        e = g @ d_g
+        da = np.zeros(a.shape)
+        np.put_along_axis(da, am_g[None], (w_g * (e - np.dot(e, w_g)))[None], 0)
+    if d_p is not None:
+        dp = np.outer(d_p, w_p).T
+        e = p @ d_p
+        da_p = np.zeros(a.shape)
+        np.put_along_axis(da_p, am_p[:, None], (w_p * (e - np.dot(e, w_p)))[:, None], 1)
+        da = da_p if da is None else da + da_p
+    ds = a * a
+    np.subtract(1.0, ds, out=ds)
+    ds *= da
+    dpu = ds @ g
+    dg_s = ds.T @ pu
+    dg = dg_s if dg is None else dg + dg_s
+    dp_s = dpu @ u.T
+    dp = dp_s if dp is None else dp + dp_s
+    return outs, (dp, dg, p.T @ dpu)
+
+
+def attend_taped(p, g, u, d_p, d_g):
+    """attend's outputs and the gradients its vjp gives p, g and u."""
+    tensors = [Tensor(x.copy()) for x in (p, g, u)]
+    graph = Graph()
+    outs = graph.attend(*tensors)
+    terms = [graph.sum_all(graph.mul(out, Tensor(d, requires_grad=False)))
+             for out, d in zip(outs, (d_p, d_g)) if d is not None]
+    graph.backward(terms[0] if len(terms) == 1 else graph.add(*terms))
+    return tuple(o.data for o in outs), tuple(t.grad for t in tensors)
+
+
+def dyadic(rng, shape):
+    return rng.integers(-8, 9, size=shape) / 8.0
+
+
+@pytest.mark.parametrize("case", ["unequal_lengths", "tied_maxima", "zero_u",
+                                  "unused_gallery", "unused_probe"])
+def test_attend_matches_the_composition_bitwise(rng, case):
+    p, g = rng.standard_normal((4, 6)), rng.standard_normal((7, 5))
+    u = rng.standard_normal((6, 5))
+    d_p, d_g = rng.standard_normal(6), rng.standard_normal(5)
+    if case == "tied_maxima":
+        # repeated rows and a coarse grid tie maxima along both axes
+        p, g, u = dyadic(rng, (4, 6)), dyadic(rng, (7, 5)), dyadic(rng, (6, 5))
+        p[2], g[3], g[5] = p[0], g[1], g[1]
+    elif case == "zero_u":
+        u = np.zeros((6, 5))
+    elif case == "unused_gallery":
+        d_g = None
+    elif case == "unused_probe":
+        d_p = None
+    want_outs, want_grads = attend_composition(p, g, u, d_p, d_g)
+    outs, grads = attend_taped(p, g, u, d_p, d_g)
+    for got, want in zip(outs + grads, want_outs + want_grads):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_attend_zero_u_is_the_mean_and_leaves_a_constant_u_without_gradient(rng):
+    p = Tensor(rng.standard_normal((5, 3)))
+    g = Tensor(rng.standard_normal((2, 3)))
+    u = Tensor(np.zeros((3, 3)), requires_grad=False)
+    graph = Graph()
+    v_p, v_g = graph.attend(p, g, u)
+    np.testing.assert_array_equal(v_p.data, p.data.T @ np.full(5, 1.0 / 5))
+    np.testing.assert_array_equal(v_g.data, g.data.T @ np.full(2, 1.0 / 2))
+    graph.backward(graph.sum_all(graph.mul(v_p, v_g)))
+    assert u.grad is None
+    assert p.grad is not None and g.grad is not None
+
+
+def test_attend_records_one_tape_node(rng):
+    graph = Graph()
+    x = Tensor(rng.standard_normal((3, 2)))
+    graph.attend(x, x, Tensor(rng.standard_normal((2, 2))))
+    assert len(graph) == 1
+
+
+def test_matmul_matches_triple_loop(rng):
+    # attend's products, p u g^T and the weighted sums, against loops
+    p = rng.standard_normal((3, 4))
+    g = rng.standard_normal((5, 2))
+    u = rng.standard_normal((4, 2))
+    v_p, v_g = Graph().attend(Tensor(p), Tensor(g), Tensor(u))
+    a = np.zeros((3, 5))
+    for i in range(3):
+        for j in range(5):
+            for k in range(4):
+                for m in range(2):
+                    a[i, j] += p[i, k] * u[k, m] * g[j, m]
+    a = np.tanh(a)
+    for rows, best, got in ((p, a.max(axis=1), v_p), (g, a.max(axis=0), v_g)):
+        w = [math.exp(b - best.max()) for b in best]
+        expected = np.zeros(rows.shape[1])
+        for n in range(rows.shape[1]):
+            for t in range(len(w)):
+                expected[n] += rows[t, n] * w[t] / sum(w)
+        np.testing.assert_allclose(got.data, expected, rtol=1e-12)
+
+
+def test_matmul_rejects_bad_shapes():
+    # attend's operands: u must be (N, M) for (Tp, N) and (Tg, M) rows, Tp, Tg >= 1
+    for p_shape, g_shape, u_shape in [
+        ((3, 4), (5, 2), (2, 4)), ((3, 4), (5, 2), (4, 3)), ((4,), (5, 2), (4, 2)),
+        ((3, 4), (2,), (4, 2)), ((0, 4), (5, 2), (4, 2)), ((3, 4), (0, 2), (4, 2)),
+    ]:
+        with pytest.raises(ShapeError):
+            Graph().attend(Tensor(np.ones(p_shape)), Tensor(np.ones(g_shape)),
+                           Tensor(np.ones(u_shape)))
+
+
+def test_matmul_gradient(rng):
+    # finite differences of p, g and u through both outputs
+    p = Tensor(rng.standard_normal((3, 4)))
+    g = Tensor(rng.standard_normal((5, 2)))
+    u = Tensor(rng.standard_normal((4, 2)))
+    w = Tensor(rng.standard_normal(6), requires_grad=False)
+    check_op_gradients(lambda graph: graph.mul(graph.concat(list(graph.attend(p, g, u))), w),
+                       [p, g, u])
+
+
+def test_transposed_operand_gets_a_c_ordered_gradient(rng):
+    # g enters as g^T; SGD reads the gradients of g and u without striding
+    p = Tensor(rng.standard_normal((3, 4)))
+    g = Tensor(rng.standard_normal((5, 2)))
+    u = Tensor(rng.standard_normal((4, 2)))
+    graph = Graph()
+    v_p, v_g = graph.attend(p, g, u)
+    graph.backward(graph.add(graph.sum_all(v_p), graph.sum_all(v_g)))
+    assert g.grad.flags.c_contiguous and u.grad.flags.c_contiguous
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_max_along_matches_numpy_and_gradient(rng, axis):
+    # identity rows expose the weights: p = I gives v_p = a_p, and g = I v_g = a_g
+    p = Tensor(np.eye(4) if axis == 1 else rng.standard_normal((4, 3)))
+    g = Tensor(np.eye(3) if axis == 0 else rng.standard_normal((5, 3)))
+    u = Tensor(rng.standard_normal((p.shape[1], 3)))
+    a = np.tanh(p.data @ u.data @ g.data.T)
+    best = a.max(axis=axis)
+    weights = np.exp(best - best.max()) / np.exp(best - best.max()).sum()
+    side = 0 if axis == 1 else 1
+    np.testing.assert_allclose(Graph().attend(p, g, u)[side].data, weights, rtol=1e-14)
+    w = Tensor(rng.standard_normal(len(weights)), requires_grad=False)
+    check_op_gradients(lambda graph: graph.mul(graph.attend(p, g, u)[side], w), [p, g, u])
+
+
+def test_max_along_tie_takes_first_occurrence():
+    # A = tanh(u) ties across row 0; its gradient goes to (0, 0) only
+    eye = np.eye(2)
+    u = Tensor(np.array([[1.0, 1.0], [0.0, 2.0]]))
+    graph = Graph()
+    v_p, _ = graph.attend(Tensor(eye), Tensor(eye), u)
+    graph.backward(graph.sum_all(graph.mul(v_p, Tensor(np.array([1.0, 0.0])))))
+    assert u.grad[0, 0] != 0.0 and u.grad[1, 1] != 0.0
+    assert u.grad[0, 1] == 0.0 and u.grad[1, 0] == 0.0
+
+
+def test_softmax_of_log_two_and_zero():
+    # p = g = I makes A = tanh(u), whose row maxima are then ln 2 and 0
+    eye = np.eye(2)
+    u = np.array([[math.atanh(math.log(2.0)), 0.0], [0.0, 0.0]])
+    v_p, _ = Graph().attend(Tensor(eye), Tensor(eye), Tensor(u))
+    np.testing.assert_allclose(v_p.data, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
+
+
+def test_softmax_gradient_matches_jacobian(rng):
+    # p = g = I: u's gradient at each row's max is (1 - A^2) (J w), J the
+    # softmax Jacobian and w the weighting of v_p
+    eye = np.eye(4)
+    u = Tensor(rng.standard_normal((4, 4)))
+    w = rng.standard_normal(4)
+
+    def build(graph):
+        return graph.mul(graph.attend(Tensor(eye), Tensor(eye), u)[0], Tensor(w))
+
+    graph = Graph()
+    graph.backward(graph.sum_all(build(graph)))
+    a = np.tanh(u.data)
+    at = (np.arange(4), a.argmax(axis=1))
+    y = np.exp(a[at] - a[at].max())
+    y /= y.sum()
+    jac = np.diag(y) - np.outer(y, y)
+    np.testing.assert_allclose(u.grad[at], (1 - a[at] ** 2) * (jac @ w), rtol=1e-10,
+                               atol=1e-12)
+    check_op_gradients(build, [u])
+
+
+def test_softmax_extreme_values_stay_finite():
+    # affinities far past tanh's range saturate; the weights stay a distribution
+    p = 1e100 * np.eye(3)
+    u = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+    v_p, v_g = Graph().attend(Tensor(p), Tensor(p), Tensor(u))
+    for v in (v_p, v_g):
+        weights = v.data / 1e100
+        assert np.isfinite(weights).all() and (weights > 0).all()
+        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 # ---- convolution ----
@@ -740,22 +913,6 @@ def test_concat_splits_gradient(rng):
 # ---- reductions ----
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_max_along_matches_numpy_and_gradient(rng, axis):
-    x = Tensor(rng.standard_normal((4, 5)))
-    out = Graph().max_along(x, axis)
-    np.testing.assert_array_equal(out.data, x.data.max(axis=axis))
-    check_op_gradients(lambda g: g.max_along(x, axis), [x])
-
-
-def test_max_along_tie_takes_first_occurrence():
-    x = Tensor(np.array([[1.0, 1.0], [0.0, 2.0]]))
-    g = Graph()
-    out = g.max_along(x, 1)
-    g.backward(g.sum_all(out))
-    np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0]])
-
-
 def test_sum_all_gradient_is_ones(rng):
     x = Tensor(rng.standard_normal((2, 3)))
     g = Graph()
@@ -765,42 +922,6 @@ def test_sum_all_gradient_is_ones(rng):
 
 
 # ---- probability ----
-
-
-def test_softmax_of_log_two_and_zero():
-    out = Graph().softmax(Tensor(np.array([math.log(2.0), 0.0])))
-    np.testing.assert_allclose(out.data, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
-
-
-def test_softmax_sums_to_one_and_shift_invariant(rng):
-    x = rng.standard_normal(7)
-    g = Graph()
-    y = g.softmax(Tensor(x))
-    assert y.data.sum() == pytest.approx(1.0, abs=1e-15)
-    y_shift = g.softmax(Tensor(x + 100.0))
-    np.testing.assert_allclose(y.data, y_shift.data, rtol=1e-12)
-
-
-def test_softmax_gradient_matches_jacobian(rng):
-    x = Tensor(rng.standard_normal(5))
-    w = rng.standard_normal(5)  # random downstream weighting
-
-    def build(g):
-        return g.mul(g.softmax(x), Tensor(w))
-
-    graph = Graph()
-    graph.backward(graph.sum_all(build(graph)))
-    y = np.exp(x.data - x.data.max())
-    y /= y.sum()
-    jac = np.diag(y) - np.outer(y, y)
-    np.testing.assert_allclose(x.grad, jac @ w, rtol=1e-10, atol=1e-12)
-    check_op_gradients(build, [x])
-
-
-def test_softmax_extreme_values_stay_finite():
-    out = Graph().softmax(Tensor(np.array([1000.0, 0.0, -1000.0])))
-    assert np.isfinite(out.data).all()
-    assert out.data.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cross_entropy_uniform_logits_is_log_k():
@@ -884,11 +1005,12 @@ def test_backward_requires_scalar_root(rng):
 
 def test_unrecorded_graph_keeps_no_tape(rng):
     x = Tensor(rng.standard_normal((3, 3)))
+    v = Tensor(rng.standard_normal(3))
     g = Graph(record=False)
-    out = g.matmul(x, x)
+    out = g.matvec(x, v)
     assert len(g) == 0
     recorded = Graph()
-    np.testing.assert_array_equal(out.data, recorded.matmul(x, x).data)
+    np.testing.assert_array_equal(out.data, recorded.matvec(x, v).data)
     assert len(recorded) == 1
 
 
@@ -905,25 +1027,26 @@ def test_backward_ignores_unrelated_ops(rng):
 
 def test_backward_never_writes_grad_of_a_constant(rng):
     a = Tensor(rng.standard_normal((3, 4)))
-    c = Tensor(rng.standard_normal((4, 2)), requires_grad=False)
+    c = Tensor(rng.standard_normal(4), requires_grad=False)
     g = Graph()
-    g.backward(g.sum_all(g.matmul(a, c)))
+    g.backward(g.sum_all(g.matvec(a, c)))
     assert c.grad is None
-    np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ c.data.T, rtol=1e-15)
+    np.testing.assert_allclose(a.grad, np.outer(np.ones(3), c.data), rtol=1e-15)
 
 
 def test_long_composite_program_gradient(rng):
     a = Tensor(rng.standard_normal((3, 4)))
-    b = Tensor(rng.standard_normal((4, 3)))
+    b = Tensor(rng.standard_normal((3, 4)) / 2)
+    w = Tensor(rng.standard_normal((3, 3)) / 2)
     v = Tensor(rng.standard_normal(3))
 
     def build(g):
-        m = g.tanh(g.matmul(a, b))
+        m = g.tanh(g.rnn(a, b, w))
         u = g.matvec(m, v)
-        s = g.softmax(u)
-        return g.mul(s, g.relu(u))
+        s, t = g.attend(m, m, w)
+        return g.mul(g.add(s, t), g.relu(u))
 
-    check_op_gradients(build, [a, b, v])
+    check_op_gradients(build, [a, b, w, v])
 
 
 def test_identical_runs_are_bitwise_identical(rng):
@@ -932,7 +1055,7 @@ def test_identical_runs_are_bitwise_identical(rng):
     for _ in range(2):
         x = Tensor(data.copy())
         g = Graph()
-        out = g.sum_all(g.tanh(g.matmul(x, x)))
+        out = g.sum_all(g.tanh(g.rnn(x, x, x)))
         g.backward(out)
         results.append((out.data.copy(), x.grad.copy()))
     np.testing.assert_array_equal(results[0][0], results[1][0])
@@ -943,16 +1066,15 @@ def test_identical_runs_are_bitwise_identical(rng):
 
 
 def branch_program(g, x, w, b):
-    """A branch that reads the shared leaves w and b: sum over rows of
-    tanh(x w + b), with w used twice."""
-    h = g.tanh(g.add(g.matmul(x, w), g.matmul(x, g.transpose(g.transpose(w)))))
-    return g.matmul(h, g.reshape(b, (b.shape[0], 1)))
+    """A branch that reads the shared leaves w and b: tanh(w x + b) * (w x),
+    with w used twice."""
+    return g.mul(g.tanh(g.add(g.matvec(w, x), b)), g.matvec(w, x))
 
 
 def test_branches_match_one_tape_in_sequence(rng):
-    w = Tensor(rng.standard_normal((3, 4)))
+    w = Tensor(rng.standard_normal((4, 3)))
     b = Tensor(rng.standard_normal(4))
-    xs = [Tensor(rng.standard_normal((5, 3)), requires_grad=False) for _ in range(2)]
+    xs = [Tensor(rng.standard_normal(3), requires_grad=False) for _ in range(2)]
     grads, outs = [], []
     for concurrent in (False, True):
         g = Graph()
@@ -975,9 +1097,9 @@ def test_branches_match_one_tape_in_sequence(rng):
 def test_branches_under_fast_thread_switching_match_one_tape(rng):
     # more branches than cores, switching threads every few microseconds: a
     # gradient lost or added twice between branches would show
-    w = Tensor(rng.standard_normal((3, 4)))
+    w = Tensor(rng.standard_normal((4, 3)))
     b = Tensor(rng.standard_normal(4))
-    xs = [Tensor(rng.standard_normal((5, 3)), requires_grad=False) for _ in range(6)]
+    xs = [Tensor(rng.standard_normal(3), requires_grad=False) for _ in range(6)]
     g = Graph()
     g.backward(g.sum_all(g.concat([branch_program(g, x, w, b) for x in xs])))
     expected = (w.grad, b.grad)
@@ -997,9 +1119,9 @@ def test_branches_under_fast_thread_switching_match_one_tape(rng):
 
 
 def test_branches_gradient_matches_finite_differences(rng):
-    w = Tensor(rng.standard_normal((3, 4)))
+    w = Tensor(rng.standard_normal((4, 3)))
     b = Tensor(rng.standard_normal(4))
-    xs = [Tensor(rng.standard_normal((5, 3)), requires_grad=False) for _ in range(2)]
+    xs = [Tensor(rng.standard_normal(3), requires_grad=False) for _ in range(2)]
 
     def build(g):
         rows = g.branches(lambda sub, x: branch_program(sub, x, w, b), xs)
@@ -1009,12 +1131,12 @@ def test_branches_gradient_matches_finite_differences(rng):
 
 
 def test_branches_gradient_reaches_only_through_used_outputs(rng):
-    w = Tensor(rng.standard_normal((3, 4)))
-    x = Tensor(rng.standard_normal((2, 3)), requires_grad=False)
+    w = Tensor(rng.standard_normal((4, 3)))
+    x = Tensor(rng.standard_normal(3), requires_grad=False)
     g = Graph()
-    used, unused = g.branches(lambda sub, a: sub.tanh(sub.matmul(a, w)), [x, x])
+    used, unused = g.branches(lambda sub, a: sub.tanh(sub.matvec(w, a)), [x, x])
     g.backward(g.sum_all(used))
-    expected = x.data.T @ (1 - np.tanh(x.data @ w.data) ** 2)
+    expected = np.outer(1 - np.tanh(w.data @ x.data) ** 2, x.data)
     np.testing.assert_allclose(w.grad, expected, rtol=1e-13)
 
 
