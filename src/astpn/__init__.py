@@ -31,14 +31,13 @@ from .datapipe import (
     DatasetSplit,
     PairBatch,
     SequenceSample,
-    augment,
+    crop_view,
     load_dataset,
     lucas_kanade_flow,
     make_split,
     pair_stream,
     preprocess_dataset,
     rgb_to_yuv,
-    sample_subsequence,
     synth_dataset,
 )
 from .evalkit import (

@@ -140,7 +140,6 @@ class RawSequence:
     person_id: str
     camera_id: str
     frames: list[np.ndarray]
-    paths: tuple[str, ...]
 
 
 def load_dataset(root) -> list[RawSequence]:
@@ -177,7 +176,6 @@ def load_dataset(root) -> list[RawSequence]:
                 person_id=person_dir.name,
                 camera_id=cam_dir.name,
                 frames=frames,
-                paths=tuple(str(p) for p in paths),
             ))
     for person, n_cams in cams_per_person.items():
         if n_cams < 2:
@@ -312,7 +310,6 @@ class SequenceSample:
     person_id: str
     camera_id: str
     frames: np.ndarray
-    paths: tuple[str, ...] = ()
 
     @property
     def n_frames(self) -> int:
@@ -339,13 +336,9 @@ def _fill_frames(raw: RawSequence, out: np.ndarray) -> None:
         out[:, 3:] = 0.0
 
 
-def preprocess_sequence(raw: RawSequence) -> SequenceSample:
-    """Attach standardized YUV and optical flow channels to a raw sequence."""
-    return preprocess_dataset([raw])[0]
-
-
 def preprocess_dataset(raws: list[RawSequence]) -> list[SequenceSample]:
-    """preprocess_sequence of every raw sequence, in input order.
+    """Standardized YUV and optical flow channels of every raw sequence, in
+    input order.
 
     One worker runs per CPU the process may use, never more than there are
     sequences; worker k takes sequences k, k+n, ... (see tensor._at_once).
@@ -367,7 +360,7 @@ def preprocess_dataset(raws: list[RawSequence]) -> list[SequenceSample]:
             _fill_frames(raws[i], stacks[i])
 
     _at_once([functools.partial(work, k) for k in range(n)])
-    return [SequenceSample(r.person_id, r.camera_id, f, r.paths) for r, f in zip(raws, stacks)]
+    return [SequenceSample(r.person_id, r.camera_id, f) for r, f in zip(raws, stacks)]
 
 
 def by_identity(samples: list[SequenceSample]) -> dict[str, dict[str, SequenceSample]]:
@@ -377,65 +370,29 @@ def by_identity(samples: list[SequenceSample]) -> dict[str, dict[str, SequenceSa
     return index
 
 
-# ---- augmentation and sampling ----
+# ---- crops ----
 
 
-def _apply_crop_mirror(frames: np.ndarray, off_h: int, off_w: int, mirror: bool) -> np.ndarray:
-    t, c, h, w = frames.shape
-    out = frames[:, :, off_h:off_h + h - CROP_MARGIN, off_w:off_w + w - CROP_MARGIN].copy()
-    if mirror:
-        out = out[:, :, :, ::-1].copy()
-        out[:, 3] = -out[:, 3]  # horizontal flow flips sign with the image
-    return out
+def crop_view(sample: SequenceSample, frames, top: int, left: int, mirror: bool) -> np.ndarray:
+    """The (len(frames), 5, H-8, W-8) stack of sample's frames (an index
+    array or a slice), cropped from (top, left), in one gather.
 
-
-def augment(sample: SequenceSample, mode: str, rng=0) -> SequenceSample:
-    """Crop 8 pixels off each spatial dim, optionally mirroring.
-
-    Training mode draws one uniform crop offset and one mirror coin per
-    sequence; test mode center-crops deterministically and never mirrors.
+    mirror flips the stack left to right and negates its horizontal flow,
+    which flips sign with the image. A slice without mirror gives a view of
+    the stored frames, which callers only read; every other call a new array.
     """
-    if mode not in ("train", "test"):
-        raise ValueError(f"unknown augmentation mode {mode!r}")
     h, w = sample.frame_hw
     if h <= CROP_MARGIN or w <= CROP_MARGIN:
         raise DatasetError(f"frames of {h}x{w} are too small to crop by {CROP_MARGIN}")
-    if mode == "train":
-        rng = np.random.default_rng(rng)
-        off_h = int(rng.integers(0, CROP_MARGIN + 1))
-        off_w = int(rng.integers(0, CROP_MARGIN + 1))
-        mirror = bool(rng.random() < 0.5)
-    else:
-        off_h = off_w = CROP_MARGIN // 2
-        mirror = False
-    return SequenceSample(
-        person_id=sample.person_id,
-        camera_id=sample.camera_id,
-        frames=_apply_crop_mirror(sample.frames, off_h, off_w, mirror),
-        paths=sample.paths,
-    )
-
-
-def sample_subsequence(sample: SequenceSample, k: int, rng=0) -> SequenceSample:
-    """k consecutive frames from a uniform random start; short sequences
-    wrap around cyclically from frame 0 to reach length k."""
-    if k < 1:
-        raise ValueError(f"subsequence length must be positive, got {k}")
-    n = sample.n_frames
-    if n == 0:
-        raise DatasetError(f"sequence {sample.person_id}/{sample.camera_id} has no frames")
-    if n >= k:
-        rng = np.random.default_rng(rng)
-        start = int(rng.integers(0, n - k + 1))
-        idx = np.arange(start, start + k)
-    else:
-        idx = np.arange(k) % n
-    return SequenceSample(
-        person_id=sample.person_id,
-        camera_id=sample.camera_id,
-        frames=sample.frames[idx],
-        paths=sample.paths,
-    )
+    rows = slice(top, top + h - CROP_MARGIN)
+    cols = slice(left, left + w - CROP_MARGIN)
+    if mirror:
+        cols = slice(cols.stop - 1, left - 1 if left else None, -1)
+        frames = np.arange(sample.n_frames)[frames]  # a gather: the negation writes a copy
+    stack = sample.frames[frames, :, rows, cols]
+    if mirror:
+        np.negative(stack[:, 3], out=stack[:, 3])
+    return stack
 
 
 # ---- splits and the training pair stream ----
@@ -506,8 +463,12 @@ def pair_stream(index: dict[str, dict[str, SequenceSample]], train_ids, k: int, 
     Each epoch visits the train identities in a fresh random order and yields
     two pairs per identity: a positive (its two cameras) then a negative (its
     first camera against the second camera of a random other identity). Every
-    sequence is a random k-frame subsequence with fresh crop/mirror draws.
+    sequence is drawn as k consecutive frames from a uniform random start
+    (a sequence shorter than k repeats cyclically from frame 0), a uniform
+    crop offset and a mirror coin, in that order, then cut by crop_view.
     """
+    if k < 1:
+        raise ValueError(f"subsequence length must be positive, got {k}")
     ids = sorted(train_ids)
     if len(ids) < 2:
         raise DatasetError(f"pairing needs at least two identities, got {len(ids)}")
@@ -515,7 +476,16 @@ def pair_stream(index: dict[str, dict[str, SequenceSample]], train_ids, k: int, 
     rng = np.random.default_rng(seed)
 
     def draw(pid: str, cam: str) -> SequenceSample:
-        return augment(sample_subsequence(index[pid][cam], k, rng), "train", rng)
+        sample = index[pid][cam]
+        n = sample.n_frames
+        if n == 0:
+            raise DatasetError(f"sequence {pid}/{cam} has no frames")
+        start = int(rng.integers(0, n - k + 1)) if n >= k else 0
+        idx = np.arange(start, start + k) % n
+        top = int(rng.integers(0, CROP_MARGIN + 1))
+        left = int(rng.integers(0, CROP_MARGIN + 1))
+        mirror = bool(rng.random() < 0.5)
+        return SequenceSample(pid, cam, crop_view(sample, idx, top, left, mirror))
 
     while True:
         for i in rng.permutation(len(ids)):

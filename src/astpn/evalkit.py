@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datapipe import DatasetError, SequenceSample, augment, pick_cameras, write_atomic
+from .datapipe import (CROP_MARGIN, DatasetError, SequenceSample, crop_view, pick_cameras,
+                       write_atomic)
 from .model import AstpnParams, LossConfig, extract_feature
 from .tensor import ShapeError
 
@@ -48,33 +49,40 @@ def rank_gallery(probe_feat: np.ndarray, gallery_feats: np.ndarray) -> np.ndarra
 
 def cmc_from_features(probe_feats, probe_ids, gallery_feats, gallery_ids,
                       meta: dict | None = None) -> CmcCurve:
-    """CMC curve from precomputed features; matching is identity-level."""
+    """CMC curve from precomputed features; matching is identity-level.
+
+    Every row of one (P, G) squared-distance matrix is ranked as rank_gallery
+    ranks it (stable sort, ties to the lower gallery index), and the first
+    gallery entry of the probe's identity gives its match rank. The matrix
+    is filled one probe at a time, so no (P, G, N) temporary is made.
+    """
     probe_feats = np.asarray(probe_feats, dtype=np.float64)
     gallery_feats = np.asarray(gallery_feats, dtype=np.float64)
     if len(probe_ids) != len(probe_feats) or len(gallery_ids) != len(gallery_feats):
         raise ValueError("feature/identity counts disagree")
     if len(probe_feats) == 0 or len(gallery_feats) == 0:
         raise ValueError("need at least one probe and one gallery entry")
-    gallery_ids = list(gallery_ids)
-    counts = np.zeros(len(gallery_ids))
-    for feat, pid in zip(probe_feats, probe_ids):
-        order = rank_gallery(feat, gallery_feats)
-        position = next(
-            (r for r, j in enumerate(order) if gallery_ids[j] == pid), None)
-        if position is None:
-            raise DatasetError(f"probe identity {pid} has no gallery entry")
-        counts[position] += 1
+    if probe_feats.ndim != 2 or gallery_feats.shape[1:] != probe_feats.shape[1:]:
+        raise ShapeError(f"cmc_from_features needs (P,N) probes and (G,N) gallery, got "
+                         f"{probe_feats.shape} and {gallery_feats.shape}")
+    dists = np.stack([((gallery_feats - p) ** 2).sum(axis=1) for p in probe_feats])
+    order = np.argsort(dists, axis=1, kind="stable")
+    hits = np.asarray(gallery_ids)[order] == np.asarray(probe_ids)[:, None]
+    found = hits.any(axis=1)
+    if not found.all():
+        raise DatasetError(f"probe identity {probe_ids[np.argmin(found)]} has no gallery entry")
+    counts = np.bincount(hits.argmax(axis=1), minlength=len(gallery_ids))
     values = counts.cumsum() / len(probe_feats)
     return CmcCurve(values=values, n_probes=len(probe_feats), meta=dict(meta or {}))
 
 
 def eval_sequence(sample: SequenceSample, eval_k: int | None) -> SequenceSample:
     """The view of a sequence that eval and extract featurise: its first eval_k
-    frames (all of them when None), centre-cropped."""
-    if eval_k is not None:
-        sample = SequenceSample(sample.person_id, sample.camera_id,
-                                sample.frames[:eval_k], sample.paths)
-    return augment(sample, "test")
+    frames (all of them when None), centre-cropped, never mirrored. Its
+    frames are a view of sample's, which featurising only reads."""
+    centre = CROP_MARGIN // 2
+    return SequenceSample(sample.person_id, sample.camera_id,
+                          crop_view(sample, slice(eval_k), centre, centre, False))
 
 
 def compute_cmc(index: dict[str, dict[str, SequenceSample]], test_ids, params: AstpnParams,

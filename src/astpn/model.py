@@ -3,6 +3,7 @@ plain SGD, and binary checkpoint round trips."""
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -52,8 +53,8 @@ class LossConfig:
     spp_bins: tuple[tuple[int, int], ...] = DEFAULT_BINS
 
     def __post_init__(self):
-        if not self.margin >= 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
+        if not 0 <= self.margin < math.inf:
+            raise ValueError(f"margin must be >= 0 and finite, got {self.margin}")
         for name, allowed in (("variant", VARIANTS), ("rnn_output", RNN_OUTPUTS)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
@@ -194,7 +195,7 @@ def hinge_loss(graph: Graph, v_p: Tensor, v_g: Tensor, same_person: bool,
     dist = graph.sum_all(graph.mul(diff, diff))
     if same_person:
         return dist
-    return graph.relu(graph.sub(Tensor(np.float64(margin)), dist))
+    return graph.relu(graph.sub(Tensor(np.float64(margin), requires_grad=False), dist))
 
 
 def identity_loss(graph: Graph, v: Tensor, label: int, params: AstpnParams) -> Tensor:

@@ -2,8 +2,9 @@
 
 Every operation is a method on Graph, which records the calls it executes so
 that Graph.backward can replay them once, in reverse order, and accumulate
-gradients. Image ops take (T,C,H,W) frame stacks only. All arithmetic is 64-bit and deterministic: identical inputs give bitwise
-identical outputs and gradients.
+gradients. Image ops take (T,C,H,W) frame stacks only. All arithmetic is
+64-bit and deterministic: identical inputs give bitwise identical outputs
+and gradients.
 """
 
 from __future__ import annotations
@@ -168,8 +169,8 @@ class _Node:
 
 # Bytes one conv2d block may hold in its lowered columns (and, for dx, its
 # two accumulators); a single frame forms a block even when it exceeds this.
-# A block is lowered and multiplied while it is still in cache, and the tape
-# keeps only the last block's columns.
+# The bound sizes the column buffer, which the tape keeps, with frames kept
+# whole; it is not a cache size (16 MiB is several times a core's L2).
 CONV_BLOCK_BYTES = 16 * 2**20
 
 

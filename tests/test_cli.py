@@ -29,7 +29,6 @@ from astpn.cli import (
 from astpn.datapipe import (
     SPLIT_MODES,
     SequenceSample,
-    augment,
     by_identity,
     load_dataset,
     make_split,
@@ -261,6 +260,7 @@ def test_config_file_invalid_json_is_data_error(tmp_path, capsys, body):
     ("eval", ["--cross-dataset", "{data}", "--fraction", "0"]),
     ("train", ["--k", "0"]),
     ("train", ["--margin", "-1"]),
+    ("train", ["--margin", "inf"]),
     ("train", ["--feature-dim", "0"]),
     ("train", ["--trial", "-1"]),
     ("train", ["--lr", "0"]),
@@ -271,8 +271,8 @@ def test_config_file_invalid_json_is_data_error(tmp_path, capsys, body):
     ("train", ["--epochs", "-1"]),
     ("train", ["--save-every", "-2"]),
     ("train", ["--lr-decay-every", "-1"]),
-], ids=["trials", "fraction", "k", "margin", "feature_dim", "trial", "lr-zero", "lr-nan",
-        "lr-inf", "decay-factor-nan", "decay-factor-negative", "epochs", "save-every",
+], ids=["trials", "fraction", "k", "margin", "margin-inf", "feature_dim", "trial", "lr-zero",
+        "lr-nan", "lr-inf", "decay-factor-nan", "decay-factor-negative", "epochs", "save-every",
         "decay-every"])
 def test_out_of_range_config_value_is_data_error(cli_data, trained_run, tmp_path, capsys,
                                                  command, flags):
@@ -296,8 +296,9 @@ def test_out_of_range_value_in_config_file_is_data_error(cli_data, tmp_path):
 
 @pytest.mark.parametrize("values", [
     {"lr": float("nan")}, {"lr": -1}, {"lr_decay_factor": 0}, {"epochs": -1},
-    {"save_every": -1}, {"lr_decay_every": -3},
-], ids=["lr-nan", "lr-negative", "decay-factor-zero", "epochs", "save-every", "decay-every"])
+    {"save_every": -1}, {"lr_decay_every": -3}, {"margin": float("inf")},
+], ids=["lr-nan", "lr-negative", "decay-factor-zero", "epochs", "save-every", "decay-every",
+        "margin-inf"])
 def test_out_of_range_training_setting_in_config_file_is_data_error(cli_data, tmp_path,
                                                                    capsys, values):
     cfg_path = tmp_path / "bad_setting.json"
@@ -612,9 +613,8 @@ def test_extract_single_shot_rows_are_first_frame_features(cli_data, trained_run
     assert len(rows) == 16
     for row in rows:
         pid, cam, *values = row.split(",")
-        full = index[pid][cam]
-        first = SequenceSample(pid, cam, full.frames[:1], full.paths)
-        expected = extract_feature(augment(first, "test"), params, LossConfig())
+        first = index[pid][cam].frames[:1, :, 4:-4, 4:-4]
+        expected = extract_feature(SequenceSample(pid, cam, first), params, LossConfig())
         np.testing.assert_array_equal(np.array(values, dtype=np.float64), expected)
 
 

@@ -1,6 +1,6 @@
 """Data pipeline tests: frame codecs, color conversion, optical flow against
-known motions, augmentation geometry, sampling, splits, and the synthetic
-dataset generator."""
+known motions, crop geometry, the pair stream's draws, splits, and the
+synthetic dataset generator."""
 
 import hashlib
 import os
@@ -21,24 +21,24 @@ from astpn.datapipe import (
     PairBatch,
     RawSequence,
     SequenceSample,
-    augment,
     by_identity,
+    crop_view,
     identity_labels,
     load_dataset,
     lucas_kanade_flow,
     make_split,
     pair_stream,
+    pick_cameras,
     preprocess_dataset,
-    preprocess_sequence,
     read_frame,
     read_ppm,
     rgb_to_yuv,
-    sample_subsequence,
     standardize_channels,
     synth_dataset,
     write_ppm,
     write_split_files,
 )
+from astpn.evalkit import eval_sequence
 
 
 # ---- reference implementations: the straightforward forms that the
@@ -172,7 +172,9 @@ def test_load_dataset_structure(synth_root):
     assert all(s.frames[0].shape == (24, 16, 3) for s in seqs)
     # lexicographic file order is temporal order
     for s in seqs:
-        assert list(s.paths) == sorted(s.paths)
+        names = sorted((synth_root / s.person_id / s.camera_id).iterdir())
+        for frame, name in zip(s.frames, names, strict=True):
+            np.testing.assert_array_equal(frame, read_frame(name))
 
 
 def test_load_dataset_missing_root(tmp_path):
@@ -327,8 +329,8 @@ def test_flow_matches_reference_bitwise(rng, shape):
 
 def test_preprocess_sequence_channel_layout(rng):
     frames = [rng.integers(0, 256, size=(16, 12, 3), dtype=np.uint8) for _ in range(4)]
-    raw = RawSequence("p0", "cam0", frames, ("a", "b", "c", "d"))
-    sample = preprocess_sequence(raw)
+    raw = RawSequence("p0", "cam0", frames)
+    sample = preprocess_dataset([raw])[0]
     assert sample.frames.shape == (4, 5, 16, 12)
     assert sample.n_frames == 4
     assert sample.frame_hw == (16, 12)
@@ -340,13 +342,13 @@ def test_preprocess_sequence_channel_layout(rng):
 
 def test_preprocess_last_frame_reuses_previous_flow(rng):
     frames = [rng.integers(0, 256, size=(14, 10, 3), dtype=np.uint8) for _ in range(3)]
-    sample = preprocess_sequence(RawSequence("p", "c", frames, ()))
+    sample = preprocess_dataset([RawSequence("p", "c", frames)])[0]
     np.testing.assert_array_equal(sample.frames[2, 3:], sample.frames[1, 3:])
 
 
 def test_preprocess_single_frame_has_zero_flow(rng):
     frames = [rng.integers(0, 256, size=(14, 10, 3), dtype=np.uint8)]
-    sample = preprocess_sequence(RawSequence("p", "c", frames, ()))
+    sample = preprocess_dataset([RawSequence("p", "c", frames)])[0]
     np.testing.assert_array_equal(sample.frames[0, 3:], 0.0)
 
 
@@ -354,7 +356,7 @@ def test_preprocess_single_frame_has_zero_flow(rng):
 def test_preprocess_dataset_matches_reference_bitwise(tmp_path, size, n_ids, frames):
     synth_dataset(tmp_path, n_ids=n_ids, n_cams=2, frames_per_seq=frames, size=size, seed=3)
     raws = load_dataset(tmp_path)
-    raws.append(RawSequence("solo", "cam0", raws[0].frames[:1], raws[0].paths[:1]))
+    raws.append(RawSequence("solo", "cam0", raws[0].frames[:1]))
     samples = preprocess_dataset(raws)
     for raw, sample in zip(raws, samples, strict=True):
         assert sample.frames.tobytes() == ref_preprocess(raw).tobytes()
@@ -369,7 +371,7 @@ def test_preprocess_dataset_keeps_input_order_and_joins_its_threads(monkeypatch,
     fake_cpus(monkeypatch, 3)
     raws = [RawSequence(f"p{i}", "cam0",
                         [rng.integers(0, 256, size=(10, 8, 3), dtype=np.uint8)
-                         for _ in range(2 + i % 3)], ())
+                         for _ in range(2 + i % 3)])
             for i in range(7)]
     before = threading.active_count()
     interval = sys.getswitchinterval()
@@ -381,7 +383,7 @@ def test_preprocess_dataset_keeps_input_order_and_joins_its_threads(monkeypatch,
     assert threading.active_count() == before
     assert [s.person_id for s in samples] == [r.person_id for r in raws]
     for raw, sample in zip(raws, samples):
-        assert sample.frames.tobytes() == preprocess_sequence(raw).frames.tobytes()
+        assert sample.frames.tobytes() == ref_preprocess(raw).tobytes()
     assert preprocess_dataset([]) == []
 
 
@@ -401,7 +403,7 @@ def test_preprocess_dataset_error_in_a_worker_keeps_its_type(monkeypatch, rng):
     fake_cpus(monkeypatch, 2)
     raws = [RawSequence(f"p{i}", "cam0",
                         [rng.integers(0, 256, size=(1, 20, 3), dtype=np.uint8)
-                         for _ in range(3)], ())
+                         for _ in range(3)])
             for i in range(4)]
     before = threading.active_count()
     with pytest.raises(DatasetError, match="at least 2x2"):
@@ -418,83 +420,104 @@ def test_by_identity_groups_cameras(synth_index):
             assert sample.camera_id == cam
 
 
-# ---- augmentation ----
+# ---- crops ----
 
 
 def test_augment_crops_eight_pixels(rng):
-    frames = rng.standard_normal((3, 5, 128, 64))
-    sample = SequenceSample("p", "c", frames)
-    out = augment(sample, "test")
-    assert out.frames.shape == (3, 5, 120, 56)
+    sample = SequenceSample("p", "c", rng.standard_normal((3, 5, 128, 64)))
+    assert crop_view(sample, slice(None), 4, 4, False).shape == (3, 5, 120, 56)
+    assert crop_view(sample, np.array([2, 0, 2, 1]), 0, 8, True).shape == (4, 5, 120, 56)
 
 
 def test_augment_test_mode_is_center_crop(rng):
-    frames = rng.standard_normal((2, 5, 20, 18))
-    out = augment(SequenceSample("p", "c", frames), "test")
-    np.testing.assert_array_equal(out.frames, frames[:, :, 4:16, 4:14])
+    frames = rng.standard_normal((4, 5, 20, 18))
+    sample = SequenceSample("p", "c", frames)
+    for eval_k, expected in ((None, frames), (1, frames[:1]), (3, frames[:3])):
+        out = eval_sequence(sample, eval_k)
+        assert (out.person_id, out.camera_id) == ("p", "c")
+        np.testing.assert_array_equal(out.frames, expected[:, :, 4:16, 4:14])
+        assert np.shares_memory(out.frames, frames)  # a view: nothing is copied
 
 
 def test_augment_train_offsets_stay_in_range(rng):
-    frames = rng.standard_normal((1, 5, 20, 18))
+    # every offset a draw can give, with and without the mirror, against
+    # the crop-then-flip it stands for; left 0 ends the mirrored slice at
+    # the frame's first column
+    frames = rng.standard_normal((5, 5, 20, 18))
     sample = SequenceSample("p", "c", frames)
-    for seed in range(30):
-        out = augment(sample, "train", rng=seed)
-        assert out.frames.shape == (1, 5, 12, 10)
+    idx = np.array([3, 4, 0, 1])
+    for top in range(CROP_MARGIN + 1):
+        for left in range(CROP_MARGIN + 1):
+            crop = frames[idx][:, :, top:top + 12, left:left + 10]
+            np.testing.assert_array_equal(crop_view(sample, idx, top, left, False), crop)
+            flipped = crop[:, :, :, ::-1].copy()
+            flipped[:, 3] *= -1
+            np.testing.assert_array_equal(crop_view(sample, idx, top, left, True), flipped)
 
 
 def test_augment_mirror_negates_horizontal_flow(rng):
     frames = rng.standard_normal((2, 5, 20, 18))
     sample = SequenceSample("p", "c", frames)
-    # find one mirrored and one unmirrored draw with the same crop offset
-    mirrored = None
-    for seed in range(50):
-        r = np.random.default_rng(seed)
-        off_h, off_w = int(r.integers(0, 9)), int(r.integers(0, 9))
-        flip = bool(r.random() < 0.5)
-        if flip and (off_h, off_w) == (4, 4):
-            mirrored = augment(sample, "train", rng=seed)
-            break
-    assert mirrored is not None, "no mirroring center-crop draw in 50 seeds"
-    center = augment(sample, "test")
-    np.testing.assert_array_equal(mirrored.frames[:, 3], -center.frames[:, 3, :, ::-1])
-    np.testing.assert_array_equal(mirrored.frames[:, 4], center.frames[:, 4, :, ::-1])
-    np.testing.assert_array_equal(mirrored.frames[:, :3], center.frames[:, :3, :, ::-1])
+    stored = frames.copy()
+    center = crop_view(sample, slice(None), 4, 4, False)
+    mirrored = crop_view(sample, slice(None), 4, 4, True)
+    np.testing.assert_array_equal(mirrored[:, 3], -center[:, 3, :, ::-1])
+    np.testing.assert_array_equal(mirrored[:, 4], center[:, 4, :, ::-1])
+    np.testing.assert_array_equal(mirrored[:, :3], center[:, :3, :, ::-1])
+    # the negation writes a copy even when the frames are a slice
+    assert not np.shares_memory(mirrored, frames)
+    assert frames.tobytes() == stored.tobytes()
 
 
 def test_augment_rejects_small_frames(rng):
     sample = SequenceSample("p", "c", rng.standard_normal((1, 5, 8, 12)))
     with pytest.raises(DatasetError, match="too small"):
-        augment(sample, "test")
-    with pytest.raises(ValueError, match="mode"):
-        augment(SequenceSample("p", "c", rng.standard_normal((1, 5, 20, 20))), "val")
+        crop_view(sample, slice(None), 4, 4, False)
+    with pytest.raises(DatasetError, match="too small"):
+        eval_sequence(sample, None)
 
 
-# ---- subsequence sampling ----
+# ---- subsequence draws ----
 
 
-def test_subsequence_long_enough_is_contiguous(rng):
-    frames = np.arange(20)[:, None, None, None] * np.ones((20, 5, 9, 9))
-    sample = SequenceSample("p", "c", frames)
-    for seed in range(20):
-        out = sample_subsequence(sample, 16, rng=seed)
-        starts = out.frames[:, 0, 0, 0]
-        np.testing.assert_array_equal(np.diff(starts), 1.0)
-        assert 0 <= starts[0] <= 4
+def frame_numbered(n):
+    """n frames of 9x9 whose every value is the frame's index."""
+    return np.arange(n, dtype=np.float64)[:, None, None, None] * np.ones((n, 5, 9, 9))
+
+
+def numbered_index(n):
+    return {pid: {cam: SequenceSample(pid, cam, frame_numbered(n)) for cam in ("c0", "c1")}
+            for pid in ("a", "b")}
+
+
+def test_subsequence_long_enough_is_contiguous():
+    stream = pair_stream(numbered_index(20), ["a", "b"], k=16, seed=0)
+    starts = set()
+    for _ in range(40):
+        pair = next(stream)
+        for seq in (pair.probe, pair.gallery):
+            first = seq.frames[:, 0, 0, 0]
+            np.testing.assert_array_equal(np.diff(first), 1.0)
+            starts.add(first[0])
+    assert starts == {0.0, 1.0, 2.0, 3.0, 4.0}
 
 
 def test_subsequence_short_wraps_cyclically():
-    frames = np.arange(5)[:, None, None, None] * np.ones((5, 5, 9, 9))
-    out = sample_subsequence(SequenceSample("p", "c", frames), 16)
+    stream = pair_stream(numbered_index(5), ["a", "b"], k=16, seed=0)
     expected = [float(i % 5) for i in range(16)]
-    np.testing.assert_array_equal(out.frames[:, 0, 0, 0], expected)
+    for _ in range(4):
+        pair = next(stream)
+        np.testing.assert_array_equal(pair.probe.frames[:, 0, 0, 0], expected)
+        np.testing.assert_array_equal(pair.gallery.frames[:, 0, 0, 0], expected)
 
 
 def test_subsequence_validates_arguments():
-    sample = SequenceSample("p", "c", np.zeros((0, 5, 9, 9)))
-    with pytest.raises(DatasetError):
-        sample_subsequence(sample, 4)
-    with pytest.raises(ValueError):
-        sample_subsequence(SequenceSample("p", "c", np.zeros((3, 5, 9, 9))), 0)
+    empty = numbered_index(3)
+    empty["a"]["c0"] = SequenceSample("a", "c0", np.zeros((0, 5, 9, 9)))
+    with pytest.raises(DatasetError, match="no frames"):
+        next(pair_stream(empty, ["a", "b"], k=4))
+    with pytest.raises(ValueError, match="positive"):
+        next(pair_stream(numbered_index(3), ["a", "b"], k=0))
 
 
 # ---- splits ----
@@ -600,6 +623,75 @@ def test_pair_stream_two_identities_negative_uses_the_other(synth_index):
         pair = next(stream)
         if not pair.same_person:
             assert {pair.probe.person_id, pair.gallery.person_id} == set(two)
+
+
+def old_chain_draw(sample, k, rng, log):
+    """A k-frame draw as a subsequence sampler then a train-mode augmenter
+    made it before crop_view, each step its own copy: the oracle for
+    pair_stream's draws and for the order it takes numbers from rng. Appends
+    (wrapped, mirrored) to log."""
+    n = sample.n_frames
+    if n >= k:
+        start = int(rng.integers(0, n - k + 1))
+        frames = sample.frames[np.arange(start, start + k)]
+    else:
+        frames = sample.frames[np.arange(k) % n]
+    off_h = int(rng.integers(0, CROP_MARGIN + 1))
+    off_w = int(rng.integers(0, CROP_MARGIN + 1))
+    mirror = bool(rng.random() < 0.5)
+    log.append((n < k, mirror))
+    h, w = frames.shape[2:]
+    out = frames[:, :, off_h:off_h + h - CROP_MARGIN, off_w:off_w + w - CROP_MARGIN].copy()
+    if mirror:
+        out = out[:, :, :, ::-1].copy()
+        out[:, 3] = -out[:, 3]
+    return out
+
+
+def oracle_pair_stream(index, ids, k, rng, log):
+    """pair_stream's loop over old_chain_draw, yielding (probe, gallery) stacks."""
+    while True:
+        for i in rng.permutation(len(ids)):
+            pid = ids[i]
+            cam_a, cam_b = pick_cameras(index[pid], pid, rng)
+            yield (old_chain_draw(index[pid][cam_a], k, rng, log),
+                   old_chain_draw(index[pid][cam_b], k, rng, log))
+            others = [q for q in ids if q != pid]
+            other = others[int(rng.integers(0, len(others)))]
+            _, other_b = pick_cameras(index[other], other, rng)
+            yield (old_chain_draw(index[pid][cam_a], k, rng, log),
+                   old_chain_draw(index[other][other_b], k, rng, log))
+
+
+def test_pair_stream_draws_match_the_old_chain_bitwise(rng):
+    # sequences longer than, equal to and shorter than k (which wrap), one
+    # identity with three cameras, and two frame sizes
+    lengths = {"a": (24, 16, 5), "b": (16, 3), "c": (20, 24), "d": (5, 30)}
+    index = {}
+    for pid, ns in lengths.items():
+        size = (24, 16) if pid != "c" else (20, 18)
+        index[pid] = {f"cam{j}": SequenceSample(pid, f"cam{j}",
+                                                rng.standard_normal((n, 5) + size))
+                      for j, n in enumerate(ns)}
+    stored = {(pid, cam): s.frames.copy() for pid, cams in index.items()
+              for cam, s in cams.items()}
+    ids = sorted(index)
+    log = []
+    for seed in range(25):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        stream = pair_stream(index, ids, k=16, seed=ours)  # default_rng passes a Generator through
+        oracle = oracle_pair_stream(index, ids, 16, theirs, log)
+        for _ in range(12):
+            pair = next(stream)
+            probe, gallery = next(oracle)
+            assert pair.probe.frames.tobytes() == probe.tobytes()
+            assert pair.gallery.frames.tobytes() == gallery.tobytes()
+            assert pair.probe.frames.flags.c_contiguous and pair.gallery.frames.flags.c_contiguous
+            assert ours.bit_generator.state == theirs.bit_generator.state
+    assert {(wrapped, mirrored) for wrapped, mirrored in log} == {
+        (False, False), (False, True), (True, False), (True, True)}
+    for (pid, cam), frames in stored.items():
+        assert index[pid][cam].frames.tobytes() == frames.tobytes()
 
 
 def test_pair_stream_needs_two_identities(synth_index):

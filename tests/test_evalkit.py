@@ -7,16 +7,17 @@ import json
 import numpy as np
 import pytest
 
-from astpn.datapipe import DatasetError
+from astpn.datapipe import DatasetError, SequenceSample
 from astpn.evalkit import (
     CmcCurve,
     cmc_from_features,
     compute_cmc,
     cross_dataset_eval,
     emit_report,
+    eval_sequence,
     rank_gallery,
 )
-from astpn.model import LossConfig, init_params
+from astpn.model import LossConfig, extract_feature, init_params
 from astpn.tensor import ShapeError
 
 TOY_CFG = LossConfig(spp_bins=((2, 2), (1, 1)))
@@ -154,9 +155,43 @@ def test_cmc_curve_rank_accessor():
         curve.rank(0)
 
 
+def per_probe_cmc(probe_feats, probe_ids, gallery_feats, gallery_ids):
+    """CMC from one rank_gallery call and one scan per probe."""
+    counts = np.zeros(len(gallery_ids))
+    for feat, pid in zip(probe_feats, probe_ids):
+        order = rank_gallery(feat, gallery_feats)
+        counts[[gallery_ids[j] for j in order].index(pid)] += 1
+    return counts.cumsum() / len(probe_feats)
+
+
+def test_cmc_equals_per_probe_ranking_bitwise(rng):
+    # wide features and repeated gallery identities, with distances tied
+    # by duplicated gallery rows and by quantised values
+    for _ in range(60):
+        n_probes, n_gallery = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        dim = int(rng.choice([1, 7, 128, 300]))
+        gallery_ids = [f"id{j}" for j in rng.integers(0, 4, n_gallery)]
+        probe_ids = [gallery_ids[j] for j in rng.integers(0, n_gallery, n_probes)]
+        gallery = np.round(rng.standard_normal((n_gallery, dim)), 1)
+        gallery[rng.integers(0, n_gallery)] = gallery[0]
+        probes = np.round(rng.standard_normal((n_probes, dim)), 1)
+        curve = cmc_from_features(probes, probe_ids, gallery, gallery_ids)
+        expected = per_probe_cmc(probes, probe_ids, gallery, gallery_ids)
+        assert curve.values.tobytes() == expected.tobytes()
+
+
 def test_cmc_probe_without_gallery_entry():
-    with pytest.raises(DatasetError):
+    with pytest.raises(DatasetError, match="ghost"):
         cmc_from_features(np.zeros((1, 2)), ["ghost"], np.zeros((1, 2)), ["real"])
+    with pytest.raises(DatasetError, match="ghost"):
+        cmc_from_features(np.zeros((2, 2)), ["real", "ghost"], np.zeros((1, 2)), ["real"])
+
+
+def test_cmc_feature_width_mismatch_is_shape_error():
+    with pytest.raises(ShapeError):
+        cmc_from_features(np.zeros((1, 3)), ["a"], np.zeros((1, 2)), ["a"])
+    with pytest.raises(ShapeError):
+        cmc_from_features(np.zeros(2), ["a", "b"], np.zeros((2, 2)), ["a", "b"])
 
 
 def test_cmc_count_mismatch():
@@ -183,7 +218,7 @@ def test_compute_cmc_single_shot_uses_first_frame_only(synth_index):
     params = init_params(0, 8, TOY_CFG, feature_dim=8, frame_hw=(16, 8))
     truncated = {
         pid: {
-            cam: SequenceSample(s.person_id, s.camera_id, s.frames[:1], s.paths)
+            cam: SequenceSample(s.person_id, s.camera_id, s.frames[:1])
             for cam, s in cams.items()
         }
         for pid, cams in synth_index.items()
@@ -198,6 +233,23 @@ def test_compute_cmc_is_deterministic(synth_index):
     a = compute_cmc(synth_index, sorted(synth_index), params, TOY_CFG)
     b = compute_cmc(synth_index, sorted(synth_index), params, TOY_CFG)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_featurising_the_eval_view_reads_the_index_only(synth_index):
+    # the eval view is a slice of the stored frames, not a copy: featurising
+    # it must leave them as they were, and give the features of a copy
+    params = init_params(0, 8, TOY_CFG, feature_dim=8, frame_hw=(16, 8))
+    stored = {(pid, cam): s.frames.tobytes() for pid, cams in synth_index.items()
+              for cam, s in cams.items()}
+    compute_cmc(synth_index, sorted(synth_index), params, TOY_CFG)
+    for (pid, cam), frames in stored.items():
+        sample = synth_index[pid][cam]
+        assert sample.frames.tobytes() == frames
+        view = eval_sequence(sample, None)
+        copy = SequenceSample(pid, cam, np.ascontiguousarray(view.frames))
+        assert (extract_feature(view, params, TOY_CFG).tobytes()
+                == extract_feature(copy, params, TOY_CFG).tobytes())
+        assert sample.frames.tobytes() == frames
 
 
 def test_compute_cmc_missing_identity(synth_index):

@@ -62,8 +62,9 @@ def toy_params(cfg, seed=0, n_ids=3, feature_dim=6):
 
 
 def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(margin=-1.0)
+    for margin in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="margin"):
+            LossConfig(margin=margin)
     with pytest.raises(ValueError):
         LossConfig(variant="bilinear")
     with pytest.raises(ValueError):
@@ -212,6 +213,19 @@ def test_hinge_loss_negative_inside_margin():
     v_g = Tensor(np.array([1.0, 0.0, 0.0, 0.0]))
     out = hinge_loss(Graph(), v_p, v_g, False, margin=3.0)
     assert out.item() == pytest.approx(2.0, rel=1e-15)
+
+
+def test_hinge_loss_margin_takes_no_gradient():
+    graph = Graph()
+    v_p = Tensor(np.zeros(4))
+    v_g = Tensor(np.array([1.0, 0.0, 0.0, 0.0]))
+    out = hinge_loss(graph, v_p, v_g, False, margin=3.0)
+    margin = next(t for node in graph._tape for t in node.inputs
+                  if t is not v_p and t is not v_g and t.data.ndim == 0 and t.data == 3.0)
+    assert not margin.requires_grad
+    graph.backward(out)
+    assert margin.grad is None
+    np.testing.assert_array_equal(v_g.grad, [-2.0, 0.0, 0.0, 0.0])  # d(3 - |p - g|^2)/dg
 
 
 def test_hinge_loss_negative_beyond_margin_is_zero():
