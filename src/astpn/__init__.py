@@ -3,9 +3,6 @@ pooling, built on a small taped float64 autodiff engine."""
 
 from .tensor import Graph, ShapeError, Tensor
 from .layers import (
-    AttentionParams,
-    ConvStackParams,
-    RnnParams,
     SppConfig,
     attentive_summary,
     conv_stack_forward,

@@ -42,9 +42,10 @@ from .evalkit import (
     emit_report,
     eval_sequence,
 )
-from .gradcheck import run_gradcheck, toy_tensor_names
+from .gradcheck import run_gradcheck
 from .layers import RNN_OUTPUTS
 from .model import (
+    TENSOR_NAMES,
     VARIANTS,
     CheckpointError,
     LossConfig,
@@ -97,7 +98,8 @@ class RunConfig:
         if self.spp_bins is None:
             self.spp_bins = [list(b) for b in LossConfig.spp_bins]
         # a value may come from a flag or from --config: either way a data error
-        checks = (("trials", self.trials >= 1, ">= 1"), ("trial", self.trial >= 0, ">= 0"),
+        checks = (("seed", self.seed >= 0, ">= 0"),
+                  ("trials", self.trials >= 1, ">= 1"), ("trial", self.trial >= 0, ">= 0"),
                   ("k", self.k >= 1, ">= 1"), ("feature_dim", self.feature_dim >= 1, ">= 1"),
                   ("fraction", 0 < self.fraction <= 1, "in (0, 1]"),
                   ("lr", 0 < self.lr < math.inf, "positive and finite"),
@@ -279,9 +281,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _check_params_match(params, cfg: RunConfig, frame_hw) -> None:
     loss_cfg = cfg.loss_config()
     expected_in = rnn_input_dim(loss_cfg, frame_hw)
-    if params.rnn.u_in.shape != (cfg.feature_dim, expected_in):
+    if params["rnn.u_in"].shape != (cfg.feature_dim, expected_in):
         raise CheckpointError(
-            f"rnn.u_in has shape {params.rnn.u_in.shape} but the configuration "
+            f"rnn.u_in has shape {params['rnn.u_in'].shape} but the configuration "
             f"implies {(cfg.feature_dim, expected_in)}"
         )
 
@@ -349,7 +351,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    report = run_gradcheck(seed=args.seed if args.seed is not None else 0,
+    report = run_gradcheck(seed=args.seed,
                            samples_per_tensor=args.samples,
                            tol=args.tol,
                            corrupt=args.corrupt)
@@ -371,7 +373,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise DatasetError(f"{root}: cannot make the directory: {exc.strerror}") from exc
     n_files = synth_dataset(
         args.root, n_ids=args.ids, n_cams=args.cams, frames_per_seq=args.frames,
-        size=(args.height, args.width), seed=args.seed if args.seed is not None else 0,
+        size=(args.height, args.width), seed=args.seed,
         signal_frames=args.signal_frames,
     )
     print(f"wrote {n_files} frames for {args.ids} identities x {args.cams} cameras "
@@ -400,6 +402,7 @@ def _checked(kind: type, ok, bound: str):
 
 
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
+_NOT_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -434,13 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.set_defaults(func=cmd_extract)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--seed", type=_NOT_NEGATIVE, default=0)
     p_grad.add_argument("--samples", type=_AT_LEAST_ONE, default=24)
     p_grad.add_argument("--tol", type=_checked(float, lambda v: 0 < v < math.inf,
                                                "positive and finite"), default=1e-4)
     p_grad.add_argument("--corrupt", help="tensor name whose gradient is perturbed",
-                        type=_checked(str, lambda v: v in toy_tensor_names(),
-                                      "a toy model tensor, named as gradcheck lists them"))
+                        type=_checked(str, lambda v: v in TENSOR_NAMES,
+                                      "a model tensor, named as gradcheck lists them"))
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic PPM dataset")
@@ -448,9 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, default in (("--ids", 8), ("--cams", 2), ("--frames", 16), ("--height", 24),
                           ("--width", 16)):
         p_synth.add_argument(flag, type=_AT_LEAST_ONE, default=default)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--signal-frames", dest="signal_frames",
-                         type=_checked(int, lambda v: v >= 0, ">= 0"))
+    p_synth.add_argument("--seed", type=_NOT_NEGATIVE, default=0)
+    p_synth.add_argument("--signal-frames", dest="signal_frames", type=_NOT_NEGATIVE)
     p_synth.set_defaults(func=cmd_synth)
 
     return parser

@@ -152,6 +152,8 @@ def load_dataset(root) -> list[RawSequence]:
     root = Path(root)
     if not root.exists():
         raise DatasetError(f"dataset root {root} does not exist")
+    if not root.is_dir():
+        raise DatasetError(f"dataset root {root} is not a directory")
     sequences = []
     cams_per_person: dict[str, int] = {}
     for person_dir in sorted(p for p in root.iterdir() if p.is_dir()):

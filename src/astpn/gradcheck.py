@@ -71,11 +71,6 @@ def build_toy_problem(seed: int = 0, variant: str = "astpn"):
     return pair, params, cfg
 
 
-def toy_tensor_names() -> list[str]:
-    """The names of the toy model's tensors, the values corrupt may take."""
-    return list(build_toy_problem()[1].named_tensors())
-
-
 def run_gradcheck(seed: int = 0, samples_per_tensor: int = 24,
                   tol: float = DEFAULT_TOL, variant: str = "astpn",
                   corrupt: str | None = None) -> GradcheckReport:

@@ -28,29 +28,6 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
     return Tensor(rng.uniform(-bound, bound, size=shape))
 
 
-@dataclass
-class ConvStackParams:
-    """Kernels and biases for the three tanh conv layers.
-
-    Layer shapes are fixed: 16x(Cin)x5x5, 32x16x5x5, 32x32x5x5, all with
-    padding 4; 2x2 max pooling (stride 2) follows the first two layers only.
-    """
-
-    kernels: list[Tensor]
-    biases: list[Tensor]
-
-
-def init_conv_stack(rng: np.random.Generator, in_channels: int = 5) -> ConvStackParams:
-    kernels, biases = [], []
-    cin = in_channels
-    for cout in CONV_CHANNELS:
-        fan_in = cin * CONV_KERNEL * CONV_KERNEL
-        kernels.append(uniform_init(rng, (cout, cin, CONV_KERNEL, CONV_KERNEL), fan_in))
-        biases.append(uniform_init(rng, (cout,), fan_in))
-        cin = cout
-    return ConvStackParams(kernels, biases)
-
-
 def conv_out_extent(extent: int) -> int:
     return extent + 2 * CONV_PAD - CONV_KERNEL + 1
 
@@ -69,17 +46,20 @@ def conv_stack_output_hw(hw: tuple[int, int]) -> tuple[int, int]:
     return tuple(out)
 
 
-def conv_stack_forward(graph: Graph, frames: Tensor, params: ConvStackParams) -> Tensor:
+def conv_stack_forward(graph: Graph, frames: Tensor, kernels: list[Tensor],
+                       biases: list[Tensor]) -> Tensor:
     """Run a (T,Cin,H,W) stack through conv/tanh(/pool) x3.
 
-    Layers 1 and 2 pool before their tanh. np.tanh never decreases, so the
-    values are those of pooling after it, and tanh runs on a quarter of the
-    cells. A gradient can land on another cell of a window only where two
-    different pre-activations have the same tanh.
+    Each layer convolves with its kernel and bias at padding 4. A 2x2 max
+    pool (stride 2) follows the first two layers only, and runs before their
+    tanh. np.tanh never decreases, so the values are those of pooling after
+    it, and tanh runs on a quarter of the cells. A gradient can land on
+    another cell of a window only where two different pre-activations have
+    the same tanh.
     """
     h = frames
     for i in range(3):
-        h = graph.conv2d(h, params.kernels[i], params.biases[i], pad=CONV_PAD)
+        h = graph.conv2d(h, kernels[i], biases[i], pad=CONV_PAD)
         if i < 2:
             h = graph.maxpool2d(h, POOL_WINDOW)
         h = graph.tanh(h)
@@ -159,30 +139,7 @@ def spp_forward(graph: Graph, fmap: Tensor, cfg: SppConfig = SppConfig()) -> Ten
     return graph.concat(parts, axis=1)
 
 
-@dataclass
-class RnnParams:
-    """Input projection and recurrent weights; the initial state is zero."""
-
-    u_in: Tensor
-    w_rec: Tensor
-
-    @property
-    def feature_dim(self) -> int:
-        return self.u_in.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.u_in.shape[1]
-
-
-def init_rnn(rng: np.random.Generator, input_dim: int, feature_dim: int) -> RnnParams:
-    return RnnParams(
-        u_in=uniform_init(rng, (feature_dim, input_dim), input_dim),
-        w_rec=uniform_init(rng, (feature_dim, feature_dim), feature_dim),
-    )
-
-
-def rnn_forward(graph: Graph, reps: Tensor, params: RnnParams,
+def rnn_forward(graph: Graph, reps: Tensor, u_in: Tensor, w_rec: Tensor,
                 output: str = "pre_tanh") -> Tensor:
     """Run per-frame descriptors through the recurrence.
 
@@ -194,34 +151,23 @@ def rnn_forward(graph: Graph, reps: Tensor, params: RnnParams,
         raise ValueError(f"unknown rnn output mode {output!r}")
     if reps.data.ndim != 2:
         raise ShapeError(f"rnn_forward needs a (T, L) input, got {reps.shape}")
-    if reps.shape[1] != params.input_dim:
+    if reps.shape[1] != u_in.shape[1]:
         raise ShapeError(
-            f"rnn input rows of length {reps.shape[1]} do not match u_in {params.u_in.shape}"
+            f"rnn input rows of length {reps.shape[1]} do not match u_in {u_in.shape}"
         )
-    rows = graph.rnn(reps, params.u_in, params.w_rec)
+    rows = graph.rnn(reps, u_in, w_rec)
     return rows if output == "pre_tanh" else graph.tanh(rows)
 
 
-@dataclass
-class AttentionParams:
-    """Shared bilinear matrix scoring probe rows against gallery rows."""
-
-    u_att: Tensor
-
-
-def init_attention(rng: np.random.Generator, feature_dim: int) -> AttentionParams:
-    return AttentionParams(u_att=uniform_init(rng, (feature_dim, feature_dim), feature_dim))
-
-
 def attentive_summary(graph: Graph, probe_seq: Tensor, gallery_seq: Tensor,
-                      params: AttentionParams) -> tuple[Tensor, Tensor]:
+                      u_att: Tensor) -> tuple[Tensor, Tensor]:
     """Jointly pool both sequences' (T, N) rows with the two-way attentive
     head, Graph.attend; a zero U weighs every frame 1/T."""
-    n = params.u_att.shape[0]
+    n = u_att.shape[0]
     if probe_seq.data.ndim != 2 or probe_seq.shape[1] != n:
-        raise ShapeError(f"probe rows {probe_seq.shape} do not match u_att {params.u_att.shape}")
+        raise ShapeError(f"probe rows {probe_seq.shape} do not match u_att {u_att.shape}")
     if gallery_seq.data.ndim != 2 or gallery_seq.shape[1] != n:
         raise ShapeError(
-            f"gallery rows {gallery_seq.shape} do not match u_att {params.u_att.shape}"
+            f"gallery rows {gallery_seq.shape} do not match u_att {u_att.shape}"
         )
-    return graph.attend(probe_seq, gallery_seq, params.u_att)
+    return graph.attend(probe_seq, gallery_seq, u_att)

@@ -9,23 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datapipe import write_atomic
+from .datapipe import FRAME_CHANNELS, write_atomic
 from .layers import (
     CONV_CHANNELS,
     CONV_KERNEL,
-    AttentionParams,
-    ConvStackParams,
     DEFAULT_BINS,
     POOL_WINDOW,
     RNN_OUTPUTS,
-    RnnParams,
     SppConfig,
     attentive_summary,
     conv_stack_forward,
     conv_stack_output_hw,
-    init_attention,
-    init_conv_stack,
-    init_rnn,
     rnn_forward,
     spp_forward,
     uniform_init,
@@ -36,6 +30,13 @@ VARIANTS = ("astpn", "atpn_only", "aspn_only", "mean_pool", "max_pool")
 
 CHECKPOINT_MAGIC = b"ASTP"
 CHECKPOINT_VERSION = 1
+
+# every trainable tensor, in the order init_params draws each group's
+# tensors and a checkpoint stores its records
+TENSOR_NAMES = (
+    "conv1.kernel", "conv1.bias", "conv2.kernel", "conv2.bias", "conv3.kernel", "conv3.bias",
+    "rnn.u_in", "rnn.w_rec", "att.u_att", "classifier.weight", "classifier.bias",
+)
 
 
 class CheckpointError(Exception):
@@ -64,36 +65,21 @@ class LossConfig:
         SppConfig(self.spp_bins)  # raises ShapeError unless the bins halve level by level
 
 
-@dataclass
-class AstpnParams:
-    """Every trainable tensor of the network, including the identity
-    classifier head used only as a training signal."""
-
-    conv: ConvStackParams
-    rnn: RnnParams
-    att: AttentionParams
-    classifier_w: Tensor
-    classifier_b: Tensor
+class AstpnParams(dict):
+    """Every trainable tensor of the network, keyed by its name in
+    TENSOR_NAMES order, including the identity classifier head used only as
+    a training signal. Both Siamese branches read the same tensors."""
 
     @property
     def n_identities(self) -> int:
-        return self.classifier_w.shape[0]
+        return self["classifier.weight"].shape[0]
 
     @property
     def feature_dim(self) -> int:
-        return self.rnn.feature_dim
+        return self["rnn.u_in"].shape[0]
 
     def named_tensors(self) -> dict[str, Tensor]:
-        named = {}
-        for i, (k, b) in enumerate(zip(self.conv.kernels, self.conv.biases), start=1):
-            named[f"conv{i}.kernel"] = k
-            named[f"conv{i}.bias"] = b
-        named["rnn.u_in"] = self.rnn.u_in
-        named["rnn.w_rec"] = self.rnn.w_rec
-        named["att.u_att"] = self.att.u_att
-        named["classifier.weight"] = self.classifier_w
-        named["classifier.bias"] = self.classifier_b
-        return named
+        return self
 
 
 def rnn_input_dim(cfg: LossConfig, frame_hw: tuple[int, int] | None = None) -> int:
@@ -106,21 +92,32 @@ def rnn_input_dim(cfg: LossConfig, frame_hw: tuple[int, int] | None = None) -> i
     return SppConfig(cfg.spp_bins).output_length(CONV_CHANNELS[-1])
 
 
-def init_params(seed: int, n_identities: int, cfg: LossConfig,
-                feature_dim: int = 128, in_channels: int = 5,
+def init_params(seed: int, n_identities: int, cfg: LossConfig, feature_dim: int = 128,
                 frame_hw: tuple[int, int] | None = None) -> AstpnParams:
-    """Seeded uniform initialization; one child RNG stream per tensor group."""
+    """Seeded uniform initialization, each tensor within +-1/sqrt(fan_in).
+
+    One child RNG stream per tensor group (conv, rnn, attention, classifier)
+    draws that group's tensors in TENSOR_NAMES order.
+    """
     if n_identities < 1:
         raise ValueError(f"need at least one identity, got {n_identities}")
-    streams = np.random.SeedSequence(seed).spawn(4)
-    conv = init_conv_stack(np.random.default_rng(streams[0]), in_channels)
+    conv_rng, rnn_rng, att_rng, cls_rng = map(np.random.default_rng,
+                                              np.random.SeedSequence(seed).spawn(4))
+    draws = []  # (stream, shape, fan_in) per tensor
+    cin = FRAME_CHANNELS
+    for cout in CONV_CHANNELS:
+        fan_in = cin * CONV_KERNEL * CONV_KERNEL
+        draws += [(conv_rng, (cout, cin, CONV_KERNEL, CONV_KERNEL), fan_in),
+                  (conv_rng, (cout,), fan_in)]
+        cin = cout
     input_dim = rnn_input_dim(cfg, frame_hw)
-    rnn = init_rnn(np.random.default_rng(streams[1]), input_dim, feature_dim)
-    att = init_attention(np.random.default_rng(streams[2]), feature_dim)
-    cls_rng = np.random.default_rng(streams[3])
-    classifier_w = uniform_init(cls_rng, (n_identities, feature_dim), feature_dim)
-    classifier_b = uniform_init(cls_rng, (n_identities,), feature_dim)
-    return AstpnParams(conv, rnn, att, classifier_w, classifier_b)
+    draws += [(rnn_rng, (feature_dim, input_dim), input_dim),
+              (rnn_rng, (feature_dim, feature_dim), feature_dim),
+              (att_rng, (feature_dim, feature_dim), feature_dim),
+              (cls_rng, (n_identities, feature_dim), feature_dim),
+              (cls_rng, (n_identities,), feature_dim)]
+    return AstpnParams({name: uniform_init(rng, shape, fan_in)
+                        for name, (rng, shape, fan_in) in zip(TENSOR_NAMES, draws, strict=True)})
 
 
 def _frame_stack(seq) -> np.ndarray:
@@ -141,13 +138,14 @@ def branch_rows(graph: Graph, frames: np.ndarray, params: AstpnParams,
     tape (requires_grad=False), so backward computes no gradient for them.
     """
     x = Tensor(frames, requires_grad=False)
-    fmap = conv_stack_forward(graph, x, params.conv)
+    fmap = conv_stack_forward(graph, x, [params[f"conv{i}.kernel"] for i in (1, 2, 3)],
+                              [params[f"conv{i}.bias"] for i in (1, 2, 3)])
     if cfg.variant == "atpn_only":
         pooled = graph.maxpool2d(fmap, POOL_WINDOW)
         reps = graph.reshape(pooled, (pooled.shape[0], -1))
     else:
         reps = spp_forward(graph, fmap, SppConfig(cfg.spp_bins))
-    return rnn_forward(graph, reps, params.rnn, cfg.rnn_output)
+    return rnn_forward(graph, reps, params["rnn.u_in"], params["rnn.w_rec"], cfg.rnn_output)
 
 
 def pool_pair(graph: Graph, p_rows: Tensor, g_rows: Tensor, params: AstpnParams,
@@ -166,10 +164,10 @@ def pool_pair(graph: Graph, p_rows: Tensor, g_rows: Tensor, params: AstpnParams,
                                                  (t_n, 1)), (n,))
 
         return max_over_time(p_rows), max_over_time(g_rows)
-    att = params.att
+    u_att = params["att.u_att"]
     if cfg.variant in ("aspn_only", "mean_pool"):
-        att = AttentionParams(Tensor(np.zeros(att.u_att.shape), requires_grad=False))
-    return attentive_summary(graph, p_rows, g_rows, att)
+        u_att = Tensor(np.zeros(u_att.shape), requires_grad=False)
+    return attentive_summary(graph, p_rows, g_rows, u_att)
 
 
 def forward_pair(graph: Graph, probe, gallery, params: AstpnParams,
@@ -200,7 +198,7 @@ def hinge_loss(graph: Graph, v_p: Tensor, v_g: Tensor, same_person: bool,
 
 def identity_loss(graph: Graph, v: Tensor, label: int, params: AstpnParams) -> Tensor:
     """Cross entropy of the shared linear classifier on a pooled feature."""
-    logits = graph.add(graph.matvec(params.classifier_w, v), params.classifier_b)
+    logits = graph.add(graph.matvec(params["classifier.weight"], v), params["classifier.bias"])
     return graph.cross_entropy(logits, label)
 
 
@@ -244,8 +242,9 @@ def extract_feature(seq, params: AstpnParams, cfg: LossConfig) -> np.ndarray:
 
 # ---- checkpoint format ----
 #
-# magic "ASTP", u32 version, u32 identity count, then one record per tensor:
-# u32 name length, UTF-8 name, u32 rank, rank u64 extents, float64 payload.
+# magic "ASTP", u32 version, u32 identity count, then one record per tensor
+# in TENSOR_NAMES order: u32 name length, UTF-8 name, u32 rank, rank u64
+# extents, float64 payload.
 # All integers and floats little-endian.
 
 
@@ -308,27 +307,14 @@ def load_checkpoint(path) -> AstpnParams:
         data = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
         arrays[name] = np.array(data)  # own the memory
 
-    expected = [
-        "conv1.kernel", "conv1.bias", "conv2.kernel", "conv2.bias",
-        "conv3.kernel", "conv3.bias", "rnn.u_in", "rnn.w_rec", "att.u_att",
-        "classifier.weight", "classifier.bias",
-    ]
-    for name in expected:
+    for name in TENSOR_NAMES:
         if name not in arrays:
             raise CheckpointError(f"{path}: missing tensor {name}")
     for name in arrays:
-        if name not in expected:
+        if name not in TENSOR_NAMES:
             raise CheckpointError(f"{path}: unknown tensor {name}")
     _check_shape_chain(arrays, n_identities, path)
-    conv = ConvStackParams(
-        kernels=[Tensor(arrays[f"conv{i}.kernel"]) for i in (1, 2, 3)],
-        biases=[Tensor(arrays[f"conv{i}.bias"]) for i in (1, 2, 3)],
-    )
-    rnn = RnnParams(u_in=Tensor(arrays["rnn.u_in"]), w_rec=Tensor(arrays["rnn.w_rec"]))
-    att = AttentionParams(u_att=Tensor(arrays["att.u_att"]))
-    return AstpnParams(conv, rnn, att,
-                       Tensor(arrays["classifier.weight"]),
-                       Tensor(arrays["classifier.bias"]))
+    return AstpnParams({name: Tensor(arrays[name]) for name in TENSOR_NAMES})
 
 
 def _check_shape_chain(arrays: dict[str, np.ndarray], n_identities: int, path) -> None:

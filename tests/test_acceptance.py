@@ -26,14 +26,7 @@ from astpn.datapipe import (
 )
 from astpn.evalkit import cmc_from_features, compute_cmc, rank_gallery
 from astpn.gradcheck import run_gradcheck
-from astpn.layers import (
-    AttentionParams,
-    SppConfig,
-    attentive_summary,
-    conv_stack_forward,
-    init_conv_stack,
-    spp_forward,
-)
+from astpn.layers import SppConfig, attentive_summary, conv_stack_forward, spp_forward
 from astpn.model import (
     LossConfig,
     extract_feature,
@@ -77,7 +70,7 @@ def test_criterion_2_analytic_values():
     # the head's softmax: identity rows make the affinity tanh(U) and expose
     # the probe weights, and this U puts its row maxima at ln 2 and 0
     eye = Tensor(np.eye(2))
-    u = AttentionParams(u_att=Tensor(np.diag([math.atanh(math.log(2.0)), 0.0])))
+    u = Tensor(np.diag([math.atanh(math.log(2.0)), 0.0]))
     soft, _ = attentive_summary(g, eye, eye, u)
     assert abs(soft.data[0] - 2.0 / 3.0) < 1e-12
     assert abs(soft.data[1] - 1.0 / 3.0) < 1e-12
@@ -101,11 +94,13 @@ def test_criterion_2_analytic_values():
 def test_criterion_3_spp_fixed_length_across_resolutions(rng):
     cfg = SppConfig()
     assert [mw * mh for mw, mh in cfg.bins] == [64, 16, 4, 1]
-    conv = init_conv_stack(rng, in_channels=5)
+    params = init_params(0, 1, LossConfig())
+    kernels = [params[f"conv{i}.kernel"] for i in (1, 2, 3)]
+    biases = [params[f"conv{i}.bias"] for i in (1, 2, 3)]
     seen = {}
     for hw in [(24, 16), (48, 32), (128, 64)]:
         frames = Tensor(rng.uniform(-1, 1, size=(2, 5) + hw))
-        fmap = conv_stack_forward(Graph(record=False), frames, conv)
+        fmap = conv_stack_forward(Graph(record=False), frames, kernels, biases)
         out = spp_forward(Graph(record=False), fmap, cfg)
         seen[hw] = out.shape
         assert out.shape == (2, 2720), f"input {hw} gave {out.shape}"
@@ -124,24 +119,23 @@ def test_criterion_4_attention_identities(rng):
         q = Tensor(rng.integers(-8, 9, size=(5, 6)) / 8.0)
         u = rng.integers(-8, 9, size=(6, 6)) / 8.0
         g = Graph(record=False)
-        v_p, v_q = attentive_summary(g, p, q, AttentionParams(u_att=Tensor(u)))
-        w_q, w_p = attentive_summary(g, q, p, AttentionParams(u_att=Tensor(u.T)))
+        v_p, v_q = attentive_summary(g, p, q, Tensor(u))
+        w_q, w_p = attentive_summary(g, q, p, Tensor(u.T))
         assert v_p.data.tobytes() == w_p.data.tobytes()
         assert v_q.data.tobytes() == w_q.data.tobytes()
 
     # zero attention matrix reduces attentive pooling to the arithmetic mean
     p = Tensor(rng.standard_normal((6, 5)))
     q = Tensor(rng.standard_normal((4, 5)))
-    zero = AttentionParams(u_att=Tensor(np.zeros((5, 5))))
+    zero = Tensor(np.zeros((5, 5)))
     v_p, v_g = attentive_summary(Graph(record=False), p, q, zero)
     np.testing.assert_allclose(v_p.data, p.data.mean(axis=0), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(v_g.data, q.data.mean(axis=0), rtol=1e-12, atol=1e-12)
 
     # attention weight vectors are probability distributions: identity rows
     # expose them, since P = I gives v_p = a_p
-    params = AttentionParams(u_att=Tensor(rng.standard_normal((5, 5))))
-    a_p, a_g = attentive_summary(Graph(record=False), Tensor(np.eye(5)), Tensor(np.eye(5)),
-                                 params)
+    u = Tensor(rng.standard_normal((5, 5)))
+    a_p, a_g = attentive_summary(Graph(record=False), Tensor(np.eye(5)), Tensor(np.eye(5)), u)
     for w in (a_p, a_g):
         assert abs(w.data.sum() - 1.0) < 1e-12
         assert (w.data > 0).all()

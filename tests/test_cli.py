@@ -82,7 +82,7 @@ def assert_usage_error(capsys, argv, flag):
 
 @pytest.mark.parametrize("flag,value", [
     ("--ids", "0"), ("--cams", "0"), ("--frames", "0"), ("--height", "0"), ("--width", "-2"),
-    ("--signal-frames", "-1"),
+    ("--signal-frames", "-1"), ("--seed", "-1"),
 ])
 def test_synth_bad_count_is_usage_error(tmp_path, capsys, flag, value):
     root = tmp_path / "data"
@@ -180,7 +180,7 @@ def test_train_with_a_nan_parameter_exits_check_without_a_checkpoint(cli_data, t
     # carry to the loss rather than fail on
     def nan_init(*args, **kwargs):
         params = init_params(*args, **kwargs)
-        params.conv.kernels[0].data[0, 0, 0, 0] = np.nan
+        params["conv1.kernel"].data[0, 0, 0, 0] = np.nan
         return params
 
     monkeypatch.setattr(astpn.cli, "init_params", nan_init)
@@ -194,7 +194,7 @@ def test_train_with_a_nan_parameter_exits_check_without_a_checkpoint(cli_data, t
 def test_save_if_finite_refuses_non_finite_parameters(tmp_path):
     params = init_params(0, 2, LossConfig(), feature_dim=4)
     assert _save_if_finite(params, tmp_path / "ok.astp")
-    params.rnn.w_rec.data[0, 0] = np.inf
+    params["rnn.w_rec"].data[0, 0] = np.inf
     assert not _save_if_finite(params, tmp_path / "bad.astp")
     assert not (tmp_path / "bad.astp").exists()
 
@@ -216,6 +216,20 @@ def test_train_missing_data_root_is_data_error(tmp_path):
     assert main(["train", "--out", str(tmp_path / "x")]) == EXIT_DATA
     assert main(["train", "--data-root", str(tmp_path / "void"),
                  "--out", str(tmp_path / "y")]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_dataset_root_that_is_a_file_is_data_error(trained_run, tmp_path, capsys, command):
+    root = tmp_path / "data"
+    root.write_text("not a directory\n")
+    argv = [command, "--out", str(tmp_path / "out"), "--feature-dim", "16"]
+    if command == "train":
+        argv += ["--data-root", str(root)]
+    else:
+        argv += ["--checkpoint", str(trained_run / "checkpoint.astp"), "--cross-dataset", str(root)]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "is not a directory" in err and "Traceback" not in err
 
 
 # ---- config resolution ----
@@ -271,9 +285,12 @@ def test_config_file_invalid_json_is_data_error(tmp_path, capsys, body):
     ("train", ["--epochs", "-1"]),
     ("train", ["--save-every", "-2"]),
     ("train", ["--lr-decay-every", "-1"]),
+    ("train", ["--seed", "-1"]),
+    ("train", ["--seed", "-1", "--split-mode", "all"]),
+    ("eval", ["--seed", "-1"]),
 ], ids=["trials", "fraction", "k", "margin", "margin-inf", "feature_dim", "trial", "lr-zero",
         "lr-nan", "lr-inf", "decay-factor-nan", "decay-factor-negative", "epochs", "save-every",
-        "decay-every"])
+        "decay-every", "seed", "seed-split-all", "seed-eval"])
 def test_out_of_range_config_value_is_data_error(cli_data, trained_run, tmp_path, capsys,
                                                  command, flags):
     argv = [command, "--data-root", str(cli_data), "--out", str(tmp_path / "out"),
@@ -296,9 +313,9 @@ def test_out_of_range_value_in_config_file_is_data_error(cli_data, tmp_path):
 
 @pytest.mark.parametrize("values", [
     {"lr": float("nan")}, {"lr": -1}, {"lr_decay_factor": 0}, {"epochs": -1},
-    {"save_every": -1}, {"lr_decay_every": -3}, {"margin": float("inf")},
+    {"save_every": -1}, {"lr_decay_every": -3}, {"margin": float("inf")}, {"seed": -1},
 ], ids=["lr-nan", "lr-negative", "decay-factor-zero", "epochs", "save-every", "decay-every",
-        "margin-inf"])
+        "margin-inf", "seed"])
 def test_out_of_range_training_setting_in_config_file_is_data_error(cli_data, tmp_path,
                                                                    capsys, values):
     cfg_path = tmp_path / "bad_setting.json"
@@ -510,7 +527,7 @@ def test_eval_featurises_each_sequence_once_across_trials(cli_data, trained_run,
 
 def test_eval_inconsistent_checkpoint_is_data_error(cli_data, tmp_path):
     params = init_params(0, 4, LossConfig(), feature_dim=8)
-    params.att.u_att.data = np.zeros((5, 5))
+    params["att.u_att"].data = np.zeros((5, 5))
     checkpoint = tmp_path / "inconsistent.astp"
     save_checkpoint(params, checkpoint)
     code = main(["eval", "--data-root", str(cli_data), "--out", str(tmp_path / "a"),
@@ -635,7 +652,7 @@ def test_gradcheck_command_detects_corruption(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--corrupt", "nope"), ("--samples", "-3"), ("--samples", "0"), ("--tol", "nan"),
-    ("--tol", "inf"), ("--tol", "0"),
+    ("--tol", "inf"), ("--tol", "0"), ("--seed", "-1"),
 ])
 def test_gradcheck_bad_argument_is_usage_error(capsys, flag, value):
     assert_usage_error(capsys, ["gradcheck", flag, value], flag)

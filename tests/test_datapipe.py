@@ -182,6 +182,13 @@ def test_load_dataset_missing_root(tmp_path):
         load_dataset(tmp_path / "nope")
 
 
+def test_load_dataset_root_that_is_a_file(tmp_path):
+    root = tmp_path / "data"
+    root.write_text("not a directory\n")
+    with pytest.raises(DatasetError, match="is not a directory"):
+        load_dataset(root)
+
+
 def test_load_dataset_warns_on_single_camera(tmp_path, rng):
     rgb = rng.integers(0, 256, size=(10, 10, 3), dtype=np.uint8)
     write_ppm(tmp_path / "solo" / "cam0" / "00000.ppm", rgb)

@@ -9,21 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from astpn.datapipe import FRAME_CHANNELS
 from astpn.layers import (
+    CONV_CHANNELS,
+    CONV_KERNEL,
     CONV_PAD,
     POOL_WINDOW,
     RNN_OUTPUTS,
-    AttentionParams,
-    RnnParams,
     SppConfig,
     _cell_bounds,
     attentive_summary,
     conv_out_extent,
     conv_stack_forward,
     conv_stack_output_hw,
-    init_attention,
-    init_conv_stack,
-    init_rnn,
     pool_out_extent,
     rnn_forward,
     spp_forward,
@@ -32,13 +30,31 @@ from astpn.layers import (
 from astpn.tensor import Graph, ShapeError, Tensor
 
 
+def conv_weights(rng):
+    """The three conv layers' kernels and biases, drawn as init_params draws them."""
+    kernels, biases = [], []
+    cin = FRAME_CHANNELS
+    for cout in CONV_CHANNELS:
+        fan_in = cin * CONV_KERNEL * CONV_KERNEL
+        kernels.append(uniform_init(rng, (cout, cin, CONV_KERNEL, CONV_KERNEL), fan_in))
+        biases.append(uniform_init(rng, (cout,), fan_in))
+        cin = cout
+    return kernels, biases
+
+
+def rnn_weights(rng, input_dim, feature_dim):
+    """u_in and w_rec, drawn as init_params draws them."""
+    return (uniform_init(rng, (feature_dim, input_dim), input_dim),
+            uniform_init(rng, (feature_dim, feature_dim), feature_dim))
+
+
 # ---- conv stack ----
 
 
 def test_conv_stack_shapes_for_standard_input(rng):
-    params = init_conv_stack(rng, in_channels=5)
+    kernels, biases = conv_weights(rng)
     frames = Tensor(rng.uniform(-1, 1, size=(2, 5, 128, 64)))
-    out = conv_stack_forward(Graph(), frames, params)
+    out = conv_stack_forward(Graph(), frames, kernels, biases)
     assert out.shape == (2, 32, 39, 23)
     assert out.shape[2:] == conv_stack_output_hw((128, 64))
 
@@ -66,40 +82,39 @@ def test_conv_stack_output_hw_sweep(hw, expected):
 
 
 def test_conv_stack_single_frame_matches_batch(rng):
-    params = init_conv_stack(rng, in_channels=5)
+    kernels, biases = conv_weights(rng)
     frames = rng.uniform(-1, 1, size=(3, 5, 24, 16))
     g = Graph(record=False)
-    batch = conv_stack_forward(g, Tensor(frames), params)
-    one = conv_stack_forward(g, Tensor(frames[1:2]), params)
+    batch = conv_stack_forward(g, Tensor(frames), kernels, biases)
+    one = conv_stack_forward(g, Tensor(frames[1:2]), kernels, biases)
     np.testing.assert_array_equal(batch.data[1], one.data[0])
 
 
-def conv_tanh_pool_reference(graph, frames, params):
+def conv_tanh_pool_reference(graph, frames, kernels, biases):
     """The conv stack with each tanh before its pooling."""
     h = frames
     for i in range(3):
-        h = graph.tanh(graph.conv2d(h, params.kernels[i], params.biases[i], pad=CONV_PAD))
+        h = graph.tanh(graph.conv2d(h, kernels[i], biases[i], pad=CONV_PAD))
         if i < 2:
             h = graph.maxpool2d(h, POOL_WINDOW)
     return h
 
 
 def test_conv_stack_pooling_before_tanh_keeps_the_values_of_pooling_after(rng):
-    params = init_conv_stack(rng, in_channels=5)
+    kernels, biases = conv_weights(rng)
     frames = rng.uniform(-1, 1, size=(3, 5, 24, 16))
     frames[:, :, 6:18, 4:12] = 0.5  # flat patches: tied windows in every layer
     frames[0] *= 200.0  # tanh saturates to exactly +-1 in much of frame 0
     weights = rng.standard_normal((3, 32, 13, 11))
     results = []
     for forward in (conv_tanh_pool_reference, conv_stack_forward):
-        for t in params.kernels + params.biases:
+        for t in kernels + biases:
             t.clear_grad()
         g = Graph()
-        out = forward(g, Tensor(frames, requires_grad=False), params)
+        out = forward(g, Tensor(frames, requires_grad=False), kernels, biases)
         g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
-        results.append((out.data, [t.grad for t in params.kernels + params.biases]))
-    conv1 = Graph(record=False).conv2d(Tensor(frames), params.kernels[0], params.biases[0],
-                                       pad=CONV_PAD)
+        results.append((out.data, [t.grad for t in kernels + biases]))
+    conv1 = Graph(record=False).conv2d(Tensor(frames), kernels[0], biases[0], pad=CONV_PAD)
     assert (np.tanh(conv1.data) == 1.0).any()
     (ref_out, ref_grads), (out, grads) = results
     assert out.tobytes() == ref_out.tobytes()
@@ -112,8 +127,9 @@ def test_conv_stack_pooling_before_tanh_keeps_the_values_of_pooling_after(rng):
 
 
 def test_conv_stack_output_is_tanh_bounded(rng):
-    params = init_conv_stack(rng, in_channels=5)
-    out = conv_stack_forward(Graph(), Tensor(rng.uniform(-1, 1, size=(1, 5, 24, 16))), params)
+    kernels, biases = conv_weights(rng)
+    out = conv_stack_forward(Graph(), Tensor(rng.uniform(-1, 1, size=(1, 5, 24, 16))),
+                             kernels, biases)
     assert np.abs(out.data).max() < 1.0
 
 
@@ -194,7 +210,7 @@ def test_frame_layers_need_a_4d_stack(rng):
         spp_forward(Graph(), Tensor(rng.standard_normal((2, 9, 8))), SppConfig())
     with pytest.raises(ShapeError):
         conv_stack_forward(Graph(), Tensor(rng.standard_normal((5, 24, 16))),
-                           init_conv_stack(rng, in_channels=5))
+                           *conv_weights(rng))
 
 
 def test_spp_custom_bins(rng):
@@ -318,9 +334,8 @@ def test_spp_tie_gradient_lands_on_a_max_of_its_cell(levels, channels, seed, dat
 
 def test_rnn_scalar_recursion_matches_hand_calculation():
     # one-dim everything: o_t = 2*r_t + 0.5*s_{t-1}, s_t = tanh(o_t), s_0 = 0
-    params = RnnParams(u_in=Tensor([[2.0]]), w_rec=Tensor([[0.5]]))
     reps = Tensor([[1.0], [-1.0], [0.25]])
-    out = rnn_forward(Graph(), reps, params)
+    out = rnn_forward(Graph(), reps, Tensor([[2.0]]), Tensor([[0.5]]))
     o1 = 2.0
     o2 = -2.0 + 0.5 * math.tanh(o1)
     o3 = 0.5 + 0.5 * math.tanh(o2)
@@ -328,18 +343,18 @@ def test_rnn_scalar_recursion_matches_hand_calculation():
 
 
 def test_rnn_post_tanh_rows_are_states():
-    params = RnnParams(u_in=Tensor([[2.0]]), w_rec=Tensor([[0.5]]))
+    weights = Tensor([[2.0]]), Tensor([[0.5]])
     reps = Tensor([[1.0], [-1.0]])
-    pre = rnn_forward(Graph(), reps, params, output="pre_tanh")
-    post = rnn_forward(Graph(), reps, params, output="post_tanh")
+    pre = rnn_forward(Graph(), reps, *weights, output="pre_tanh")
+    post = rnn_forward(Graph(), reps, *weights, output="post_tanh")
     np.testing.assert_allclose(post.data, np.tanh(pre.data), rtol=1e-15)
 
 
 def test_rnn_single_step_ignores_recurrence(rng):
-    params = init_rnn(rng, input_dim=6, feature_dim=4)
+    u_in, w_rec = rnn_weights(rng, input_dim=6, feature_dim=4)
     r = rng.standard_normal((1, 6))
-    out = rnn_forward(Graph(), Tensor(r), params)
-    np.testing.assert_allclose(out.data[0], params.u_in.data @ r[0], rtol=1e-12)
+    out = rnn_forward(Graph(), Tensor(r), u_in, w_rec)
+    np.testing.assert_allclose(out.data[0], u_in.data @ r[0], rtol=1e-12)
 
 
 def rnn_reference(reps, u_in, w_rec, output):
@@ -358,46 +373,46 @@ def rnn_reference(reps, u_in, w_rec, output):
        st.sampled_from(["pre_tanh", "post_tanh"]), st.integers(0, 2**32 - 1))
 def test_rnn_property_matches_stepwise_reference(steps, input_dim, feature_dim, output, seed):
     rng = np.random.default_rng(seed)
-    params = init_rnn(rng, input_dim=input_dim, feature_dim=feature_dim)
+    u_in, w_rec = rnn_weights(rng, input_dim=input_dim, feature_dim=feature_dim)
     reps = rng.standard_normal((steps, input_dim))
-    out = rnn_forward(Graph(), Tensor(reps), params, output=output)
-    expected = rnn_reference(reps, params.u_in.data, params.w_rec.data, output)
+    out = rnn_forward(Graph(), Tensor(reps), u_in, w_rec, output=output)
+    expected = rnn_reference(reps, u_in.data, w_rec.data, output)
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
 
 def test_rnn_zero_recurrence_is_frame_independent(rng):
-    params = init_rnn(rng, input_dim=5, feature_dim=3)
-    params.w_rec.data[:] = 0.0
+    u_in, w_rec = rnn_weights(rng, input_dim=5, feature_dim=3)
+    w_rec.data[:] = 0.0
     rows = rng.standard_normal((6, 5))
     perm = rng.permutation(6)
-    out = rnn_forward(Graph(), Tensor(rows), params)
-    out_perm = rnn_forward(Graph(), Tensor(rows[perm]), params)
+    out = rnn_forward(Graph(), Tensor(rows), u_in, w_rec)
+    out_perm = rnn_forward(Graph(), Tensor(rows[perm]), u_in, w_rec)
     np.testing.assert_allclose(out.data[perm], out_perm.data, rtol=1e-12)
 
 
 def test_rnn_rejects_wrong_input_dim(rng):
-    params = init_rnn(rng, input_dim=5, feature_dim=3)
+    weights = rnn_weights(rng, input_dim=5, feature_dim=3)
     with pytest.raises(ShapeError):
-        rnn_forward(Graph(), Tensor(rng.standard_normal((4, 6))), params)
+        rnn_forward(Graph(), Tensor(rng.standard_normal((4, 6))), *weights)
     with pytest.raises(ValueError):
-        rnn_forward(Graph(), Tensor(rng.standard_normal((4, 5))), params, output="mid")
+        rnn_forward(Graph(), Tensor(rng.standard_normal((4, 5))), *weights, output="mid")
 
 
 @pytest.mark.parametrize("output", RNN_OUTPUTS)
 def test_rnn_gradient_through_time(rng, output):
-    params = init_rnn(rng, input_dim=3, feature_dim=2)
+    u_in, w_rec = rnn_weights(rng, input_dim=3, feature_dim=2)
     reps = Tensor(rng.standard_normal((4, 3)))
 
     def loss():
         g = Graph(record=False)
-        out = rnn_forward(g, reps, params, output)
+        out = rnn_forward(g, reps, u_in, w_rec, output)
         return float(out.data.sum())
 
     g = Graph()
-    out = rnn_forward(g, reps, params, output)
+    out = rnn_forward(g, reps, u_in, w_rec, output)
     g.backward(g.sum_all(out))
     h = 1e-6
-    for t in (params.u_in, params.w_rec, reps):
+    for t in (u_in, w_rec, reps):
         flat = t.data.reshape(-1)
         gflat = t.grad.reshape(-1)
         for i in range(flat.size):
@@ -411,9 +426,9 @@ def test_rnn_gradient_through_time(rng, output):
 
 
 def test_rnn_records_one_tape_node(rng):
-    params = init_rnn(rng, input_dim=5, feature_dim=3)
+    weights = rnn_weights(rng, input_dim=5, feature_dim=3)
     g = Graph()
-    rnn_forward(g, Tensor(rng.standard_normal((16, 5))), params)
+    rnn_forward(g, Tensor(rng.standard_normal((16, 5))), *weights)
     assert len(g) == 1
 
 
@@ -422,8 +437,7 @@ def test_rnn_records_one_tape_node(rng):
 
 def summarize(p, g, u):
     """attentive_summary's (v_p, v_g) on plain arrays, without a tape."""
-    v_p, v_g = attentive_summary(Graph(record=False), Tensor(p), Tensor(g),
-                                 AttentionParams(u_att=Tensor(u)))
+    v_p, v_g = attentive_summary(Graph(record=False), Tensor(p), Tensor(g), Tensor(u))
     return v_p.data, v_g.data
 
 
@@ -482,7 +496,7 @@ def test_temporal_weights_select_row_and_column_maxes():
 
 def test_attentive_summary_weights_sum_to_one(rng):
     # identity rows expose the weights: P = I gives v_p = a_p
-    u = init_attention(rng, 5).u_att.data
+    u = uniform_init(rng, (5, 5), 5).data
     a_p, a_g = summarize(np.eye(5), np.eye(5)[:3], u)
     assert a_p.sum() == pytest.approx(1.0, abs=1e-12)
     assert a_g[:3].sum() == pytest.approx(1.0, abs=1e-12)
@@ -492,8 +506,7 @@ def test_attentive_summary_weights_sum_to_one(rng):
 def test_attentive_summary_zero_weights_is_mean_pooling(rng):
     p = Tensor(rng.standard_normal((5, 4)))
     gal = Tensor(rng.standard_normal((3, 4)))
-    params = AttentionParams(u_att=Tensor(np.zeros((4, 4))))
-    v_p, v_g = attentive_summary(Graph(), p, gal, params)
+    v_p, v_g = attentive_summary(Graph(), p, gal, Tensor(np.zeros((4, 4))))
     np.testing.assert_allclose(v_p.data, p.data.mean(axis=0), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(v_g.data, gal.data.mean(axis=0), rtol=1e-12, atol=1e-12)
 
@@ -504,21 +517,20 @@ def test_attentive_summary_is_convex_combination_of_rows(rng):
     p[1] = [50.0, 0.0]
     gal = np.zeros((2, 2))
     gal[0] = [50.0, 0.0]
-    params = AttentionParams(u_att=Tensor(np.eye(2)))
-    v_p, v_g = attentive_summary(Graph(), Tensor(p), Tensor(gal), params)
+    v_p, v_g = attentive_summary(Graph(), Tensor(p), Tensor(gal), Tensor(np.eye(2)))
     # tanh saturates at 1 for the (1,0) entry; the other rows sit at tanh(0)=0
     w = math.exp(1.0) / (math.exp(1.0) + 2.0 * math.exp(math.tanh(0.0)))
     np.testing.assert_allclose(v_p.data, w * p[1], rtol=1e-12)
 
 
 def test_attention_rejects_mismatched_feature_dims(rng):
-    params = init_attention(rng, 4)
+    u_att = uniform_init(rng, (4, 4), 4)
     with pytest.raises(ShapeError):
         attentive_summary(Graph(), Tensor(rng.standard_normal((3, 5))),
-                          Tensor(rng.standard_normal((3, 4))), params)
+                          Tensor(rng.standard_normal((3, 4))), u_att)
     with pytest.raises(ShapeError):
         attentive_summary(Graph(), Tensor(rng.standard_normal((3, 4))),
-                          Tensor(rng.standard_normal((3, 5))), params)
+                          Tensor(rng.standard_normal((3, 5))), u_att)
 
 
 def test_attentive_summary_gradient(rng):
@@ -528,11 +540,11 @@ def test_attentive_summary_gradient(rng):
 
     def loss():
         g = Graph(record=False)
-        v_p, v_g = attentive_summary(g, p, gal, AttentionParams(u_att=u))
+        v_p, v_g = attentive_summary(g, p, gal, u)
         return float(v_p.data.sum() + v_g.data.sum())
 
     g = Graph()
-    v_p, v_g = attentive_summary(g, p, gal, AttentionParams(u_att=u))
+    v_p, v_g = attentive_summary(g, p, gal, u)
     g.backward(g.add(g.sum_all(v_p), g.sum_all(v_g)))
     h = 1e-6
     for t in (p, gal, u):

@@ -16,6 +16,7 @@ from astpn import tensor
 from astpn.layers import RNN_OUTPUTS
 from astpn.datapipe import PairBatch, SequenceSample
 from astpn.model import (
+    TENSOR_NAMES,
     CheckpointError,
     LossConfig,
     VARIANTS,
@@ -103,7 +104,7 @@ def test_astpn_with_zero_attention_equals_mean_pool():
     pair = toy_pair()
     cfg_att = toy_cfg("astpn")
     params = toy_params(cfg_att)
-    params.att.u_att.data[:] = 0.0
+    params["att.u_att"].data[:] = 0.0
     v_p_att, v_g_att = forward_pair(Graph(), pair.probe, pair.gallery, params, cfg_att)
     cfg_mean = toy_cfg("mean_pool")
     v_p_mean, v_g_mean = forward_pair(Graph(), pair.probe, pair.gallery, params, cfg_mean)
@@ -149,7 +150,7 @@ def test_atpn_only_uses_plain_pooling_head():
     # conv output for 12x8 frames is 10x9, pooled to 5x4
     assert rnn_input_dim(cfg, frame_hw=TOY_HW) == 32 * 5 * 4
     params = toy_params(cfg)
-    assert params.rnn.input_dim == 32 * 5 * 4
+    assert params["rnn.u_in"].shape[1] == 32 * 5 * 4
     pair = toy_pair()
     v_p, v_g = forward_pair(Graph(), pair.probe, pair.gallery, params, cfg)
     assert v_p.shape == (6,)
@@ -238,8 +239,8 @@ def test_hinge_loss_negative_beyond_margin_is_zero():
 def test_identity_loss_zero_weights_gives_log_k():
     cfg = toy_cfg()
     params = toy_params(cfg, n_ids=5)
-    params.classifier_w.data[:] = 0.0
-    params.classifier_b.data[:] = 0.0
+    params["classifier.weight"].data[:] = 0.0
+    params["classifier.bias"].data[:] = 0.0
     v = Tensor(np.random.default_rng(1).standard_normal(6))
     out = identity_loss(Graph(), v, 2, params)
     assert out.item() == pytest.approx(math.log(5.0), rel=1e-15)
@@ -248,8 +249,8 @@ def test_identity_loss_zero_weights_gives_log_k():
 def test_identity_loss_bias_only_analytic_value():
     cfg = toy_cfg()
     params = toy_params(cfg, n_ids=2)
-    params.classifier_w.data[:] = 0.0
-    params.classifier_b.data[:] = [math.log(3.0), 0.0]
+    params["classifier.weight"].data[:] = 0.0
+    params["classifier.bias"].data[:] = [math.log(3.0), 0.0]
     out = identity_loss(Graph(), Tensor(np.zeros(6)), 0, params)
     # softmax probability of class 0 is 3/4
     assert out.item() == pytest.approx(-math.log(0.75), rel=1e-14)
@@ -327,8 +328,8 @@ def test_mean_pool_leaves_attention_without_gradient():
     params = toy_params(cfg)
     g = Graph()
     g.backward(total_loss(g, pair, params, cfg))
-    assert params.att.u_att.grad is None
-    assert params.rnn.u_in.grad is not None
+    assert params["att.u_att"].grad is None
+    assert params["rnn.u_in"].grad is not None
 
 
 def test_every_public_graph_op_serves_the_model(monkeypatch):
@@ -376,10 +377,10 @@ def test_sgd_step_arithmetic():
 def test_sgd_step_skips_untouched_tensors_bitwise():
     cfg = toy_cfg()
     params = toy_params(cfg)
-    before = params.att.u_att.data.copy()
-    params.rnn.u_in.grad = np.ones(params.rnn.u_in.shape)
+    before = params["att.u_att"].data.copy()
+    params["rnn.u_in"].grad = np.ones(params["rnn.u_in"].shape)
     sgd_step(params, lr=0.5)
-    np.testing.assert_array_equal(params.att.u_att.data, before)
+    np.testing.assert_array_equal(params["att.u_att"].data, before)
 
 
 def test_sgd_step_without_any_gradient_raises():
@@ -523,6 +524,61 @@ def test_init_params_shapes():
     assert named["classifier.bias"].shape == (4,)
     assert params.n_identities == 4
     assert params.feature_dim == 10
+
+
+def per_group_init(seed, n_identities, cfg, feature_dim, frame_hw):
+    """init_params as it was drawn by one helper per tensor group (conv stack,
+    recurrence, attention, classifier), each from its own child stream, into
+    arrays in checkpoint order."""
+    def uniform(rng, shape, fan_in):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    def init_conv_stack(rng, in_channels=5):
+        kernels, biases = [], []
+        cin = in_channels
+        for cout in (16, 32, 32):
+            fan_in = cin * 5 * 5
+            kernels.append(uniform(rng, (cout, cin, 5, 5), fan_in))
+            biases.append(uniform(rng, (cout,), fan_in))
+            cin = cout
+        return kernels, biases
+
+    def init_rnn(rng, input_dim, feature_dim):
+        return (uniform(rng, (feature_dim, input_dim), input_dim),
+                uniform(rng, (feature_dim, feature_dim), feature_dim))
+
+    def init_attention(rng, feature_dim):
+        return uniform(rng, (feature_dim, feature_dim), feature_dim)
+
+    streams = np.random.SeedSequence(seed).spawn(4)
+    kernels, biases = init_conv_stack(np.random.default_rng(streams[0]))
+    u_in, w_rec = init_rnn(np.random.default_rng(streams[1]),
+                           rnn_input_dim(cfg, frame_hw), feature_dim)
+    u_att = init_attention(np.random.default_rng(streams[2]), feature_dim)
+    cls_rng = np.random.default_rng(streams[3])
+    classifier_w = uniform(cls_rng, (n_identities, feature_dim), feature_dim)
+    classifier_b = uniform(cls_rng, (n_identities,), feature_dim)
+    return {
+        "conv1.kernel": kernels[0], "conv1.bias": biases[0],
+        "conv2.kernel": kernels[1], "conv2.bias": biases[1],
+        "conv3.kernel": kernels[2], "conv3.bias": biases[2],
+        "rnn.u_in": u_in, "rnn.w_rec": w_rec, "att.u_att": u_att,
+        "classifier.weight": classifier_w, "classifier.bias": classifier_b,
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("variant", ["astpn", "atpn_only"])
+@pytest.mark.parametrize("feature_dim", [6, 16])
+def test_init_params_equals_the_per_group_draws_bitwise(seed, variant, feature_dim):
+    cfg = toy_cfg(variant)
+    expected = per_group_init(seed, 3, cfg, feature_dim, TOY_HW)
+    named = toy_params(cfg, seed=seed, feature_dim=feature_dim).named_tensors()
+    assert list(named) == list(expected) == list(TENSOR_NAMES)
+    for name, array in expected.items():
+        assert named[name].shape == array.shape, name
+        assert named[name].data.tobytes() == array.tobytes(), name
 
 
 def test_init_params_requires_identities():
