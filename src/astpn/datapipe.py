@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import _at_once
+from .tensor import _at_once, _usable_cpus
 
 FLOW_MAX_PX = 8.0
 FLOW_WINDOW_RADIUS = 2  # 5x5 uniform window
@@ -351,11 +351,7 @@ def preprocess_dataset(raws: list[RawSequence]) -> list[SequenceSample]:
     if not raws:
         return []
     stacks = [np.empty((len(r.frames), FRAME_CHANNELS) + r.frames[0].shape[:2]) for r in raws]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    n = min(cpus, len(raws))
+    n = min(_usable_cpus(), len(raws))
 
     def work(k: int) -> None:
         for i in range(k, len(raws), n):

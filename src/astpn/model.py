@@ -3,6 +3,7 @@ plain SGD, and binary checkpoint round trips."""
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .layers import (
     spp_forward,
     uniform_init,
 )
-from .tensor import Graph, ShapeError, Tensor
+from .tensor import Graph, ShapeError, Tensor, _at_once, _one_blas_thread, _usable_cpus
 
 VARIANTS = ("astpn", "atpn_only", "aspn_only", "mean_pool", "max_pool")
 
@@ -129,22 +130,30 @@ def _frame_stack(seq) -> np.ndarray:
     return frames
 
 
-def branch_rows(graph: Graph, frames: np.ndarray, params: AstpnParams,
-                cfg: LossConfig) -> Tensor:
-    """One Siamese branch: conv stack, spatial head, recurrence. Returns (T, N).
-
-    The branch never sees the other sequence of a pair, so one sequence's
-    rows can be pooled against any partner. The frames are a constant of the
-    tape (requires_grad=False), so backward computes no gradient for them.
+def frame_reps(graph: Graph, frames: np.ndarray, params: AstpnParams,
+               cfg: LossConfig) -> Tensor:
+    """Conv stack, then the spatial head (SPP, or the 2x2 pool of
+    atpn_only): one (T, L) descriptor row per frame, each row read from its
+    own frame alone. The frames are a constant of the tape
+    (requires_grad=False), so backward computes no gradient for them.
     """
     x = Tensor(frames, requires_grad=False)
     fmap = conv_stack_forward(graph, x, [params[f"conv{i}.kernel"] for i in (1, 2, 3)],
                               [params[f"conv{i}.bias"] for i in (1, 2, 3)])
     if cfg.variant == "atpn_only":
         pooled = graph.maxpool2d(fmap, POOL_WINDOW)
-        reps = graph.reshape(pooled, (pooled.shape[0], -1))
-    else:
-        reps = spp_forward(graph, fmap, SppConfig(cfg.spp_bins))
+        return graph.reshape(pooled, (pooled.shape[0], -1))
+    return spp_forward(graph, fmap, SppConfig(cfg.spp_bins))
+
+
+def branch_rows(graph: Graph, frames: np.ndarray, params: AstpnParams,
+                cfg: LossConfig) -> Tensor:
+    """One Siamese branch: frame_reps, then the recurrence. Returns (T, N).
+
+    The branch never sees the other sequence of a pair, so one sequence's
+    rows can be pooled against any partner.
+    """
+    reps = frame_reps(graph, frames, params, cfg)
     return rnn_forward(graph, reps, params["rnn.u_in"], params["rnn.w_rec"], cfg.rnn_output)
 
 
@@ -233,10 +242,26 @@ def sgd_step(params: AstpnParams, lr: float) -> None:
 def extract_feature(seq, params: AstpnParams, cfg: LossConfig) -> np.ndarray:
     """Feature vector for one sequence, without taping: its branch rows run
     once and are pooled against themselves, giving the probe vector of the
-    self-pair."""
-    graph = Graph(record=False)
-    rows = branch_rows(graph, _frame_stack(seq), params, cfg)
-    v_p, _ = pool_pair(graph, rows, rows, params, cfg)
+    self-pair.
+
+    The frames are cut into one contiguous run per CPU the process may use,
+    never more runs than frames, and frame_reps runs on every run at the
+    same time (tensor._at_once), each on an unrecorded graph of its own.
+    Their rows are joined in frame order; the recurrence and the pooling
+    then run on the calling thread. The whole call runs OpenBLAS at one
+    thread, so the feature is bitwise the same whatever the caller's BLAS
+    thread count and CPU count.
+    """
+    frames = _frame_stack(seq)
+    n = min(_usable_cpus(), len(frames))
+    cuts = [len(frames) * k // n for k in range(n + 1)]
+    with _one_blas_thread():
+        parts = _at_once([functools.partial(frame_reps, Graph(record=False), frames[t0:t1],
+                                            params, cfg) for t0, t1 in zip(cuts, cuts[1:])])
+        graph = Graph(record=False)
+        reps = Tensor(np.concatenate([part.data for part in parts]), requires_grad=False)
+        rows = rnn_forward(graph, reps, params["rnn.u_in"], params["rnn.w_rec"], cfg.rnn_output)
+        v_p, _ = pool_pair(graph, rows, rows, params, cfg)
     return v_p.data
 
 
@@ -301,6 +326,8 @@ def load_checkpoint(path) -> AstpnParams:
     arrays: dict[str, np.ndarray] = {}
     while r.pos < len(blob):
         name = r.take(r.u32()).decode("utf-8")
+        if name in arrays:
+            raise CheckpointError(f"{path}: tensor {name} is stored twice")
         rank = r.u32()
         shape = tuple(r.u64() for _ in range(rank))
         count = int(np.prod(shape)) if shape else 1

@@ -1,6 +1,8 @@
 """Shared fixtures: synthetic datasets are expensive enough (optical flow on
 every frame pair) that the suite builds each one once per session."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,11 @@ def sparse_index(sparse_root):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def fake_cpus(monkeypatch):
+    """fake_cpus(n) makes the process's affinity mask hold n CPUs."""
+    def fake(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return fake

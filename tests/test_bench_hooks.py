@@ -74,7 +74,7 @@ def test_notes_digest_the_arguments_of_real_calls(tracing, monkeypatch, rng):
 
         monkeypatch.setattr(module, attr, record)
 
-    capture(model, "conv_stack_forward", "layers.conv_stack")  # called by branch_rows
+    capture(model, "conv_stack_forward", "layers.conv_stack")  # called by frame_reps
     capture(evalkit, "extract_feature", "model.extract_feature")  # called by compute_cmc
     cfg = LossConfig(spp_bins=TOY_BINS)
     params = init_params(0, 2, cfg, feature_dim=4)

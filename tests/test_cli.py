@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import typing
 from collections import Counter
 from dataclasses import fields
@@ -525,6 +526,33 @@ def test_eval_featurises_each_sequence_once_across_trials(cli_data, trained_run,
     assert next(out.glob("cmc_*.csv")).read_bytes() == reference.read_bytes()
 
 
+def test_eval_featurises_in_one_order_on_the_calling_thread(cli_data, trained_run, tmp_path,
+                                                           monkeypatch):
+    # a caller that wraps extract_feature, as a benchmark digest of the
+    # features in call order does, sees the same calls in every run
+    original = evalkit.extract_feature
+    runs = []
+
+    def recording(seq, params, cfg):
+        feat = original(seq, params, cfg)
+        runs[-1].append((threading.get_ident(), seq.person_id, seq.camera_id, feat.tobytes()))
+        return feat
+
+    monkeypatch.setattr(evalkit, "extract_feature", recording)
+    for run in ("first", "second"):
+        runs.append([])
+        code = main(["eval", "--data-root", str(cli_data), "--out", str(tmp_path / run),
+                     "--checkpoint", str(trained_run / "checkpoint.astp"),
+                     "--feature-dim", "16", "--trials", "2", "--split-mode", "half",
+                     "--seed", "0"])
+        assert code == EXIT_OK
+    first, second = runs
+    sequences = [(pid, cam) for _, pid, cam, _ in first]
+    assert len(sequences) == len(set(sequences)) > 0
+    assert {ident for ident, *_ in first + second} == {threading.get_ident()}
+    assert first == second
+
+
 def test_eval_inconsistent_checkpoint_is_data_error(cli_data, tmp_path):
     params = init_params(0, 4, LossConfig(), feature_dim=8)
     params["att.u_att"].data = np.zeros((5, 5))
@@ -575,11 +603,17 @@ def test_eval_requires_checkpoint(cli_data, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["eval", "extract"])
-@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "repeated"])
 def test_unreadable_checkpoint_is_data_error(cli_data, tmp_path, capsys, command, kind):
     checkpoint = tmp_path / "checkpoint.astp"
     if kind == "directory":
         checkpoint.mkdir()
+    elif kind == "repeated":  # a second classifier.bias record after the first
+        save_checkpoint(init_params(0, 2, LossConfig(), feature_dim=8), checkpoint)
+        name = b"classifier.bias"
+        record = len(name).to_bytes(4, "little") + name + (1).to_bytes(4, "little")
+        record += (2).to_bytes(8, "little") + np.array([7.0, 8.0]).tobytes()
+        checkpoint.write_bytes(checkpoint.read_bytes() + record)
     assert main([command, "--data-root", str(cli_data), "--out", str(tmp_path / "out"),
                  "--checkpoint", str(checkpoint)]) == EXIT_DATA
     assert_one_error_line(capsys)

@@ -3,7 +3,6 @@ known motions, crop geometry, the pair stream's draws, splits, and the
 synthetic dataset generator."""
 
 import hashlib
-import os
 import sys
 import threading
 import warnings
@@ -370,12 +369,8 @@ def test_preprocess_dataset_matches_reference_bitwise(tmp_path, size, n_ids, fra
         assert sample.frames.shape == (len(raw.frames), 5) + size
 
 
-def fake_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def test_preprocess_dataset_keeps_input_order_and_joins_its_threads(monkeypatch, rng):
-    fake_cpus(monkeypatch, 3)
+def test_preprocess_dataset_keeps_input_order_and_joins_its_threads(fake_cpus, rng):
+    fake_cpus(3)
     raws = [RawSequence(f"p{i}", "cam0",
                         [rng.integers(0, 256, size=(10, 8, 3), dtype=np.uint8)
                          for _ in range(2 + i % 3)])
@@ -394,9 +389,9 @@ def test_preprocess_dataset_keeps_input_order_and_joins_its_threads(monkeypatch,
     assert preprocess_dataset([]) == []
 
 
-def test_preprocess_dataset_on_one_cpu_starts_no_thread(monkeypatch, synth_root):
+def test_preprocess_dataset_on_one_cpu_starts_no_thread(monkeypatch, fake_cpus, synth_root):
     raws = load_dataset(synth_root)[:3]
-    fake_cpus(monkeypatch, 1)
+    fake_cpus(1)
 
     def no_thread(*args, **kwargs):
         raise AssertionError("a thread was started")
@@ -406,8 +401,8 @@ def test_preprocess_dataset_on_one_cpu_starts_no_thread(monkeypatch, synth_root)
     assert [s.frames.tobytes() for s in samples] == [ref_preprocess(r).tobytes() for r in raws]
 
 
-def test_preprocess_dataset_error_in_a_worker_keeps_its_type(monkeypatch, rng):
-    fake_cpus(monkeypatch, 2)
+def test_preprocess_dataset_error_in_a_worker_keeps_its_type(fake_cpus, rng):
+    fake_cpus(2)
     raws = [RawSequence(f"p{i}", "cam0",
                         [rng.integers(0, 256, size=(1, 20, 3), dtype=np.uint8)
                          for _ in range(3)])

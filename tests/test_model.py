@@ -15,6 +15,7 @@ import pytest
 from astpn import tensor
 from astpn.layers import RNN_OUTPUTS
 from astpn.datapipe import PairBatch, SequenceSample
+from astpn.evalkit import eval_sequence
 from astpn.model import (
     TENSOR_NAMES,
     CheckpointError,
@@ -187,9 +188,52 @@ def test_extract_feature_is_probe_vector_of_self_pair_bitwise(variant):
     seq = toy_pair(steps=3).probe
     cfg = toy_cfg(variant)
     params = toy_params(cfg)
-    v_p, _ = forward_pair(Graph(record=False), seq, seq, params, cfg)
+    with tensor._one_blas_thread():  # as extract_feature runs
+        v_p, _ = forward_pair(Graph(record=False), seq, seq, params, cfg)
     feat = extract_feature(seq, params, cfg)
     assert feat.tobytes() == v_p.data.tobytes()
+
+
+@pytest.mark.parametrize("eval_k", [None, 1])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_extract_feature_is_independent_of_blas_threads_and_cpus(fake_cpus, variant, eval_k):
+    # 32x16 crops, where OpenBLAS at two threads splits the products, and
+    # where each layer's frames are narrow enough for several to share one
+    # conv block; eval_k=1 leaves fewer frames than CPUs
+    rng = np.random.default_rng(7)
+    hw = (32, 16)
+    cfg = LossConfig(variant=variant)
+    params = init_params(3, 3, cfg, feature_dim=32, frame_hw=hw)
+    sample = SequenceSample("a", "c0", rng.uniform(-1, 1, size=(5, 5, 40, 24)))
+    seq = eval_sequence(sample, eval_k)
+    feats = []
+    control = tensor._openblas_threads()
+    before = control[0]() if control else None
+    try:
+        for threads in (1, 2):
+            if control:
+                control[1](threads)
+            feats.append(extract_feature(seq, params, cfg))
+    finally:
+        if control:
+            control[1](before)
+    for cpus in (1, 2, 3):
+        fake_cpus(cpus)
+        feats.append(extract_feature(seq, params, cfg))
+    assert all(f.tobytes() == feats[0].tobytes() for f in feats[1:])
+
+
+def test_extract_feature_raises_a_worker_error_after_every_worker_ends(fake_cpus):
+    # the kernel takes five channels; every run of the split fails in conv1,
+    # and the call raises the first run's error on the calling thread
+    fake_cpus(2)
+    cfg = toy_cfg()
+    params = toy_params(cfg)
+    seq = SequenceSample("a", "c0", np.zeros((4, 4) + TOY_HW))
+    threads_before = threading.active_count()
+    with pytest.raises(ShapeError, match="4 channels but kernel expects 5"):
+        extract_feature(seq, params, cfg)
+    assert threading.active_count() == threads_before
 
 
 # ---- losses ----
@@ -675,6 +719,18 @@ def test_checkpoint_unknown_tensor(tmp_path):
     record += struct.pack("<Q", 2) + np.zeros(2).tobytes()
     path.write_bytes(path.read_bytes() + record)
     with pytest.raises(CheckpointError, match="unknown tensor extra.tensor"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_a_tensor_stored_twice(tmp_path):
+    params = toy_params(toy_cfg(), n_ids=3)
+    path = tmp_path / "model.astp"
+    save_checkpoint(params, path)
+    name = b"classifier.bias"
+    record = struct.pack("<I", len(name)) + name + struct.pack("<I", 1)
+    record += struct.pack("<Q", 3) + np.array([7.0, 8.0, 9.0]).tobytes()
+    path.write_bytes(path.read_bytes() + record)
+    with pytest.raises(CheckpointError, match="classifier.bias is stored twice"):
         load_checkpoint(path)
 
 

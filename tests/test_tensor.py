@@ -613,6 +613,40 @@ def test_conv2d_blocks_share_one_column_buffer_per_direction(monkeypatch):
         assert_close_to_rounding(actual, expected)
 
 
+def test_conv2d_block_rule_at_eval_shapes(monkeypatch):
+    # eval's conv1 at 64x32 crops: 16 frames of 5 channels, a 5x5 kernel to
+    # 16 channels, pad 4; a frame's columns are 125 x 68*36 floats (2.4 MB)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((16, 5, 64, 32)), requires_grad=False)
+    kernel, bias = Tensor(rng.standard_normal((16, 5, 5, 5))), Tensor(rng.standard_normal(16))
+    im2col, lowered = tensor._im2col, []
+
+    def recording(*args):
+        cols = im2col(*args)
+        lowered.append(cols.nbytes)
+        return cols
+
+    monkeypatch.setattr(tensor, "_im2col", recording)
+
+    def conv(record, block_bytes=tensor.CONV_BLOCK_BYTES):
+        lowered.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "CONV_BLOCK_BYTES", block_bytes)
+            return Graph(record=record).conv2d(x, kernel, bias, pad=4).data, list(lowered)
+
+    with tensor._one_blas_thread():
+        one_block, _ = conv(True, 2**40)
+        unrecorded, forward_blocks = conv(False)
+        recorded, taped_blocks = conv(True)
+    frame_bytes = 125 * 68 * 36 * 8
+    assert forward_blocks == [frame_bytes] * 16  # within CONV_BLOCK_BYTES // 4 each
+    assert max(forward_blocks) <= tensor.CONV_BLOCK_BYTES // 4
+    assert taped_blocks == [6 * frame_bytes] * 2 + [4 * frame_bytes]
+    assert max(taped_blocks) <= tensor.CONV_BLOCK_BYTES
+    assert unrecorded.tobytes() == one_block.tobytes()
+    assert recorded.tobytes() == one_block.tobytes()
+
+
 REUSE_PROBE = """
 import resource, sys
 import numpy as np
