@@ -182,8 +182,7 @@ class _Node:
 # when it exceeds this. The tape keeps the last block's columns and the vjp
 # rebuilds every other block's for dkernel, so fewer, larger blocks rebuild
 # less: 4 MiB here made a 16x8 train step 13-30% slower, since conv2 then
-# splits. An unrecorded forward rebuilds nothing and takes a quarter of this
-# (see _frame_blocks).
+# splits. An unrecorded forward takes one frame per block (see _frame_blocks).
 CONV_BLOCK_BYTES = 16 * 2**20
 
 
@@ -229,15 +228,12 @@ def _frame_blocks(t_n: int, frame_bytes: int, even: bool = False,
     with even, into as few runs, of lengths as near equal as whole frames
     allow (16 frames of 12 per block are then 8 + 8, not 12 + 4).
 
-    A forward no tape records (recorded=False) takes runs of at most a
-    quarter of CONV_BLOCK_BYTES, near the size of a core's cache: at 64x32
-    crops a frame's columns are 2.2-2.7 MB per layer, one frame per run, on
-    a host with 2 MiB of L2 per core. With a worker per core featurising,
-    these runs held the benchmark's eval peak RSS at 90 MB, where 16 MiB
-    runs took it to 124-127 MB.
+    A forward no tape records (recorded=False) takes one frame per run. It
+    rebuilds no columns, so larger runs save it nothing, and one frame's
+    product rounds the same whichever frames a caller passes with it
+    (OpenBLAS rounds a product's columns by where its register tiles end).
     """
-    budget = CONV_BLOCK_BYTES if recorded else CONV_BLOCK_BYTES // 4
-    step = max(1, budget // frame_bytes)
+    step = max(1, CONV_BLOCK_BYTES // frame_bytes) if recorded else 1
     if even:
         step = -(-t_n // -(-t_n // step))
     return [(t0, min(t0 + step, t_n)) for t0 in range(0, t_n, step)]
@@ -461,21 +457,18 @@ class Graph:
         kernel is (Cout,Cin,kh,kw) and bias is (Cout,). The output is
         (H + 2*pad - kh + 1) by (W + 2*pad - kw + 1). The frames are taken in
         blocks whose im2col columns fill at most CONV_BLOCK_BYTES (16 MiB) on
-        a recorded graph and a quarter of that on an unrecorded one (see
-        _frame_blocks). Each block is copied into one zero-padded stack and
-        lowered into one column buffer. On a recorded graph the kernel
-        multiplies each block in one GEMM, so a stack that fits one block is
-        one GEMM. On an unrecorded one it multiplies each frame's columns in
-        a GEMM of their own: OpenBLAS rounds a product's columns by where its
-        register tiles end, so a frame in a block of another width could get
-        other bits, and the output would depend on how a caller cuts the
-        frames into calls (see model.extract_feature). The buffer ends the
-        forward holding the last block's columns, which backward keeps; it
-        rebuilds the others into the same buffer for dkernel, then frees it.
-        dx correlates the output gradient, padded by kh-1-pad and kw-1-pad
-        (cropped where negative), with the flipped kernel: each block lowers
-        it along its width only, into one buffer of its own, and sums kh
-        GEMMs, one per kernel row, each over the columns from that row on.
+        a recorded graph, and one frame at a time on an unrecorded one, so
+        its output does not depend on how a caller cuts the frames into
+        calls (see _frame_blocks and model.extract_feature). Each block is
+        copied into one zero-padded stack, lowered into one column buffer
+        and multiplied by the kernel in one GEMM, so a recorded stack that
+        fits one block is one GEMM. The buffer ends the forward holding the
+        last block's columns, which backward keeps; it rebuilds the others
+        into the same buffer for dkernel, then frees it. dx correlates the
+        output gradient, padded by kh-1-pad and kw-1-pad (cropped where
+        negative), with the flipped kernel: each block lowers it along its
+        width only, into one buffer of its own, and sums kh GEMMs, one per
+        kernel row, each over the columns from that row on.
         """
         if x.data.ndim != 4:
             raise ShapeError(f"conv2d needs a (T,C,H,W) input, got shape {x.shape}")
@@ -512,13 +505,7 @@ class Graph:
         out_d = np.empty((t_n, cout, ho, wo))
         for t0, t1 in blocks:
             last_cols = lowered(t0, t1)
-            if self.record:
-                prod = k2 @ last_cols
-            else:
-                prod = np.empty((cout, last_cols.shape[1]))
-                for f in range(0, prod.shape[1], ho * wo):
-                    frame = slice(f, f + ho * wo)
-                    np.matmul(k2, last_cols[:, frame], out=prod[:, frame])
+            prod = k2 @ last_cols
             prod += bias.data[:, None]
             out_d[t0:t1] = prod.reshape(cout, t1 - t0, ho, wo).transpose(1, 0, 2, 3)
         if len(blocks) == 1:
