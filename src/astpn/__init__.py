@@ -24,10 +24,12 @@ from .model import (
     total_loss,
 )
 from .datapipe import (
+    ChannelStack,
     DatasetError,
     DatasetSplit,
     PairBatch,
     SequenceSample,
+    SequenceView,
     crop_view,
     load_dataset,
     lucas_kanade_flow,

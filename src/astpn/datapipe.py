@@ -2,9 +2,11 @@
 
 Directory layout: root/<person_id>/<camera_id>/<frame>.ppm with frames
 ordered by file name. Binary PPM (P6, maxval 255) is decoded natively; PNG
-works too when Pillow is importable. Each sequence is converted to five
-channels per frame: YUV color, standardized per channel over the whole
-sequence, plus horizontal and vertical dense optical flow scaled to [-1, 1].
+works too when Pillow is importable. A loaded sequence keeps its uint8
+frames and the statistics of its YUV channels. The network's five channels
+per frame, YUV color standardized per channel over the whole sequence plus
+horizontal and vertical dense optical flow scaled to [-1, 1], are built
+only when a drawn view of the sequence is read (crop_view).
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .tensor import _at_once, _usable_cpus
 FLOW_MAX_PX = 8.0
 FLOW_WINDOW_RADIUS = 2  # 5x5 uniform window
 FLOW_DAMPING = 1e-4
+# Frames of flow computed at once hold about this many pixels (at least one
+# frame): their products, integral image and box sums, some 15 float64 planes,
+# then take about 1 MiB, and stay in a core's L2 cache.
+FLOW_BLOCK_PIXELS = 2**13
 CROP_MARGIN = 8
 FRAME_CHANNELS = 5
 SPLIT_MODES = ("half", "all")
@@ -210,21 +216,31 @@ def rgb_to_yuv(frames: np.ndarray) -> np.ndarray:
     return out
 
 
-def standardize_channels(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Zero-mean unit-variance per channel over a (T,C,H,W) stack, written
-    into out (a new array by default) and returned.
+def channel_stats(stack: np.ndarray) -> np.ndarray:
+    """(2, C): the mean and the std of each channel of a (T,C,H,W) stack,
+    each over the whole stack."""
+    channels = [stack[:, c] for c in range(stack.shape[1])]
+    return np.array([[channel.mean() for channel in channels],
+                     [channel.std() for channel in channels]])
 
+
+def standardize_channels(stack: np.ndarray, out: np.ndarray | None = None,
+                         stats: np.ndarray | None = None) -> np.ndarray:
+    """(x - mean) / std per channel of a (T,C,H,W) stack, written into out
+    (a new array by default) and returned.
+
+    stats holds the mean and std row of channel_stats; by default the
+    stack's own, which gives zero mean and unit variance per channel.
     Channels with (numerically) zero variance come back as all zeros.
     """
+    mean, std = channel_stats(stack) if stats is None else stats
     out = np.empty_like(stack) if out is None else out
     for c in range(stack.shape[1]):
-        channel = stack[:, c]
-        std = channel.std()
-        if std < 1e-12:
+        if std[c] < 1e-12:
             out[:, c] = 0.0
         else:
-            np.subtract(channel, channel.mean(), out=out[:, c])
-            out[:, c] /= std
+            np.subtract(stack[:, c], mean[c], out=out[:, c])
+            out[:, c] /= std[c]
     return out
 
 
@@ -234,10 +250,14 @@ def _box_sum(img: np.ndarray, radius: int) -> np.ndarray:
 
     The integral image is built padded to (h+2r+1, w+2r+1): zeros above and
     left of it, its last row and column repeated below and right. Each
-    window's four corners, truncation included, are then plain slices."""
+    window's four corners, truncation included, are then plain slices. The
+    corners are combined over one contiguous span of the whole buffer,
+    which also covers the 2r+1 padding rows and columns that each plane's
+    windows skip; the result is a view of its h rows and w columns."""
     h, w = img.shape[-2:]
     d = 2 * radius + 1
-    ii = np.empty(img.shape[:-2] + (h + d, w + d))
+    row = w + d
+    ii = np.empty(img.shape[:-2] + (h + d, row))
     ii[..., :radius + 1, :] = 0.0
     ii[..., radius + 1:, :radius + 1] = 0.0
     core = ii[..., radius + 1:h + radius + 1, radius + 1:w + radius + 1]
@@ -246,10 +266,14 @@ def _box_sum(img: np.ndarray, radius: int) -> np.ndarray:
     ii[..., radius + 1:h + radius + 1, w + radius + 1:] = ii[..., radius + 1:h + radius + 1,
                                                              w + radius:w + radius + 1]
     ii[..., h + radius + 1:, :] = ii[..., h + radius:h + radius + 1, :]
-    out = ii[..., d:, d:] - ii[..., :h, d:]
-    out -= ii[..., d:, :w]
-    out += ii[..., :h, :w]
-    return out
+    flat = ii.reshape(-1)
+    span = flat.size - d * row - d  # element i's window: flat[i], +d, +d*row, +d*row+d
+    out = np.empty(ii.shape)
+    body = out.reshape(-1)[:span]
+    np.subtract(flat[d * row + d:], flat[d:d + span], out=body)
+    body -= flat[d * row:d * row + span]
+    body += flat[:span]
+    return out[..., :h, :w]
 
 
 def lucas_kanade_flow(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -270,6 +294,17 @@ def lucas_kanade_flow(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     h, w = prev.shape[-2:]
     if h < 2 or w < 2:
         raise DatasetError(f"optical flow needs frames of at least 2x2 pixels, got {h}x{w}")
+    flow = np.empty(prev.shape[:-2] + (2, h, w))
+    blocks = flow.reshape(-1, 2, h, w)
+    prev, nxt = prev.reshape(-1, h, w), nxt.reshape(-1, h, w)
+    step = max(1, FLOW_BLOCK_PIXELS // (h * w))
+    for t0 in range(0, len(blocks), step):
+        _flow_block(prev[t0:t0 + step], nxt[t0:t0 + step], blocks[t0:t0 + step])
+    return flow
+
+
+def _flow_block(prev: np.ndarray, nxt: np.ndarray, out: np.ndarray) -> None:
+    """lucas_kanade_flow of (N,H,W) frame pairs, written into out (N,2,H,W)."""
     gy, gx = np.gradient(prev, axis=(-2, -1))
     products = np.empty((5,) + prev.shape)  # gx*gx, gy*gy, gx*gy, gx*gt, gy*gt
     np.multiply(gx, gx, out=products[0])
@@ -281,8 +316,7 @@ def lucas_kanade_flow(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     sxx, syy, sxy, sxt, syt = _box_sum(products, FLOW_WINDOW_RADIUS)
     sxx += FLOW_DAMPING
     syy += FLOW_DAMPING
-    flow = np.empty(prev.shape[:-2] + (2,) + prev.shape[-2:])
-    u, v = flow[..., 0, :, :], flow[..., 1, :, :]
+    u, v = out[:, 0], out[:, 1]
     det = sxx * syy
     term = sxy * sxy
     det -= term
@@ -295,8 +329,8 @@ def lucas_kanade_flow(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     np.multiply(sxx, syt, out=term)
     v -= term
     v /= det
-    flow /= FLOW_MAX_PX
-    return np.clip(flow, -1.0, 1.0, out=flow)
+    out /= FLOW_MAX_PX
+    np.clip(out, -1.0, 1.0, out=out)
 
 
 # ---- preprocessed sequences ----
@@ -304,14 +338,16 @@ def lucas_kanade_flow(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SequenceSample:
-    """One camera view of one person: (T,5,H,W) float frames.
-
-    Channel order: standardized Y, U, V, then horizontal and vertical flow.
+    """One camera view of one person, as preprocess_dataset keeps it: its
+    decoded (T,H,W,3) uint8 frames, and stats, the (2,3) mean and std of
+    each YUV channel over the whole sequence (channel_stats). crop_view
+    builds the network's five channels from them when a view is read.
     """
 
     person_id: str
     camera_id: str
     frames: np.ndarray
+    stats: np.ndarray
 
     @property
     def n_frames(self) -> int:
@@ -319,46 +355,95 @@ class SequenceSample:
 
     @property
     def frame_hw(self) -> tuple[int, int]:
-        return self.frames.shape[2], self.frames.shape[3]
+        return self.frames.shape[1], self.frames.shape[2]
 
 
-def _fill_frames(raw: RawSequence, out: np.ndarray) -> None:
-    """Write raw's standardized YUV and flow channels into out (T,5,H,W).
+@dataclass
+class SequenceView:
+    """A drawn view of a sample: its frames at index (an int array in draw
+    order, repeats allowed), cropped from (top, left), mirrored or not.
 
-    Flow at step t is computed between luminance frames t and t+1; the last
-    frame reuses the previous flow field (zero flow for one-frame sequences).
+    Nothing is built at the draw: channels() builds the view's float
+    channels, or those of a run of its frames, each time it is called.
     """
-    yuv = rgb_to_yuv(np.stack(raw.frames))
-    standardize_channels(yuv, out=out[:, :3])
-    lum = yuv[:, 0]
-    if len(lum) > 1:
-        out[:-1, 3:] = lucas_kanade_flow(lum[:-1], lum[1:])
-        out[-1, 3:] = out[-2, 3:]
-    else:
-        out[:, 3:] = 0.0
+
+    sample: SequenceSample
+    index: np.ndarray
+    top: int
+    left: int
+    mirror: bool
+
+    @property
+    def person_id(self) -> str:
+        return self.sample.person_id
+
+    @property
+    def camera_id(self) -> str:
+        return self.sample.camera_id
+
+    @property
+    def n_frames(self) -> int:
+        return len(self.index)
+
+    @property
+    def frames(self) -> np.ndarray:
+        """The (k,H,W,3) uint8 frames the view reads."""
+        return self.sample.frames[self.index]
+
+    def channels(self, run: slice = slice(None)) -> np.ndarray:
+        """The (len, 5, H-8, W-8) float64 channels of the view's frames in run."""
+        return crop_view(self.sample, self.index[run], self.top, self.left, self.mirror)
+
+
+@dataclass
+class ChannelStack:
+    """A sequence given directly by its (T,C,H,W) float channels, as toy
+    problems and tests give one; channels() reads them."""
+
+    person_id: str
+    camera_id: str
+    frames: np.ndarray
+
+    @property
+    def n_frames(self) -> int:
+        return len(self.frames)
+
+    def channels(self, run: slice = slice(None)) -> np.ndarray:
+        return self.frames[run]
+
+
+def _sample(raw: RawSequence) -> SequenceSample:
+    """raw's frames as one uint8 stack, with its YUV statistics.
+
+    Frames must be larger than CROP_MARGIN on both sides, so that a crop
+    keeps some pixels (and optical flow gets the 2x2 it needs)."""
+    frames = np.stack(raw.frames)
+    h, w = frames.shape[1:3]
+    if h <= CROP_MARGIN or w <= CROP_MARGIN:
+        raise DatasetError(f"sequence {raw.person_id}/{raw.camera_id}: frames of {h}x{w} "
+                           f"are too small to crop by {CROP_MARGIN}")
+    return SequenceSample(raw.person_id, raw.camera_id, frames, channel_stats(rgb_to_yuv(frames)))
 
 
 def preprocess_dataset(raws: list[RawSequence]) -> list[SequenceSample]:
-    """Standardized YUV and optical flow channels of every raw sequence, in
-    input order.
+    """Every raw sequence as a SequenceSample, in input order: its uint8
+    frames plus the statistics of its YUV channels. No flow runs here.
 
     One worker runs per CPU the process may use, never more than there are
     sequences; worker k takes sequences k, k+n, ... (see tensor._at_once).
-    The result is bitwise equal to one thread's. Every output array is
-    allocated here before the workers start, so the long-lived stacks sit
-    together in the heap instead of between the workers' temporaries.
+    The result is bitwise equal to one thread's.
     """
     if not raws:
         return []
-    stacks = [np.empty((len(r.frames), FRAME_CHANNELS) + r.frames[0].shape[:2]) for r in raws]
+    samples = [None] * len(raws)
     n = min(_usable_cpus(), len(raws))
 
     def work(k: int) -> None:
         for i in range(k, len(raws), n):
-            _fill_frames(raws[i], stacks[i])
+            samples[i] = _sample(raws[i])
 
     _at_once([functools.partial(work, k) for k in range(n)])
-    return [SequenceSample(r.person_id, r.camera_id, f) for r, f in zip(raws, stacks)]
+    return samples
 
 
 def by_identity(samples: list[SequenceSample]) -> dict[str, dict[str, SequenceSample]]:
@@ -372,25 +457,42 @@ def by_identity(samples: list[SequenceSample]) -> dict[str, dict[str, SequenceSa
 
 
 def crop_view(sample: SequenceSample, frames, top: int, left: int, mirror: bool) -> np.ndarray:
-    """The (len(frames), 5, H-8, W-8) stack of sample's frames (an index
-    array or a slice), cropped from (top, left), in one gather.
+    """The (len(frames), 5, H-8, W-8) float64 stack of sample's frames (an
+    index array or a slice), cropped from (top, left), built from its uint8
+    frames: YUV standardized by the sample's whole-sequence stats, then
+    horizontal and vertical optical flow.
 
-    mirror flips the stack left to right and negates its horizontal flow,
-    which flips sign with the image. A slice without mirror gives a view of
-    the stored frames, which callers only read; every other call a new array.
+    Frame t's flow runs on full frames, from t to t+1; the last frame reuses
+    the flow before it, and a one-frame sample has zero flow. Each frame and
+    each frame pair a draw needs is converted once, however often the draw
+    repeats it. mirror flips the stack left to right and negates its
+    horizontal flow, which flips sign with the image. Every call returns a
+    new array, bitwise the crop of the stack that standardizing and flowing
+    the whole sequence at once would give.
     """
+    n = sample.n_frames
+    idx = np.arange(n)[frames]
     h, w = sample.frame_hw
-    if h <= CROP_MARGIN or w <= CROP_MARGIN:
-        raise DatasetError(f"frames of {h}x{w} are too small to crop by {CROP_MARGIN}")
     rows = slice(top, top + h - CROP_MARGIN)
     cols = slice(left, left + w - CROP_MARGIN)
     if mirror:
         cols = slice(cols.stop - 1, left - 1 if left else None, -1)
-        frames = np.arange(sample.n_frames)[frames]  # a gather: the negation writes a copy
-    stack = sample.frames[frames, :, rows, cols]
+    flow_at = np.minimum(idx, n - 2)  # the first frame of each frame's flow pair
+    firsts = np.unique(flow_at) if n > 1 else idx[:0]
+    need = np.union1d(idx, np.concatenate([firsts, firsts + 1]))
+    yuv = rgb_to_yuv(sample.frames[need])
+    out = np.empty((len(idx), FRAME_CHANNELS, h - CROP_MARGIN, w - CROP_MARGIN))
+    standardize_channels(yuv[np.searchsorted(need, idx), :, rows, cols], out=out[:, :3],
+                         stats=sample.stats)
+    if n > 1:
+        at = np.searchsorted(need, firsts)  # frame firsts + 1 sits at at + 1
+        flow = lucas_kanade_flow(yuv[at, 0], yuv[at + 1, 0])
+        out[:, 3:] = flow[np.searchsorted(firsts, flow_at), :, rows, cols]
+    else:
+        out[:, 3:] = 0.0
     if mirror:
-        np.negative(stack[:, 3], out=stack[:, 3])
-    return stack
+        np.negative(out[:, 3], out=out[:, 3])
+    return out
 
 
 # ---- splits and the training pair stream ----
@@ -432,8 +534,8 @@ def write_split_files(split: DatasetSplit, out_dir) -> None:
 class PairBatch:
     """One training example: a probe/gallery sequence pair with labels."""
 
-    probe: SequenceSample
-    gallery: SequenceSample
+    probe: SequenceView
+    gallery: SequenceView
     same_person: bool
     probe_label: int
     gallery_label: int
@@ -463,7 +565,8 @@ def pair_stream(index: dict[str, dict[str, SequenceSample]], train_ids, k: int, 
     first camera against the second camera of a random other identity). Every
     sequence is drawn as k consecutive frames from a uniform random start
     (a sequence shorter than k repeats cyclically from frame 0), a uniform
-    crop offset and a mirror coin, in that order, then cut by crop_view.
+    crop offset and a mirror coin, in that order, as a SequenceView: its
+    channels are built when the model reads it.
     """
     if k < 1:
         raise ValueError(f"subsequence length must be positive, got {k}")
@@ -473,7 +576,7 @@ def pair_stream(index: dict[str, dict[str, SequenceSample]], train_ids, k: int, 
     labels = identity_labels(ids)
     rng = np.random.default_rng(seed)
 
-    def draw(pid: str, cam: str) -> SequenceSample:
+    def draw(pid: str, cam: str) -> SequenceView:
         sample = index[pid][cam]
         n = sample.n_frames
         if n == 0:
@@ -483,7 +586,7 @@ def pair_stream(index: dict[str, dict[str, SequenceSample]], train_ids, k: int, 
         top = int(rng.integers(0, CROP_MARGIN + 1))
         left = int(rng.integers(0, CROP_MARGIN + 1))
         mirror = bool(rng.random() < 0.5)
-        return SequenceSample(pid, cam, crop_view(sample, idx, top, left, mirror))
+        return SequenceView(sample, idx, top, left, mirror)
 
     while True:
         for i in rng.permutation(len(ids)):

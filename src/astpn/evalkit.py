@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datapipe import (CROP_MARGIN, DatasetError, SequenceSample, crop_view, pick_cameras,
+from .datapipe import (CROP_MARGIN, DatasetError, SequenceSample, SequenceView, pick_cameras,
                        write_atomic)
 from .model import AstpnParams, LossConfig, extract_feature
 from .tensor import ShapeError
@@ -76,13 +76,13 @@ def cmc_from_features(probe_feats, probe_ids, gallery_feats, gallery_ids,
     return CmcCurve(values=values, n_probes=len(probe_feats), meta=dict(meta or {}))
 
 
-def eval_sequence(sample: SequenceSample, eval_k: int | None) -> SequenceSample:
+def eval_sequence(sample: SequenceSample, eval_k: int | None) -> SequenceView:
     """The view of a sequence that eval and extract featurise: its first eval_k
-    frames (all of them when None), centre-cropped, never mirrored. Its
-    frames are a view of sample's, which featurising only reads."""
+    frames (all of them when None), centre-cropped, never mirrored. Nothing
+    is built here: extract_feature builds the view's channels run by run,
+    in the workers that featurise them, and drops them after."""
     centre = CROP_MARGIN // 2
-    return SequenceSample(sample.person_id, sample.camera_id,
-                          crop_view(sample, slice(eval_k), centre, centre, False))
+    return SequenceView(sample, np.arange(sample.n_frames)[:eval_k], centre, centre, False)
 
 
 def compute_cmc(index: dict[str, dict[str, SequenceSample]], test_ids, params: AstpnParams,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datapipe import PairBatch, SequenceSample
+from .datapipe import ChannelStack, PairBatch
 from .model import LossConfig, init_params, total_loss
 from .tensor import Graph
 
@@ -62,7 +62,7 @@ def build_toy_problem(seed: int = 0, variant: str = "astpn"):
 
     def seq(pid, cam):
         frames = rng.uniform(-1.0, 1.0, size=(TOY_STEPS, 5, h, w))
-        return SequenceSample(pid, cam, frames)
+        return ChannelStack(pid, cam, frames)
 
     pair = PairBatch(seq("a", "cam0"), seq("a", "cam1"), True, 0, 0)
     cfg = LossConfig(variant=variant)

@@ -121,8 +121,8 @@ def init_params(seed: int, n_identities: int, cfg: LossConfig, feature_dim: int 
                         for name, (rng, shape, fan_in) in zip(TENSOR_NAMES, draws, strict=True)})
 
 
-def _frame_stack(seq) -> np.ndarray:
-    frames = np.asarray(seq.frames, dtype=np.float64)
+def _frame_stack(seq, run: slice = slice(None)) -> np.ndarray:
+    frames = np.asarray(seq.channels(run), dtype=np.float64)
     if frames.ndim != 4:
         raise ShapeError(f"a sequence needs a (T,C,H,W) frame stack, got shape {frames.shape}")
     if frames.shape[0] == 0:
@@ -183,13 +183,15 @@ def forward_pair(graph: Graph, probe, gallery, params: AstpnParams,
                  cfg: LossConfig) -> tuple[Tensor, Tensor]:
     """Map a probe/gallery sequence pair to their pooled feature vectors.
 
-    probe and gallery are SequenceSample objects (or anything with a
-    (T,C,H,W) .frames array): each runs through branch_rows, the two at the
-    same time (Graph.branches), then pool_pair pools the two together.
+    probe and gallery are datapipe.SequenceView objects, or anything else
+    whose channels() gives a (T,C,H,W) float stack: each runs through
+    branch_rows, the two at the same time (Graph.branches), and each is
+    built inside its own branch, on that branch's thread. pool_pair then
+    pools the two together.
     """
     p_rows, g_rows = graph.branches(
-        lambda branch, frames: branch_rows(branch, frames, params, cfg),
-        [_frame_stack(probe), _frame_stack(gallery)])
+        lambda branch, seq: branch_rows(branch, _frame_stack(seq), params, cfg),
+        [probe, gallery])
     return pool_pair(graph, p_rows, g_rows, params, cfg)
 
 
@@ -244,20 +246,28 @@ def extract_feature(seq, params: AstpnParams, cfg: LossConfig) -> np.ndarray:
     once and are pooled against themselves, giving the probe vector of the
     self-pair.
 
-    The frames are cut into one contiguous run per CPU the process may use,
-    never more runs than frames, and frame_reps runs on every run at the
-    same time (tensor._at_once), each on an unrecorded graph of its own.
-    Their rows are joined in frame order; the recurrence and the pooling
-    then run on the calling thread. The whole call runs OpenBLAS at one
-    thread, so the feature is bitwise the same whatever the caller's BLAS
-    thread count and CPU count.
+    seq is a datapipe.SequenceView, or anything else with n_frames and a
+    channels(run) that gives the (len, C, H, W) float stack of the frames in
+    run. Its frames are cut into one contiguous run per CPU the process may
+    use, never more runs than frames, and every run is built and goes
+    through frame_reps at the same time (tensor._at_once), each by the
+    worker that featurises it, on an unrecorded graph of its own. Their
+    rows are joined in frame order; the recurrence and the pooling then run
+    on the calling thread, and no built channels outlive the call. The whole
+    call runs OpenBLAS at one thread, so the feature is bitwise the same
+    whatever the caller's BLAS thread count and CPU count.
     """
-    frames = _frame_stack(seq)
-    n = min(_usable_cpus(), len(frames))
-    cuts = [len(frames) * k // n for k in range(n + 1)]
+    if seq.n_frames == 0:
+        raise ValueError("a sequence needs at least one frame")
+    n = min(_usable_cpus(), seq.n_frames)
+    cuts = [seq.n_frames * k // n for k in range(n + 1)]
+
+    def run_reps(run: slice) -> Tensor:
+        return frame_reps(Graph(record=False), _frame_stack(seq, run), params, cfg)
+
     with _one_blas_thread():
-        parts = _at_once([functools.partial(frame_reps, Graph(record=False), frames[t0:t1],
-                                            params, cfg) for t0, t1 in zip(cuts, cuts[1:])])
+        parts = _at_once([functools.partial(run_reps, slice(t0, t1))
+                          for t0, t1 in zip(cuts, cuts[1:])])
         graph = Graph(record=False)
         reps = Tensor(np.concatenate([part.data for part in parts]), requires_grad=False)
         rows = rnn_forward(graph, reps, params["rnn.u_in"], params["rnn.w_rec"], cfg.rnn_output)

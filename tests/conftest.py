@@ -1,5 +1,6 @@
-"""Shared fixtures: synthetic datasets are expensive enough (optical flow on
-every frame pair) that the suite builds each one once per session."""
+"""Shared fixtures: the suite writes, decodes and indexes each synthetic
+dataset once per session. The indexed samples hold uint8 frames; the tests
+that read their channels build them from those."""
 
 import os
 

@@ -24,7 +24,7 @@ from astpn.datapipe import (
     preprocess_dataset,
     FLOW_MAX_PX,
 )
-from astpn.evalkit import cmc_from_features, compute_cmc, rank_gallery
+from astpn.evalkit import cmc_from_features, compute_cmc, eval_sequence, rank_gallery
 from astpn.gradcheck import run_gradcheck
 from astpn.layers import SppConfig, attentive_summary, conv_stack_forward, spp_forward
 from astpn.model import (
@@ -215,7 +215,7 @@ def test_criterion_6_attention_not_worse_on_sparse_signal(sparse_index):
 
     # guard against the comparison being vacuous: with a nonzero attention
     # matrix the attentive features must actually differ from plain means
-    sample = sparse_index[ids[0]]["cam0"]
+    sample = eval_sequence(sparse_index[ids[0]]["cam0"], None)
     att_feat = extract_feature(sample, att_params, att_cfg)
     mean_feat = extract_feature(sample, att_params, LossConfig(variant="mean_pool"))
     assert not np.allclose(att_feat, mean_feat)

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from astpn import evalkit, model
-from astpn.datapipe import PairBatch, SequenceSample
+from astpn.datapipe import PairBatch, RawSequence, preprocess_dataset
+from astpn.evalkit import eval_sequence
 from astpn.model import VARIANTS, LossConfig, init_params, total_loss
 from astpn.tensor import Graph, Tensor
 
@@ -56,8 +57,11 @@ def test_backward_takes_the_root_as_its_one_positional_argument():
 TOY_BINS = ((2, 2), (1, 1))
 
 
-def toy_sequence(rng, pid, cam, hw=(12, 8)):
-    return SequenceSample(pid, cam, rng.uniform(-1, 1, size=(3, 5) + hw))
+def toy_sequence(rng, pid, cam, hw=(20, 16)):
+    """A stored sample of three random frames; eval crops 4 pixels off
+    every side, leaving 12x8."""
+    frames = list(rng.integers(0, 256, size=(3,) + hw + (3,), dtype=np.uint8))
+    return preprocess_dataset([RawSequence(pid, cam, frames)])[0]
 
 
 def test_notes_digest_the_arguments_of_real_calls(tracing, monkeypatch, rng):
@@ -78,8 +82,7 @@ def test_notes_digest_the_arguments_of_real_calls(tracing, monkeypatch, rng):
     capture(evalkit, "extract_feature", "model.extract_feature")  # called by compute_cmc
     cfg = LossConfig(spp_bins=TOY_BINS)
     params = init_params(0, 2, cfg, feature_dim=4)
-    # eval crops 4 pixels off every side, leaving 12x8
-    index = {pid: {cam: toy_sequence(rng, pid, cam, (20, 16)) for cam in ("cam0", "cam1")}
+    index = {pid: {cam: toy_sequence(rng, pid, cam) for cam in ("cam0", "cam1")}
              for pid in ("a", "b")}
     evalkit.compute_cmc(index, ["a", "b"], params, cfg)
     assert set(captured) == set(tracing.NOTES)
@@ -103,7 +106,8 @@ def test_every_taped_vjp_is_named_for_a_graph_method(monkeypatch, rng, variant):
     monkeypatch.setattr(Graph, "backward", walking)
     cfg = LossConfig(variant=variant, spp_bins=TOY_BINS)
     params = init_params(0, 2, cfg, feature_dim=4, frame_hw=(12, 8))
-    pair = PairBatch(toy_sequence(rng, "a", "c0"), toy_sequence(rng, "b", "c1"), False, 0, 1)
+    pair = PairBatch(eval_sequence(toy_sequence(rng, "a", "c0"), None),
+                     eval_sequence(toy_sequence(rng, "b", "c1"), None), False, 0, 1)
     graph = Graph()
     graph.backward(total_loss(graph, pair, params, cfg))
     assert len(tapes) == 3  # the step's tape, then both branches' sub-tapes

@@ -29,7 +29,7 @@ from astpn.cli import (
 )
 from astpn.datapipe import (
     SPLIT_MODES,
-    SequenceSample,
+    ChannelStack,
     by_identity,
     load_dataset,
     make_split,
@@ -597,6 +597,28 @@ def test_frames_too_small_for_flow_are_data_error(tmp_path, capsys, kind):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("hw", [(1, 20), (8, 12)])
+def test_frames_too_small_to_crop_end_at_load(tmp_path, capsys, command, hw):
+    # flow and the crop run only when a drawn view is read, so loading the
+    # set must reject these frames itself: exit 2, one error line, no step
+    data = tmp_path / "data"
+    assert main(["synth", str(data), "--ids", "2", "--frames", "3", "--height", str(hw[0]),
+                 "--width", str(hw[1])]) == EXIT_OK
+    checkpoint = tmp_path / "checkpoint.astp"
+    save_checkpoint(init_params(0, 2, LossConfig(), feature_dim=8), checkpoint)
+    capsys.readouterr()
+    extra = {"train": ["--epochs", "1", "--k", "2"],
+             "eval": ["--checkpoint", str(checkpoint), "--trials", "1"]}[command]
+    code = main([command, "--data-root", str(data), "--out", str(tmp_path / "out"),
+                 "--feature-dim", "8", *extra])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert "epoch" not in captured.out
+    assert captured.err.count("error:") == 1 and captured.err.startswith("error:")
+    assert "too small" in captured.err and "Traceback" not in captured.err
+
+
 def test_eval_requires_checkpoint(cli_data, tmp_path):
     assert main(["eval", "--data-root", str(cli_data),
                  "--out", str(tmp_path / "x")]) == EXIT_DATA
@@ -664,8 +686,8 @@ def test_extract_single_shot_rows_are_first_frame_features(cli_data, trained_run
     assert len(rows) == 16
     for row in rows:
         pid, cam, *values = row.split(",")
-        first = index[pid][cam].frames[:1, :, 4:-4, 4:-4]
-        expected = extract_feature(SequenceSample(pid, cam, first), params, LossConfig())
+        first = evalkit.eval_sequence(index[pid][cam], None).channels()[:1]
+        expected = extract_feature(ChannelStack(pid, cam, first), params, LossConfig())
         np.testing.assert_array_equal(np.array(values, dtype=np.float64), expected)
 
 

@@ -17,10 +17,13 @@ from astpn.datapipe import (
     FLOW_DAMPING,
     FLOW_MAX_PX,
     FLOW_WINDOW_RADIUS,
+    ChannelStack,
     PairBatch,
     RawSequence,
     SequenceSample,
+    SequenceView,
     by_identity,
+    channel_stats,
     crop_view,
     identity_labels,
     load_dataset,
@@ -38,6 +41,7 @@ from astpn.datapipe import (
     write_split_files,
 )
 from astpn.evalkit import eval_sequence
+from astpn.model import LossConfig, extract_feature, init_params
 
 
 # ---- reference implementations: the straightforward forms that the
@@ -90,6 +94,27 @@ def ref_preprocess(raw):
     else:
         flows = np.zeros((1, 2) + lum.shape[1:])
     return np.concatenate([std, flows], axis=1)
+
+
+def ref_view(raw, idx, top, left, mirror):
+    """ref_preprocess cut by the crop rule that crop_view once applied to
+    the whole preprocessed stack: frames idx, cropped from (top, left),
+    then flipped left to right with the horizontal flow negated."""
+    full = ref_preprocess(raw)
+    h, w = full.shape[2:]
+    out = full[idx][:, :, top:top + h - CROP_MARGIN, left:left + w - CROP_MARGIN]
+    if mirror:
+        out = out[:, :, :, ::-1].copy()
+        out[:, 3] = -out[:, 3]
+    return out
+
+
+def random_raw(rng, n, hw, pid="p", cam="c"):
+    return RawSequence(pid, cam, list(rng.integers(0, 256, size=(n,) + hw + (3,), dtype=np.uint8)))
+
+
+def sample_of(raw):
+    return preprocess_dataset([raw])[0]
 
 
 def smooth_image(rng, h, w):
@@ -337,25 +362,30 @@ def test_preprocess_sequence_channel_layout(rng):
     frames = [rng.integers(0, 256, size=(16, 12, 3), dtype=np.uint8) for _ in range(4)]
     raw = RawSequence("p0", "cam0", frames)
     sample = preprocess_dataset([raw])[0]
-    assert sample.frames.shape == (4, 5, 16, 12)
+    assert sample.frames.dtype == np.uint8 and sample.frames.shape == (4, 16, 12, 3)
     assert sample.n_frames == 4
     assert sample.frame_hw == (16, 12)
     yuv = np.stack([rgb_to_yuv(f) for f in frames])
-    np.testing.assert_array_equal(sample.frames[:, :3], standardize_channels(yuv))
-    # flow reads the luminance before standardization
-    np.testing.assert_array_equal(sample.frames[0, 3:], lucas_kanade_flow(yuv[0, 0], yuv[1, 0]))
+    assert sample.stats.tobytes() == channel_stats(yuv).tobytes()
+    built = eval_sequence(sample, None).channels()
+    assert built.shape == (4, 5, 8, 4)
+    np.testing.assert_array_equal(built[:, :3], standardize_channels(yuv)[:, :, 4:12, 4:8])
+    # flow reads the luminance of the full frames before standardization
+    np.testing.assert_array_equal(built[0, 3:],
+                                  lucas_kanade_flow(yuv[0, 0], yuv[1, 0])[:, 4:12, 4:8])
 
 
 def test_preprocess_last_frame_reuses_previous_flow(rng):
-    frames = [rng.integers(0, 256, size=(14, 10, 3), dtype=np.uint8) for _ in range(3)]
-    sample = preprocess_dataset([RawSequence("p", "c", frames)])[0]
-    np.testing.assert_array_equal(sample.frames[2, 3:], sample.frames[1, 3:])
+    sample = sample_of(random_raw(rng, 3, (14, 10)))
+    built = crop_view(sample, slice(None), 3, 1, False)
+    np.testing.assert_array_equal(built[2, 3:], built[1, 3:])
+    # a draw that holds the last frame alone still flows from the frame before
+    np.testing.assert_array_equal(crop_view(sample, [2], 3, 1, False), built[2:])
 
 
 def test_preprocess_single_frame_has_zero_flow(rng):
-    frames = [rng.integers(0, 256, size=(14, 10, 3), dtype=np.uint8)]
-    sample = preprocess_dataset([RawSequence("p", "c", frames)])[0]
-    np.testing.assert_array_equal(sample.frames[0, 3:], 0.0)
+    sample = sample_of(random_raw(rng, 1, (14, 10)))
+    np.testing.assert_array_equal(crop_view(sample, [0, 0], 4, 4, False)[:, 3:], 0.0)
 
 
 @pytest.mark.parametrize("size,n_ids,frames", [((24, 16), 8, 16), ((72, 40), 2, 6)])
@@ -365,16 +395,15 @@ def test_preprocess_dataset_matches_reference_bitwise(tmp_path, size, n_ids, fra
     raws.append(RawSequence("solo", "cam0", raws[0].frames[:1]))
     samples = preprocess_dataset(raws)
     for raw, sample in zip(raws, samples, strict=True):
-        assert sample.frames.tobytes() == ref_preprocess(raw).tobytes()
-        assert sample.frames.shape == (len(raw.frames), 5) + size
+        assert sample.frames.tobytes() == np.stack(raw.frames).tobytes()
+        built = eval_sequence(sample, None).channels()
+        assert built.tobytes() == ref_view(raw, slice(None), 4, 4, False).tobytes()
+        assert built.shape == (len(raw.frames), 5) + tuple(x - CROP_MARGIN for x in size)
 
 
 def test_preprocess_dataset_keeps_input_order_and_joins_its_threads(fake_cpus, rng):
     fake_cpus(3)
-    raws = [RawSequence(f"p{i}", "cam0",
-                        [rng.integers(0, 256, size=(10, 8, 3), dtype=np.uint8)
-                         for _ in range(2 + i % 3)])
-            for i in range(7)]
+    raws = [random_raw(rng, 2 + i % 3, (12, 10), pid=f"p{i}") for i in range(7)]
     before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more workers than cores, switching as often as it can
@@ -385,7 +414,8 @@ def test_preprocess_dataset_keeps_input_order_and_joins_its_threads(fake_cpus, r
     assert threading.active_count() == before
     assert [s.person_id for s in samples] == [r.person_id for r in raws]
     for raw, sample in zip(raws, samples):
-        assert sample.frames.tobytes() == ref_preprocess(raw).tobytes()
+        assert (eval_sequence(sample, None).channels().tobytes()
+                == ref_view(raw, slice(None), 4, 4, False).tobytes())
     assert preprocess_dataset([]) == []
 
 
@@ -398,19 +428,33 @@ def test_preprocess_dataset_on_one_cpu_starts_no_thread(monkeypatch, fake_cpus, 
 
     monkeypatch.setattr(threading, "Thread", no_thread)
     samples = preprocess_dataset(raws)
-    assert [s.frames.tobytes() for s in samples] == [ref_preprocess(r).tobytes() for r in raws]
+    assert ([eval_sequence(s, None).channels().tobytes() for s in samples]
+            == [ref_view(r, slice(None), 4, 4, False).tobytes() for r in raws])
 
 
 def test_preprocess_dataset_error_in_a_worker_keeps_its_type(fake_cpus, rng):
     fake_cpus(2)
-    raws = [RawSequence(f"p{i}", "cam0",
-                        [rng.integers(0, 256, size=(1, 20, 3), dtype=np.uint8)
-                         for _ in range(3)])
-            for i in range(4)]
+    raws = [random_raw(rng, 3, (1, 20), pid=f"p{i}") for i in range(4)]
     before = threading.active_count()
-    with pytest.raises(DatasetError, match="at least 2x2"):
+    with pytest.raises(DatasetError, match="too small"):
         preprocess_dataset(raws)
     assert threading.active_count() == before
+
+
+def test_preprocess_keeps_uint8_frames_and_six_floats_without_flow(monkeypatch, synth_root):
+    # the stored dataset is its frames' bytes plus 48 bytes a sequence; the
+    # float channels, flow included, wait until a view is read
+    def no_flow(*args, **kwargs):
+        raise AssertionError("preprocessing ran optical flow")
+
+    raws = load_dataset(synth_root)
+    monkeypatch.setattr(datapipe, "lucas_kanade_flow", no_flow)
+    samples = preprocess_dataset(raws)
+    for raw, sample in zip(raws, samples, strict=True):
+        arrays = [v for v in vars(sample).values() if isinstance(v, np.ndarray)]
+        frame_bytes = sum(f.nbytes for f in raw.frames)
+        assert sample.frames.dtype == np.uint8
+        assert sum(a.nbytes for a in arrays) <= frame_bytes + 48
 
 
 def test_by_identity_groups_cameras(synth_index):
@@ -426,69 +470,111 @@ def test_by_identity_groups_cameras(synth_index):
 
 
 def test_augment_crops_eight_pixels(rng):
-    sample = SequenceSample("p", "c", rng.standard_normal((3, 5, 128, 64)))
+    sample = sample_of(random_raw(rng, 3, (128, 64)))
     assert crop_view(sample, slice(None), 4, 4, False).shape == (3, 5, 120, 56)
     assert crop_view(sample, np.array([2, 0, 2, 1]), 0, 8, True).shape == (4, 5, 120, 56)
 
 
 def test_augment_test_mode_is_center_crop(rng):
-    frames = rng.standard_normal((4, 5, 20, 18))
-    sample = SequenceSample("p", "c", frames)
-    for eval_k, expected in ((None, frames), (1, frames[:1]), (3, frames[:3])):
-        out = eval_sequence(sample, eval_k)
-        assert (out.person_id, out.camera_id) == ("p", "c")
-        np.testing.assert_array_equal(out.frames, expected[:, :, 4:16, 4:14])
-        assert np.shares_memory(out.frames, frames)  # a view: nothing is copied
+    raw = random_raw(rng, 4, (20, 18))
+    sample = sample_of(raw)
+    for eval_k, expected in ((None, slice(None)), (1, slice(1)), (3, slice(3))):
+        view = eval_sequence(sample, eval_k)
+        assert (view.person_id, view.camera_id) == ("p", "c")
+        assert view.sample is sample  # nothing is built or copied until it is read
+        assert view.channels().tobytes() == ref_view(raw, expected, 4, 4, False).tobytes()
 
 
 def test_augment_train_offsets_stay_in_range(rng):
     # every offset a draw can give, with and without the mirror, against
     # the crop-then-flip it stands for; left 0 ends the mirrored slice at
     # the frame's first column
-    frames = rng.standard_normal((5, 5, 20, 18))
-    sample = SequenceSample("p", "c", frames)
+    raw = random_raw(rng, 5, (20, 18))
+    sample = sample_of(raw)
     idx = np.array([3, 4, 0, 1])
     for top in range(CROP_MARGIN + 1):
         for left in range(CROP_MARGIN + 1):
-            crop = frames[idx][:, :, top:top + 12, left:left + 10]
-            np.testing.assert_array_equal(crop_view(sample, idx, top, left, False), crop)
-            flipped = crop[:, :, :, ::-1].copy()
-            flipped[:, 3] *= -1
-            np.testing.assert_array_equal(crop_view(sample, idx, top, left, True), flipped)
+            for mirror in (False, True):
+                assert (crop_view(sample, idx, top, left, mirror).tobytes()
+                        == ref_view(raw, idx, top, left, mirror).tobytes()), (top, left, mirror)
 
 
 def test_augment_mirror_negates_horizontal_flow(rng):
-    frames = rng.standard_normal((2, 5, 20, 18))
-    sample = SequenceSample("p", "c", frames)
-    stored = frames.copy()
+    sample = sample_of(random_raw(rng, 2, (20, 18)))
+    stored = sample.frames.copy(), sample.stats.copy()
     center = crop_view(sample, slice(None), 4, 4, False)
     mirrored = crop_view(sample, slice(None), 4, 4, True)
     np.testing.assert_array_equal(mirrored[:, 3], -center[:, 3, :, ::-1])
     np.testing.assert_array_equal(mirrored[:, 4], center[:, 4, :, ::-1])
     np.testing.assert_array_equal(mirrored[:, :3], center[:, :3, :, ::-1])
-    # the negation writes a copy even when the frames are a slice
-    assert not np.shares_memory(mirrored, frames)
-    assert frames.tobytes() == stored.tobytes()
+    assert sample.frames.tobytes() == stored[0].tobytes()
+    assert sample.stats.tobytes() == stored[1].tobytes()
 
 
 def test_augment_rejects_small_frames(rng):
-    sample = SequenceSample("p", "c", rng.standard_normal((1, 5, 8, 12)))
-    with pytest.raises(DatasetError, match="too small"):
-        crop_view(sample, slice(None), 4, 4, False)
-    with pytest.raises(DatasetError, match="too small"):
-        eval_sequence(sample, None)
+    # a side of at most CROP_MARGIN pixels leaves nothing to crop; the
+    # check runs when the sequence is loaded, before any draw
+    for hw in ((8, 12), (12, 8), (1, 20), (1, 1)):
+        with pytest.raises(DatasetError, match="too small"):
+            preprocess_dataset([random_raw(rng, 2, hw)])
+
+
+# ---- built views against the reference ----
+
+
+def test_train_draws_match_reference_bitwise(rng):
+    raw = random_raw(rng, 10, (24, 16))
+    sample = sample_of(raw)
+    short = random_raw(rng, 3, (24, 16))
+    single = random_raw(rng, 1, (24, 16))
+    draws = [
+        (raw, np.arange(2, 8)),          # consecutive frames
+        (raw, np.arange(4, 10)),         # a window ending on the last frame
+        (raw, np.array([9])),            # the last frame alone
+        (short, np.arange(16) % 3),      # wrap-around: n < k
+        (single, np.zeros(4, dtype=int)),  # a one-frame sequence
+    ]
+    for source, idx in draws:
+        stored = sample if source is raw else sample_of(source)
+        for top, left in ((0, 0), (8, 8), (3, 5)):
+            for mirror in (False, True):
+                view = SequenceView(stored, idx, top, left, mirror)
+                built = view.channels()
+                assert built.flags.c_contiguous
+                assert built.tobytes() == ref_view(source, idx, top, left, mirror).tobytes()
+                assert view.channels(slice(1, 3)).tobytes() == built[1:3].tobytes()
+
+
+def test_eval_views_match_reference_bitwise(rng):
+    for n in (1, 2, 7):
+        raw = random_raw(rng, n, (20, 14))
+        sample = sample_of(raw)
+        for eval_k in (None, 1):
+            view = eval_sequence(sample, eval_k)
+            assert view.n_frames == (n if eval_k is None else 1)
+            assert (view.channels().tobytes()
+                    == ref_view(raw, slice(eval_k), 4, 4, False).tobytes())
+
+
+def test_extract_feature_builds_the_same_bytes_on_one_two_and_three_cpus(fake_cpus, rng):
+    cfg = LossConfig(spp_bins=((2, 2), (1, 1)))
+    params = init_params(0, 2, cfg, feature_dim=8)
+    raw = random_raw(rng, 5, (20, 16))
+    view = eval_sequence(sample_of(raw), None)
+    built = ChannelStack("p", "c", ref_view(raw, slice(None), 4, 4, False))
+    for cpus in (1, 2, 3):
+        fake_cpus(cpus)
+        assert extract_feature(view, params, cfg).tobytes() == \
+            extract_feature(built, params, cfg).tobytes(), cpus
 
 
 # ---- subsequence draws ----
 
 
-def frame_numbered(n):
-    """n frames of 9x9 whose every value is the frame's index."""
-    return np.arange(n, dtype=np.float64)[:, None, None, None] * np.ones((n, 5, 9, 9))
-
-
 def numbered_index(n):
-    return {pid: {cam: SequenceSample(pid, cam, frame_numbered(n)) for cam in ("c0", "c1")}
+    """Two identities of two cameras, each a sequence of n frames of 9x9."""
+    frames = np.zeros((n, 9, 9, 3), dtype=np.uint8)
+    return {pid: {cam: sample_of(RawSequence(pid, cam, list(frames))) for cam in ("c0", "c1")}
             for pid in ("a", "b")}
 
 
@@ -498,24 +584,24 @@ def test_subsequence_long_enough_is_contiguous():
     for _ in range(40):
         pair = next(stream)
         for seq in (pair.probe, pair.gallery):
-            first = seq.frames[:, 0, 0, 0]
-            np.testing.assert_array_equal(np.diff(first), 1.0)
-            starts.add(first[0])
-    assert starts == {0.0, 1.0, 2.0, 3.0, 4.0}
+            np.testing.assert_array_equal(np.diff(seq.index), 1)
+            starts.add(int(seq.index[0]))
+    assert starts == {0, 1, 2, 3, 4}
 
 
 def test_subsequence_short_wraps_cyclically():
     stream = pair_stream(numbered_index(5), ["a", "b"], k=16, seed=0)
-    expected = [float(i % 5) for i in range(16)]
+    expected = [i % 5 for i in range(16)]
     for _ in range(4):
         pair = next(stream)
-        np.testing.assert_array_equal(pair.probe.frames[:, 0, 0, 0], expected)
-        np.testing.assert_array_equal(pair.gallery.frames[:, 0, 0, 0], expected)
+        np.testing.assert_array_equal(pair.probe.index, expected)
+        np.testing.assert_array_equal(pair.gallery.index, expected)
 
 
 def test_subsequence_validates_arguments():
     empty = numbered_index(3)
-    empty["a"]["c0"] = SequenceSample("a", "c0", np.zeros((0, 5, 9, 9)))
+    empty["a"]["c0"] = SequenceSample("a", "c0", np.zeros((0, 9, 9, 3), dtype=np.uint8),
+                                      np.zeros((2, 3)))
     with pytest.raises(DatasetError, match="no frames"):
         next(pair_stream(empty, ["a", "b"], k=4))
     with pytest.raises(ValueError, match="positive"):
@@ -586,7 +672,7 @@ def test_pair_stream_alternates_and_labels(synth_index):
             assert pair.probe.person_id != pair.gallery.person_id
         assert pair.probe_label == labels[pair.probe.person_id]
         assert pair.gallery_label == labels[pair.gallery.person_id]
-        assert pair.probe.frames.shape == (16, 5, 16, 8)
+        assert pair.probe.channels().shape == (16, 5, 16, 8)
 
 
 def test_pair_stream_epoch_visits_every_identity(synth_index):
@@ -612,7 +698,7 @@ def test_pair_stream_is_seed_deterministic(synth_index):
     def digest(seed, n=12):
         stream = pair_stream(synth_index, ids, k=16, seed=seed)
         return [(p.probe.person_id, p.gallery.person_id, p.same_person,
-                 float(p.probe.frames.sum())) for p in (next(stream) for _ in range(n))]
+                 float(p.probe.channels().sum())) for p in (next(stream) for _ in range(n))]
 
     assert digest(0) == digest(0)
     assert digest(0) != digest(5)
@@ -667,33 +753,38 @@ def oracle_pair_stream(index, ids, k, rng, log):
 
 def test_pair_stream_draws_match_the_old_chain_bitwise(rng):
     # sequences longer than, equal to and shorter than k (which wrap), one
-    # identity with three cameras, and two frame sizes
+    # identity with three cameras, and two frame sizes; the old chain cuts
+    # the reference stacks, pair_stream's views are built from uint8 frames
     lengths = {"a": (24, 16, 5), "b": (16, 3), "c": (20, 24), "d": (5, 30)}
-    index = {}
+    index, reference = {}, {}
     for pid, ns in lengths.items():
         size = (24, 16) if pid != "c" else (20, 18)
-        index[pid] = {f"cam{j}": SequenceSample(pid, f"cam{j}",
-                                                rng.standard_normal((n, 5) + size))
-                      for j, n in enumerate(ns)}
-    stored = {(pid, cam): s.frames.copy() for pid, cams in index.items()
+        index[pid], reference[pid] = {}, {}
+        for j, n in enumerate(ns):
+            raw = random_raw(rng, n, size, pid, f"cam{j}")
+            index[pid][raw.camera_id] = sample_of(raw)
+            reference[pid][raw.camera_id] = ChannelStack(pid, raw.camera_id, ref_preprocess(raw))
+    stored = {(pid, cam): (s.frames.copy(), s.stats.copy()) for pid, cams in index.items()
               for cam, s in cams.items()}
     ids = sorted(index)
     log = []
     for seed in range(25):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         stream = pair_stream(index, ids, k=16, seed=ours)  # default_rng passes a Generator through
-        oracle = oracle_pair_stream(index, ids, 16, theirs, log)
+        oracle = oracle_pair_stream(reference, ids, 16, theirs, log)
         for _ in range(12):
             pair = next(stream)
             probe, gallery = next(oracle)
-            assert pair.probe.frames.tobytes() == probe.tobytes()
-            assert pair.gallery.frames.tobytes() == gallery.tobytes()
-            assert pair.probe.frames.flags.c_contiguous and pair.gallery.frames.flags.c_contiguous
+            built_probe, built_gallery = pair.probe.channels(), pair.gallery.channels()
+            assert built_probe.tobytes() == probe.tobytes()
+            assert built_gallery.tobytes() == gallery.tobytes()
+            assert built_probe.flags.c_contiguous and built_gallery.flags.c_contiguous
             assert ours.bit_generator.state == theirs.bit_generator.state
     assert {(wrapped, mirrored) for wrapped, mirrored in log} == {
         (False, False), (False, True), (True, False), (True, True)}
-    for (pid, cam), frames in stored.items():
+    for (pid, cam), (frames, stats) in stored.items():
         assert index[pid][cam].frames.tobytes() == frames.tobytes()
+        assert index[pid][cam].stats.tobytes() == stats.tobytes()
 
 
 def test_pair_stream_needs_two_identities(synth_index):
@@ -741,7 +832,8 @@ def test_synth_dataset_seeds_differ(tmp_path):
 
 
 def test_synth_dataset_motion_yields_nonzero_flow(synth_index):
-    flows = [cams[cam].frames[:, 3:] for cams in synth_index.values() for cam in cams]
+    flows = [eval_sequence(cams[cam], None).channels()[:, 3:]
+             for cams in synth_index.values() for cam in cams]
     mean_abs = np.mean([np.abs(f).mean() for f in flows])
     assert mean_abs > 0.005
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from astpn.datapipe import DatasetError, SequenceSample
+from astpn.datapipe import ChannelStack, DatasetError
 from astpn.evalkit import (
     CmcCurve,
     cmc_from_features,
@@ -213,18 +213,17 @@ def test_compute_cmc_runs_on_synthetic_index(synth_index):
 
 
 def test_compute_cmc_single_shot_uses_first_frame_only(synth_index):
-    from astpn.datapipe import SequenceSample
-
+    # the oracle featurises the first frame of each full eval view, and
+    # compute_cmc ranks those features from its memo
     params = init_params(0, 8, TOY_CFG, feature_dim=8, frame_hw=(16, 8))
-    truncated = {
-        pid: {
-            cam: SequenceSample(s.person_id, s.camera_id, s.frames[:1])
-            for cam, s in cams.items()
-        }
-        for pid, cams in synth_index.items()
+    first_frames = {
+        (pid, cam): extract_feature(
+            ChannelStack(pid, cam, eval_sequence(s, None).channels()[:1]), params, TOY_CFG)
+        for pid, cams in synth_index.items() for cam, s in cams.items()
     }
     single = compute_cmc(synth_index, sorted(synth_index), params, TOY_CFG, eval_k=1)
-    oracle = compute_cmc(truncated, sorted(synth_index), params, TOY_CFG)
+    oracle = compute_cmc(synth_index, sorted(synth_index), params, TOY_CFG,
+                         features=first_frames)
     np.testing.assert_array_equal(single.values, oracle.values)
 
 
@@ -236,20 +235,20 @@ def test_compute_cmc_is_deterministic(synth_index):
 
 
 def test_featurising_the_eval_view_reads_the_index_only(synth_index):
-    # the eval view is a slice of the stored frames, not a copy: featurising
-    # it must leave them as they were, and give the features of a copy
+    # the eval view builds its channels from the stored frames and stats:
+    # featurising it must leave them as they were, and give the features
+    # of its built channels
     params = init_params(0, 8, TOY_CFG, feature_dim=8, frame_hw=(16, 8))
-    stored = {(pid, cam): s.frames.tobytes() for pid, cams in synth_index.items()
-              for cam, s in cams.items()}
+    stored = {(pid, cam): (s.frames.tobytes(), s.stats.tobytes())
+              for pid, cams in synth_index.items() for cam, s in cams.items()}
     compute_cmc(synth_index, sorted(synth_index), params, TOY_CFG)
-    for (pid, cam), frames in stored.items():
+    for (pid, cam), kept in stored.items():
         sample = synth_index[pid][cam]
-        assert sample.frames.tobytes() == frames
         view = eval_sequence(sample, None)
-        copy = SequenceSample(pid, cam, np.ascontiguousarray(view.frames))
+        built = ChannelStack(pid, cam, view.channels())
         assert (extract_feature(view, params, TOY_CFG).tobytes()
-                == extract_feature(copy, params, TOY_CFG).tobytes())
-        assert sample.frames.tobytes() == frames
+                == extract_feature(built, params, TOY_CFG).tobytes())
+        assert (sample.frames.tobytes(), sample.stats.tobytes()) == kept
 
 
 def test_compute_cmc_missing_identity(synth_index):

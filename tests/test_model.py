@@ -14,7 +14,7 @@ import pytest
 
 from astpn import tensor
 from astpn.layers import RNN_OUTPUTS
-from astpn.datapipe import PairBatch, SequenceSample
+from astpn.datapipe import ChannelStack, PairBatch, RawSequence, preprocess_dataset
 from astpn.evalkit import eval_sequence
 from astpn.model import (
     TENSOR_NAMES,
@@ -49,7 +49,7 @@ def toy_pair(seed=0, same=True, steps=2):
     h, w = TOY_HW
 
     def seq(pid, cam):
-        return SequenceSample(pid, cam, rng.uniform(-1, 1, size=(steps, 5, h, w)))
+        return ChannelStack(pid, cam, rng.uniform(-1, 1, size=(steps, 5, h, w)))
 
     if same:
         return PairBatch(seq("a", "c0"), seq("a", "c1"), True, 0, 0)
@@ -170,11 +170,11 @@ def test_attentive_self_pair_is_asymmetric():
 def test_forward_pair_rejects_empty_and_misshapen():
     cfg = toy_cfg()
     params = toy_params(cfg)
-    empty = SequenceSample("a", "c0", np.zeros((0, 5, 12, 8)))
+    empty = ChannelStack("a", "c0", np.zeros((0, 5, 12, 8)))
     good = toy_pair().probe
     with pytest.raises(ValueError):
         forward_pair(Graph(), empty, good, params, cfg)
-    flat = SequenceSample("a", "c0", np.zeros((5, 12, 8)))
+    flat = ChannelStack("a", "c0", np.zeros((5, 12, 8)))
     with pytest.raises(Exception):
         forward_pair(Graph(), flat, good, params, cfg)
     with pytest.raises(ValueError):
@@ -204,8 +204,8 @@ def test_extract_feature_is_independent_of_blas_threads_and_cpus(fake_cpus, vari
     hw = (32, 16)
     cfg = LossConfig(variant=variant)
     params = init_params(3, 3, cfg, feature_dim=32, frame_hw=hw)
-    sample = SequenceSample("a", "c0", rng.uniform(-1, 1, size=(5, 5, 40, 24)))
-    seq = eval_sequence(sample, eval_k)
+    frames = list(rng.integers(0, 256, size=(5, 40, 24, 3), dtype=np.uint8))
+    seq = eval_sequence(preprocess_dataset([RawSequence("a", "c0", frames)])[0], eval_k)
     feats = []
     control = tensor._openblas_threads()
     before = control[0]() if control else None
@@ -229,7 +229,7 @@ def test_extract_feature_raises_a_worker_error_after_every_worker_ends(fake_cpus
     fake_cpus(2)
     cfg = toy_cfg()
     params = toy_params(cfg)
-    seq = SequenceSample("a", "c0", np.zeros((4, 4) + TOY_HW))
+    seq = ChannelStack("a", "c0", np.zeros((4, 4) + TOY_HW))
     threads_before = threading.active_count()
     with pytest.raises(ShapeError, match="4 channels but kernel expects 5"):
         extract_feature(seq, params, cfg)
@@ -500,7 +500,7 @@ def test_shape_error_in_one_branch_leaves_the_next_step_working():
     cfg = toy_cfg()
     params = toy_params(cfg)
     good = toy_pair()
-    bad = PairBatch(good.probe, SequenceSample("b", "c1", good.gallery.frames[:, :4]),
+    bad = PairBatch(good.probe, ChannelStack("b", "c1", good.gallery.frames[:, :4]),
                     False, 0, 1)
     threads = threading.active_count()
     with pytest.raises(ShapeError, match="channels"):
