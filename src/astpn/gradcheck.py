@@ -3,12 +3,13 @@
 The check builds a small model and a fixed synthetic positive pair, then
 compares the analytic gradient of the full training loss against central
 differences for a seeded sample of elements in every parameter tensor. A
-positive pair keeps the hinge term quadratic, so the objective is smooth
-almost everywhere. It still has kinks (ReLU subgradients, max selections in
-pooling and attention), and a step that crosses one makes the difference
-quotient wrong though the taped gradient is right: at h = 1e-5 toy seed 505
-misses by 2e-4. At h = 1e-6 the check passes on toy seeds 0 and 500-511 with
-24 samples per tensor (worst 5.3e-5, on seed 0).
+positive pair keeps the hinge term quadratic, away from its kink at
+distance = margin, so the objective is smooth almost everywhere. It still
+has kinks (max selections in pooling and attention), and a step that
+crosses one makes the difference quotient wrong though the taped gradient
+is right: at h = 1e-5 toy seed 505 misses by 2e-4. At h = 1e-6 the check
+passes on toy seeds 0 and 500-511 with 24 samples per tensor (worst 5.3e-5,
+on seed 0).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Graph, ShapeError, Tensor
+from .tensor import Graph, ShapeError, Tensor, check_bins
 
 CONV_CHANNELS = (16, 32, 32)
 CONV_KERNEL = 5
@@ -68,75 +68,32 @@ def conv_stack_forward(graph: Graph, frames: Tensor, kernels: list[Tensor],
 
 @dataclass(frozen=True)
 class SppConfig:
-    """Pyramid bin grids (mw, mh), finest first; the output keeps this order.
-
-    Each level must be exactly half the one before in both axes, as in the
-    default (8,8), (4,4), (2,2), (1,1): every coarser level is then a 2x2 max
-    of the level below it. Other bins raise ShapeError.
-    """
+    """Pyramid bin grids (rows, cols), finest first; the output keeps this
+    order. A grid's first number cuts the map's height, its second the width.
+    Grids that do not halve level by level raise ShapeError (check_bins)."""
 
     bins: tuple[tuple[int, int], ...] = DEFAULT_BINS
 
     def __post_init__(self):
-        if not self.bins or any(min(b) < 1 for b in self.bins):
-            raise ShapeError(f"spp bins must be one or more grids of at least 1x1, "
-                             f"got {self.bins}")
-        for (mw, mh), (nw, nh) in zip(self.bins, self.bins[1:]):
-            if (2 * nw, 2 * nh) != (mw, mh):
-                raise ShapeError(f"spp bins must halve from level to level, got {(nw, nh)} "
-                                 f"after {(mw, mh)}")
+        check_bins(self.bins)
 
     @property
     def cells_per_channel(self) -> int:
-        return sum(mw * mh for mw, mh in self.bins)
+        return sum(rows * cols for rows, cols in self.bins)
 
     def output_length(self, channels: int) -> int:
         return channels * self.cells_per_channel
 
 
-def _cell_bounds(extent: int, cells: int) -> list[tuple[int, int]]:
-    # cell i covers [floor(i*extent/cells), ceil((i+1)*extent/cells)); for
-    # extent >= 2*cells it is exactly the union of cells 2i and 2i+1 of 2*cells
-    return [
-        (i * extent // cells, ((i + 1) * extent + cells - 1) // cells)
-        for i in range(cells)
-    ]
-
-
 def spp_forward(graph: Graph, fmap: Tensor, cfg: SppConfig = SppConfig()) -> Tensor:
-    """Spatial pyramid max pooling to a fixed-length descriptor.
-
-    For each bin grid (mw, mh) the map is partitioned into mw x mh cells, each
-    cell max-pooled, and the results flattened channel-major, cells
-    row-major; levels are concatenated in bin order, finest first. A
-    (T,C,H,W) map yields a (T, C * sum(mw*mh)) matrix, one descriptor per
-    row.
-
-    Only the finest level reads the map, in one region_maxpool. The cells
-    nest (see _cell_bounds), so each coarser level is the 2x2 maxpool2d of
-    the level before: the values are those of a max over each cell. A
-    gradient reaches the same map position as a per-cell max would, except
-    on exact ties between different sub-cells, where it follows maxpool2d's
-    first-tap rule.
+    """Spatial pyramid max pooling of a (T,C,H,W) map to one fixed-length
+    descriptor per frame, (T, C * sum(rows*cols)): one Graph.region_maxpool
+    node. A map smaller than the finest grid raises ShapeError. A gradient
+    reaches the map position a max over each cell would pick, except on exact
+    ties between sub-cells of a coarser cell: it then goes to the first
+    sub-cell, in row-major scan, that holds the max.
     """
-    if len(fmap.shape) != 4:
-        raise ShapeError(f"spp_forward needs a (T,C,H,W) map, got {fmap.shape}")
-    t_n, c, h, w = fmap.shape
-    mw, mh = cfg.bins[0]
-    if h < mw or w < mh:
-        raise ShapeError(f"spp bin {(mw, mh)} needs a map of at least {mw}x{mh}, got {h}x{w}")
-    regions = [
-        (r0, r1, c0, c1)
-        for r0, r1 in _cell_bounds(h, mw)
-        for c0, c1 in _cell_bounds(w, mh)
-    ]
-    level = graph.region_maxpool(fmap, regions)
-    parts = [level]
-    grid = graph.reshape(level, (t_n, c, mw, mh))
-    for mw, mh in cfg.bins[1:]:
-        grid = graph.maxpool2d(grid, (2, 2))
-        parts.append(graph.reshape(grid, (t_n, c * mw * mh)))
-    return graph.concat(parts, axis=1)
+    return graph.region_maxpool(fmap, cfg.bins)
 
 
 def rnn_forward(graph: Graph, reps: Tensor, u_in: Tensor, w_rec: Tensor,

@@ -197,14 +197,9 @@ def forward_pair(graph: Graph, probe, gallery, params: AstpnParams,
 
 def hinge_loss(graph: Graph, v_p: Tensor, v_g: Tensor, same_person: bool,
                margin: float) -> Tensor:
-    """Squared distance for matching pairs, hinged margin slack otherwise."""
-    if v_p.shape != v_g.shape:
-        raise ShapeError(f"feature shapes differ, {v_p.shape} vs {v_g.shape}")
-    diff = graph.sub(v_p, v_g)
-    dist = graph.sum_all(graph.mul(diff, diff))
-    if same_person:
-        return dist
-    return graph.relu(graph.sub(Tensor(np.float64(margin), requires_grad=False), dist))
+    """Squared distance for matching pairs, hinged margin slack otherwise:
+    one Graph.hinge node."""
+    return graph.hinge(v_p, v_g, same_person, margin)
 
 
 def identity_loss(graph: Graph, v: Tensor, label: int, params: AstpnParams) -> Tensor:

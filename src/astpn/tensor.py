@@ -239,6 +239,59 @@ def _frame_blocks(t_n: int, frame_bytes: int, even: bool = False,
     return [(t0, min(t0 + step, t_n)) for t0 in range(0, t_n, step)]
 
 
+def _cell_bounds(extent: int, cells: int) -> list[tuple[int, int]]:
+    # cell i covers [floor(i*extent/cells), ceil((i+1)*extent/cells)); for
+    # extent >= 2*cells it is exactly the union of cells 2i and 2i+1 of 2*cells
+    return [
+        (i * extent // cells, ((i + 1) * extent + cells - 1) // cells)
+        for i in range(cells)
+    ]
+
+
+def check_bins(bins) -> None:
+    """Raise ShapeError unless bins is one or more pyramid grids (rows, cols)
+    of at least 1x1, finest first, each exactly half the one before in both
+    axes, as in (8,8), (4,4), (2,2), (1,1): every coarser level is then a
+    2x2 max of the level before it."""
+    if not bins or any(min(b) < 1 for b in bins):
+        raise ShapeError(f"spp bins must be one or more grids of at least 1x1, got {bins}")
+    for (rows, cols), (n_rows, n_cols) in zip(bins, bins[1:]):
+        if (2 * n_rows, 2 * n_cols) != (rows, cols):
+            raise ShapeError(f"spp bins must halve from level to level, got "
+                             f"{(n_rows, n_cols)} after {(rows, cols)}")
+
+
+def _window_max(xb: np.ndarray, window: tuple[int, int]):
+    """Max over the tiling windows of a (T,C,H,W) array, stride equal to the
+    window, and the function that takes its gradient back onto xb.
+
+    Each window cell (i, j) is one strided view of xb (a tap); the max is
+    np.maximum over the taps. The windows are disjoint, so the backward
+    assigns g into each tap's view of a zeroed dx where that tap was the
+    first to hold the max: ties go to the first tap, a nan max to none.
+    """
+    wh, ww = window
+    ho, wo = xb.shape[2] // wh, xb.shape[3] // ww
+    taps = [(slice(None), slice(None), slice(i, ho * wh, wh), slice(j, wo * ww, ww))
+            for i in range(wh) for j in range(ww)]
+    best = xb[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(best, xb[tap], out=best)
+
+    def back(g):
+        dx = np.zeros(xb.shape)
+        taken = np.zeros(best.shape, dtype=bool)
+        for tap in taps:
+            # first: this tap holds the max and no earlier tap does
+            first = xb[tap] == best
+            first &= ~taken
+            taken |= first
+            np.multiply(first, g, out=dx[tap])
+        return dx
+
+    return best, back
+
+
 class Graph:
     """Tape of executed operations.
 
@@ -552,64 +605,51 @@ class Graph:
     def maxpool2d(self, x: Tensor, window: tuple[int, int]) -> Tensor:
         """Max over the tiling windows of a (T,C,H,W) stack, stride equal to
         the window; rows and columns past the last whole window are dropped.
-        Ties go to the first cell in row-major scan.
-
-        Each window cell (i, j) is one strided view of the input (a tap). The
-        max is np.maximum over the taps. The windows are disjoint, so backward
-        assigns g into each tap's view of a zeroed dx where that tap was the
-        first to hold the max.
+        Ties go to the first cell in row-major scan (see _window_max).
         """
         wh, ww = window
         if min(wh, ww) < 1:
             raise ShapeError(f"maxpool2d needs a positive window, got {window}")
         if x.data.ndim != 4:
             raise ShapeError(f"maxpool2d needs a (T,C,H,W) input, got shape {x.shape}")
-        xb = x.data
-        t_n, c, h, w = xb.shape
+        h, w = x.shape[2:]
         if wh > h or ww > w:
             raise ShapeError(f"maxpool2d window {window} larger than input {h}x{w}")
-        ho, wo = h // wh, w // ww
-        taps = [(slice(None), slice(None), slice(i, ho * wh, wh), slice(j, wo * ww, ww))
-                for i in range(wh) for j in range(ww)]
-        best = xb[taps[0]].copy()
-        for tap in taps[1:]:
-            np.maximum(best, xb[tap], out=best)
+        best, back = _window_max(x.data, window)
         out = Tensor(best)
 
         def vjp(g):
-            dx = np.zeros((t_n, c, h, w))
-            taken = np.zeros(best.shape, dtype=bool)
-            for tap in taps:
-                # first: this tap holds the max and no earlier tap does
-                first = xb[tap] == best
-                first &= ~taken
-                taken |= first
-                np.multiply(first, g, out=dx[tap])
-            return (dx,)
+            return (back(g),)
 
         return self._push(out, (x,), vjp)
 
-    def region_maxpool(self, x: Tensor, regions: list[tuple[int, int, int, int]]) -> Tensor:
-        """Max over explicit rectangular regions (r0, r1, c0, c1), half-open.
+    def region_maxpool(self, x: Tensor, bins) -> Tensor:
+        """Spatial pyramid max pooling of a (T,C,H,W) map over halving grids
+        (rows, cols), finest first (check_bins), as one node. A grid cuts the
+        height into rows bands and the width into cols (_cell_bounds). The
+        output is (T, C * sum(rows*cols)): levels in bin order, each
+        channel-major with its cells row-major.
 
-        A (T,C,H,W) input yields a (T, C*len(regions)) matrix whose rows are
-        laid out channel-major: all regions of channel 0, then channel 1, and
-        so on. Ties go to the first cell in row-major scan. One gather reads
-        every region through a (size, R) table of flat positions, each
-        region's column listing its cells row-major, padded with its last one.
+        Only the finest level reads the map, in one gather through a
+        (size, R) table of flat positions, each cell's column listing its
+        positions row-major, padded with its last one; ties go to the first.
+        On a map no smaller than the finest grid the cells nest, so each
+        coarser level is the 2x2 _window_max of the level before. The vjp
+        walks from the coarsest level down, adding each level's slice of g to
+        what the 2x2 max above hands back, then scatters onto the map in one
+        bincount over the finest level's first-max positions.
         """
         if x.data.ndim != 4:
             raise ShapeError(f"region_maxpool needs a (T,C,H,W) input, got shape {x.shape}")
+        check_bins(bins)
         xb = x.data
         t_n, c, h, w = xb.shape
-        n_r = len(regions)
-        if n_r == 0:
-            raise ShapeError("region_maxpool needs at least one region")
-        r0, r1, c0, c1 = np.array(regions, dtype=np.int64).T
-        bad = ~((0 <= r0) & (r0 < r1) & (r1 <= h) & (0 <= c0) & (c0 < c1) & (c1 <= w))
-        if bad.any():
-            raise ShapeError(f"region {tuple(regions[int(bad.argmax())])} out of bounds "
-                             f"for {h}x{w} input")
+        rows, cols = bins[0]
+        if h < rows or w < cols:
+            raise ShapeError(f"spp bin {(rows, cols)} needs a map of at least {rows}x{cols}, "
+                             f"got {h}x{w}")
+        r0, r1, c0, c1 = np.array([(r0, r1, c0, c1) for r0, r1 in _cell_bounds(h, rows)
+                                   for c0, c1 in _cell_bounds(w, cols)]).T
         widths = c1 - c0
         areas = (r1 - r0) * widths
         size = int(areas.max())
@@ -617,17 +657,27 @@ class Graph:
         table = (r0 + k // widths) * w + c0 + k % widths
         block = xb.reshape(t_n, c, h * w)[:, :, table]  # (T, C, size, R)
         vals = block.max(axis=2)
-        out = Tensor(vals.reshape(t_n, c * n_r))
+        levels, backs = [vals.reshape(t_n, c, rows, cols)], []
+        for _ in bins[1:]:
+            best, back = _window_max(levels[-1], (2, 2))
+            levels.append(best)
+            backs.append(back)
+        out = Tensor(np.concatenate([level.reshape(t_n, -1) for level in levels], axis=1))
         if not self.record:
             return out  # no vjp reads the first-max positions
         # the first cell holding the max; a nan max matches no cell and takes cell 0
         first = (block == vals[:, :, None]).argmax(axis=2)
-        # flat index of each region's first max in the whole (T,C,H,W) input
-        pos = table[first, np.arange(n_r)] + np.arange(t_n * c).reshape(t_n, c, 1) * (h * w)
+        # flat index of each cell's first max in the whole (T,C,H,W) input
+        pos = table[first, np.arange(rows * cols)] + np.arange(t_n * c).reshape(t_n, c, 1) * (h * w)
+        starts = np.cumsum([0] + [level[0].size for level in levels])
 
         def vjp(g):
-            # one scatter; overlapping regions may share a position, so add
-            dx = np.bincount(pos.ravel(), weights=g.ravel(), minlength=xb.size)
+            grad = None
+            for i in reversed(range(len(levels))):
+                own = g[:, starts[i]:starts[i + 1]].reshape(levels[i].shape)
+                grad = own if grad is None else backs[i](grad) + own
+            # one scatter; overlapping cells may share a position, so add
+            dx = np.bincount(pos.ravel(), weights=grad.ravel(), minlength=xb.size)
             return (dx.reshape(t_n, c, h, w),)
 
         return self._push(out, (x,), vjp)
@@ -646,16 +696,6 @@ class Graph:
 
         return self._push(out, (x,), vjp)
 
-    def relu(self, x: Tensor) -> Tensor:
-        """max(0, x); the subgradient at exactly 0 is taken as 0."""
-        xd = x.data
-        out = Tensor(np.maximum(xd, 0.0))
-
-        def vjp(g):
-            return (g * (xd > 0.0),)
-
-        return self._push(out, (x,), vjp)
-
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
             raise ShapeError(f"add: shapes differ, {a.shape} vs {b.shape}")
@@ -663,16 +703,6 @@ class Graph:
 
         def vjp(g):
             return g, g
-
-        return self._push(out, (a, b), vjp)
-
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise ShapeError(f"sub: shapes differ, {a.shape} vs {b.shape}")
-        out = Tensor(a.data - b.data)
-
-        def vjp(g):
-            return g, -g
 
         return self._push(out, (a, b), vjp)
 
@@ -698,18 +728,6 @@ class Graph:
 
         return self._push(out, (x,), vjp)
 
-    def concat(self, xs: list[Tensor], axis: int = 0) -> Tensor:
-        if not xs:
-            raise ShapeError("concat needs at least one tensor")
-        out = Tensor(np.concatenate([x.data for x in xs], axis=axis))
-        sizes = [x.data.shape[axis] for x in xs]
-        splits = np.cumsum(sizes)[:-1]
-
-        def vjp(g):
-            return tuple(np.split(g, splits, axis=axis))
-
-        return self._push(out, tuple(xs), vjp)
-
     # ---- reductions ----
 
     def sum_all(self, x: Tensor) -> Tensor:
@@ -721,7 +739,29 @@ class Graph:
 
         return self._push(out, (x,), vjp)
 
-    # ---- probability ----
+    # ---- losses ----
+
+    def hinge(self, a: Tensor, b: Tensor, same: bool, margin: float) -> Tensor:
+        """The contrastive hinge on the squared distance d = |a - b|^2: d
+        itself for a matching pair (same), max(0, margin - d) otherwise. The
+        gradient at the kink d == margin is taken as 0, and margin, a
+        constant, gets none.
+        """
+        if a.shape != b.shape:
+            raise ShapeError(f"hinge: shapes differ, {a.shape} vs {b.shape}")
+        diff = a.data - b.data
+        dist = np.asarray((diff * diff).sum())
+        slack = np.float64(margin) - dist
+        out = Tensor(dist if same else np.maximum(slack, 0.0))
+
+        def vjp(g):
+            if not same:
+                g = -(g * (slack > 0.0))
+            d = g * diff
+            d += d  # each factor of diff * diff passes g * diff
+            return d, -d
+
+        return self._push(out, (a, b), vjp)
 
     def cross_entropy(self, logits: Tensor, label: int) -> Tensor:
         """Negative log softmax probability of the labelled class."""

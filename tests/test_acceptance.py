@@ -93,7 +93,7 @@ def test_criterion_2_analytic_values():
 
 def test_criterion_3_spp_fixed_length_across_resolutions(rng):
     cfg = SppConfig()
-    assert [mw * mh for mw, mh in cfg.bins] == [64, 16, 4, 1]
+    assert [rows * cols for rows, cols in cfg.bins] == [64, 16, 4, 1]
     params = init_params(0, 1, LossConfig())
     kernels = [params[f"conv{i}.kernel"] for i in (1, 2, 3)]
     biases = [params[f"conv{i}.bias"] for i in (1, 2, 3)]

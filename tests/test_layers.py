@@ -17,7 +17,6 @@ from astpn.layers import (
     POOL_WINDOW,
     RNN_OUTPUTS,
     SppConfig,
-    _cell_bounds,
     attentive_summary,
     conv_out_extent,
     conv_stack_forward,
@@ -27,7 +26,7 @@ from astpn.layers import (
     spp_forward,
     uniform_init,
 )
-from astpn.tensor import Graph, ShapeError, Tensor
+from astpn.tensor import Graph, ShapeError, Tensor, _cell_bounds
 
 
 def conv_weights(rng):
@@ -151,7 +150,7 @@ def test_spp_length_is_2720_for_the_standard_stack(rng):
 
 
 def test_spp_per_level_cell_counts():
-    assert [mw * mh for mw, mh in SppConfig().bins] == [64, 16, 4, 1]
+    assert [rows * cols for rows, cols in SppConfig().bins] == [64, 16, 4, 1]
 
 
 @pytest.mark.parametrize("hw", [(13, 11), (19, 15), (39, 23), (8, 8), (100, 37)])
@@ -231,6 +230,20 @@ def test_spp_gradient_flows_to_max_positions(rng):
         assert fmap.grad[0, c].reshape(-1)[flat] == 1.0
 
 
+def test_spp_records_one_tape_node(rng):
+    g = Graph()
+    spp_forward(g, Tensor(rng.standard_normal((2, 3, 9, 8))), SppConfig())
+    assert len(g) == 1
+
+
+def test_spp_bins_are_rows_then_columns():
+    # (4, 2) on a 16x6 map: 4 bands of rows, 2 of columns; each cell's max
+    # is the last row index of its band
+    fmap = np.repeat(np.arange(16.0), 6).reshape(1, 1, 16, 6)
+    out = spp_forward(Graph(), Tensor(fmap), SppConfig(((4, 2), (2, 1))))
+    np.testing.assert_array_equal(out.data[0], [3, 3, 7, 7, 11, 11, 15, 15, 7, 15])
+
+
 @pytest.mark.parametrize("bins", [((8, 8), (3, 3)), ((4, 4), (1, 1)), ((3, 3), (1, 1)),
                                   ((1, 1), (2, 2)), ((2, 2), (1, 1), (1, 1)),
                                   ((4, 2), (2, 2)), (), ((0, 0),)])
@@ -259,8 +272,8 @@ def test_cell_bounds_nest_two_into_one(cells):
 def spp_columns(h, w, bins, channels):
     """(channel, r0, r1, c0, c1) of every output column, in output order:
     levels in bin order, each channel-major with its cells row-major."""
-    return [(ch, r0, r1, c0, c1) for mw, mh in bins for ch in range(channels)
-            for r0, r1 in _cell_bounds(h, mw) for c0, c1 in _cell_bounds(w, mh)]
+    return [(ch, r0, r1, c0, c1) for rows, cols in bins for ch in range(channels)
+            for r0, r1 in _cell_bounds(h, rows) for c0, c1 in _cell_bounds(w, cols)]
 
 
 def spp_reference(fmap, bins, weights):

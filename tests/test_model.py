@@ -265,12 +265,18 @@ def test_hinge_loss_margin_takes_no_gradient():
     v_p = Tensor(np.zeros(4))
     v_g = Tensor(np.array([1.0, 0.0, 0.0, 0.0]))
     out = hinge_loss(graph, v_p, v_g, False, margin=3.0)
-    margin = next(t for node in graph._tape for t in node.inputs
-                  if t is not v_p and t is not v_g and t.data.ndim == 0 and t.data == 3.0)
-    assert not margin.requires_grad
+    # the margin is a constant of the node, not one of its inputs
+    assert [t for node in graph._tape for t in node.inputs] == [v_p, v_g]
     graph.backward(out)
-    assert margin.grad is None
     np.testing.assert_array_equal(v_g.grad, [-2.0, 0.0, 0.0, 0.0])  # d(3 - |p - g|^2)/dg
+    np.testing.assert_array_equal(v_p.grad, [2.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_hinge_loss_records_one_tape_node(same):
+    graph = Graph()
+    hinge_loss(graph, Tensor(np.zeros(3)), Tensor(np.ones(3)), same, margin=3.0)
+    assert len(graph) == 1
 
 
 def test_hinge_loss_negative_beyond_margin_is_zero():
@@ -278,6 +284,23 @@ def test_hinge_loss_negative_beyond_margin_is_zero():
     v_g = Tensor(np.array([2.0]))  # squared distance 4 > margin 3
     out = hinge_loss(Graph(), v_p, v_g, False, margin=3.0)
     assert out.item() == 0.0
+
+
+def test_astpn_train_step_records_11_nodes_and_10_per_branch(monkeypatch):
+    # step: branches, attend, hinge, 2 x (matvec, add, cross_entropy), 2 adds;
+    # branch: 3 conv2d, 2 maxpool2d, 3 tanh, region_maxpool, rnn
+    subs = []
+
+    class Counted(tensor._Branch):
+        def __init__(self):
+            super().__init__()
+            subs.append(self)
+
+    monkeypatch.setattr(tensor, "_Branch", Counted)
+    cfg = toy_cfg()
+    graph = Graph()
+    total_loss(graph, toy_pair(same=False), toy_params(cfg), cfg)
+    assert [len(graph)] + [len(sub) for sub in subs] == [11, 10, 10]
 
 
 def test_identity_loss_zero_weights_gives_log_k():

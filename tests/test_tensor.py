@@ -1,7 +1,10 @@
 """Engine tests: every op's forward against an independent oracle, every
 backward against central finite differences, plus tape mechanics."""
 
+import ast
 import ctypes
+import functools
+import inspect
 import math
 import os
 import subprocess
@@ -256,9 +259,14 @@ def test_matmul_gradient(rng):
     p = Tensor(rng.standard_normal((3, 4)))
     g = Tensor(rng.standard_normal((5, 2)))
     u = Tensor(rng.standard_normal((4, 2)))
-    w = Tensor(rng.standard_normal(6), requires_grad=False)
-    check_op_gradients(lambda graph: graph.mul(graph.concat(list(graph.attend(p, g, u))), w),
-                       [p, g, u])
+    w_p = Tensor(rng.standard_normal(4), requires_grad=False)
+    w_g = Tensor(rng.standard_normal(2), requires_grad=False)
+
+    def build(graph):
+        v_p, v_g = graph.attend(p, g, u)
+        return graph.add(graph.sum_all(graph.mul(v_p, w_p)), graph.sum_all(graph.mul(v_g, w_g)))
+
+    check_op_gradients(build, [p, g, u])
 
 
 def test_transposed_operand_gets_a_c_ordered_gradient(rng):
@@ -810,74 +818,81 @@ def test_maxpool2d_window_larger_than_input(rng):
 
 def test_region_maxpool_matches_slicing(rng):
     x = Tensor(rng.standard_normal((1, 3, 6, 4)))
-    regions = [(0, 3, 0, 2), (0, 3, 2, 4), (3, 6, 0, 4)]
-    out = Graph().region_maxpool(x, regions)
-    assert out.shape == (1, 9)
-    expected = [[x.data[0, c, r0:r1, c0:c1].max()
-                 for c in range(3) for (r0, r1, c0, c1) in regions]]
+    out = Graph().region_maxpool(x, ((2, 2), (1, 1)))
+    assert out.shape == (1, 15)
+    cells = [(0, 3, 0, 2), (0, 3, 2, 4), (3, 6, 0, 2), (3, 6, 2, 4)]
+    expected = [[x.data[0, c, r0:r1, c0:c1].max() for c in range(3) for (r0, r1, c0, c1) in cells]
+                + [x.data[0, c].max() for c in range(3)]]
     np.testing.assert_array_equal(out.data, expected)
 
 
 def test_region_maxpool_gradient(rng):
+    # 5x5 under a 2x2 grid: neighbouring cells share the middle row and column
     x = Tensor(rng.standard_normal((2, 2, 5, 5)))
-    regions = [(0, 2, 0, 5), (2, 5, 0, 5), (0, 5, 0, 3)]
-    check_op_gradients(lambda g: g.region_maxpool(x, regions), [x])
+    check_op_gradients(lambda g: g.region_maxpool(x, ((2, 2), (1, 1))), [x])
 
 
 def test_region_maxpool_batched_rows(rng):
     x = Tensor(rng.standard_normal((4, 2, 5, 5)))
-    regions = [(0, 5, 0, 5), (1, 3, 1, 3)]
-    out = Graph().region_maxpool(x, regions)
-    assert out.shape == (4, 4)
-    single = Graph().region_maxpool(Tensor(x.data[2:3]), regions)
+    out = Graph().region_maxpool(x, ((2, 2), (1, 1)))
+    assert out.shape == (4, 10)
+    single = Graph().region_maxpool(Tensor(x.data[2:3]), ((2, 2), (1, 1)))
     np.testing.assert_array_equal(out.data[2], single.data[0])
 
 
+def pyramid_cells(h, w, bins, channels):
+    """(channel, r0, r1, c0, c1) of every output column, in output order."""
+    return [(ch, r0, r1, c0, c1) for rows, cols in bins for ch in range(channels)
+            for r0, r1 in tensor._cell_bounds(h, rows) for c0, c1 in tensor._cell_bounds(w, cols)]
+
+
 @st.composite
-def region_cases(draw):
-    """Small-integer maps, so regions tie, and arbitrary regions: they may
-    overlap, repeat, be single cells or cover the whole map."""
-    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    rows = st.tuples(st.integers(0, h - 1), st.integers(1, h)).map(sorted)
-    cols = st.tuples(st.integers(0, w - 1), st.integers(1, w)).map(sorted)
-    spans = st.tuples(rows, cols).filter(lambda rc: rc[0][0] < rc[0][1] and rc[1][0] < rc[1][1])
-    regions = [(r0, r1, c0, c1) for (r0, r1), (c0, c1) in
-               draw(st.lists(spans, min_size=1, max_size=6))]
+def pyramid_cases(draw):
+    """Small-integer maps, so cells tie, under a halving chain of possibly
+    non-square grids, on maps from the finest grid's size up; integer
+    weights on the finest level only."""
+    levels = draw(st.integers(1, 3))
+    coarse = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    bins = tuple((coarse[0] << k, coarse[1] << k) for k in reversed(range(levels)))
+    h, w = draw(st.integers(bins[0][0], 13)), draw(st.integers(bins[0][1], 13))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.integers(-2, 3, size=(draw(st.integers(1, 3)), draw(st.integers(1, 3)), h, w))
-    g = rng.integers(1, 5, size=(x.shape[0], x.shape[1] * len(regions)))
-    return x.astype(float), regions, g.astype(float)
+    n_fine = x.shape[1] * bins[0][0] * bins[0][1]
+    g = np.zeros((x.shape[0], x.shape[1] * sum(r * c for r, c in bins)))
+    g[:, :n_fine] = rng.integers(1, 5, size=(x.shape[0], n_fine))
+    return x.astype(float), bins, g
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(region_cases())
-@example((np.ones((1, 1, 1, 1)), [(0, 1, 0, 1)], np.ones((1, 1))))
-@example((np.ones((2, 2, 3, 4)), [(0, 3, 0, 4), (1, 2, 2, 3), (0, 3, 0, 4)],
-          np.arange(1.0, 13.0).reshape(2, 6)))
+@given(pyramid_cases())
+@example((np.ones((1, 1, 1, 1)), ((1, 1),), np.ones((1, 1))))
+@example((np.ones((2, 2, 3, 4)), ((2, 2), (1, 1)), np.arange(1.0, 21.0).reshape(2, 10)))
 def test_region_maxpool_property_matches_slicing(case):
-    x, regions, weights = case
+    x, bins, weights = case
     t_n, c, h, w = x.shape
     xt = Tensor(x)
     g = Graph()
-    out = g.region_maxpool(xt, regions)
-    expected = [[x[t, ch, r0:r1, c0:c1].max() for ch in range(c) for (r0, r1, c0, c1) in regions]
+    out = g.region_maxpool(xt, bins)
+    cells = pyramid_cells(h, w, bins, c)
+    expected = [[x[t, ch, r0:r1, c0:c1].max() for ch, r0, r1, c0, c1 in cells]
                 for t in range(t_n)]
     np.testing.assert_array_equal(out.data, expected)
     g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
-    # each region's weight lands on its first max cell in row-major scan
+    # each finest cell's weight lands on its first max cell in row-major scan
     dx = np.zeros_like(x)
     for t in range(t_n):
-        for ch in range(c):
-            for r, (r0, r1, c0, c1) in enumerate(regions):
-                block = x[t, ch, r0:r1, c0:c1]
-                a, b = np.unravel_index(np.argmax(block), block.shape)
-                dx[t, ch, r0 + a, c0 + b] += weights[t, ch * len(regions) + r]
+        for col, (ch, r0, r1, c0, c1) in enumerate(cells):
+            block = x[t, ch, r0:r1, c0:c1]
+            a, b = np.unravel_index(np.argmax(block), block.shape)
+            dx[t, ch, r0 + a, c0 + b] += weights[t, col]
     np.testing.assert_array_equal(xt.grad, dx)
 
 
 def test_region_maxpool_out_of_bounds(rng):
-    with pytest.raises(ShapeError):
-        Graph().region_maxpool(Tensor(rng.standard_normal((1, 1, 4, 4))), [(0, 5, 0, 4)])
+    # a finest grid with more rows or columns than the map has
+    for bins in [((5, 4),), ((4, 5),), ((8, 2), (4, 1))]:
+        with pytest.raises(ShapeError):
+            Graph().region_maxpool(Tensor(rng.standard_normal((1, 1, 4, 4))), bins)
 
 
 def test_pooling_ops_need_a_4d_stack(rng):
@@ -885,7 +900,136 @@ def test_pooling_ops_need_a_4d_stack(rng):
     with pytest.raises(ShapeError):
         Graph().maxpool2d(x, (2, 2))
     with pytest.raises(ShapeError):
-        Graph().region_maxpool(x, [(0, 4, 0, 4)])
+        Graph().region_maxpool(x, ((1, 1),))
+
+
+class ParentOps(Graph):
+    """The ops the pyramid and the hinge were composed of before each
+    became one node, as they were: sub, relu, concat, and a max over
+    explicit regions (r0, r1, c0, c1), half-open."""
+
+    def sub(self, a, b):
+        def vjp(g):
+            return g, -g
+
+        return self._push(Tensor(a.data - b.data), (a, b), vjp)
+
+    def relu(self, x):
+        xd = x.data
+
+        def vjp(g):
+            return (g * (xd > 0.0),)
+
+        return self._push(Tensor(np.maximum(xd, 0.0)), (x,), vjp)
+
+    def concat(self, xs, axis):
+        splits = np.cumsum([x.data.shape[axis] for x in xs])[:-1]
+
+        def vjp(g):
+            return tuple(np.split(g, splits, axis=axis))
+
+        return self._push(Tensor(np.concatenate([x.data for x in xs], axis=axis)),
+                          tuple(xs), vjp)
+
+    def regions_maxpool(self, x, regions):
+        xb = x.data
+        t_n, c, h, w = xb.shape
+        r0, r1, c0, c1 = np.array(regions, dtype=np.int64).T
+        widths = c1 - c0
+        areas = (r1 - r0) * widths
+        k = np.minimum(np.arange(int(areas.max()))[:, None], areas - 1)
+        table = (r0 + k // widths) * w + c0 + k % widths
+        block = xb.reshape(t_n, c, h * w)[:, :, table]
+        vals = block.max(axis=2)
+        first = (block == vals[:, :, None]).argmax(axis=2)
+        pos = table[first, np.arange(len(regions))] + np.arange(t_n * c).reshape(t_n, c, 1) * (h * w)
+
+        def vjp(g):
+            dx = np.bincount(pos.ravel(), weights=g.ravel(), minlength=xb.size)
+            return (dx.reshape(t_n, c, h, w),)
+
+        return self._push(Tensor(vals.reshape(t_n, c * len(regions))), (x,), vjp)
+
+
+def pyramid_composition(graph, fmap, bins):
+    """The pyramid as a tape of generic ops built it: a region max over the
+    finest cells, then per coarser level a 2x2 maxpool2d of the level before,
+    each level reshaped to rows and all joined by concat."""
+    t_n, c, h, w = fmap.shape
+    rows, cols = bins[0]
+    level = graph.regions_maxpool(fmap, [(r0, r1, c0, c1) for r0, r1 in tensor._cell_bounds(h, rows)
+                                         for c0, c1 in tensor._cell_bounds(w, cols)])
+    parts = [level]
+    grid = graph.reshape(level, (t_n, c, rows, cols))
+    for rows, cols in bins[1:]:
+        grid = graph.maxpool2d(grid, (2, 2))
+        parts.append(graph.reshape(grid, (t_n, c * rows * cols)))
+    return graph.concat(parts, axis=1)
+
+
+def hinge_composition(graph, a, b, same, margin):
+    diff = graph.sub(a, b)
+    dist = graph.sum_all(graph.mul(diff, diff))
+    if same:
+        return dist
+    return graph.relu(graph.sub(Tensor(np.float64(margin), requires_grad=False), dist))
+
+
+def bytes_of_run(build, inputs, weights):
+    """Bytes of build(graph)'s output and of every input's gradient of
+    sum(weights * output), on a fresh ParentOps tape."""
+    tensors = [Tensor(x.copy()) for x in inputs]
+    graph = ParentOps()
+    out = build(graph, *tensors)
+    graph.backward(graph.sum_all(graph.mul(out, Tensor(weights, requires_grad=False))))
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in tensors]
+
+
+def overlapping_ties(rng):
+    # one row and one column more than the 4x2 finest grid: neighbouring
+    # cells share cells, and integer values tie within and across cells
+    return rng.integers(-1, 2, size=(2, 3, 5, 3)).astype(float), ((4, 2), (2, 1))
+
+
+def nan_map(rng):
+    x = rng.standard_normal((2, 2, 8, 8))
+    x[0, 1, 3, 4] = x[1, 0, 0, 0] = x[1, 1, 7, 2] = np.nan
+    return x, ((4, 4), (2, 2), (1, 1))
+
+
+@pytest.mark.parametrize("make", [
+    overlapping_ties,
+    nan_map,
+    lambda rng: (rng.integers(0, 3, size=(1, 4, 9, 17)).astype(float), ((2, 8), (1, 4))),
+    lambda rng: (rng.standard_normal((1, 32, 13, 11)), ((8, 8), (4, 4), (2, 2), (1, 1))),
+    lambda rng: (np.zeros((3, 1, 4, 4)), ((4, 4), (2, 2), (1, 1))),
+    lambda rng: (rng.integers(-1, 2, size=(1, 2, 3, 7)).astype(float), ((1, 1),)),
+], ids=["overlapping-ties", "nan", "non-square-t1", "default-bins", "all-tied", "one-level"])
+def test_region_maxpool_matches_the_composition_bitwise(rng, make):
+    x, bins = make(rng)
+    n = x.shape[1] * sum(r * c for r, c in bins)
+    for weights in (rng.integers(-3, 4, size=(len(x), n)).astype(float),
+                    rng.standard_normal((len(x), n))):
+        assert (bytes_of_run(lambda g, t: g.region_maxpool(t, bins), [x], weights)
+                == bytes_of_run(lambda g, t: pyramid_composition(g, t, bins), [x], weights))
+
+
+@pytest.mark.parametrize("same,margin", [
+    (True, 3.0), (False, 5.0), (False, 3.0), (False, 6.0), (False, 0.0),
+], ids=["positive", "at-margin", "beyond-margin", "inside-margin", "zero-margin"])
+def test_hinge_matches_the_composition_bitwise(same, margin):
+    # |a - b|^2 is exactly 5 (1 + 4); the weight's sign flips zeros' signs
+    a, b = np.array([1.0, -0.5, 2.0]), np.array([0.0, -0.5, 0.0])
+    for weight in (1.0, -1.5):
+        weights = np.float64(weight)
+        assert (bytes_of_run(lambda g, s, t: g.hinge(s, t, same, margin), [a, b], weights)
+                == bytes_of_run(lambda g, s, t: hinge_composition(g, s, t, same, margin),
+                                [a, b], weights))
+
+
+def test_hinge_rejects_unequal_shapes():
+    with pytest.raises(ShapeError):
+        Graph().hinge(Tensor(np.zeros(3)), Tensor(np.zeros(4)), True, 1.0)
 
 
 # ---- elementwise ----
@@ -906,20 +1050,24 @@ def test_tanh_gradient_is_one_minus_square():
     np.testing.assert_allclose(x.grad, 1.0 - np.tanh(x.data) ** 2, rtol=1e-15)
 
 
-def test_relu_and_subgradient_at_zero():
-    x = Tensor(np.array([-1.0, 0.0, 2.0]))
-    g = Graph()
-    out = g.relu(x)
-    np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
-    g.backward(g.sum_all(out))
-    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+def test_hinge_subgradient_at_the_margin_is_zero():
+    # |a - b|^2 = 4: the slack 4.5 - 4 is active, 4 - 4 sits on the kink
+    a, b = Tensor(np.array([2.0, 0.0])), Tensor(np.zeros(2))
+    for margin, value, grad in [(4.5, 0.5, [-4.0, 0.0]), (4.0, 0.0, [0.0, 0.0]),
+                                (3.0, 0.0, [0.0, 0.0])]:
+        a.clear_grad()
+        g = Graph()
+        out = g.hinge(a, b, False, margin)
+        assert out.item() == value
+        g.backward(out)
+        np.testing.assert_array_equal(a.grad, grad)
 
 
-@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+@pytest.mark.parametrize("op", ["add", "mul"])
 def test_binary_elementwise_oracle_and_gradient(rng, op):
     a = Tensor(rng.standard_normal((3, 4)))
     b = Tensor(rng.standard_normal((3, 4)))
-    expected = {"add": a.data + b.data, "sub": a.data - b.data, "mul": a.data * b.data}[op]
+    expected = {"add": a.data + b.data, "mul": a.data * b.data}[op]
     np.testing.assert_array_equal(getattr(Graph(), op)(a, b).data, expected)
     check_op_gradients(lambda g: getattr(g, op)(a, b), [a, b])
     with pytest.raises(ShapeError):
@@ -932,15 +1080,6 @@ def test_binary_elementwise_oracle_and_gradient(rng, op):
 def test_reshape_gradient_restores_shape(rng):
     x = Tensor(rng.standard_normal((2, 6)))
     check_op_gradients(lambda g: g.reshape(x, (3, 4)), [x])
-
-
-def test_concat_splits_gradient(rng):
-    a = Tensor(rng.standard_normal((2, 3)))
-    b = Tensor(rng.standard_normal((4, 3)))
-    g = Graph()
-    out = g.concat([a, b], axis=0)
-    assert out.shape == (6, 3)
-    check_op_gradients(lambda g: g.concat([a, b], axis=0), [a, b])
 
 
 # ---- reductions ----
@@ -1077,7 +1216,7 @@ def test_long_composite_program_gradient(rng):
         m = g.tanh(g.rnn(a, b, w))
         u = g.matvec(m, v)
         s, t = g.attend(m, m, w)
-        return g.mul(g.add(s, t), g.relu(u))
+        return g.mul(g.add(s, t), g.tanh(u))
 
     check_op_gradients(build, [a, b, w, v])
 
@@ -1093,6 +1232,21 @@ def test_identical_runs_are_bitwise_identical(rng):
         results.append((out.data.copy(), x.grad.copy()))
     np.testing.assert_array_equal(results[0][0], results[1][0])
     np.testing.assert_array_equal(results[0][1], results[1][1])
+
+
+def test_every_public_graph_op_has_a_call_site_in_the_package():
+    # the package calls ops on a Graph named graph, or sub for a branch's
+    # sub-graph; an op that only tests reach is dead weight on the tape
+    ops = {name for name, fn in vars(Graph).items()
+           if inspect.isfunction(fn) and not name.startswith("_")}
+    called = set()
+    for path in Path(tensor.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("graph", "sub")):
+                called.add(node.func.attr)
+    assert ops - called == set()
 
 
 # ---- concurrent branches ----
@@ -1134,7 +1288,7 @@ def test_branches_under_fast_thread_switching_match_one_tape(rng):
     b = Tensor(rng.standard_normal(4))
     xs = [Tensor(rng.standard_normal(3), requires_grad=False) for _ in range(6)]
     g = Graph()
-    g.backward(g.sum_all(g.concat([branch_program(g, x, w, b) for x in xs])))
+    g.backward(functools.reduce(g.add, [g.sum_all(branch_program(g, x, w, b)) for x in xs]))
     expected = (w.grad, b.grad)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1144,7 +1298,7 @@ def test_branches_under_fast_thread_switching_match_one_tape(rng):
             b.clear_grad()
             g = Graph()
             rows = g.branches(lambda sub, x: branch_program(sub, x, w, b), xs)
-            g.backward(g.sum_all(g.concat(rows)))
+            g.backward(functools.reduce(g.add, [g.sum_all(row) for row in rows]))
             for got, want in zip((w.grad, b.grad), expected):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
     finally:
