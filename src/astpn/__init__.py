@@ -3,7 +3,6 @@ pooling, built on a small taped float64 autodiff engine."""
 
 from .tensor import Graph, ShapeError, Tensor
 from .layers import (
-    SppConfig,
     attentive_summary,
     conv_stack_forward,
     rnn_forward,

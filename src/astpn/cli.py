@@ -306,7 +306,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         curve = cross_dataset_eval(index, usable, params, loss_cfg, fraction=cfg.fraction,
                                    seed=cfg.seed, eval_k=eval_k)
         curves = [curve]
-        meta.update(curve.meta, source=cfg.cross_dataset)
+        meta.update(fraction=cfg.fraction, n_identities=curve.n_probes, source=cfg.cross_dataset)
         dataset_name = Path(cfg.cross_dataset).name or "dataset"
     else:
         curves = []
@@ -314,8 +314,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for trial in range(cfg.trials):
             split = make_split(usable, cfg.seed, trial, cfg.split_mode)
             curves.append(compute_cmc(index, split.test, params, loss_cfg,
-                                      eval_k=eval_k, seed=cfg.seed,
-                                      meta={"trial": trial}, features=features))
+                                      eval_k=eval_k, seed=cfg.seed, features=features))
         dataset_name = Path(cfg.data_root).name or "dataset"
 
     base = out_dir / f"cmc_{dataset_name}_{cfg.variant}_{stamp}"

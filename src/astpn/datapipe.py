@@ -150,6 +150,8 @@ class RawSequence:
 
 def load_dataset(root) -> list[RawSequence]:
     """Walk root/<person>/<camera>/ and decode every frame, sorted by name.
+    Directories and frame files whose names start with "." (such as
+    .ipynb_checkpoints or .cache) are skipped.
 
     Identities with fewer than two cameras load fine but trigger a warning,
     since they cannot form cross-camera pairs. Mixed frame sizes inside one
@@ -160,10 +162,14 @@ def load_dataset(root) -> list[RawSequence]:
         raise DatasetError(f"dataset root {root} does not exist")
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")
+
+    def subdirs(path):
+        return sorted(p for p in path.iterdir() if p.is_dir() and not p.name.startswith("."))
+
     sequences = []
     cams_per_person: dict[str, int] = {}
-    for person_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        cam_dirs = sorted(p for p in person_dir.iterdir() if p.is_dir())
+    for person_dir in subdirs(root):
+        cam_dirs = subdirs(person_dir)
         cams_per_person[person_dir.name] = len(cam_dirs)
         for cam_dir in cam_dirs:
             paths = sorted(

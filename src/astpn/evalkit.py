@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ class CmcCurve:
 
     values: np.ndarray
     n_probes: int
-    meta: dict = field(default_factory=dict)
 
     def rank(self, r: int) -> float:
         if r < 1:
@@ -47,8 +46,7 @@ def rank_gallery(probe_feat: np.ndarray, gallery_feats: np.ndarray) -> np.ndarra
     return np.argsort(dists, kind="stable")
 
 
-def cmc_from_features(probe_feats, probe_ids, gallery_feats, gallery_ids,
-                      meta: dict | None = None) -> CmcCurve:
+def cmc_from_features(probe_feats, probe_ids, gallery_feats, gallery_ids) -> CmcCurve:
     """CMC curve from precomputed features; matching is identity-level.
 
     Every row of one (P, G) squared-distance matrix is ranked as rank_gallery
@@ -73,7 +71,7 @@ def cmc_from_features(probe_feats, probe_ids, gallery_feats, gallery_ids,
         raise DatasetError(f"probe identity {probe_ids[np.argmin(found)]} has no gallery entry")
     counts = np.bincount(hits.argmax(axis=1), minlength=len(gallery_ids))
     values = counts.cumsum() / len(probe_feats)
-    return CmcCurve(values=values, n_probes=len(probe_feats), meta=dict(meta or {}))
+    return CmcCurve(values=values, n_probes=len(probe_feats))
 
 
 def eval_sequence(sample: SequenceSample, eval_k: int | None) -> SequenceView:
@@ -87,7 +85,7 @@ def eval_sequence(sample: SequenceSample, eval_k: int | None) -> SequenceView:
 
 def compute_cmc(index: dict[str, dict[str, SequenceSample]], test_ids, params: AstpnParams,
                 cfg: LossConfig, eval_k: int | None = None, seed: int = 0,
-                meta: dict | None = None, features: dict | None = None) -> CmcCurve:
+                features: dict | None = None) -> CmcCurve:
     """Evaluate one probe-vs-gallery pass over the given identities.
 
     The lexicographically first camera of each identity is the probe view and
@@ -119,9 +117,7 @@ def compute_cmc(index: dict[str, dict[str, SequenceSample]], test_ids, params: A
         cam_p, cam_g = pick_cameras(index[pid], pid, rng)
         probe_feats.append(feature(pid, cam_p))
         gallery_feats.append(feature(pid, cam_g))
-    full_meta = {"n_identities": len(ids), "seed": seed}
-    full_meta.update(meta or {})
-    return cmc_from_features(probe_feats, ids, gallery_feats, ids, meta=full_meta)
+    return cmc_from_features(probe_feats, ids, gallery_feats, ids)
 
 
 def cross_dataset_eval(index: dict[str, dict[str, SequenceSample]], usable,
@@ -142,8 +138,7 @@ def cross_dataset_eval(index: dict[str, dict[str, SequenceSample]], usable,
     rng = np.random.default_rng(seed)
     chosen = sorted(rng.choice(len(usable), size=n_eval, replace=False).tolist())
     ids = [usable[i] for i in chosen]
-    return compute_cmc(index, ids, params, cfg, eval_k=eval_k, seed=seed,
-                       meta={"fraction": fraction})
+    return compute_cmc(index, ids, params, cfg, eval_k=eval_k, seed=seed)
 
 
 def _fmt(x: float) -> str:

@@ -8,11 +8,9 @@ per-frame convolutional work of a whole sequence runs through single tape ops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .tensor import Graph, ShapeError, Tensor, check_bins
+from .tensor import Graph, Tensor
 
 CONV_CHANNELS = (16, 32, 32)
 CONV_KERNEL = 5
@@ -28,21 +26,15 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
     return Tensor(rng.uniform(-bound, bound, size=shape))
 
 
-def conv_out_extent(extent: int) -> int:
-    return extent + 2 * CONV_PAD - CONV_KERNEL + 1
-
-
-def pool_out_extent(extent: int) -> int:
-    return extent // 2
-
-
 def conv_stack_output_hw(hw: tuple[int, int]) -> tuple[int, int]:
-    """Spatial extents after conv+pool, conv+pool, conv."""
+    """Spatial extents after conv+pool, conv+pool, conv: each conv grows an
+    extent by 2*CONV_PAD - CONV_KERNEL + 1, each 2x2 pool halves it (floor)."""
+    grow = 2 * CONV_PAD - CONV_KERNEL + 1
     out = []
     for e in hw:
         for _ in range(2):
-            e = pool_out_extent(conv_out_extent(e))
-        out.append(conv_out_extent(e))
+            e = (e + grow) // 2
+        out.append(e + grow)
     return tuple(out)
 
 
@@ -66,34 +58,18 @@ def conv_stack_forward(graph: Graph, frames: Tensor, kernels: list[Tensor],
     return h
 
 
-@dataclass(frozen=True)
-class SppConfig:
-    """Pyramid bin grids (rows, cols), finest first; the output keeps this
-    order. A grid's first number cuts the map's height, its second the width.
-    Grids that do not halve level by level raise ShapeError (check_bins)."""
-
-    bins: tuple[tuple[int, int], ...] = DEFAULT_BINS
-
-    def __post_init__(self):
-        check_bins(self.bins)
-
-    @property
-    def cells_per_channel(self) -> int:
-        return sum(rows * cols for rows, cols in self.bins)
-
-    def output_length(self, channels: int) -> int:
-        return channels * self.cells_per_channel
-
-
-def spp_forward(graph: Graph, fmap: Tensor, cfg: SppConfig = SppConfig()) -> Tensor:
+def spp_forward(graph: Graph, fmap: Tensor, bins=DEFAULT_BINS) -> Tensor:
     """Spatial pyramid max pooling of a (T,C,H,W) map to one fixed-length
     descriptor per frame, (T, C * sum(rows*cols)): one Graph.region_maxpool
-    node. A map smaller than the finest grid raises ShapeError. A gradient
-    reaches the map position a max over each cell would pick, except on exact
-    ties between sub-cells of a coarser cell: it then goes to the first
-    sub-cell, in row-major scan, that holds the max.
+    node. bins are pyramid grids (rows, cols), finest first, and the output
+    keeps their order; a grid's first number cuts the map's height, its
+    second the width. Graph.region_maxpool raises ShapeError for grids that
+    do not halve level by level (check_bins) and for a map smaller than the
+    finest grid. A gradient reaches the map position a max over each cell
+    would pick, except on exact ties between sub-cells of a coarser cell: it
+    then goes to the first sub-cell, in row-major scan, that holds the max.
     """
-    return graph.region_maxpool(fmap, cfg.bins)
+    return graph.region_maxpool(fmap, bins)
 
 
 def rnn_forward(graph: Graph, reps: Tensor, u_in: Tensor, w_rec: Tensor,
@@ -106,12 +82,6 @@ def rnn_forward(graph: Graph, reps: Tensor, u_in: Tensor, w_rec: Tensor,
     """
     if output not in RNN_OUTPUTS:
         raise ValueError(f"unknown rnn output mode {output!r}")
-    if reps.data.ndim != 2:
-        raise ShapeError(f"rnn_forward needs a (T, L) input, got {reps.shape}")
-    if reps.shape[1] != u_in.shape[1]:
-        raise ShapeError(
-            f"rnn input rows of length {reps.shape[1]} do not match u_in {u_in.shape}"
-        )
     rows = graph.rnn(reps, u_in, w_rec)
     return rows if output == "pre_tanh" else graph.tanh(rows)
 
@@ -120,11 +90,4 @@ def attentive_summary(graph: Graph, probe_seq: Tensor, gallery_seq: Tensor,
                       u_att: Tensor) -> tuple[Tensor, Tensor]:
     """Jointly pool both sequences' (T, N) rows with the two-way attentive
     head, Graph.attend; a zero U weighs every frame 1/T."""
-    n = u_att.shape[0]
-    if probe_seq.data.ndim != 2 or probe_seq.shape[1] != n:
-        raise ShapeError(f"probe rows {probe_seq.shape} do not match u_att {u_att.shape}")
-    if gallery_seq.data.ndim != 2 or gallery_seq.shape[1] != n:
-        raise ShapeError(
-            f"gallery rows {gallery_seq.shape} do not match u_att {u_att.shape}"
-        )
     return graph.attend(probe_seq, gallery_seq, u_att)

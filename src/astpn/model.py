@@ -3,7 +3,6 @@ plain SGD, and binary checkpoint round trips."""
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -17,7 +16,6 @@ from .layers import (
     DEFAULT_BINS,
     POOL_WINDOW,
     RNN_OUTPUTS,
-    SppConfig,
     attentive_summary,
     conv_stack_forward,
     conv_stack_output_hw,
@@ -25,7 +23,7 @@ from .layers import (
     spp_forward,
     uniform_init,
 )
-from .tensor import Graph, ShapeError, Tensor, _at_once, _one_blas_thread, _usable_cpus
+from .tensor import Graph, ShapeError, Tensor, _one_blas_thread, _usable_cpus, check_bins
 
 VARIANTS = ("astpn", "atpn_only", "aspn_only", "mean_pool", "max_pool")
 
@@ -63,7 +61,7 @@ class LossConfig:
                                  f"got {getattr(self, name)!r}")
         if not isinstance(self.use_identity_loss, bool):
             raise ValueError(f"use_identity_loss must be a bool, got {self.use_identity_loss!r}")
-        SppConfig(self.spp_bins)  # raises ShapeError unless the bins halve level by level
+        check_bins(self.spp_bins)
 
 
 class AstpnParams(dict):
@@ -90,7 +88,7 @@ def rnn_input_dim(cfg: LossConfig, frame_hw: tuple[int, int] | None = None) -> i
             raise ValueError("variant atpn_only needs the frame size to fix the rnn input dim")
         h, w = conv_stack_output_hw(frame_hw)
         return CONV_CHANNELS[-1] * (h // 2) * (w // 2)
-    return SppConfig(cfg.spp_bins).output_length(CONV_CHANNELS[-1])
+    return CONV_CHANNELS[-1] * sum(rows * cols for rows, cols in cfg.spp_bins)
 
 
 def init_params(seed: int, n_identities: int, cfg: LossConfig, feature_dim: int = 128,
@@ -143,7 +141,7 @@ def frame_reps(graph: Graph, frames: np.ndarray, params: AstpnParams,
     if cfg.variant == "atpn_only":
         pooled = graph.maxpool2d(fmap, POOL_WINDOW)
         return graph.reshape(pooled, (pooled.shape[0], -1))
-    return spp_forward(graph, fmap, SppConfig(cfg.spp_bins))
+    return spp_forward(graph, fmap, cfg.spp_bins)
 
 
 def branch_rows(graph: Graph, frames: np.ndarray, params: AstpnParams,
@@ -244,26 +242,23 @@ def extract_feature(seq, params: AstpnParams, cfg: LossConfig) -> np.ndarray:
     seq is a datapipe.SequenceView, or anything else with n_frames and a
     channels(run) that gives the (len, C, H, W) float stack of the frames in
     run. Its frames are cut into one contiguous run per CPU the process may
-    use, never more runs than frames, and every run is built and goes
-    through frame_reps at the same time (tensor._at_once), each by the
-    worker that featurises it, on an unrecorded graph of its own. Their
-    rows are joined in frame order; the recurrence and the pooling then run
-    on the calling thread, and no built channels outlive the call. The whole
-    call runs OpenBLAS at one thread, so the feature is bitwise the same
-    whatever the caller's BLAS thread count and CPU count.
+    use, never more runs than frames, and the runs go through frame_reps as
+    the branches of one unrecorded graph (Graph.branches), at the same time,
+    each built by the worker that featurises it. Their rows are joined in
+    frame order; the recurrence and the pooling then run on the calling
+    thread, and no built channels outlive the call. The whole call runs
+    OpenBLAS at one thread, so the feature is bitwise the same whatever the
+    caller's BLAS thread count and CPU count.
     """
     if seq.n_frames == 0:
         raise ValueError("a sequence needs at least one frame")
     n = min(_usable_cpus(), seq.n_frames)
     cuts = [seq.n_frames * k // n for k in range(n + 1)]
-
-    def run_reps(run: slice) -> Tensor:
-        return frame_reps(Graph(record=False), _frame_stack(seq, run), params, cfg)
-
+    graph = Graph(record=False)
     with _one_blas_thread():
-        parts = _at_once([functools.partial(run_reps, slice(t0, t1))
-                          for t0, t1 in zip(cuts, cuts[1:])])
-        graph = Graph(record=False)
+        parts = graph.branches(
+            lambda branch, run: frame_reps(branch, _frame_stack(seq, run), params, cfg),
+            [slice(t0, t1) for t0, t1 in zip(cuts, cuts[1:])])
         reps = Tensor(np.concatenate([part.data for part in parts]), requires_grad=False)
         rows = rnn_forward(graph, reps, params["rnn.u_in"], params["rnn.w_rec"], cfg.rnn_output)
         v_p, _ = pool_pair(graph, rows, rows, params, cfg)
@@ -315,7 +310,9 @@ class _Reader:
 
 
 def load_checkpoint(path) -> AstpnParams:
-    """Read a checkpoint back into a parameter bundle, byte for byte."""
+    """Read a checkpoint back into a parameter bundle, byte for byte. A
+    tensor holding a nan or inf raises CheckpointError: no finite feature or
+    step could come of it."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -337,6 +334,8 @@ def load_checkpoint(path) -> AstpnParams:
         shape = tuple(r.u64() for _ in range(rank))
         count = int(np.prod(shape)) if shape else 1
         data = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: tensor {name} holds a nan or inf")
         arrays[name] = np.array(data)  # own the memory
 
     for name in TENSOR_NAMES:

@@ -365,25 +365,22 @@ class Graph:
         branches of this graph; their outputs in args order.
 
         The first arg runs on the calling thread and each other on a thread
-        of its own, OpenBLAS at one thread each (see _at_once). Each branch
-        records on a sub-tape of its own, and the graph records one node
-        whose vjp replays the sub-tapes at the same time, each through
-        Graph.backward from the scalar sum(out * g). A sub-tape keeps its
-        leaf gradients; the vjp adds them last branch first, the order in
-        which one tape holding the branches in sequence would reach them, and
-        returns them as gradients of the leaves the branches read. fn must
-        not write to tensors the branches share.
-
-        An unrecorded graph runs the branches one after the other on the
-        calling thread, at the BLAS thread count it finds. OpenBLAS may
-        round a product at one thread differently from one at more, so a
-        recorded graph's values can differ from an unrecorded one's in the
-        last bits.
+        of its own, OpenBLAS at one thread each (see _at_once); an exception
+        is raised after every branch has ended. On a graph that records
+        nothing, every branch runs on this graph itself, and its output is
+        returned as it is. On a recording graph, each branch records on a
+        sub-tape of its own, and the graph records one node whose vjp
+        replays the sub-tapes at the same time, each through Graph.backward
+        from the scalar sum(out * g). A sub-tape keeps its leaf gradients;
+        the vjp adds them last branch first, the order in which one tape
+        holding the branches in sequence would reach them, and returns them
+        as gradients of the leaves the branches read. fn must not write to
+        tensors the branches share.
         """
-        if not self.record:
-            return [fn(self, arg) for arg in args]
-        subs = [_Branch() for _ in args]
+        subs = [_Branch() if self.record else self for _ in args]
         outs = _at_once([functools.partial(fn, sub, arg) for sub, arg in zip(subs, args)])
+        if not self.record:
+            return outs
         leaves = {}
         for sub in subs:
             made = {id(node.out) for node in sub._tape}

@@ -26,7 +26,7 @@ from astpn.datapipe import (
 )
 from astpn.evalkit import cmc_from_features, compute_cmc, eval_sequence, rank_gallery
 from astpn.gradcheck import run_gradcheck
-from astpn.layers import SppConfig, attentive_summary, conv_stack_forward, spp_forward
+from astpn.layers import attentive_summary, conv_stack_forward, spp_forward
 from astpn.model import (
     LossConfig,
     extract_feature,
@@ -92,16 +92,16 @@ def test_criterion_2_analytic_values():
 
 
 def test_criterion_3_spp_fixed_length_across_resolutions(rng):
-    cfg = SppConfig()
-    assert [rows * cols for rows, cols in cfg.bins] == [64, 16, 4, 1]
-    params = init_params(0, 1, LossConfig())
+    cfg = LossConfig()
+    assert [rows * cols for rows, cols in cfg.spp_bins] == [64, 16, 4, 1]
+    params = init_params(0, 1, cfg)
     kernels = [params[f"conv{i}.kernel"] for i in (1, 2, 3)]
     biases = [params[f"conv{i}.bias"] for i in (1, 2, 3)]
     seen = {}
     for hw in [(24, 16), (48, 32), (128, 64)]:
         frames = Tensor(rng.uniform(-1, 1, size=(2, 5) + hw))
         fmap = conv_stack_forward(Graph(record=False), frames, kernels, biases)
-        out = spp_forward(Graph(record=False), fmap, cfg)
+        out = spp_forward(Graph(record=False), fmap, cfg.spp_bins)
         seen[hw] = out.shape
         assert out.shape == (2, 2720), f"input {hw} gave {out.shape}"
     report(3, f"descriptor length 2720 for inputs {sorted(seen)}")

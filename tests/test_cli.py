@@ -25,6 +25,7 @@ from astpn.cli import (
     RunConfig,
     _save_if_finite,
     build_parser,
+    config_hash,
     main,
 )
 from astpn.datapipe import (
@@ -33,6 +34,7 @@ from astpn.datapipe import (
     by_identity,
     load_dataset,
     make_split,
+    pair_stream,
     preprocess_dataset,
 )
 from astpn.layers import RNN_OUTPUTS
@@ -43,7 +45,10 @@ from astpn.model import (
     init_params,
     load_checkpoint,
     save_checkpoint,
+    sgd_step,
+    total_loss,
 )
+from astpn.tensor import Graph
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +148,31 @@ def test_train_same_seed_is_bitwise_reproducible(cli_data, tmp_path):
         assert code == EXIT_OK
         blobs.append((out / "checkpoint.astp").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_train_lr_step_decay_matches_a_manual_schedule(cli_data, tmp_path):
+    # --lr-decay-every 1 --lr-decay-factor 0.5 trains epochs 0, 1, 2 at lr,
+    # lr/2 and lr/4; the same loop run by hand writes the same bytes
+    argv = ["train", "--data-root", str(cli_data), "--epochs", "3", "--feature-dim", "8",
+            "--k", "2", "--seed", "0"]
+    assert main(argv + ["--out", str(tmp_path / "decay"), "--lr-decay-every", "1",
+                        "--lr-decay-factor", "0.5"]) == EXIT_OK
+    assert main(argv + ["--out", str(tmp_path / "flat")]) == EXIT_OK
+
+    cfg = LossConfig()
+    index = by_identity(preprocess_dataset(load_dataset(cli_data)))
+    split = make_split(sorted(index), 0, 0, "half")
+    params = init_params(0, len(split.train), cfg, feature_dim=8, frame_hw=(16, 8))
+    stream = pair_stream(index, split.train, 2, seed=0)
+    for lr in (1e-3, 1e-3 / 2, 1e-3 / 4):
+        for _ in range(2 * len(split.train)):
+            graph = Graph()
+            graph.backward(total_loss(graph, next(stream), params, cfg))
+            sgd_step(params, lr)
+    save_checkpoint(params, tmp_path / "manual.astp")
+    decayed = (tmp_path / "decay" / "checkpoint.astp").read_bytes()
+    assert decayed == (tmp_path / "manual.astp").read_bytes()
+    assert decayed != (tmp_path / "flat" / "checkpoint.astp").read_bytes()
 
 
 def test_train_save_every_emits_interim_checkpoints(cli_data, tmp_path):
@@ -460,7 +490,12 @@ def test_eval_cross_dataset_mode(trained_run, tmp_path):
                  "--fraction", "0.5", "--seed", "0"])
     assert code == EXIT_OK
     summary = json.loads(next(out.glob("cmc_foreign_*.json")).read_text())
-    assert summary["fraction"] == 0.5
+    assert set(summary) == {"rank_means", "n_trials", "n_probes", "gallery_size",
+                            "config_hash", "seed", "fraction", "n_identities", "source"}
+    resolved = json.loads((out / "config.json").read_text())
+    assert summary["config_hash"] == config_hash(RunConfig(**resolved))
+    assert (summary["seed"], summary["fraction"], summary["n_identities"]) == (0, 0.5, 3)
+    assert summary["source"] == str(foreign)
     assert summary["n_probes"] == [3]
 
 
@@ -519,9 +554,7 @@ def test_eval_featurises_each_sequence_once_across_trials(cli_data, trained_run,
     monkeypatch.setattr(evalkit, "extract_feature", original)
     index = by_identity(preprocess_dataset(load_dataset(cli_data)))
     params = load_checkpoint(checkpoint)
-    curves = [evalkit.compute_cmc(index, test, params, LossConfig(), seed=0,
-                                  meta={"trial": trial})
-              for trial, test in enumerate(tests)]
+    curves = [evalkit.compute_cmc(index, test, params, LossConfig(), seed=0) for test in tests]
     reference, _ = evalkit.emit_report(curves, tmp_path / "reference" / "cmc")
     assert next(out.glob("cmc_*.csv")).read_bytes() == reference.read_bytes()
 
@@ -564,6 +597,24 @@ def test_eval_inconsistent_checkpoint_is_data_error(cli_data, tmp_path):
     code = main(["eval", "--out", str(tmp_path / "b"), "--checkpoint", str(checkpoint),
                  "--feature-dim", "8", "--cross-dataset", str(cli_data)])
     assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_checkpoint_is_data_error(cli_data, trained_run, tmp_path, capsys, value):
+    # a nan weight would rank every sequence by nan distances and dump rows
+    # of nan; the load refuses it, before any report or features.csv
+    params = load_checkpoint(trained_run / "checkpoint.astp")
+    params["conv1.kernel"].data[0, 0, 0, 0] = value
+    checkpoint = tmp_path / "non_finite.astp"
+    save_checkpoint(params, checkpoint)
+    for command, written in (("eval", "cmc_*"), ("extract", "features.csv")):
+        out = tmp_path / command
+        code = main([command, "--data-root", str(cli_data), "--out", str(out),
+                     "--checkpoint", str(checkpoint), "--feature-dim", "16", "--trials", "1"])
+        assert code == EXIT_DATA, command
+        assert not list(out.glob(written)), command
+        err = capsys.readouterr().err
+        assert "conv1.kernel" in err and "Traceback" not in err, command
 
 
 def test_frame_entry_that_is_not_a_file_is_data_error(cli_data, trained_run, tmp_path, capsys):

@@ -3,6 +3,7 @@ known motions, crop geometry, the pair stream's draws, splits, and the
 synthetic dataset generator."""
 
 import hashlib
+import shutil
 import sys
 import threading
 import warnings
@@ -230,6 +231,24 @@ def test_load_dataset_rejects_mixed_frame_sizes(tmp_path, rng):
     with pytest.raises(DatasetError, match="differs"):
         load_dataset(tmp_path)
 
+
+
+def test_load_dataset_skips_dot_named_directories_and_frames(synth_root, tmp_path):
+    # a notebook's checkpoint copy of an identity, a cache inside an
+    # identity and a hidden frame file are none of them data
+    root = tmp_path / "data"
+    shutil.copytree(synth_root, root)
+    shutil.copytree(synth_root / "p000", root / ".ipynb_checkpoints")
+    shutil.copytree(synth_root / "p001" / "cam0", root / "p001" / ".cache")
+    shutil.copy(synth_root / "p002" / "cam0" / "00000.ppm", root / "p002" / "cam0" / ".zz.ppm")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seqs = load_dataset(root)
+    expected = load_dataset(synth_root)
+    assert [(s.person_id, s.camera_id) for s in seqs] == \
+        [(s.person_id, s.camera_id) for s in expected]
+    for got, want in zip(seqs, expected):
+        assert all(np.array_equal(a, b) for a, b in zip(got.frames, want.frames, strict=True))
 
 # ---- color conversion ----
 

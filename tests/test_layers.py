@@ -14,18 +14,17 @@ from astpn.layers import (
     CONV_CHANNELS,
     CONV_KERNEL,
     CONV_PAD,
+    DEFAULT_BINS,
     POOL_WINDOW,
     RNN_OUTPUTS,
-    SppConfig,
     attentive_summary,
-    conv_out_extent,
     conv_stack_forward,
     conv_stack_output_hw,
-    pool_out_extent,
     rnn_forward,
     spp_forward,
     uniform_init,
 )
+from astpn.model import LossConfig, rnn_input_dim
 from astpn.tensor import Graph, ShapeError, Tensor, _cell_bounds
 
 
@@ -58,15 +57,15 @@ def test_conv_stack_shapes_for_standard_input(rng):
     assert out.shape[2:] == conv_stack_output_hw((128, 64))
 
 
-def test_conv_stack_shape_chain_is_conv_pool_conv_pool_conv():
-    # padding 4 grows each extent by 4, pooling halves with floor
-    h = conv_out_extent(128)
-    assert h == 132
-    h = pool_out_extent(h)
-    assert h == 66
-    h = pool_out_extent(conv_out_extent(h))
-    assert h == 35
-    assert conv_out_extent(h) == 39
+def test_conv_stack_shape_chain_is_conv_pool_conv_pool_conv(rng):
+    # padding 4 grows each extent by 4, pooling halves with floor; each
+    # pool runs before its layer's tanh
+    g = Graph()
+    conv_stack_forward(g, Tensor(rng.uniform(-1, 1, size=(1, 5, 128, 9))), *conv_weights(rng))
+    chain = [(node.vjp.__qualname__.split(".")[1], node.out.shape[2]) for node in g._tape]
+    assert chain == [("conv2d", 132), ("maxpool2d", 66), ("tanh", 66),
+                     ("conv2d", 70), ("maxpool2d", 35), ("tanh", 35),
+                     ("conv2d", 39), ("tanh", 39)]
 
 
 @pytest.mark.parametrize("hw,expected", [
@@ -141,36 +140,35 @@ def test_uniform_init_respects_fan_in_bound(rng):
 
 
 def test_spp_length_is_2720_for_the_standard_stack(rng):
-    cfg = SppConfig()
-    assert cfg.cells_per_channel == 85
-    assert cfg.output_length(32) == 2720
+    assert sum(rows * cols for rows, cols in DEFAULT_BINS) == 85
+    assert rnn_input_dim(LossConfig()) == 2720
     fmap = Tensor(rng.standard_normal((1, 32, 13, 11)))
-    out = spp_forward(Graph(), fmap, cfg)
+    out = spp_forward(Graph(), fmap)
     assert out.shape == (1, 2720)
 
 
 def test_spp_per_level_cell_counts():
-    assert [rows * cols for rows, cols in SppConfig().bins] == [64, 16, 4, 1]
+    assert [rows * cols for rows, cols in DEFAULT_BINS] == [64, 16, 4, 1]
 
 
 @pytest.mark.parametrize("hw", [(13, 11), (19, 15), (39, 23), (8, 8), (100, 37)])
 def test_spp_length_independent_of_map_size(rng, hw):
     fmap = Tensor(rng.standard_normal((1, 32) + hw))
-    assert spp_forward(Graph(), fmap, SppConfig()).shape == (1, 2720)
+    assert spp_forward(Graph(), fmap).shape == (1, 2720)
 
 
 def test_spp_batched_rows_match_single(rng):
     fmaps = rng.standard_normal((4, 8, 9, 9))
     g = Graph(record=False)
-    batch = spp_forward(g, Tensor(fmaps), SppConfig())
+    batch = spp_forward(g, Tensor(fmaps))
     assert batch.shape == (4, 8 * 85)
-    single = spp_forward(g, Tensor(fmaps[2:3]), SppConfig())
+    single = spp_forward(g, Tensor(fmaps[2:3]))
     np.testing.assert_array_equal(batch.data[2], single.data[0])
 
 
 def test_spp_final_level_is_global_max_per_channel(rng):
     fmap = rng.standard_normal((2, 6, 10, 8))
-    out = spp_forward(Graph(), Tensor(fmap), SppConfig())
+    out = spp_forward(Graph(), Tensor(fmap))
     # the last 6 values of a row are the (1,1) level: one global max per channel
     np.testing.assert_array_equal(out.data[:, -6:], fmap.max(axis=(2, 3)))
 
@@ -183,9 +181,9 @@ def test_spp_cells_cover_the_whole_map(rng):
         for r, c in [(0, 0), (h - 1, w - 1), (h // 2, w // 3)]:
             fmap = np.zeros((1, 1, h, w))
             fmap[0, 0, r, c] = 5.0
-            out = spp_forward(Graph(), Tensor(fmap), SppConfig()).data[0]
+            out = spp_forward(Graph(), Tensor(fmap)).data[0]
             levels = np.split(out, np.cumsum([64, 16, 4])[:3])
-            for grid, vals in zip(SppConfig().bins, levels):
+            for grid, vals in zip(DEFAULT_BINS, levels):
                 assert (vals == 5.0).sum() >= 1, f"level {grid} missed ({r},{c}) on {h}x{w}"
             assert out[-1] == 5.0
 
@@ -193,35 +191,34 @@ def test_spp_cells_cover_the_whole_map(rng):
 def test_spp_dominant_value_reaches_every_level(rng):
     fmap = rng.standard_normal((1, 3, 12, 10))
     fmap[0, 1, 4, 7] = 99.0
-    out = spp_forward(Graph(), Tensor(fmap), SppConfig())
+    out = spp_forward(Graph(), Tensor(fmap))
     levels = np.split(out.data[0], np.cumsum([3 * 64, 3 * 16, 3 * 4])[:3])
-    for grid, vals in zip(SppConfig().bins, levels):
+    for grid, vals in zip(DEFAULT_BINS, levels):
         assert (vals == 99.0).sum() >= 1, f"level {grid}"
 
 
 def test_spp_rejects_too_small_maps(rng):
     with pytest.raises(ShapeError):
-        spp_forward(Graph(), Tensor(rng.standard_normal((1, 2, 7, 8))), SppConfig())
+        spp_forward(Graph(), Tensor(rng.standard_normal((1, 2, 7, 8))))
 
 
 def test_frame_layers_need_a_4d_stack(rng):
     with pytest.raises(ShapeError):
-        spp_forward(Graph(), Tensor(rng.standard_normal((2, 9, 8))), SppConfig())
+        spp_forward(Graph(), Tensor(rng.standard_normal((2, 9, 8))))
     with pytest.raises(ShapeError):
         conv_stack_forward(Graph(), Tensor(rng.standard_normal((5, 24, 16))),
                            *conv_weights(rng))
 
 
 def test_spp_custom_bins(rng):
-    cfg = SppConfig(bins=((2, 2), (1, 1)))
-    out = spp_forward(Graph(), Tensor(rng.standard_normal((1, 4, 6, 6))), cfg)
+    out = spp_forward(Graph(), Tensor(rng.standard_normal((1, 4, 6, 6))), ((2, 2), (1, 1)))
     assert out.shape == (1, 4 * 5)
 
 
 def test_spp_gradient_flows_to_max_positions(rng):
     fmap = Tensor(rng.standard_normal((1, 2, 8, 8)))
     g = Graph()
-    out = spp_forward(g, fmap, SppConfig(bins=((1, 1),)))
+    out = spp_forward(g, fmap, ((1, 1),))
     g.backward(g.sum_all(out))
     # one unit of gradient per channel, at that channel's argmax
     assert fmap.grad.sum() == 2.0
@@ -232,7 +229,7 @@ def test_spp_gradient_flows_to_max_positions(rng):
 
 def test_spp_records_one_tape_node(rng):
     g = Graph()
-    spp_forward(g, Tensor(rng.standard_normal((2, 3, 9, 8))), SppConfig())
+    spp_forward(g, Tensor(rng.standard_normal((2, 3, 9, 8))))
     assert len(g) == 1
 
 
@@ -240,22 +237,25 @@ def test_spp_bins_are_rows_then_columns():
     # (4, 2) on a 16x6 map: 4 bands of rows, 2 of columns; each cell's max
     # is the last row index of its band
     fmap = np.repeat(np.arange(16.0), 6).reshape(1, 1, 16, 6)
-    out = spp_forward(Graph(), Tensor(fmap), SppConfig(((4, 2), (2, 1))))
+    out = spp_forward(Graph(), Tensor(fmap), ((4, 2), (2, 1)))
     np.testing.assert_array_equal(out.data[0], [3, 3, 7, 7, 11, 11, 15, 15, 7, 15])
 
 
 @pytest.mark.parametrize("bins", [((8, 8), (3, 3)), ((4, 4), (1, 1)), ((3, 3), (1, 1)),
                                   ((1, 1), (2, 2)), ((2, 2), (1, 1), (1, 1)),
                                   ((4, 2), (2, 2)), (), ((0, 0),)])
-def test_spp_config_rejects_bins_that_do_not_halve(bins):
+def test_spp_config_rejects_bins_that_do_not_halve(rng, bins):
+    # LossConfig carries the bins; it and the pooling op both reject them
     with pytest.raises(ShapeError):
-        SppConfig(bins=bins)
+        LossConfig(spp_bins=bins)
+    with pytest.raises(ShapeError):
+        spp_forward(Graph(), Tensor(rng.standard_normal((1, 1, 16, 16))), bins)
 
 
 @pytest.mark.parametrize("bins", [((8, 8), (4, 4), (2, 2), (1, 1)), ((2, 2), (1, 1)),
                                   ((1, 1),), ((16, 16),), ((4, 2), (2, 1))])
 def test_spp_config_accepts_halving_bins(bins):
-    assert SppConfig(bins=bins).bins == bins
+    assert LossConfig(spp_bins=bins).spp_bins == bins
 
 
 @pytest.mark.parametrize("cells", [1, 2, 3, 4, 5, 8, 16])
@@ -302,7 +302,8 @@ def spp_cases(draw):
     h, w = draw(st.integers(bins[0][0], 40)), draw(st.integers(bins[0][1], 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fmap = rng.standard_normal((draw(st.integers(1, 2)), draw(st.integers(1, 3)), h, w))
-    weights = rng.integers(1, 5, size=(fmap.shape[0], SppConfig(bins).output_length(fmap.shape[1])))
+    cells = sum(rows * cols for rows, cols in bins)
+    weights = rng.integers(1, 5, size=(fmap.shape[0], fmap.shape[1] * cells))
     return fmap, bins, weights.astype(float)
 
 
@@ -313,7 +314,7 @@ def test_spp_property_matches_per_cell_loop(case):
     fmap, bins, weights = case
     x = Tensor(fmap)
     g = Graph()
-    out = spp_forward(g, x, SppConfig(bins))
+    out = spp_forward(g, x, bins)
     expected, dx = spp_reference(fmap, bins, weights)
     np.testing.assert_array_equal(out.data, expected)
     # continuous values: each cell's max sits at one position
@@ -332,7 +333,7 @@ def test_spp_tie_gradient_lands_on_a_max_of_its_cell(levels, channels, seed, dat
     for col, (ch, r0, r1, c0, c1) in enumerate(columns):
         x = Tensor(fmap)
         g = Graph()
-        out = spp_forward(g, x, SppConfig(bins))
+        out = spp_forward(g, x, bins)
         onehot = np.zeros((1, len(columns)))
         onehot[0, col] = 1.0
         g.backward(g.sum_all(g.mul(out, Tensor(onehot, requires_grad=False))))

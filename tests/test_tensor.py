@@ -1368,15 +1368,25 @@ def test_branches_raise_the_first_error_after_every_branch_ends():
         Graph().branches(branch, [Tensor(np.zeros(())), Tensor(np.full((), 2.0))])
 
 
-def test_unrecorded_branches_run_in_sequence_on_the_calling_thread():
+def test_unrecorded_branches_run_at_once_on_the_graph_itself():
+    # one forward path: the branches run as a recording graph's do, but on
+    # the unrecorded graph itself, with no sub-tapes and no node
+    control = tensor._openblas_threads()
+    blas_before = control[0]() if control else None
     seen = []
+    barrier = threading.Barrier(2, timeout=30)
+    g = Graph(record=False)
 
     def branch(sub, x):
-        seen.append(threading.get_ident())
+        barrier.wait()  # returns only while both branches run
+        seen.append((sub, threading.get_ident(), control[0]() if control else None))
         return sub.tanh(x)
 
-    g = Graph(record=False)
     outs = g.branches(branch, [Tensor(np.zeros(2)), Tensor(np.ones(2))])
-    assert seen == [threading.get_ident()] * 2
+    assert all(sub is g for sub, _, _ in seen)
+    assert len({ident for _, ident, _ in seen}) == 2
     assert len(g) == 0
     np.testing.assert_array_equal(outs[1].data, np.tanh(np.ones(2)))
+    if control:
+        assert [n for _, _, n in seen] == [1, 1]
+        assert control[0]() == blas_before
