@@ -278,20 +278,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_params_match(params, cfg: RunConfig, frame_hw) -> None:
-    loss_cfg = cfg.loss_config()
-    expected_in = rnn_input_dim(loss_cfg, frame_hw)
-    if params["rnn.u_in"].shape != (cfg.feature_dim, expected_in):
-        raise CheckpointError(
-            f"rnn.u_in has shape {params['rnn.u_in'].shape} but the configuration "
-            f"implies {(cfg.feature_dim, expected_in)}"
-        )
+def _load_checked(cfg: RunConfig, command: str, root):
+    """What eval and extract read and check before either writes a file: the
+    --checkpoint, then the set at root, whose frame size and the
+    configuration must imply the checkpoint's rnn.u_in shape. Returns
+    (params, index, usable) as _load_index does."""
+    if not cfg.checkpoint:
+        raise DatasetError(f"{command} needs --checkpoint")
+    params = load_checkpoint(cfg.checkpoint)
+    index, usable = _load_index(root)
+    expected = (cfg.feature_dim, rnn_input_dim(cfg.loss_config(), _frame_hw_after_crop(index)))
+    if params["rnn.u_in"].shape != expected:
+        raise CheckpointError(f"rnn.u_in has shape {params['rnn.u_in'].shape} but the "
+                              f"configuration implies {expected}")
+    return params, index, usable
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    if not cfg.checkpoint:
-        raise DatasetError("eval needs --checkpoint")
+    params, index, usable = _load_checked(cfg, "eval", cfg.cross_dataset or cfg.data_root)
     out_dir = Path(cfg.out)
     write_resolved_config(cfg, out_dir)
     loss_cfg = cfg.loss_config()
@@ -299,9 +304,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     meta = {"config_hash": config_hash(cfg), "seed": cfg.seed}
 
-    params = load_checkpoint(cfg.checkpoint)
-    index, usable = _load_index(cfg.cross_dataset or cfg.data_root)
-    _check_params_match(params, cfg, _frame_hw_after_crop(index))
     if cfg.cross_dataset:
         curve = cross_dataset_eval(index, usable, params, loss_cfg, fraction=cfg.fraction,
                                    seed=cfg.seed, eval_k=eval_k)
@@ -329,11 +331,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    if not cfg.checkpoint:
-        raise DatasetError("extract needs --checkpoint")
-    params = load_checkpoint(cfg.checkpoint)
-    index, usable = _load_index(cfg.data_root)
-    _check_params_match(params, cfg, _frame_hw_after_crop(index))
+    params, index, usable = _load_checked(cfg, "extract", cfg.data_root)
     loss_cfg = cfg.loss_config()
     eval_k = 1 if cfg.single_shot else None
     out_dir = Path(cfg.out)

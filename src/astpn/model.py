@@ -23,19 +23,12 @@ from .layers import (
     spp_forward,
     uniform_init,
 )
-from .tensor import Graph, ShapeError, Tensor, _one_blas_thread, _usable_cpus, check_bins
+from .tensor import Graph, Tensor, _one_blas_thread, _usable_cpus, check_bins
 
 VARIANTS = ("astpn", "atpn_only", "aspn_only", "mean_pool", "max_pool")
 
 CHECKPOINT_MAGIC = b"ASTP"
 CHECKPOINT_VERSION = 1
-
-# every trainable tensor, in the order init_params draws each group's
-# tensors and a checkpoint stores its records
-TENSOR_NAMES = (
-    "conv1.kernel", "conv1.bias", "conv2.kernel", "conv2.bias", "conv3.kernel", "conv3.bias",
-    "rnn.u_in", "rnn.w_rec", "att.u_att", "classifier.weight", "classifier.bias",
-)
 
 
 class CheckpointError(Exception):
@@ -91,41 +84,48 @@ def rnn_input_dim(cfg: LossConfig, frame_hw: tuple[int, int] | None = None) -> i
     return CONV_CHANNELS[-1] * sum(rows * cols for rows, cols in cfg.spp_bins)
 
 
+def param_shapes(n_identities: int, feature_dim: int,
+                 input_dim: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every trainable tensor, keyed by its name, in the order
+    init_params draws each group's tensors and a checkpoint stores its
+    records. input_dim is the per-frame descriptor length (rnn_input_dim)."""
+    shapes = {}
+    cin = FRAME_CHANNELS
+    for i, cout in enumerate(CONV_CHANNELS, 1):
+        shapes[f"conv{i}.kernel"] = (cout, cin, CONV_KERNEL, CONV_KERNEL)
+        shapes[f"conv{i}.bias"] = (cout,)
+        cin = cout
+    return shapes | {
+        "rnn.u_in": (feature_dim, input_dim), "rnn.w_rec": (feature_dim, feature_dim),
+        "att.u_att": (feature_dim, feature_dim),
+        "classifier.weight": (n_identities, feature_dim), "classifier.bias": (n_identities,),
+    }
+
+
+TENSOR_NAMES = tuple(param_shapes(1, 1, 1))
+
+
 def init_params(seed: int, n_identities: int, cfg: LossConfig, feature_dim: int = 128,
                 frame_hw: tuple[int, int] | None = None) -> AstpnParams:
-    """Seeded uniform initialization, each tensor within +-1/sqrt(fan_in).
+    """Seeded uniform initialization of the param_shapes tensors, each within
+    +-1/sqrt(fan_in). A weight's fan-in is the product of its extents after
+    the first; a bias takes the fan-in of the weight before it.
 
-    One child RNG stream per tensor group (conv, rnn, attention, classifier)
+    One child RNG stream per tensor group (conv, rnn, att, classifier)
     draws that group's tensors in TENSOR_NAMES order.
     """
     if n_identities < 1:
         raise ValueError(f"need at least one identity, got {n_identities}")
-    conv_rng, rnn_rng, att_rng, cls_rng = map(np.random.default_rng,
-                                              np.random.SeedSequence(seed).spawn(4))
-    draws = []  # (stream, shape, fan_in) per tensor
-    cin = FRAME_CHANNELS
-    for cout in CONV_CHANNELS:
-        fan_in = cin * CONV_KERNEL * CONV_KERNEL
-        draws += [(conv_rng, (cout, cin, CONV_KERNEL, CONV_KERNEL), fan_in),
-                  (conv_rng, (cout,), fan_in)]
-        cin = cout
-    input_dim = rnn_input_dim(cfg, frame_hw)
-    draws += [(rnn_rng, (feature_dim, input_dim), input_dim),
-              (rnn_rng, (feature_dim, feature_dim), feature_dim),
-              (att_rng, (feature_dim, feature_dim), feature_dim),
-              (cls_rng, (n_identities, feature_dim), feature_dim),
-              (cls_rng, (n_identities,), feature_dim)]
-    return AstpnParams({name: uniform_init(rng, shape, fan_in)
-                        for name, (rng, shape, fan_in) in zip(TENSOR_NAMES, draws, strict=True)})
-
-
-def _frame_stack(seq, run: slice = slice(None)) -> np.ndarray:
-    frames = np.asarray(seq.channels(run), dtype=np.float64)
-    if frames.ndim != 4:
-        raise ShapeError(f"a sequence needs a (T,C,H,W) frame stack, got shape {frames.shape}")
-    if frames.shape[0] == 0:
-        raise ValueError("a sequence needs at least one frame")
-    return frames
+    streams = dict(zip(("conv", "rnn", "att", "classifier"),
+                       map(np.random.default_rng, np.random.SeedSequence(seed).spawn(4))))
+    params = AstpnParams()
+    for name, shape in param_shapes(n_identities, feature_dim,
+                                    rnn_input_dim(cfg, frame_hw)).items():
+        if len(shape) > 1:
+            fan_in = math.prod(shape[1:])
+        group = next(g for g in streams if name.startswith(g))
+        params[name] = uniform_init(streams[group], shape, fan_in)
+    return params
 
 
 def frame_reps(graph: Graph, frames: np.ndarray, params: AstpnParams,
@@ -188,7 +188,7 @@ def forward_pair(graph: Graph, probe, gallery, params: AstpnParams,
     pools the two together.
     """
     p_rows, g_rows = graph.branches(
-        lambda branch, seq: branch_rows(branch, _frame_stack(seq), params, cfg),
+        lambda branch, seq: branch_rows(branch, seq.channels(), params, cfg),
         [probe, gallery])
     return pool_pair(graph, p_rows, g_rows, params, cfg)
 
@@ -242,7 +242,8 @@ def extract_feature(seq, params: AstpnParams, cfg: LossConfig) -> np.ndarray:
     seq is a datapipe.SequenceView, or anything else with n_frames and a
     channels(run) that gives the (len, C, H, W) float stack of the frames in
     run. Its frames are cut into one contiguous run per CPU the process may
-    use, never more runs than frames, and the runs go through frame_reps as
+    use, never more runs than frames (a sequence with none is one empty
+    run, which Graph.conv2d refuses), and the runs go through frame_reps as
     the branches of one unrecorded graph (Graph.branches), at the same time,
     each built by the worker that featurises it. Their rows are joined in
     frame order; the recurrence and the pooling then run on the calling
@@ -250,14 +251,12 @@ def extract_feature(seq, params: AstpnParams, cfg: LossConfig) -> np.ndarray:
     OpenBLAS at one thread, so the feature is bitwise the same whatever the
     caller's BLAS thread count and CPU count.
     """
-    if seq.n_frames == 0:
-        raise ValueError("a sequence needs at least one frame")
-    n = min(_usable_cpus(), seq.n_frames)
+    n = max(1, min(_usable_cpus(), seq.n_frames))
     cuts = [seq.n_frames * k // n for k in range(n + 1)]
     graph = Graph(record=False)
     with _one_blas_thread():
         parts = graph.branches(
-            lambda branch, run: frame_reps(branch, _frame_stack(seq, run), params, cfg),
+            lambda branch, run: frame_reps(branch, seq.channels(run), params, cfg),
             [slice(t0, t1) for t0, t1 in zip(cuts, cuts[1:])])
         reps = Tensor(np.concatenate([part.data for part in parts]), requires_grad=False)
         rows = rnn_forward(graph, reps, params["rnn.u_in"], params["rnn.w_rec"], cfg.rnn_output)
@@ -310,9 +309,11 @@ class _Reader:
 
 
 def load_checkpoint(path) -> AstpnParams:
-    """Read a checkpoint back into a parameter bundle, byte for byte. A
-    tensor holding a nan or inf raises CheckpointError: no finite feature or
-    step could come of it."""
+    """Read a checkpoint back into a parameter bundle, byte for byte.
+
+    Every tensor must have the shape param_shapes gives for the stored
+    identity count and rnn.u_in's two extents, and hold no nan or inf (no
+    finite feature or step could come of it); else CheckpointError."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -344,38 +345,11 @@ def load_checkpoint(path) -> AstpnParams:
     for name in arrays:
         if name not in TENSOR_NAMES:
             raise CheckpointError(f"{path}: unknown tensor {name}")
-    _check_shape_chain(arrays, n_identities, path)
-    return AstpnParams({name: Tensor(arrays[name]) for name in TENSOR_NAMES})
-
-
-def _check_shape_chain(arrays: dict[str, np.ndarray], n_identities: int, path) -> None:
-    """Each conv layer takes the previous layer's output channels, and the
-    recurrence, attention and classifier agree on one feature dim."""
-
-    def extent(name, axis):
-        shape = arrays[name].shape
-        if len(shape) <= axis:
-            raise CheckpointError(f"{path}: {name} has shape {shape}, too few axes")
-        return shape[axis]
-
-    if extent("classifier.weight", 0) != n_identities:
-        raise CheckpointError(
-            f"{path}: header says {n_identities} identities but classifier.weight "
-            f"has {arrays['classifier.weight'].shape[0]} rows"
-        )
-    expected = {}
-    cin = extent("conv1.kernel", 1)
-    for i in (1, 2, 3):
-        cout = extent(f"conv{i}.kernel", 0)
-        expected[f"conv{i}.kernel"] = (cout, cin, CONV_KERNEL, CONV_KERNEL)
-        expected[f"conv{i}.bias"] = (cout,)
-        cin = cout
-    n = extent("rnn.u_in", 0)
-    expected["rnn.u_in"] = (n, extent("rnn.u_in", 1))
-    expected["rnn.w_rec"] = expected["att.u_att"] = (n, n)
-    expected["classifier.weight"] = (n_identities, n)
-    expected["classifier.bias"] = (n_identities,)
-    for name, shape in expected.items():
+    u_in = arrays["rnn.u_in"].shape
+    if len(u_in) != 2:
+        raise CheckpointError(f"{path}: rnn.u_in has shape {u_in}, expected 2 axes")
+    for name, shape in param_shapes(n_identities, *u_in).items():
         if arrays[name].shape != shape:
-            raise CheckpointError(
-                f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")
+            raise CheckpointError(f"{path}: {name} has shape {arrays[name].shape}, expected "
+                                  f"{shape} for {n_identities} identities and rnn.u_in {u_in}")
+    return AstpnParams({name: Tensor(arrays[name]) for name in TENSOR_NAMES})

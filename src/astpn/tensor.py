@@ -501,8 +501,8 @@ class Graph:
     # ---- convolution and pooling ----
 
     def conv2d(self, x: Tensor, kernel: Tensor, bias: Tensor, pad: int) -> Tensor:
-        """Cross-correlate a (T,Cin,H,W) stack with kernel under zero padding,
-        at stride 1.
+        """Cross-correlate a (T,Cin,H,W) stack of at least one frame with
+        kernel under zero padding, at stride 1.
 
         kernel is (Cout,Cin,kh,kw) and bias is (Cout,). The output is
         (H + 2*pad - kh + 1) by (W + 2*pad - kw + 1). The frames are taken in
@@ -520,8 +520,9 @@ class Graph:
         width only, into one buffer of its own, and sums kh GEMMs, one per
         kernel row, each over the columns from that row on.
         """
-        if x.data.ndim != 4:
-            raise ShapeError(f"conv2d needs a (T,C,H,W) input, got shape {x.shape}")
+        if x.data.ndim != 4 or x.shape[0] == 0:
+            raise ShapeError(f"conv2d needs a (T,C,H,W) input of at least one frame, "
+                             f"got shape {x.shape}")
         if kernel.data.ndim != 4:
             raise ShapeError(f"conv2d kernel must be 4-d, got {kernel.shape}")
         if bias.data.ndim != 1 or bias.shape[0] != kernel.shape[0]:

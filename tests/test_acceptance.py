@@ -7,7 +7,6 @@ synthetic end-to-end runs are the slow part (a few minutes total); everything
 else is near-instant.
 """
 
-import itertools
 import json
 import math
 import time
@@ -16,21 +15,13 @@ import numpy as np
 import pytest
 
 from astpn.cli import EXIT_OK, main
-from astpn.datapipe import (
-    by_identity,
-    load_dataset,
-    lucas_kanade_flow,
-    pair_stream,
-    preprocess_dataset,
-    FLOW_MAX_PX,
-)
+from astpn.datapipe import FLOW_MAX_PX, lucas_kanade_flow, pair_stream
 from astpn.evalkit import cmc_from_features, compute_cmc, eval_sequence, rank_gallery
 from astpn.gradcheck import run_gradcheck
 from astpn.layers import attentive_summary, conv_stack_forward, spp_forward
 from astpn.model import (
     LossConfig,
     extract_feature,
-    forward_pair,
     hinge_loss,
     init_params,
     load_checkpoint,

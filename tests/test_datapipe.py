@@ -19,11 +19,9 @@ from astpn.datapipe import (
     FLOW_MAX_PX,
     FLOW_WINDOW_RADIUS,
     ChannelStack,
-    PairBatch,
     RawSequence,
     SequenceSample,
     SequenceView,
-    by_identity,
     channel_stats,
     crop_view,
     identity_labels,

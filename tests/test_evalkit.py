@@ -1,7 +1,6 @@
 """Evaluation tests: ranking against brute-force oracles, CMC construction
 over exhaustive small galleries, and report file round trips."""
 
-import itertools
 import json
 
 import numpy as np

@@ -1,8 +1,6 @@
 """Tests for the finite-difference verifier itself: it must pass on the real
 backward pass, fail when a gradient is corrupted, and stay fast."""
 
-import time
-
 import numpy as np
 import pytest
 

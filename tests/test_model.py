@@ -28,6 +28,7 @@ from astpn.model import (
     identity_loss,
     init_params,
     load_checkpoint,
+    param_shapes,
     pool_pair,
     rnn_input_dim,
     save_checkpoint,
@@ -591,6 +592,9 @@ def test_init_params_shapes():
     assert named["classifier.bias"].shape == (4,)
     assert params.n_identities == 4
     assert params.feature_dim == 10
+    table = param_shapes(4, 10, 160)
+    assert list(table) == list(named) == list(TENSOR_NAMES)
+    assert {name: t.shape for name, t in named.items()} == table
 
 
 def per_group_init(seed, n_identities, cfg, feature_dim, frame_hw):
@@ -784,4 +788,18 @@ def test_checkpoint_shapes_that_do_not_chain(tmp_path, name, shape):
     path = tmp_path / "model.astp"
     save_checkpoint(params, path)
     with pytest.raises(CheckpointError, match=f"{name} has shape"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_conv_channels_that_chain_but_are_not_the_network(tmp_path):
+    # conv1 with 8 outputs feeding a conv2 that takes 8: each layer agrees
+    # with the next, but init_params never makes these shapes
+    params = toy_params(toy_cfg(), n_ids=3, feature_dim=6)
+    named = params.named_tensors()
+    named["conv1.kernel"].data = np.zeros((8, 5, 5, 5))
+    named["conv1.bias"].data = np.zeros(8)
+    named["conv2.kernel"].data = np.zeros((32, 8, 5, 5))
+    path = tmp_path / "model.astp"
+    save_checkpoint(params, path)
+    with pytest.raises(CheckpointError, match="conv1.kernel has shape"):
         load_checkpoint(path)

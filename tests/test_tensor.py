@@ -420,6 +420,13 @@ def test_conv2d_shape_errors(rng):
         g.conv2d(x, Tensor(np.zeros((4, 3, 3, 3))), Tensor(np.zeros(5)), pad=0)
 
 
+@pytest.mark.parametrize("record", [True, False])
+def test_conv2d_rejects_a_stack_with_no_frames(record):
+    kernel, bias = Tensor(np.zeros((4, 5, 3, 3))), Tensor(np.zeros(4))
+    with pytest.raises(ShapeError, match="at least one frame"):
+        Graph(record=record).conv2d(Tensor(np.zeros((0, 5, 12, 8))), kernel, bias, pad=1)
+
+
 def conv_case(x_shape, k_shape, pad, seed):
     """A conv2d problem from its shapes and a seed: (T,Cin,H,W) input,
     kernel, bias, pad, and fixed random weights for the output."""
