@@ -445,9 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic PPM dataset")
     p_synth.add_argument("root")
-    for flag, default in (("--ids", 8), ("--cams", 2), ("--frames", 16), ("--height", 24),
-                          ("--width", 16)):
+    for flag, default in (("--ids", 8), ("--cams", 2), ("--frames", 16)):
         p_synth.add_argument(flag, type=_AT_LEAST_ONE, default=default)
+    # every reader crops a frame to its height and width less CROP_MARGIN
+    croppable = _checked(int, lambda v: v > CROP_MARGIN, f"> {CROP_MARGIN}")
+    for flag, default in (("--height", 24), ("--width", 16)):
+        p_synth.add_argument(flag, type=croppable, default=default)
     p_synth.add_argument("--seed", type=_NOT_NEGATIVE, default=0)
     p_synth.add_argument("--signal-frames", dest="signal_frames", type=_NOT_NEGATIVE)
     p_synth.set_defaults(func=cmd_synth)

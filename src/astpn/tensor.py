@@ -29,8 +29,8 @@ def _pin_heap() -> None:
     each reuse then faults its pages in afresh. Buffers under 32 MiB (glibc's
     own ceiling for its dynamic threshold) come from the heap, and the heap
     is trimmed only past 1 GiB of free top: a train step at 128x64 crops
-    frees more than 128 MiB at its end, and would otherwise fault it all back
-    in on the next step. glibc keeps one arena: a buffer a worker thread of
+    frees about 130 MiB at its end, and would otherwise fault it all back in
+    on the next step. glibc keeps one arena: a buffer a worker thread of
     Graph.branches frees then goes back to the pinned main heap, where the
     next step's buffers are carved from resident pages, not to an arena of
     that thread, which dies with the step. Other C libraries are left alone.
@@ -177,38 +177,43 @@ class _Node:
         self.vjp = vjp
 
 
-# Bytes one conv2d block may hold in its lowered columns (and, for dx, its
-# two accumulators) on a recorded graph; a single frame forms a block even
-# when it exceeds this. The tape keeps the last block's columns and the vjp
-# rebuilds every other block's for dkernel, so fewer, larger blocks rebuild
-# less: 4 MiB here made a 16x8 train step 13-30% slower, since conv2 then
-# splits. An unrecorded forward takes one frame per block (see _frame_blocks).
-CONV_BLOCK_BYTES = 16 * 2**20
+# Bytes one conv2d block may hold in its lowered rows and accumulators on a
+# recorded graph; a single frame forms a block even when it exceeds this.
+# A block's GEMMs then read its lowering from cache: on a 2-core x86 host
+# with 2 MiB of L2 per core, blocks of 1-4 MiB ran each layer alike and 8 MiB
+# no faster. An unrecorded forward takes one frame per block (see
+# _frame_blocks).
+CONV_BLOCK_BYTES = 2 * 2**20
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, buf: np.ndarray) -> np.ndarray:
-    """Columns of a (T,C,H,W) stack, one per output position of every frame,
-    rows in a kernel's (C, kh, kw) order: a correlation is then one GEMM.
-    They are written into the front of the flat buffer buf, and the result
-    is a 2-D view of it."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win.transpose(1, 4, 5, 0, 2, 3)  # (C, kh, kw, T, Ho, Wo)
+def _lower(a: np.ndarray, k: int, axis: int, buf: np.ndarray) -> np.ndarray:
+    """A (T,C,H,W) stack lowered along its height (axis 2) or width (axis 3)
+    by windows of k: row (c, j) and column (y, t, x) hold a[t, c, y + j, x]
+    or a[t, c, y, x + j]. Columns go image row first, so those of image rows
+    y0 on are the 2-D view's columns from y0*T*(row width) on: a strided
+    matrix that BLAS reads without a copy. Written into the front of the
+    flat buffer buf."""
+    win = np.lib.stride_tricks.sliding_window_view(a, k, axis=axis)
+    win = win.transpose(1, 4, 2, 0, 3)  # (C, k, rows, T, row width)
     cols = buf[:win.size].reshape(win.shape)
     cols[...] = win
-    return cols.reshape(xp.shape[1] * kh * kw, -1)
+    return cols.reshape(a.shape[1] * k, -1)
 
 
-def _width_cols(gp: np.ndarray, kw: int, buf: np.ndarray) -> np.ndarray:
-    """A (T,C,Hg,Wg) stack lowered along its width only: row (c, j) and
-    column (y, t, x) hold gp[t, c, y, x + j], for x below Wg - kw + 1.
-    Columns go image row first, so those of image rows y0 on are the 2-D
-    view's columns from y0*T*(Wg-kw+1) on: a strided matrix that BLAS reads
-    without a copy. Written into the front of the flat buffer buf."""
-    win = np.lib.stride_tricks.sliding_window_view(gp, kw, axis=3)
-    win = win.transpose(1, 4, 2, 0, 3)  # (C, kw, Hg, T, Wo)
-    cols = buf[:win.size].reshape(win.shape)
-    cols[...] = win
-    return cols.reshape(gp.shape[1] * kw, -1)
+def _row_sum(slabs: np.ndarray, cols: np.ndarray, row: int, n: int,
+             acc_buf: np.ndarray, part_buf: np.ndarray) -> np.ndarray:
+    """The sum over kernel rows i of slabs[i] times n columns of cols from
+    column i*row on: with cols lowered along one axis by _lower, a
+    correlation along the other. One GEMM per kernel row; the (rows of a
+    slab x n) sum is written into the front of acc_buf, and each product
+    but the first into the front of part_buf before it is added."""
+    m = slabs.shape[1]
+    acc, part = acc_buf[:m * n].reshape(m, n), part_buf[:m * n].reshape(m, n)
+    np.matmul(slabs[0], cols[:, :n], out=acc)
+    for i in range(1, len(slabs)):
+        np.matmul(slabs[i], cols[:, i * row:i * row + n], out=part)
+        acc += part
+    return acc
 
 
 def _pad_or_crop(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
@@ -228,10 +233,10 @@ def _frame_blocks(t_n: int, frame_bytes: int, even: bool = False,
     with even, into as few runs, of lengths as near equal as whole frames
     allow (16 frames of 12 per block are then 8 + 8, not 12 + 4).
 
-    A forward no tape records (recorded=False) takes one frame per run. It
-    rebuilds no columns, so larger runs save it nothing, and one frame's
-    product rounds the same whichever frames a caller passes with it
-    (OpenBLAS rounds a product's columns by where its register tiles end).
+    A forward no tape records (recorded=False) takes one frame per run, so
+    one frame's products round the same whichever frames a caller passes
+    with it (OpenBLAS rounds a product's columns by where its register tiles
+    end).
     """
     step = max(1, CONV_BLOCK_BYTES // frame_bytes) if recorded else 1
     if even:
@@ -506,19 +511,18 @@ class Graph:
 
         kernel is (Cout,Cin,kh,kw) and bias is (Cout,). The output is
         (H + 2*pad - kh + 1) by (W + 2*pad - kw + 1). The frames are taken in
-        blocks whose im2col columns fill at most CONV_BLOCK_BYTES (16 MiB) on
-        a recorded graph, and one frame at a time on an unrecorded one, so
-        its output does not depend on how a caller cuts the frames into
+        blocks of at most CONV_BLOCK_BYTES of lowered rows and accumulators
+        on a recorded graph, and one frame at a time on an unrecorded one,
+        so its output does not depend on how a caller cuts the frames into
         calls (see _frame_blocks and model.extract_feature). Each block is
-        copied into one zero-padded stack, lowered into one column buffer
-        and multiplied by the kernel in one GEMM, so a recorded stack that
-        fits one block is one GEMM. The buffer ends the forward holding the
-        last block's columns, which backward keeps; it rebuilds the others
-        into the same buffer for dkernel, then frees it. dx correlates the
-        output gradient, padded by kh-1-pad and kw-1-pad (cropped where
-        negative), with the flipped kernel: each block lowers it along its
-        width only, into one buffer of its own, and sums kh GEMMs, one per
-        kernel row, each over the columns from that row on.
+        copied into one zero-padded stack and lowered along its width only
+        (see _lower); its output is the sum of kh GEMMs, kernel row i times
+        the lowered rows from row i on. The vjp keeps x and the kernel, no
+        lowered buffer. dx correlates the output gradient, padded by
+        kh-1-pad and kw-1-pad (cropped where negative), with the flipped
+        kernel: each block lowers it along its width and sums kh GEMMs, as
+        the forward does. dkernel is one GEMM per block, that same lowering
+        times x lowered along its height, whether or not x takes a gradient.
         """
         if x.data.ndim != 4 or x.shape[0] == 0:
             raise ShapeError(f"conv2d needs a (T,C,H,W) input of at least one frame, "
@@ -541,61 +545,63 @@ class Graph:
         ho, wo = hp - kh + 1, wp - kw + 1
 
         kd = kernel.data
-        k2 = kd.reshape(cout, -1)
-        blocks = _frame_blocks(t_n, k2.shape[1] * ho * wo * 8, recorded=self.record)
-        # one zero-ringed stack and one column buffer, sized for the first
-        # (largest) block, serve every block of the forward and the vjp
-        xp = np.zeros((blocks[0][1], cin, hp, wp))
-        buf = np.empty(k2.shape[1] * blocks[0][1] * ho * wo)
-
-        def lowered(t0, t1):
-            xb = xp[:t1 - t0]
-            xb[:, :, pad:pad + h, pad:pad + w] = x.data[t0:t1]
-            return _im2col(xb, kh, kw, buf)
-
+        # a forward block holds x's width lowering, hp rows of it, and two
+        # accumulators; one zero-ringed stack and one buffer of each kind,
+        # sized for the first (largest) block, serve every block
+        blocks = _frame_blocks(t_n, (cin * kw * hp + 2 * cout * ho) * wo * 8,
+                               recorded=self.record)
+        n_max = blocks[0][1]
+        xp = np.zeros((n_max, cin, hp, wp))
+        cols_buf = np.empty(cin * kw * hp * n_max * wo)
+        acc_buf, part_buf = np.empty(cout * ho * n_max * wo), np.empty(cout * ho * n_max * wo)
+        # row i of the kernel as a (Cout x Cin*kw) slab
+        kslabs = kd.transpose(2, 0, 1, 3).reshape(kh, cout, cin * kw)
         out_d = np.empty((t_n, cout, ho, wo))
         for t0, t1 in blocks:
-            last_cols = lowered(t0, t1)
-            prod = k2 @ last_cols
-            prod += bias.data[:, None]
-            out_d[t0:t1] = prod.reshape(cout, t1 - t0, ho, wo).transpose(1, 0, 2, 3)
-        if len(blocks) == 1:
-            xp = None  # no block to rebuild: the tape need not keep the padded stack
+            xb = xp[:t1 - t0]
+            xb[:, :, pad:pad + h, pad:pad + w] = x.data[t0:t1]
+            cols = _lower(xb, kw, 3, cols_buf)
+            row = (t1 - t0) * wo
+            acc = _row_sum(kslabs, cols, row, ho * row, acc_buf, part_buf)
+            acc += bias.data[:, None]
+            out_d[t0:t1] = acc.reshape(cout, ho, t1 - t0, wo).transpose(2, 0, 1, 3)
         out = Tensor(out_d)
 
         def vjp(g):
-            nonlocal xp, buf, last_cols
             dbias = g.reshape(t_n, cout, ho * wo).sum(axis=(0, 2))
-            dkernel = None
-            for t0, t1 in reversed(blocks):
-                cols = last_cols if t1 == t_n else lowered(t0, t1)
-                part = g[t0:t1].transpose(1, 0, 2, 3).reshape(cout, -1) @ cols.T
-                dkernel = part if dkernel is None else dkernel + part
-            dkernel = dkernel.reshape(kd.shape)
-            xp = buf = last_cols = cols = None  # free the columns before dx's buffers
-            if not x.requires_grad:
-                return None, dkernel, dbias
-            # gp is (T, Cout, h+kh-1, w+kw-1): dx[t, :, y, x] sums, over
-            # kernel rows i, row i of the flipped kernel (Cin x Cout*kw)
-            # times the width-lowered gp rows y+i
+            # gp is (T, Cout, h+kh-1, w+kw-1), and its width lowering has
+            # row (co, j) and column (r, t, x) holding gp[t, co, r, x+j]. dx
+            # sums, over kernel rows i, row i of the flipped kernel
+            # (Cin x Cout*kw) times the lowering's columns of rows y+i.
+            # dkernel is the lowering times x lowered along its height, x
+            # padded by kh-1 rows: row (ci, i) and column (r, t, x) then hold
+            # the x that kernel entry (i, kw-1-j) met at gp[t, co, r, x+j].
             gp = _pad_or_crop(g, kh - 1 - pad, kw - 1 - pad)
-            kslabs = kd[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(kh, cin, cout * kw)
-            dx = np.empty((t_n, cin, h, w))
-            dblocks = _frame_blocks(t_n, (cout * kw * (h + kh - 1) + 2 * cin * h) * w * 8,
-                                    even=True)
-            n_max = dblocks[0][1] * h * w
-            gbuf = np.empty(cout * kw * (h + kh - 1) * dblocks[0][1] * w)
-            acc_buf, part_buf = np.empty(cin * n_max), np.empty(cin * n_max)
-            for t0, t1 in dblocks:
-                gcols = _width_cols(gp[t0:t1], kw, gbuf)
-                row, n = (t1 - t0) * w, (t1 - t0) * h * w
-                acc = acc_buf[:cin * n].reshape(cin, n)
-                part = part_buf[:cin * n].reshape(cin, n)
-                np.matmul(kslabs[0], gcols[:, :n], out=acc)
-                for i in range(1, kh):
-                    np.matmul(kslabs[i], gcols[:, i * row:i * row + n], out=part)
-                    acc += part
-                dx[t0:t1] = acc.reshape(cin, h, t1 - t0, w).transpose(2, 0, 1, 3)
+            # a block counts dx's two accumulators whether or not x takes a
+            # gradient, so dkernel's blocks, and its bits, do not depend on it
+            blocks = _frame_blocks(
+                t_n, ((cout * kw + cin * kh) * (h + kh - 1) + 2 * cin * h) * w * 8, even=True)
+            n_max = blocks[0][1]
+            gbuf = np.empty(cout * kw * (h + kh - 1) * n_max * w)
+            xbuf = np.empty(cin * kh * (h + kh - 1) * n_max * w)
+            xh = np.zeros((n_max, cin, h + 2 * (kh - 1), w))
+            dk = np.zeros((cout * kw, cin * kh))
+            dx = None
+            if x.requires_grad:
+                kslabs = kd[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(kh, cin, cout * kw)
+                dx = np.empty((t_n, cin, h, w))
+                acc_buf, part_buf = np.empty(cin * h * n_max * w), np.empty(cin * h * n_max * w)
+            for t0, t1 in blocks:
+                gcols = _lower(gp[t0:t1], kw, 3, gbuf)
+                xb = xh[:t1 - t0]
+                xb[:, :, kh - 1:kh - 1 + h] = x.data[t0:t1]
+                dk += gcols @ _lower(xb, kh, 2, xbuf).T
+                if dx is not None:
+                    row = (t1 - t0) * w
+                    acc = _row_sum(kslabs, gcols, row, h * row, acc_buf, part_buf)
+                    dx[t0:t1] = acc.reshape(cin, h, t1 - t0, w).transpose(2, 0, 1, 3)
+            # dk is (co, j, ci, i) with j flipped: reorder into the kernel
+            dkernel = dk.reshape(cout, kw, cin, kh).transpose(0, 2, 3, 1)[:, :, :, ::-1]
             return dx, dkernel, dbias
 
         return self._push(out, (x, kernel, bias), vjp)

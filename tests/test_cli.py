@@ -36,6 +36,7 @@ from astpn.datapipe import (
     make_split,
     pair_stream,
     preprocess_dataset,
+    synth_dataset,
 )
 from astpn.layers import RNN_OUTPUTS
 from astpn.model import (
@@ -91,6 +92,14 @@ def assert_usage_error(capsys, argv, flag):
     ("--signal-frames", "-1"), ("--seed", "-1"),
 ])
 def test_synth_bad_count_is_usage_error(tmp_path, capsys, flag, value):
+    root = tmp_path / "data"
+    assert_usage_error(capsys, ["synth", str(root), flag, value], flag)
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--height", "4"), ("--width", "8")])
+def test_synth_frames_too_small_to_crop_are_usage_error(tmp_path, capsys, flag, value):
+    # every reader refuses frames of at most CROP_MARGIN pixels on a side
     root = tmp_path / "data"
     assert_usage_error(capsys, ["synth", str(root), flag, value], flag)
     assert not root.exists()
@@ -633,8 +642,7 @@ def test_frame_entry_that_is_not_a_file_is_data_error(cli_data, trained_run, tmp
 def test_frames_too_small_for_flow_are_data_error(tmp_path, capsys, kind):
     data = tmp_path / "data"
     if kind == "one-row":
-        assert main(["synth", str(data), "--ids", "2", "--frames", "3", "--height", "1",
-                     "--width", "20"]) == EXIT_OK
+        synth_dataset(data, n_ids=2, frames_per_seq=3, size=(1, 20))
     else:
         for pid in ("p0", "p1"):
             for cam in ("cam0", "cam1"):
@@ -654,8 +662,7 @@ def test_frames_too_small_to_crop_end_at_load(tmp_path, capsys, command, hw):
     # flow and the crop run only when a drawn view is read, so loading the
     # set must reject these frames itself: exit 2, one error line, no step
     data = tmp_path / "data"
-    assert main(["synth", str(data), "--ids", "2", "--frames", "3", "--height", str(hw[0]),
-                 "--width", str(hw[1])]) == EXIT_OK
+    synth_dataset(data, n_ids=2, frames_per_seq=3, size=hw)
     checkpoint = tmp_path / "checkpoint.astp"
     save_checkpoint(init_params(0, 2, LossConfig(), feature_dim=8), checkpoint)
     capsys.readouterr()

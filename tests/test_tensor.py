@@ -5,6 +5,7 @@ import ast
 import ctypes
 import functools
 import inspect
+import itertools
 import math
 import os
 import subprocess
@@ -517,6 +518,36 @@ def test_conv2d_dx_matches_direct_sum(case):
                                rtol=0, atol=1e-12)
 
 
+def conv2d_dkernel_reference(g, x, k_shape, pad):
+    """Kernel gradient by direct sum: every output position adds g times
+    the padded input window it read."""
+    t_n, cin, h, w = x.shape
+    _, _, kh, kw = k_shape
+    xp = np.zeros((t_n, cin, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    dkernel = np.zeros(k_shape)
+    for t in range(t_n):
+        for i in range(g.shape[2]):
+            for j in range(g.shape[3]):
+                dkernel += np.multiply.outer(g[t, :, i, j], xp[t, :, i:i + kh, j:j + kw])
+    return dkernel
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(conv_cases(max_extent=9, max_pad=5))
+@example(conv_case((2, 3, 8, 6), (2, 3, 5, 5), 4, 0))  # the model's: g read unpadded
+@example(conv_case((1, 2, 4, 5), (2, 2, 5, 2), 2, 1))  # g padded in height, cropped in width
+@example(conv_case((1, 2, 3, 4), (2, 2, 2, 3), 3, 2))  # pad past the kernel: g cropped
+def test_conv2d_dkernel_matches_direct_sum(case):
+    x, kernel, bias, pad, weights = case
+    kt = Tensor(kernel)
+    g = Graph()
+    out = g.conv2d(Tensor(x), kt, Tensor(bias), pad=pad)
+    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    np.testing.assert_allclose(kt.grad, conv2d_dkernel_reference(weights, x, kernel.shape, pad),
+                               rtol=0, atol=1e-12)
+
+
 def conv2d_results(case):
     """Forward output and the gradients of x, kernel and bias for a case."""
     x, kernel, bias, pad, weights = case
@@ -528,23 +559,27 @@ def conv2d_results(case):
 
 
 def forward_frame_bytes(case):
-    """im2col bytes per frame of the forward (and dkernel)."""
-    _, kernel, _, _, weights = case
-    return kernel[0].size * weights.shape[2] * weights.shape[3] * 8
+    """Bytes per frame of the forward: x's width lowering, which spans the
+    padded height, and its two accumulators."""
+    x, kernel, _, pad, weights = case
+    cout, cin, _, kw = kernel.shape
+    _, _, ho, wo = weights.shape
+    return (cin * kw * (x.shape[2] + 2 * pad) + 2 * cout * ho) * wo * 8
 
 
-def dx_frame_bytes(case):
-    """Bytes per frame of dx: its width-lowered output gradient, which
-    spans h + kh - 1 rows, and its two accumulators."""
+def backward_frame_bytes(case):
+    """Bytes per frame of the vjp: the output gradient's width lowering and
+    x's height lowering, each spanning h + kh - 1 rows, and dx's two
+    accumulators."""
     x, kernel, _, _, _ = case
     cout, cin, kh, kw = kernel.shape
     _, _, h, w = x.shape
-    return (cout * kw * (h + kh - 1) + 2 * cin * h) * w * 8
+    return ((cout * kw + cin * kh) * (h + kh - 1) + 2 * cin * h) * w * 8
 
 
-def frame_column_bytes(case):
-    """Bytes per frame of the forward and of dx, whichever is smaller."""
-    return min(forward_frame_bytes(case), dx_frame_bytes(case))
+def frame_bytes(case):
+    """Bytes per frame of the forward and of the vjp, whichever is smaller."""
+    return min(forward_frame_bytes(case), backward_frame_bytes(case))
 
 
 def assert_close_to_rounding(actual, expected):
@@ -559,7 +594,7 @@ def assert_close_to_rounding(actual, expected):
 def test_conv2d_frame_blocks_match_one_block(case, frames_per_block):
     one_block = conv2d_results(case)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor, "CONV_BLOCK_BYTES", frames_per_block * frame_column_bytes(case))
+        mp.setattr(tensor, "CONV_BLOCK_BYTES", frames_per_block * frame_bytes(case))
         blocked = conv2d_results(case)
     # blocks are GEMMs of other widths, and BLAS may round a product's
     # column tail differently; dkernel also sums its blocks in another order
@@ -580,19 +615,16 @@ def closure_arrays(fn):
     return found
 
 
-def test_conv2d_vjp_keeps_at_most_one_block_of_columns(monkeypatch):
+def test_conv2d_vjp_keeps_no_lowered_buffer(monkeypatch):
     case = conv_case((6, 2, 9, 7), (3, 2, 3, 3), 1, 5)
     one_block = conv2d_results(case)
     x, kernel, bias, pad, weights = case
-    block_bytes = 2 * frame_column_bytes(case)
-    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 2 * frame_bytes(case))
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
     g = Graph()
     out = g.conv2d(xt, kt, bt, pad=pad)
     kept = closure_arrays(g._tape[-1].vjp)
-    assert kept and max(a.nbytes for a in kept) <= block_bytes
-    # all of the stack's columns would be three blocks
-    assert 3 * block_bytes <= x.shape[0] * kernel[0].size * out.shape[2] * out.shape[3] * 8
+    assert len(kept) == 1 and kept[0] is kt.data
     g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
     for actual, expected in zip((out.data, xt.grad, kt.grad, bt.grad), one_block):
         assert_close_to_rounding(actual, expected)
@@ -601,47 +633,51 @@ def test_conv2d_vjp_keeps_at_most_one_block_of_columns(monkeypatch):
 def test_conv2d_blocks_share_one_column_buffer_per_direction(monkeypatch):
     case = conv_case((7, 2, 9, 7), (3, 2, 3, 3), 1, 5)
     one_block = conv2d_results(case)
-    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES",
-                        2 * max(forward_frame_bytes(case), dx_frame_bytes(case)))
-    lowered = {"_im2col": [], "_width_cols": []}
+    x, kernel, bias, pad, weights = case
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 2 * backward_frame_bytes(case))
+    lower, lowered = tensor._lower, []
 
-    def recording(name):
-        lower = getattr(tensor, name)
+    def recording(a, k, axis, buf):
+        lowered.append((axis, lower(a, k, axis, buf)))
+        return lowered[-1][1]
 
-        def record(*args):
-            lowered[name].append(lower(*args))
-            return lowered[name][-1]
-
-        return record
-
-    for name in lowered:
-        monkeypatch.setattr(tensor, name, recording(name))
-    blocked = conv2d_results(case)
-    # forward: 4 blocks of at most 2 frames, and dkernel rebuilds the first
-    # 3; dx: 4 blocks of at most 2 frames
-    cols, gcols = lowered["_im2col"], lowered["_width_cols"]
-    assert (len(cols), len(gcols)) == (4 + 3, 4)
-    assert all(np.shares_memory(c, cols[0]) for c in cols)
-    assert all(np.shares_memory(c, gcols[0]) for c in gcols)
-    assert not np.shares_memory(cols[0], gcols[0])
-    for actual, expected in zip(blocked, one_block):
+    monkeypatch.setattr(tensor, "_lower", recording)
+    xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
+    g = Graph()
+    out = g.conv2d(xt, kt, bt, pad=pad)
+    cols = [c for _, c in lowered]
+    lowered.clear()
+    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    # forward: x along its width, 3 blocks of at most 3 frames; vjp: the
+    # output gradient along its width and x along its height, 4 blocks of
+    # at most 2 frames
+    gcols = [c for axis, c in lowered if axis == 3]
+    xcols = [c for axis, c in lowered if axis == 2]
+    assert (len(cols), len(gcols), len(xcols), len(lowered)) == (3, 4, 4, 8)
+    groups = (cols, gcols, xcols)
+    for group in groups:
+        assert all(np.shares_memory(c, group[0]) for c in group)
+    for first, second in itertools.combinations(groups, 2):
+        assert not np.shares_memory(first[0], second[0])
+    for actual, expected in zip((out.data, xt.grad, kt.grad, bt.grad), one_block):
         assert_close_to_rounding(actual, expected)
 
 
 def test_conv2d_block_rule_at_eval_shapes(monkeypatch):
     # eval's conv1 at 64x32 crops: 16 frames of 5 channels, a 5x5 kernel to
-    # 16 channels, pad 4; a frame's columns are 125 x 68*36 floats (2.4 MB)
+    # 16 channels, pad 4; a frame's width lowering is 25 x 72*36 floats
+    # (0.52 MB) and its two accumulators 16 x 68*36 floats each (0.31 MB)
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((16, 5, 64, 32)), requires_grad=False)
     kernel, bias = Tensor(rng.standard_normal((16, 5, 5, 5))), Tensor(rng.standard_normal(16))
-    im2col, lowered = tensor._im2col, []
+    lower, lowered = tensor._lower, []
 
     def recording(*args):
-        cols = im2col(*args)
+        cols = lower(*args)
         lowered.append(cols.nbytes)
         return cols
 
-    monkeypatch.setattr(tensor, "_im2col", recording)
+    monkeypatch.setattr(tensor, "_lower", recording)
 
     def conv(record, block_bytes=tensor.CONV_BLOCK_BYTES):
         lowered.clear()
@@ -653,10 +689,12 @@ def test_conv2d_block_rule_at_eval_shapes(monkeypatch):
         one_block, _ = conv(True, 2**40)
         unrecorded, forward_blocks = conv(False)
         recorded, taped_blocks = conv(True)
-    frame_bytes = 125 * 68 * 36 * 8
-    assert forward_blocks == [frame_bytes] * 16  # one frame per block
-    assert taped_blocks == [6 * frame_bytes] * 2 + [4 * frame_bytes]
-    assert max(taped_blocks) <= tensor.CONV_BLOCK_BYTES
+    lowering_bytes = 25 * 72 * 36 * 8
+    block_bytes = lowering_bytes + 2 * 16 * 68 * 36 * 8
+    assert forward_blocks == [lowering_bytes] * 16  # one frame per block
+    # a recorded block takes as many whole frames as CONV_BLOCK_BYTES holds
+    frames = tensor.CONV_BLOCK_BYTES // block_bytes
+    assert taped_blocks == [min(frames, 16 - t0) * lowering_bytes for t0 in range(0, 16, frames)]
     assert unrecorded.tobytes() == one_block.tobytes()
     assert recorded.tobytes() == one_block.tobytes()
 
