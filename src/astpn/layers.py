@@ -40,21 +40,13 @@ def conv_stack_output_hw(hw: tuple[int, int]) -> tuple[int, int]:
 
 def conv_stack_forward(graph: Graph, frames: Tensor, kernels: list[Tensor],
                        biases: list[Tensor]) -> Tensor:
-    """Run a (T,Cin,H,W) stack through conv/tanh(/pool) x3.
-
-    Each layer convolves with its kernel and bias at padding 4. A 2x2 max
-    pool (stride 2) follows the first two layers only, and runs before their
-    tanh. np.tanh never decreases, so the values are those of pooling after
-    it, and tanh runs on a quarter of the cells. A gradient can land on
-    another cell of a window only where two different pre-activations have
-    the same tanh.
+    """Run a (T,Cin,H,W) stack through the three conv layers, one
+    Graph.conv2d node each: conv at padding 4, a 2x2 max pool (stride 2) in
+    the first two layers only, then tanh.
     """
     h = frames
     for i in range(3):
-        h = graph.conv2d(h, kernels[i], biases[i], pad=CONV_PAD)
-        if i < 2:
-            h = graph.maxpool2d(h, POOL_WINDOW)
-        h = graph.tanh(h)
+        h = graph.conv2d(h, kernels[i], biases[i], pad=CONV_PAD, pool=i < 2)
     return h
 
 

@@ -304,9 +304,6 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
 
 def load_checkpoint(path) -> AstpnParams:
     """Read a checkpoint back into a parameter bundle, byte for byte.
@@ -328,13 +325,19 @@ def load_checkpoint(path) -> AstpnParams:
     n_identities = r.u32()
     arrays: dict[str, np.ndarray] = {}
     while r.pos < len(blob):
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: a tensor name is not UTF-8") from exc
         if name in arrays:
             raise CheckpointError(f"{path}: tensor {name} is stored twice")
         rank = r.u32()
-        shape = tuple(r.u64() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
+        shape = struct.unpack(f"<{rank}Q", r.take(8 * rank))
+        # no parameter has an empty axis; with every extent at least 1, the
+        # exact count that take checks bounds each extent by the file size
+        if 0 in shape:
+            raise CheckpointError(f"{path}: tensor {name} has an empty axis {shape}")
+        data = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: tensor {name} holds a nan or inf")
         arrays[name] = np.array(data)  # own the memory

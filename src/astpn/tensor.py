@@ -29,7 +29,7 @@ def _pin_heap() -> None:
     each reuse then faults its pages in afresh. Buffers under 32 MiB (glibc's
     own ceiling for its dynamic threshold) come from the heap, and the heap
     is trimmed only past 1 GiB of free top: a train step at 128x64 crops
-    frees about 130 MiB at its end, and would otherwise fault it all back in
+    frees about 93 MiB at its end, and would otherwise fault it all back in
     on the next step. glibc keeps one arena: a buffer a worker thread of
     Graph.branches frees then goes back to the pinned main heap, where the
     next step's buffers are carved from resident pages, not to an arena of
@@ -266,19 +266,27 @@ def check_bins(bins) -> None:
                              f"{(n_rows, n_cols)} after {(rows, cols)}")
 
 
+def _window_taps(h: int, w: int, window: tuple[int, int]) -> list[tuple]:
+    """The cells (i, j) of the tiling windows of an (..., h, w) array,
+    stride equal to the window, each as the index of one strided view (a
+    tap), row-major; rows and columns past the last whole window are
+    dropped."""
+    wh, ww = window
+    ho, wo = h // wh, w // ww
+    return [(..., slice(i, ho * wh, wh), slice(j, wo * ww, ww))
+            for i in range(wh) for j in range(ww)]
+
+
 def _window_max(xb: np.ndarray, window: tuple[int, int]):
     """Max over the tiling windows of a (T,C,H,W) array, stride equal to the
     window, and the function that takes its gradient back onto xb.
 
-    Each window cell (i, j) is one strided view of xb (a tap); the max is
-    np.maximum over the taps. The windows are disjoint, so the backward
-    assigns g into each tap's view of a zeroed dx where that tap was the
-    first to hold the max: ties go to the first tap, a nan max to none.
+    The max is np.maximum over the taps (_window_taps). The windows are
+    disjoint, so the backward assigns g into each tap's view of a zeroed dx
+    where that tap was the first to hold the max: ties go to the first tap,
+    a nan max to none.
     """
-    wh, ww = window
-    ho, wo = xb.shape[2] // wh, xb.shape[3] // ww
-    taps = [(slice(None), slice(None), slice(i, ho * wh, wh), slice(j, wo * ww, ww))
-            for i in range(wh) for j in range(ww)]
+    taps = _window_taps(*xb.shape[2:], window)
     best = xb[taps[0]].copy()
     for tap in taps[1:]:
         np.maximum(best, xb[tap], out=best)
@@ -295,6 +303,20 @@ def _window_max(xb: np.ndarray, window: tuple[int, int]):
         return dx
 
     return best, back
+
+
+def _first_taps(xb: np.ndarray, best: np.ndarray, first: np.ndarray) -> None:
+    """Write into the uint8 array first, of best's shape, which tap of each
+    2x2 window of xb first holds best, that window's max: the sum of the
+    chained masks "no tap up to this one holds it", so 0-3, and 4 where no
+    tap does (a nan max)."""
+    taps = _window_taps(*xb.shape[2:], (2, 2))
+    held = np.not_equal(xb[taps[0]], best)
+    first[...] = held.view(np.uint8)
+    differs = np.empty_like(held)
+    for tap in taps[1:]:
+        held &= np.not_equal(xb[tap], best, out=differs)
+        first += held.view(np.uint8)
 
 
 class Graph:
@@ -505,24 +527,41 @@ class Graph:
 
     # ---- convolution and pooling ----
 
-    def conv2d(self, x: Tensor, kernel: Tensor, bias: Tensor, pad: int) -> Tensor:
-        """Cross-correlate a (T,Cin,H,W) stack of at least one frame with
-        kernel under zero padding, at stride 1.
+    def conv2d(self, x: Tensor, kernel: Tensor, bias: Tensor, pad: int,
+               pool: bool = False) -> Tensor:
+        """One conv layer of the network as one node: cross-correlate a
+        (T,Cin,H,W) stack of at least one frame with kernel under zero
+        padding, at stride 1, then with pool take a 2x2 max pool (stride 2),
+        then tanh.
 
-        kernel is (Cout,Cin,kh,kw) and bias is (Cout,). The output is
-        (H + 2*pad - kh + 1) by (W + 2*pad - kw + 1). The frames are taken in
-        blocks of at most CONV_BLOCK_BYTES of lowered rows and accumulators
-        on a recorded graph, and one frame at a time on an unrecorded one,
-        so its output does not depend on how a caller cuts the frames into
-        calls (see _frame_blocks and model.extract_feature). Each block is
-        copied into one zero-padded stack and lowered along its width only
-        (see _lower); its output is the sum of kh GEMMs, kernel row i times
-        the lowered rows from row i on. The vjp keeps x and the kernel, no
-        lowered buffer. dx correlates the output gradient, padded by
-        kh-1-pad and kw-1-pad (cropped where negative), with the flipped
-        kernel: each block lowers it along its width and sums kh GEMMs, as
-        the forward does. dkernel is one GEMM per block, that same lowering
-        times x lowered along its height, whether or not x takes a gradient.
+        kernel is (Cout,Cin,kh,kw) and bias is (Cout,). The correlation is
+        (H + 2*pad - kh + 1) by (W + 2*pad - kw + 1); the pool halves each
+        extent (floor). The frames are taken in blocks of at most
+        CONV_BLOCK_BYTES of lowered rows and accumulators on a recorded
+        graph, and one frame at a time on an unrecorded one, so the output
+        does not depend on how a caller cuts the frames into calls (see
+        _frame_blocks and model.extract_feature). Each block is copied into
+        one zero-padded stack and lowered along its width only (see _lower);
+        its correlation is the sum of kh GEMMs, kernel row i times the
+        lowered rows from row i on.
+
+        Each block is pooled and tanh'd in its accumulator's layout while it
+        is still in cache, so no full-resolution map outlives its block; a
+        recorded graph also notes which tap first holds each window's max
+        (_first_taps). The pool runs before the tanh: np.tanh never
+        decreases, so the values are those of pooling after it, and tanh runs
+        on a quarter of the cells. A gradient can land on another cell of a window only where
+        two different pre-activations have the same tanh.
+
+        The vjp keeps x, the output s and the uint8 tap map: no lowered
+        buffer and no full-resolution map. It multiplies g by 1 - s^2 and,
+        with pool, scatters that by tap into a zeroed pre-pool gradient:
+        ties go to the first tap, and a nan max passes nothing. dx
+        correlates the result, padded by kh-1-pad and kw-1-pad (cropped
+        where negative), with the flipped kernel: each block lowers it along
+        its width and sums kh GEMMs, as the forward does. dkernel is one GEMM
+        per block, that same lowering times x lowered along its height,
+        whether or not x takes a gradient.
         """
         if x.data.ndim != 4 or x.shape[0] == 0:
             raise ShapeError(f"conv2d needs a (T,C,H,W) input of at least one frame, "
@@ -543,6 +582,8 @@ class Graph:
                 f"conv2d: kernel {kh}x{kw} does not fit input {h}x{w} padded by {pad}"
             )
         ho, wo = hp - kh + 1, wp - kw + 1
+        if pool and min(ho, wo) < 2:
+            raise ShapeError(f"conv2d: a 2x2 pool needs a map of at least 2x2, got {ho}x{wo}")
 
         kd = kernel.data
         # a forward block holds x's width lowering, hp rows of it, and two
@@ -556,7 +597,8 @@ class Graph:
         acc_buf, part_buf = np.empty(cout * ho * n_max * wo), np.empty(cout * ho * n_max * wo)
         # row i of the kernel as a (Cout x Cin*kw) slab
         kslabs = kd.transpose(2, 0, 1, 3).reshape(kh, cout, cin * kw)
-        out_d = np.empty((t_n, cout, ho, wo))
+        out_d = np.empty((t_n, cout) + ((ho // 2, wo // 2) if pool else (ho, wo)))
+        first = np.empty(out_d.shape, np.uint8) if pool and self.record else None
         for t0, t1 in blocks:
             xb = xp[:t1 - t0]
             xb[:, :, pad:pad + h, pad:pad + w] = x.data[t0:t1]
@@ -564,10 +606,27 @@ class Graph:
             row = (t1 - t0) * wo
             acc = _row_sum(kslabs, cols, row, ho * row, acc_buf, part_buf)
             acc += bias.data[:, None]
-            out_d[t0:t1] = acc.reshape(cout, ho, t1 - t0, wo).transpose(2, 0, 1, 3)
+            y = acc.reshape(cout, ho, t1 - t0, wo).transpose(0, 2, 1, 3)  # (Cout, T, ho, wo)
+            if pool:
+                best = _window_max(y, (2, 2))[0]
+                if first is not None:
+                    _first_taps(y, best, first[t0:t1].transpose(1, 0, 2, 3))
+                y = best
+            np.tanh(y, out=y)
+            out_d[t0:t1] = y.transpose(1, 0, 2, 3)
         out = Tensor(out_d)
 
         def vjp(g):
+            d = out_d * out_d
+            np.subtract(1.0, d, out=d)
+            d *= g
+            if pool:  # each window's gradient to the tap that first held its max
+                d[first == 4] = 0.0  # a nan max passes nothing
+                g = np.zeros((t_n, cout, ho, wo))
+                for k, tap in enumerate(_window_taps(ho, wo, (2, 2))):
+                    np.multiply(first == k, d, out=g[tap])
+            else:
+                g = d
             dbias = g.reshape(t_n, cout, ho * wo).sum(axis=(0, 2))
             # gp is (T, Cout, h+kh-1, w+kw-1), and its width lowering has
             # row (co, j) and column (r, t, x) holding gp[t, co, r, x+j]. dx
@@ -609,7 +668,9 @@ class Graph:
     def maxpool2d(self, x: Tensor, window: tuple[int, int]) -> Tensor:
         """Max over the tiling windows of a (T,C,H,W) stack, stride equal to
         the window; rows and columns past the last whole window are dropped.
-        Ties go to the first cell in row-major scan (see _window_max).
+        Ties go to the first cell in row-major scan (see _window_max). The
+        conv layers pool inside conv2d; this serves atpn_only's 2x2 head
+        (model.frame_reps) and max_pool's max over time (model.pool_pair).
         """
         wh, ww = window
         if min(wh, ww) < 1:

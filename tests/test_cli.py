@@ -5,6 +5,7 @@ import argparse
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import threading
@@ -696,6 +697,26 @@ def test_unreadable_checkpoint_is_data_error(cli_data, tmp_path, capsys, command
         checkpoint.write_bytes(checkpoint.read_bytes() + record)
     assert main([command, "--data-root", str(cli_data), "--out", str(tmp_path / "out"),
                  "--checkpoint", str(checkpoint)]) == EXIT_DATA
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("at,edit", [
+    (16, b"\xff"), (32, struct.pack("<4Q", *[2**62] * 4)), (32, struct.pack("<4Q", *[2**32] * 4)),
+    (32, struct.pack("<4Q", 0, 2**63, 5, 5)), (32, struct.pack("<4Q", 2**62, 2**62, 0, 5)),
+], ids=["name-not-utf8", "extents-2^62", "extents-2^32", "extents-0-2^63", "extents-2^62-0"])
+def test_extract_with_a_corrupt_checkpoint_header_is_data_error(cli_data, tmp_path, capsys,
+                                                                at, edit):
+    # byte edits of the first record, conv1.kernel: its name runs from byte
+    # 16, its four extents from byte 32; four extents of 2^62 or of 2^32
+    # multiply to 0 modulo 2^64, and a zero extent makes the count 0
+    checkpoint = tmp_path / "checkpoint.astp"
+    save_checkpoint(init_params(0, 2, LossConfig(), feature_dim=8), checkpoint)
+    blob = bytearray(checkpoint.read_bytes())
+    blob[at:at + len(edit)] = edit
+    checkpoint.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["extract", "--data-root", str(cli_data), "--out", str(tmp_path / "out"),
+                 "--checkpoint", str(checkpoint), "--feature-dim", "8"]) == EXIT_DATA
     assert_one_error_line(capsys)
 
 

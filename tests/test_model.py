@@ -287,9 +287,9 @@ def test_hinge_loss_negative_beyond_margin_is_zero():
     assert out.item() == 0.0
 
 
-def test_astpn_train_step_records_11_nodes_and_10_per_branch(monkeypatch):
+def test_astpn_train_step_records_11_nodes_and_5_per_branch(monkeypatch):
     # step: branches, attend, hinge, 2 x (matvec, add, cross_entropy), 2 adds;
-    # branch: 3 conv2d, 2 maxpool2d, 3 tanh, region_maxpool, rnn
+    # branch: 3 conv2d (each a whole conv layer), region_maxpool, rnn
     subs = []
 
     class Counted(tensor._Branch):
@@ -301,7 +301,7 @@ def test_astpn_train_step_records_11_nodes_and_10_per_branch(monkeypatch):
     cfg = toy_cfg()
     graph = Graph()
     total_loss(graph, toy_pair(same=False), toy_params(cfg), cfg)
-    assert [len(graph)] + [len(sub) for sub in subs] == [11, 10, 10]
+    assert [len(graph)] + [len(sub) for sub in subs] == [11, 5, 5]
 
 
 def test_identity_loss_zero_weights_gives_log_k():
@@ -720,6 +720,34 @@ def test_checkpoint_truncated(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:len(blob) // 2])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+# byte edits of the first record, conv1.kernel: its name runs from byte 16,
+# its four extents from byte 32; four extents of 2^62 or of 2^32 multiply to
+# 0 modulo 2^64
+CORRUPT_HEADERS = {
+    "name-not-utf8": (16, b"\xff"),
+    "extents-2^62": (32, struct.pack("<4Q", *[2**62] * 4)),
+    "extents-2^32": (32, struct.pack("<4Q", *[2**32] * 4)),
+    # a zero extent makes the count 0 however large the others are
+    "extents-0-2^63": (32, struct.pack("<4Q", 0, 2**63, 5, 5)),
+    "extents-2^62-0": (32, struct.pack("<4Q", 2**62, 2**62, 0, 5)),
+}
+
+
+@pytest.mark.parametrize("kind", CORRUPT_HEADERS)
+def test_checkpoint_corrupt_header_is_a_checkpoint_error(tmp_path, kind):
+    path = tmp_path / "model.astp"
+    save_checkpoint(toy_params(toy_cfg()), path)
+    blob = bytearray(path.read_bytes())
+    assert blob[12:28] == struct.pack("<I", 12) + b"conv1.kernel"
+    at, edit = CORRUPT_HEADERS[kind]
+    blob[at:at + len(edit)] = edit
+    path.write_bytes(bytes(blob))
+    match = {"name-not-utf8": "not UTF-8", "extents-0-2^63": "empty axis",
+             "extents-2^62-0": "empty axis"}.get(kind, "truncated")
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from astpn import tensor
+from astpn import layers, tensor
 from astpn.tensor import Graph, ShapeError, Tensor
 
 FD_H = 1e-6
@@ -367,15 +367,39 @@ def conv2d_reference(x, kernel, bias, pad):
     return out
 
 
+def conv_layer_reference(x, kernel, bias, pad, pool):
+    """The conv layer by its definition, frame by frame: the direct sum, its
+    2x2 max with pool, then tanh; and the direct sum itself."""
+    pre = np.stack([conv2d_reference(f, kernel, bias, pad) for f in x])
+    pooled = np.stack([maxpool_reference(f, (2, 2)) for f in pre]) if pool else pre
+    return np.tanh(pooled), pre
+
+
+def conv_correlation_grad(x, kernel, bias, pad, pool, g):
+    """The gradient the layer hands its correlation for an output gradient
+    g: (1 - s^2) g, with pool sent to the first max cell of each window."""
+    s, pre = conv_layer_reference(x, kernel, bias, pad, pool)
+    d = (1.0 - s * s) * g
+    return maxpool_grad_reference(pre, (2, 2), d) if pool else d
+
+
+def small_kernel(rng, shape):
+    """A normal kernel scaled by 1/sqrt(fan-in), so that tanh of the
+    correlation stays off its flat tails and its gradient off zero."""
+    return rng.standard_normal(shape) / math.sqrt(math.prod(shape[1:]))
+
+
 @pytest.mark.parametrize("h,w,pad", [(6, 5, 0), (6, 5, 2)])
 def test_conv2d_matches_direct_sum(rng, h, w, pad):
-    x = Tensor(rng.standard_normal((1, 3, h, w)))
-    kernel = Tensor(rng.standard_normal((4, 3, 3, 3)))
+    x = Tensor(rng.standard_normal((2, 3, h, w)))
+    kernel = Tensor(small_kernel(rng, (4, 3, 3, 3)))
     bias = Tensor(rng.standard_normal(4))
-    out = Graph().conv2d(x, kernel, bias, pad=pad)
-    expected = conv2d_reference(x.data[0], kernel.data, bias.data, pad)[None]
-    assert out.shape == expected.shape
-    np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
+    for pool in (False, True):
+        expected, _ = conv_layer_reference(x.data, kernel.data, bias.data, pad, pool)
+        for record in (True, False):
+            out = Graph(record=record).conv2d(x, kernel, bias, pad=pad, pool=pool)
+            assert out.shape == expected.shape
+            np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
 
 
 def test_conv2d_batched_equals_frame_by_frame(rng):
@@ -383,10 +407,11 @@ def test_conv2d_batched_equals_frame_by_frame(rng):
     kernel = Tensor(rng.standard_normal((3, 2, 3, 3)))
     bias = Tensor(rng.standard_normal(3))
     g = Graph()
-    batched = g.conv2d(frames, kernel, bias, pad=1)
-    for t in range(4):
-        single = g.conv2d(Tensor(frames.data[t:t + 1]), kernel, bias, pad=1)
-        np.testing.assert_array_equal(batched.data[t], single.data[0])
+    for pool in (False, True):
+        batched = g.conv2d(frames, kernel, bias, pad=1, pool=pool)
+        for t in range(4):
+            single = g.conv2d(Tensor(frames.data[t:t + 1]), kernel, bias, pad=1, pool=pool)
+            np.testing.assert_array_equal(batched.data[t], single.data[0])
 
 
 @pytest.mark.parametrize("extent,kernel,pad,expected", [(64, 5, 4, 68), (13, 5, 4, 17)])
@@ -394,16 +419,18 @@ def test_conv2d_output_extent(rng, extent, kernel, pad, expected):
     x = Tensor(rng.standard_normal((1, 1, extent, extent)))
     k = Tensor(rng.standard_normal((1, 1, kernel, kernel)))
     b = Tensor(np.zeros(1))
-    out = Graph().conv2d(x, k, b, pad=pad)
-    assert out.shape == (1, 1, expected, expected)
+    assert Graph().conv2d(x, k, b, pad=pad).shape == (1, 1, expected, expected)
+    # the pool halves each extent, dropping an odd last row and column
+    assert Graph().conv2d(x, k, b, pad=pad, pool=True).shape == (1, 1) + (expected // 2,) * 2
 
 
 def test_conv2d_gradient(rng):
     x = Tensor(rng.standard_normal((1, 2, 5, 4)))
-    kernel = Tensor(rng.standard_normal((3, 2, 3, 3)))
+    kernel = Tensor(small_kernel(rng, (3, 2, 3, 3)))
     bias = Tensor(rng.standard_normal(3))
-    check_op_gradients(lambda g: g.conv2d(x, kernel, bias, pad=1),
-                       [x, kernel, bias])
+    for pool in (False, True):
+        check_op_gradients(lambda g: g.conv2d(x, kernel, bias, pad=1, pool=pool),
+                           [x, kernel, bias])
 
 
 def test_conv2d_shape_errors(rng):
@@ -419,6 +446,8 @@ def test_conv2d_shape_errors(rng):
         g.conv2d(x, Tensor(np.zeros((4, 3, 9, 9))), b, pad=0)  # kernel too big
     with pytest.raises(ShapeError):
         g.conv2d(x, Tensor(np.zeros((4, 3, 3, 3))), Tensor(np.zeros(5)), pad=0)
+    with pytest.raises(ShapeError, match="2x2 pool"):  # a 1x3 map has no 2x2 window
+        g.conv2d(x, Tensor(np.zeros((4, 3, 5, 3))), b, pad=0, pool=True)
 
 
 @pytest.mark.parametrize("record", [True, False])
@@ -428,60 +457,69 @@ def test_conv2d_rejects_a_stack_with_no_frames(record):
         Graph(record=record).conv2d(Tensor(np.zeros((0, 5, 12, 8))), kernel, bias, pad=1)
 
 
-def conv_case(x_shape, k_shape, pad, seed):
+def conv_case(x_shape, k_shape, pad, seed, pool=False):
     """A conv2d problem from its shapes and a seed: (T,Cin,H,W) input,
-    kernel, bias, pad, and fixed random weights for the output."""
+    kernel (small_kernel), bias, pad, pool, and fixed random weights for the
+    output."""
     rng = np.random.default_rng(seed)
     t_n, _, h, w = x_shape
     cout, _, kh, kw = k_shape
     x = rng.standard_normal(x_shape)
-    kernel = rng.standard_normal(k_shape)
+    kernel = small_kernel(rng, k_shape)
     bias = rng.standard_normal(cout)
-    weights = rng.standard_normal((t_n, cout, h + 2 * pad - kh + 1, w + 2 * pad - kw + 1))
-    return x, kernel, bias, pad, weights
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    if pool:
+        ho, wo = ho // 2, wo // 2
+    weights = rng.standard_normal((t_n, cout, ho, wo))
+    return x, kernel, bias, pad, pool, weights
 
 
 @st.composite
 def conv_cases(draw, max_extent=7, max_pad=2, max_frames=3):
-    """A random conv2d problem, as conv_case returns it."""
+    """A random conv2d problem, as conv_case returns it; pooled where the
+    correlation is at least 2x2."""
     cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     pad = draw(st.integers(0, max_pad))
     h = draw(st.integers(max(1, kh - 2 * pad), max_extent))
     w = draw(st.integers(max(1, kw - 2 * pad), max_extent))
     frames = draw(st.integers(1, max_frames))
+    can_pool = min(h + 2 * pad - kh, w + 2 * pad - kw) >= 1
+    pool = draw(st.booleans()) if can_pool else False
     return conv_case((frames, cin, h, w), (cout, cin, kh, kw), pad,
-                     draw(st.integers(0, 2**32 - 1)))
+                     draw(st.integers(0, 2**32 - 1)), pool)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(conv_cases())
 def test_conv2d_property_matches_direct_sum(case):
-    x, kernel, bias, pad, _ = case
-    out = Graph().conv2d(Tensor(x), Tensor(kernel), Tensor(bias), pad=pad)
-    expected = np.stack([conv2d_reference(f, kernel, bias, pad) for f in x])
-    np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
+    x, kernel, bias, pad, pool, _ = case
+    expected, _ = conv_layer_reference(x, kernel, bias, pad, pool)
+    for record in (True, False):
+        out = Graph(record=record).conv2d(Tensor(x), Tensor(kernel), Tensor(bias), pad=pad,
+                                          pool=pool)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(conv_cases(max_extent=5))
 def test_conv2d_property_gradient(case):
-    x, kernel, bias, pad, weights = case
+    x, kernel, bias, pad, pool, weights = case
     tensors = [Tensor(x), Tensor(kernel), Tensor(bias)]
     w = Tensor(weights)
-    check_op_gradients(lambda g: g.mul(g.conv2d(*tensors, pad=pad), w),
+    check_op_gradients(lambda g: g.mul(g.conv2d(*tensors, pad=pad, pool=pool), w),
                        tensors)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(conv_cases())
 def test_conv2d_property_constant_input_gets_no_gradient(case):
-    x, kernel, bias, pad, weights = case
+    x, kernel, bias, pad, pool, weights = case
     grads = []
     for requires_grad in (True, False):
         xt, kt, bt = Tensor(x, requires_grad=requires_grad), Tensor(kernel), Tensor(bias)
         g = Graph()
-        g.backward(g.sum_all(g.mul(g.conv2d(xt, kt, bt, pad=pad),
+        g.backward(g.sum_all(g.mul(g.conv2d(xt, kt, bt, pad=pad, pool=pool),
                                    Tensor(weights))))
         assert (xt.grad is not None) == requires_grad
         grads.append((kt.grad, bt.grad))
@@ -490,8 +528,8 @@ def test_conv2d_property_constant_input_gets_no_gradient(case):
 
 
 def conv2d_dx_reference(g, kernel, x_shape, pad):
-    """Input gradient by direct sum: every output position adds g times the
-    kernel into the padded input window it read."""
+    """Input gradient of the correlation by direct sum: every output
+    position adds g times the kernel into the padded input window it read."""
     t_n, cin, h, w = x_shape
     _, _, kh, kw = kernel.shape
     dxp = np.zeros((t_n, cin, h + 2 * pad, w + 2 * pad))
@@ -503,24 +541,33 @@ def conv2d_dx_reference(g, kernel, x_shape, pad):
     return dxp[:, :, pad:pad + h, pad:pad + w]
 
 
+def conv_layer_grads(case):
+    """Forward output and the gradients of x and kernel for a case, on one
+    recorded graph."""
+    x, kernel, bias, pad, pool, weights = case
+    xt, kt = Tensor(x), Tensor(kernel)
+    g = Graph()
+    out = g.conv2d(xt, kt, Tensor(bias), pad=pad, pool=pool)
+    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    return xt.grad, kt.grad
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(conv_cases(max_extent=9, max_pad=5))
-@example(conv_case((2, 3, 8, 6), (2, 3, 5, 5), 4, 0))  # the model's: g read unpadded
+@example(conv_case((2, 3, 8, 6), (2, 3, 5, 5), 4, 0, True))  # the model's: g read unpadded
 @example(conv_case((1, 2, 4, 5), (2, 2, 5, 2), 2, 1))  # g padded in height, cropped in width
 @example(conv_case((1, 2, 3, 4), (2, 2, 2, 3), 3, 2))  # pad past the kernel: g cropped
 def test_conv2d_dx_matches_direct_sum(case):
-    x, kernel, bias, pad, weights = case
-    xt = Tensor(x)
-    g = Graph()
-    out = g.conv2d(xt, Tensor(kernel), Tensor(bias), pad=pad)
-    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
-    np.testing.assert_allclose(xt.grad, conv2d_dx_reference(weights, kernel, x.shape, pad),
+    x, kernel, bias, pad, pool, weights = case
+    seed = conv_correlation_grad(x, kernel, bias, pad, pool, weights)
+    np.testing.assert_allclose(conv_layer_grads(case)[0],
+                               conv2d_dx_reference(seed, kernel, x.shape, pad),
                                rtol=0, atol=1e-12)
 
 
 def conv2d_dkernel_reference(g, x, k_shape, pad):
-    """Kernel gradient by direct sum: every output position adds g times
-    the padded input window it read."""
+    """Kernel gradient of the correlation by direct sum: every output
+    position adds g times the padded input window it read."""
     t_n, cin, h, w = x.shape
     _, _, kh, kw = k_shape
     xp = np.zeros((t_n, cin, h + 2 * pad, w + 2 * pad))
@@ -535,25 +582,23 @@ def conv2d_dkernel_reference(g, x, k_shape, pad):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(conv_cases(max_extent=9, max_pad=5))
-@example(conv_case((2, 3, 8, 6), (2, 3, 5, 5), 4, 0))  # the model's: g read unpadded
+@example(conv_case((2, 3, 8, 6), (2, 3, 5, 5), 4, 0, True))  # the model's: g read unpadded
 @example(conv_case((1, 2, 4, 5), (2, 2, 5, 2), 2, 1))  # g padded in height, cropped in width
 @example(conv_case((1, 2, 3, 4), (2, 2, 2, 3), 3, 2))  # pad past the kernel: g cropped
 def test_conv2d_dkernel_matches_direct_sum(case):
-    x, kernel, bias, pad, weights = case
-    kt = Tensor(kernel)
-    g = Graph()
-    out = g.conv2d(Tensor(x), kt, Tensor(bias), pad=pad)
-    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
-    np.testing.assert_allclose(kt.grad, conv2d_dkernel_reference(weights, x, kernel.shape, pad),
+    x, kernel, bias, pad, pool, weights = case
+    seed = conv_correlation_grad(x, kernel, bias, pad, pool, weights)
+    np.testing.assert_allclose(conv_layer_grads(case)[1],
+                               conv2d_dkernel_reference(seed, x, kernel.shape, pad),
                                rtol=0, atol=1e-12)
 
 
 def conv2d_results(case):
     """Forward output and the gradients of x, kernel and bias for a case."""
-    x, kernel, bias, pad, weights = case
+    x, kernel, bias, pad, pool, weights = case
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
     g = Graph()
-    out = g.conv2d(xt, kt, bt, pad=pad)
+    out = g.conv2d(xt, kt, bt, pad=pad, pool=pool)
     g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
     return out.data, xt.grad, kt.grad, bt.grad
 
@@ -561,17 +606,18 @@ def conv2d_results(case):
 def forward_frame_bytes(case):
     """Bytes per frame of the forward: x's width lowering, which spans the
     padded height, and its two accumulators."""
-    x, kernel, _, pad, weights = case
-    cout, cin, _, kw = kernel.shape
-    _, _, ho, wo = weights.shape
-    return (cin * kw * (x.shape[2] + 2 * pad) + 2 * cout * ho) * wo * 8
+    x, kernel, _, pad, _, _ = case
+    cout, cin, kh, kw = kernel.shape
+    _, _, h, w = x.shape
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    return (cin * kw * (h + 2 * pad) + 2 * cout * ho) * wo * 8
 
 
 def backward_frame_bytes(case):
     """Bytes per frame of the vjp: the output gradient's width lowering and
     x's height lowering, each spanning h + kh - 1 rows, and dx's two
     accumulators."""
-    x, kernel, _, _, _ = case
+    x, kernel = case[:2]
     cout, cin, kh, kw = kernel.shape
     _, _, h, w = x.shape
     return ((cout * kw + cin * kh) * (h + kh - 1) + 2 * cin * h) * w * 8
@@ -590,17 +636,17 @@ def assert_close_to_rounding(actual, expected):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(conv_cases(max_extent=9, max_pad=5, max_frames=5), st.integers(1, 2))
 @example(conv_case((5, 2, 8, 8), (3, 2, 3, 3), 1, 3), 1)
-@example(conv_case((4, 3, 9, 7), (2, 3, 2, 3), 5, 4), 2)
+@example(conv_case((4, 3, 9, 7), (2, 3, 2, 3), 5, 4, True), 2)
 def test_conv2d_frame_blocks_match_one_block(case, frames_per_block):
     one_block = conv2d_results(case)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "CONV_BLOCK_BYTES", frames_per_block * frame_bytes(case))
         blocked = conv2d_results(case)
     # blocks are GEMMs of other widths, and BLAS may round a product's
-    # column tail differently; dkernel also sums its blocks in another order
-    for actual, expected in zip(blocked[:3], one_block[:3]):
+    # column tail differently; dkernel also sums its blocks in another order,
+    # and the bias gradient sums (1 - s^2) g over an s rounded so
+    for actual, expected in zip(blocked, one_block):
         assert_close_to_rounding(actual, expected)
-    np.testing.assert_array_equal(blocked[3], one_block[3])
 
 
 def closure_arrays(fn):
@@ -618,22 +664,71 @@ def closure_arrays(fn):
 def test_conv2d_vjp_keeps_no_lowered_buffer(monkeypatch):
     case = conv_case((6, 2, 9, 7), (3, 2, 3, 3), 1, 5)
     one_block = conv2d_results(case)
-    x, kernel, bias, pad, weights = case
+    x, kernel, bias, pad, pool, weights = case
     monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 2 * frame_bytes(case))
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
     g = Graph()
-    out = g.conv2d(xt, kt, bt, pad=pad)
+    out = g.conv2d(xt, kt, bt, pad=pad, pool=pool)
     kept = closure_arrays(g._tape[-1].vjp)
-    assert len(kept) == 1 and kept[0] is kt.data
+    assert sorted(map(id, kept)) == sorted((id(kt.data), id(out.data)))
     g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
     for actual, expected in zip((out.data, xt.grad, kt.grad, bt.grad), one_block):
         assert_close_to_rounding(actual, expected)
 
 
+def test_pooled_conv2d_vjp_keeps_no_full_resolution_map(monkeypatch):
+    # the model's conv1 at 16x8 crops: its 20x12 correlation pools to 10x6
+    case = conv_case((4, 5, 16, 8), (16, 5, 5, 5), 4, 6, True)
+    one_block = conv2d_results(case)
+    x, kernel, bias, pad, pool, weights = case
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", forward_frame_bytes(case))
+    xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
+    g = Graph()
+    out = g.conv2d(xt, kt, bt, pad=pad, pool=pool)
+    assert out.shape == (4, 16, 10, 6)
+    kept = closure_arrays(g._tape[-1].vjp)
+    taps = [a for a in kept if a is not kt.data and a is not out.data]
+    assert len(kept) == 3 and len(taps) == 1
+    assert taps[0].dtype == np.uint8 and taps[0].shape == out.shape
+    assert max(a.size for a in kept) < 4 * 16 * 20 * 12
+    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    for actual, expected in zip((out.data, xt.grad, kt.grad, bt.grad), one_block):
+        assert_close_to_rounding(actual, expected)
+
+
+def one_by_one_layer(x):
+    """conv2d of x under a 1x1 identity kernel, pooled, and the gradient its
+    correlation got from an output gradient of ones: x.grad itself."""
+    xt = Tensor(x)
+    g = Graph()
+    out = g.conv2d(xt, Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1)), pad=0, pool=True)
+    g.backward(g.sum_all(out))
+    return out.data, xt.grad
+
+
+def test_pooled_conv2d_tie_goes_to_the_first_tap():
+    x = np.array([[[[0.5, 0.5, -1.0, 0.25],
+                    [0.5, 0.5, 0.25, 0.25]]]])
+    out, grad = one_by_one_layer(x)
+    np.testing.assert_array_equal(out, np.tanh([[[[0.5, 0.25]]]]))
+    d = 1.0 - np.tanh(0.5) ** 2, 1.0 - np.tanh(0.25) ** 2
+    np.testing.assert_array_equal(grad, [[[[d[0], 0.0, 0.0, d[1]],
+                                           [0.0, 0.0, 0.0, 0.0]]]])
+
+
+def test_pooled_conv2d_nan_max_passes_no_gradient():
+    x = np.array([[[[0.5, np.nan, 1.0, 0.0],
+                    [2.0, 0.5, 0.0, 0.0]]]])
+    out, grad = one_by_one_layer(x)
+    assert np.isnan(out[0, 0, 0, 0]) and out[0, 0, 0, 1] == np.tanh(1.0)
+    np.testing.assert_array_equal(grad, [[[[0.0, 0.0, 1.0 - np.tanh(1.0) ** 2, 0.0],
+                                           [0.0, 0.0, 0.0, 0.0]]]])
+
+
 def test_conv2d_blocks_share_one_column_buffer_per_direction(monkeypatch):
     case = conv_case((7, 2, 9, 7), (3, 2, 3, 3), 1, 5)
     one_block = conv2d_results(case)
-    x, kernel, bias, pad, weights = case
+    x, kernel, bias, pad, pool, weights = case
     monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 2 * backward_frame_bytes(case))
     lower, lowered = tensor._lower, []
 
@@ -644,7 +739,7 @@ def test_conv2d_blocks_share_one_column_buffer_per_direction(monkeypatch):
     monkeypatch.setattr(tensor, "_lower", recording)
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
     g = Graph()
-    out = g.conv2d(xt, kt, bt, pad=pad)
+    out = g.conv2d(xt, kt, bt, pad=pad, pool=pool)
     cols = [c for _, c in lowered]
     lowered.clear()
     g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
@@ -679,24 +774,28 @@ def test_conv2d_block_rule_at_eval_shapes(monkeypatch):
 
     monkeypatch.setattr(tensor, "_lower", recording)
 
-    def conv(record, block_bytes=tensor.CONV_BLOCK_BYTES):
+    def conv(record, pool, block_bytes=tensor.CONV_BLOCK_BYTES):
         lowered.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensor, "CONV_BLOCK_BYTES", block_bytes)
-            return Graph(record=record).conv2d(x, kernel, bias, pad=4).data, list(lowered)
+            out = Graph(record=record).conv2d(x, kernel, bias, pad=4, pool=pool)
+            return out.data, list(lowered)
 
-    with tensor._one_blas_thread():
-        one_block, _ = conv(True, 2**40)
-        unrecorded, forward_blocks = conv(False)
-        recorded, taped_blocks = conv(True)
     lowering_bytes = 25 * 72 * 36 * 8
     block_bytes = lowering_bytes + 2 * 16 * 68 * 36 * 8
-    assert forward_blocks == [lowering_bytes] * 16  # one frame per block
     # a recorded block takes as many whole frames as CONV_BLOCK_BYTES holds
     frames = tensor.CONV_BLOCK_BYTES // block_bytes
-    assert taped_blocks == [min(frames, 16 - t0) * lowering_bytes for t0 in range(0, 16, frames)]
-    assert unrecorded.tobytes() == one_block.tobytes()
-    assert recorded.tobytes() == one_block.tobytes()
+    for pool in (False, True):  # the model pools conv1
+        with tensor._one_blas_thread():
+            one_block, _ = conv(True, pool, 2**40)
+            unrecorded, forward_blocks = conv(False, pool)
+            recorded, taped_blocks = conv(True, pool)
+        assert forward_blocks == [lowering_bytes] * 16  # one frame per block
+        assert taped_blocks == [min(frames, 16 - t0) * lowering_bytes
+                                for t0 in range(0, 16, frames)]
+        assert unrecorded.shape == (16, 16) + ((34, 18) if pool else (68, 36))
+        assert unrecorded.tobytes() == one_block.tobytes()
+        assert recorded.tobytes() == one_block.tobytes()
 
 
 REUSE_PROBE = """
@@ -760,8 +859,8 @@ def test_freed_buffers_are_reused_without_page_faults():
 
 
 def test_heap_freed_past_128_mib_is_kept():
-    # a train step at 128x64 crops frees more than 128 MiB of heap buffers at
-    # its end; the heap keeps them, so the next step refills resident pages
+    # a train step at 128x64 crops frees about 93 MiB of heap buffers at its
+    # end; the heap keeps even 168 MiB, so the next step refills resident pages
     faults, pages = reuse_faults(REUSE_PROBE, 7)
     assert faults < 0.01 * pages
 
@@ -949,9 +1048,61 @@ def test_pooling_ops_need_a_4d_stack(rng):
 
 
 class ParentOps(Graph):
-    """The ops the pyramid and the hinge were composed of before each
-    became one node, as they were: sub, relu, concat, and a max over
-    explicit regions (r0, r1, c0, c1), half-open."""
+    """The ops the pyramid, the hinge and the conv layer were composed of
+    before each became one node, as they were: sub, relu, concat, a max
+    over explicit regions (r0, r1, c0, c1), half-open, and the correlation
+    alone."""
+
+    def correlate(self, x, kernel, bias, pad):
+        """conv2d before it pooled and tanh'd, in the same blocks and GEMMs."""
+        t_n, cin, h, w = x.shape
+        cout, _, kh, kw = kernel.shape
+        kd = kernel.data
+        hp, wp = h + 2 * pad, w + 2 * pad
+        ho, wo = hp - kh + 1, wp - kw + 1
+        blocks = tensor._frame_blocks(t_n, (cin * kw * hp + 2 * cout * ho) * wo * 8)
+        xp = np.zeros((blocks[0][1], cin, hp, wp))
+        cols_buf, acc_buf, part_buf = (np.empty(n * blocks[0][1] * wo)
+                                       for n in (cin * kw * hp, cout * ho, cout * ho))
+        kslabs = kd.transpose(2, 0, 1, 3).reshape(kh, cout, cin * kw)
+        out = np.empty((t_n, cout, ho, wo))
+        for t0, t1 in blocks:
+            xb = xp[:t1 - t0]
+            xb[:, :, pad:pad + h, pad:pad + w] = x.data[t0:t1]
+            cols = tensor._lower(xb, kw, 3, cols_buf)
+            row = (t1 - t0) * wo
+            acc = tensor._row_sum(kslabs, cols, row, ho * row, acc_buf, part_buf)
+            acc += bias.data[:, None]
+            out[t0:t1] = acc.reshape(cout, ho, t1 - t0, wo).transpose(2, 0, 1, 3)
+
+        def vjp(g):
+            dbias = g.reshape(t_n, cout, ho * wo).sum(axis=(0, 2))
+            gp = tensor._pad_or_crop(g, kh - 1 - pad, kw - 1 - pad)
+            blocks = tensor._frame_blocks(
+                t_n, ((cout * kw + cin * kh) * (h + kh - 1) + 2 * cin * h) * w * 8, even=True)
+            n_max = blocks[0][1]
+            gbuf = np.empty(cout * kw * (h + kh - 1) * n_max * w)
+            xbuf = np.empty(cin * kh * (h + kh - 1) * n_max * w)
+            xh = np.zeros((n_max, cin, h + 2 * (kh - 1), w))
+            dk = np.zeros((cout * kw, cin * kh))
+            dx = None
+            if x.requires_grad:
+                kslabs = kd[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(kh, cin, cout * kw)
+                dx = np.empty((t_n, cin, h, w))
+                acc_buf, part_buf = np.empty(cin * h * n_max * w), np.empty(cin * h * n_max * w)
+            for t0, t1 in blocks:
+                gcols = tensor._lower(gp[t0:t1], kw, 3, gbuf)
+                xb = xh[:t1 - t0]
+                xb[:, :, kh - 1:kh - 1 + h] = x.data[t0:t1]
+                dk += gcols @ tensor._lower(xb, kh, 2, xbuf).T
+                if dx is not None:
+                    row = (t1 - t0) * w
+                    acc = tensor._row_sum(kslabs, gcols, row, h * row, acc_buf, part_buf)
+                    dx[t0:t1] = acc.reshape(cin, h, t1 - t0, w).transpose(2, 0, 1, 3)
+            dkernel = dk.reshape(cout, kw, cin, kh).transpose(0, 2, 3, 1)[:, :, :, ::-1]
+            return dx, dkernel, dbias
+
+        return self._push(Tensor(out), (x, kernel, bias), vjp)
 
     def sub(self, a, b):
         def vjp(g):
@@ -1020,6 +1171,17 @@ def hinge_composition(graph, a, b, same, margin):
     return graph.relu(graph.sub(Tensor(np.float64(margin), requires_grad=False), dist))
 
 
+def conv_stack_composition(graph, x, *weights):
+    """The conv stack as three ops per layer built it: correlate, a 2x2
+    maxpool2d in the first two layers, tanh."""
+    for i in range(3):
+        x = graph.correlate(x, weights[2 * i], weights[2 * i + 1], pad=4)
+        if i < 2:
+            x = graph.maxpool2d(x, (2, 2))
+        x = graph.tanh(x)
+    return x
+
+
 def bytes_of_run(build, inputs, weights):
     """Bytes of build(graph)'s output and of every input's gradient of
     sum(weights * output), on a fresh ParentOps tape."""
@@ -1057,6 +1219,26 @@ def test_region_maxpool_matches_the_composition_bitwise(rng, make):
                     rng.standard_normal((len(x), n))):
         assert (bytes_of_run(lambda g, t: g.region_maxpool(t, bins), [x], weights)
                 == bytes_of_run(lambda g, t: pyramid_composition(g, t, bins), [x], weights))
+
+
+@pytest.mark.parametrize("t_n,h,w", [(16, 16, 8), (2, 128, 64)], ids=["16x8", "128x64"])
+def test_conv_stack_matches_the_composition_bitwise(rng, t_n, h, w):
+    # flat patches tie windows in every layer, and frame 0 saturates tanh to
+    # exactly +-1 in much of conv1; the frames take a gradient too
+    frames = rng.uniform(-1, 1, size=(t_n, 5, h, w))
+    frames[:, :, h // 4:3 * h // 4, w // 4:3 * w // 4] = 0.5
+    frames[0] *= 200.0
+    weights, cin = [frames], 5
+    for cout in (16, 32, 32):
+        bound = 1.0 / math.sqrt(cin * 25)
+        weights += [rng.uniform(-bound, bound, (cout, cin, 5, 5)), rng.uniform(-bound, bound, cout)]
+        cin = cout
+    shape = (t_n, 32) + tuple(layers.conv_stack_output_hw((h, w)))
+    for out_weights in (rng.integers(-3, 4, size=shape).astype(float),
+                        rng.standard_normal(shape)):
+        assert (bytes_of_run(lambda g, x, *ws: layers.conv_stack_forward(g, x, ws[::2], ws[1::2]),
+                             weights, out_weights)
+                == bytes_of_run(conv_stack_composition, weights, out_weights))
 
 
 @pytest.mark.parametrize("same,margin", [
