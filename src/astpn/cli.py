@@ -28,6 +28,7 @@ from .datapipe import (
     DatasetError,
     by_identity,
     load_dataset,
+    make_dir,
     make_split,
     pair_stream,
     preprocess_dataset,
@@ -163,7 +164,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if config_path:
         try:
             loaded = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise DatasetError(f"config file {config_path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise DatasetError(f"config file {config_path}: top level is not a JSON object")
@@ -186,10 +187,7 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def write_resolved_config(cfg: RunConfig, out_dir: Path) -> None:
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # an existing file, or a parent that cannot hold it
-        raise DatasetError(f"--out {out_dir}: cannot make the directory: {exc.strerror}") from exc
+    make_dir(out_dir)
     write_atomic(out_dir / "config.json",
                  json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
 
@@ -363,11 +361,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    root = Path(args.root)
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # an existing file, or a parent that cannot hold it
-        raise DatasetError(f"{root}: cannot make the directory: {exc.strerror}") from exc
     n_files = synth_dataset(
         args.root, n_ids=args.ids, n_cams=args.cams, frames_per_seq=args.frames,
         size=(args.height, args.width), seed=args.seed,

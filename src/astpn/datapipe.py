@@ -40,6 +40,15 @@ class DatasetError(Exception):
 # ---- artifact and frame file formats ----
 
 
+def make_dir(path) -> None:
+    """Make the directory path and its parents unless it exists. Here and in
+    every write below, a refusal of the file system is a DatasetError naming path."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot make the directory: {exc.strerror or exc}") from exc
+
+
 def write_atomic(path, data: bytes | str) -> None:
     """Replace the file at path with data (str is written as UTF-8).
 
@@ -56,8 +65,10 @@ def write_atomic(path, data: bytes | str) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise DatasetError(f"{path}: cannot write: {exc.strerror or exc}") from exc
         raise
 
 
@@ -67,11 +78,12 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise DatasetError(f"{path}: expected (H,W,3) pixels, got shape {rgb.shape}")
     h, w = rgb.shape[:2]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
+    make_dir(Path(path).parent)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(f"P6\n{w} {h}\n255\n".encode("ascii") + rgb.tobytes())
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def _ppm_token(blob: bytes, pos: int, path) -> tuple[bytes, int]:
@@ -531,7 +543,7 @@ def make_split(ids, seed: int, trial: int, mode: str = "half") -> DatasetSplit:
 
 def write_split_files(split: DatasetSplit, out_dir) -> None:
     out_dir = Path(out_dir) / f"trial_{split.trial}"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     write_atomic(out_dir / "train.txt", "".join(f"{i}\n" for i in split.train))
     write_atomic(out_dir / "test.txt", "".join(f"{i}\n" for i in split.test))
 

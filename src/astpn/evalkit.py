@@ -8,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datapipe import (CROP_MARGIN, DatasetError, SequenceSample, SequenceView, pick_cameras,
-                       write_atomic)
+from .datapipe import (CROP_MARGIN, DatasetError, SequenceSample, SequenceView, make_dir,
+                       pick_cameras, write_atomic)
 from .model import AstpnParams, LossConfig, extract_feature
 from .tensor import ShapeError
 
@@ -161,7 +161,7 @@ def emit_report(curves: list[CmcCurve], base_path, meta: dict | None = None) -> 
     means = table.mean(axis=0)
     stds = table.std(axis=0)
     base = Path(base_path)
-    base.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(base.parent)
 
     csv_path = base.with_suffix(".csv")
     header = "rank,mean,std," + ",".join(f"trial_{i + 1}" for i in range(len(curves)))

@@ -74,8 +74,7 @@ def rnn_forward(graph: Graph, reps: Tensor, u_in: Tensor, w_rec: Tensor,
     """
     if output not in RNN_OUTPUTS:
         raise ValueError(f"unknown rnn output mode {output!r}")
-    rows = graph.rnn(reps, u_in, w_rec)
-    return rows if output == "pre_tanh" else graph.tanh(rows)
+    return graph.rnn(reps, u_in, w_rec, post_tanh=output == "post_tanh")
 
 
 def attentive_summary(graph: Graph, probe_seq: Tensor, gallery_seq: Tensor,

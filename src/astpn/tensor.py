@@ -345,19 +345,16 @@ class Graph:
         return out
 
     def backward(self, root: Tensor) -> None:
-        """Accumulate gradients of a scalar root into every reachable leaf,
-        consuming the tape.
+        """Accumulate gradients of a scalar root, starting from its own,
+        _seed(root), into every reachable leaf, consuming the tape.
 
         A tensor with requires_grad=False receives nothing: its grad stays as
         it was, and no gradient flows back through it.
         """
-        if root.data.shape != ():
-            raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
+        start = self._seed(root)
         if not self._tape:
             raise RuntimeError("backward needs a recorded tape; a tape is replayed once")
-        pending: dict[int, tuple[Tensor, np.ndarray]] = {
-            id(root): (root, np.ones((), dtype=np.float64))
-        }
+        pending: dict[int, tuple[Tensor, np.ndarray]] = {id(root): (root, start)}
         tape = self._tape
         while tape:
             node = tape.pop()
@@ -381,6 +378,11 @@ class Graph:
         # whatever was never popped belongs to leaves (tensors no op produced)
         self._deposit(pending)
 
+    def _seed(self, root: Tensor) -> np.ndarray:
+        if root.data.shape != ():
+            raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
+        return np.ones((), dtype=np.float64)
+
     def _deposit(self, leaf_grads: dict) -> None:
         for t, g in leaf_grads.values():
             t.accumulate_grad(g)
@@ -398,11 +400,11 @@ class Graph:
         returned as it is. On a recording graph, each branch records on a
         sub-tape of its own, and the graph records one node whose vjp
         replays the sub-tapes at the same time, each through Graph.backward
-        from the scalar sum(out * g). A sub-tape keeps its leaf gradients;
-        the vjp adds them last branch first, the order in which one tape
-        holding the branches in sequence would reach them, and returns them
-        as gradients of the leaves the branches read. fn must not write to
-        tensors the branches share.
+        from its output, starting from that output's gradient. A sub-tape
+        keeps its leaf gradients; the vjp adds them last branch first, the
+        order in which one tape holding the branches in sequence would
+        reach them, and returns them as gradients of the leaves the branches
+        read. fn must not write to tensors the branches share.
         """
         subs = [_Branch() if self.record else self for _ in args]
         outs = _at_once([functools.partial(fn, sub, arg) for sub, arg in zip(subs, args)])
@@ -421,8 +423,8 @@ class Graph:
             calls = []
             for sub, out, g in zip(subs, outs, gs):
                 if g is not None:
-                    root = sub.sum_all(sub.mul(out, Tensor(g, requires_grad=False)))
-                    calls.append(functools.partial(sub.backward, root))
+                    sub.start = g
+                    calls.append(functools.partial(sub.backward, out))
             _at_once(calls)
             grads = []
             for t in inputs:
@@ -449,11 +451,12 @@ class Graph:
 
         return self._push(out, (a, x), vjp)
 
-    def rnn(self, reps: Tensor, u_in: Tensor, w_rec: Tensor) -> Tensor:
+    def rnn(self, reps: Tensor, u_in: Tensor, w_rec: Tensor, post_tanh: bool = False) -> Tensor:
         """The (T, N) rows o_t = U_in r_t + W_rec s_{t-1}, s_t = tanh(o_t),
-        s_0 = 0, for the rows r_t of reps: one GEMM for every U_in r_t, one
-        matvec per step. The vjp runs back through time on the kept states,
-        do_t = g_t + (1 - s_t*s_t) * (W_rec^T do_{t+1}), then one GEMM per input.
+        s_0 = 0, for the rows r_t of reps, or with post_tanh the kept states
+        s_t: one GEMM for every U_in r_t, one matvec per step. The vjp takes
+        g_t to (1 - s_t*s_t) g_t with post_tanh, runs back through time on the
+        states, do_t = g_t + (1 - s_t*s_t) * (W_rec^T do_{t+1}), then one GEMM per input.
         """
         if reps.data.ndim != 2 or reps.shape[0] < 1:
             raise ShapeError(f"rnn needs a (T, L) input with T >= 1, got {reps.shape}")
@@ -468,10 +471,12 @@ class Graph:
         for t in range(1, len(o)):
             o[t] += wd @ s[t - 1]
             np.tanh(o[t], out=s[t])
-        out = Tensor(o)
+        out = Tensor(s if post_tanh else o)
 
         def vjp(g):
             do = np.array(g)  # a copy: another node may hold g too
+            if post_tanh:
+                do *= 1.0 - s * s
             for t in range(len(do) - 2, -1, -1):
                 d = s[t] * s[t]
                 np.subtract(1.0, d, out=d)
@@ -749,18 +754,6 @@ class Graph:
 
     # ---- elementwise ----
 
-    def tanh(self, x: Tensor) -> Tensor:
-        out = Tensor(np.tanh(x.data))
-        od = out.data
-
-        def vjp(g):
-            d = od * od
-            np.subtract(1.0, d, out=d)
-            d *= g
-            return (d,)
-
-        return self._push(out, (x,), vjp)
-
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
             raise ShapeError(f"add: shapes differ, {a.shape} vs {b.shape}")
@@ -768,17 +761,6 @@ class Graph:
 
         def vjp(g):
             return g, g
-
-        return self._push(out, (a, b), vjp)
-
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise ShapeError(f"mul: shapes differ, {a.shape} vs {b.shape}")
-        ad, bd = a.data, b.data
-        out = Tensor(ad * bd)
-
-        def vjp(g):
-            return g * bd, g * ad
 
         return self._push(out, (a, b), vjp)
 
@@ -790,17 +772,6 @@ class Graph:
 
         def vjp(g):
             return (g.reshape(old),)
-
-        return self._push(out, (x,), vjp)
-
-    # ---- reductions ----
-
-    def sum_all(self, x: Tensor) -> Tensor:
-        out = Tensor(x.data.sum())
-        xshape = x.data.shape
-
-        def vjp(g):
-            return (np.full(xshape, g),)
 
         return self._push(out, (x,), vjp)
 
@@ -849,13 +820,18 @@ class Graph:
 
 
 class _Branch(Graph):
-    """The sub-graph of one Graph.branches branch. Its backward keeps the
-    leaf gradients in leaf_grads instead of adding them to the leaves, which
-    the other branches share."""
+    """The sub-graph of one Graph.branches branch. Its backward starts from
+    start, the gradient Graph.branches hands the branch's output, and keeps
+    the leaf gradients in leaf_grads instead of adding them to the leaves,
+    which the other branches share."""
 
     def __init__(self):
         super().__init__()
+        self.start: np.ndarray | None = None
         self.leaf_grads: dict[int, tuple[Tensor, np.ndarray]] = {}
+
+    def _seed(self, root: Tensor) -> np.ndarray:
+        return self.start
 
     def _deposit(self, leaf_grads: dict) -> None:
         self.leaf_grads = leaf_grads

@@ -1,6 +1,7 @@
 """Shared fixtures: the suite writes, decodes and indexes each synthetic
 dataset once per session. The indexed samples hold uint8 frames; the tests
-that read their channels build them from those."""
+that read their channels build them from those. SeededGraph starts a
+backward from given weights."""
 
 import os
 
@@ -13,6 +14,25 @@ from astpn.datapipe import (
     preprocess_dataset,
     synth_dataset,
 )
+from astpn.tensor import Graph
+
+
+class SeededGraph(Graph):
+    """A recording graph whose backward(root) takes a root of any shape and
+    starts from weights, ones where weights is None: it accumulates the
+    gradients of sum(weights * root). The weights enter through the hook
+    that starts each Graph.branches sub-tape from its output's gradient."""
+
+    def __init__(self, weights=None):
+        super().__init__()
+        self.weights = weights
+
+    def _seed(self, root):
+        if self.weights is None:
+            return np.ones(root.shape)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        assert weights.shape == root.shape, (weights.shape, root.shape)
+        return weights
 
 
 @pytest.fixture(scope="session")

@@ -114,6 +114,15 @@ def test_synth_root_that_is_a_file_is_data_error(tmp_path, capsys):
     assert root.read_text() == "not a directory\n"
 
 
+def test_synth_with_a_file_in_place_of_an_identity_directory_is_data_error(tmp_path, capsys):
+    root = tmp_path / "data"
+    root.mkdir()
+    (root / "p000").write_text("not a directory\n")
+    assert main(["synth", str(root), "--ids", "1", "--frames", "1"]) == EXIT_DATA
+    assert_one_error_line(capsys)
+    assert (root / "p000").read_text() == "not a directory\n"
+
+
 # ---- train ----
 
 
@@ -308,6 +317,13 @@ def test_config_file_invalid_json_is_data_error(tmp_path, capsys, body):
     assert main(["train", "--config", str(cfg_path)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_file_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    cfg_path = tmp_path / "latin1.json"
+    cfg_path.write_bytes('{"data_root": "données"}'.encode("latin-1"))
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_DATA
+    assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -730,6 +746,34 @@ def test_out_that_is_a_file_is_data_error(cli_data, trained_run, tmp_path, capsy
     assert main(argv) == EXIT_DATA
     assert_one_error_line(capsys)
     assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("checkpoint.astp", "directory"), ("train_log.csv", "directory"), ("splits", "file"),
+])
+def test_train_with_an_unwritable_artifact_is_data_error(cli_data, tmp_path, capsys, name,
+                                                         kind):
+    # train_log.csv is written after the last epoch, the checkpoint after it
+    out = tmp_path / "out"
+    out.mkdir()
+    in_the_way = out / name
+    in_the_way.mkdir() if kind == "directory" else in_the_way.write_text("in the way\n")
+    assert main(["train", "--data-root", str(cli_data), "--out", str(out), "--epochs", "1",
+                 "--feature-dim", "16", "--k", "4"]) == EXIT_DATA
+    assert_one_error_line(capsys)
+    assert in_the_way.is_dir() if kind == "directory" else in_the_way.is_file()
+    assert not (out / "checkpoint.astp").is_file()
+    assert not list(out.glob(".*.tmp"))  # no temporary file left behind
+
+
+def test_extract_with_a_directory_at_the_feature_table_is_data_error(cli_data, trained_run,
+                                                                       tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "features.csv").mkdir(parents=True)
+    assert main(["extract", "--data-root", str(cli_data), "--out", str(out), "--feature-dim",
+                 "16", "--checkpoint", str(trained_run / "checkpoint.astp")]) == EXIT_DATA
+    assert_one_error_line(capsys)
+    assert (out / "features.csv").is_dir() and not list(out.glob(".*.tmp"))
 
 
 # ---- extract ----

@@ -26,6 +26,7 @@ from astpn.layers import (
 )
 from astpn.model import LossConfig, rnn_input_dim
 from astpn.tensor import Graph, ShapeError, Tensor, _cell_bounds
+from conftest import SeededGraph
 
 
 def conv_weights(rng):
@@ -108,9 +109,9 @@ def test_conv_stack_pooling_before_tanh_keeps_the_values_of_pooling_after(rng):
     for forward in (conv_tanh_pool_reference, conv_stack_forward):
         for t in kernels + biases:
             t.clear_grad()
-        g = Graph()
+        g = SeededGraph(weights)
         out = forward(g, Tensor(frames, requires_grad=False), kernels, biases)
-        g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+        g.backward(out)
         results.append((out.data, [t.grad for t in kernels + biases]))
     conv1 = Graph(record=False).conv2d(Tensor(frames), kernels[0], biases[0], pad=CONV_PAD)
     assert (conv1.data == 1.0).any()
@@ -217,9 +218,8 @@ def test_spp_custom_bins(rng):
 
 def test_spp_gradient_flows_to_max_positions(rng):
     fmap = Tensor(rng.standard_normal((1, 2, 8, 8)))
-    g = Graph()
-    out = spp_forward(g, fmap, ((1, 1),))
-    g.backward(g.sum_all(out))
+    g = SeededGraph()
+    g.backward(spp_forward(g, fmap, ((1, 1),)))
     # one unit of gradient per channel, at that channel's argmax
     assert fmap.grad.sum() == 2.0
     for c in range(2):
@@ -313,12 +313,12 @@ def spp_cases(draw):
 def test_spp_property_matches_per_cell_loop(case):
     fmap, bins, weights = case
     x = Tensor(fmap)
-    g = Graph()
+    g = SeededGraph(weights)
     out = spp_forward(g, x, bins)
     expected, dx = spp_reference(fmap, bins, weights)
     np.testing.assert_array_equal(out.data, expected)
     # continuous values: each cell's max sits at one position
-    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    g.backward(out)
     np.testing.assert_array_equal(x.grad, dx)
 
 
@@ -332,11 +332,10 @@ def test_spp_tie_gradient_lands_on_a_max_of_its_cell(levels, channels, seed, dat
     columns = spp_columns(h, w, bins, channels)
     for col, (ch, r0, r1, c0, c1) in enumerate(columns):
         x = Tensor(fmap)
-        g = Graph()
-        out = spp_forward(g, x, bins)
         onehot = np.zeros((1, len(columns)))
         onehot[0, col] = 1.0
-        g.backward(g.sum_all(g.mul(out, Tensor(onehot, requires_grad=False))))
+        g = SeededGraph(onehot)
+        g.backward(spp_forward(g, x, bins))
         assert np.count_nonzero(x.grad) == 1 and x.grad.sum() == 1.0
         (r, c), = np.argwhere(x.grad[0, ch] == 1.0)
         assert r0 <= r < r1 and c0 <= c < c1
@@ -422,9 +421,8 @@ def test_rnn_gradient_through_time(rng, output):
         out = rnn_forward(g, reps, u_in, w_rec, output)
         return float(out.data.sum())
 
-    g = Graph()
-    out = rnn_forward(g, reps, u_in, w_rec, output)
-    g.backward(g.sum_all(out))
+    g = SeededGraph()
+    g.backward(rnn_forward(g, reps, u_in, w_rec, output))
     h = 1e-6
     for t in (u_in, w_rec, reps):
         flat = t.data.reshape(-1)
@@ -557,9 +555,8 @@ def test_attentive_summary_gradient(rng):
         v_p, v_g = attentive_summary(g, p, gal, u)
         return float(v_p.data.sum() + v_g.data.sum())
 
-    g = Graph()
-    v_p, v_g = attentive_summary(g, p, gal, u)
-    g.backward(g.add(g.sum_all(v_p), g.sum_all(v_g)))
+    g = SeededGraph()
+    g.backward(g.add(*attentive_summary(g, p, gal, u)))  # both (4,)
     h = 1e-6
     for t in (p, gal, u):
         flat = t.data.reshape(-1)

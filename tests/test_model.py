@@ -14,7 +14,7 @@ import pytest
 
 from astpn import tensor
 from astpn.layers import RNN_OUTPUTS
-from astpn.datapipe import ChannelStack, PairBatch, RawSequence, preprocess_dataset
+from astpn.datapipe import ChannelStack, DatasetError, PairBatch, RawSequence, preprocess_dataset
 from astpn.evalkit import eval_sequence
 from astpn.model import (
     TENSOR_NAMES,
@@ -36,6 +36,7 @@ from astpn.model import (
     total_loss,
 )
 from astpn.tensor import Graph, ShapeError, Tensor
+from conftest import SeededGraph
 
 TOY_BINS = ((2, 2), (1, 1))
 TOY_HW = (12, 8)
@@ -138,11 +139,11 @@ def test_max_pool_takes_elementwise_max_over_time():
 def test_max_pool_is_the_max_over_time_and_its_gradient_takes_the_first_max():
     rows = Tensor(np.array([[1.0, -2.0, 0.5], [3.0, -2.0, 0.5], [3.0, -4.0, 0.0]]))
     cfg = toy_cfg("max_pool")
-    g = Graph()
+    g = SeededGraph([1.0, 2.0, 3.0])
     v_p, v_g = pool_pair(g, rows, rows, toy_params(cfg, feature_dim=3), cfg)
     np.testing.assert_array_equal(v_p.data, [3.0, -2.0, 0.5])
     np.testing.assert_array_equal(v_g.data, v_p.data)
-    g.backward(g.sum_all(g.mul(v_p, Tensor(np.array([1.0, 2.0, 3.0])))))
+    g.backward(v_p)
     np.testing.assert_array_equal(rows.grad, [[0.0, 2.0, 3.0], [1.0, 0.0, 0.0],
                                               [0.0, 0.0, 0.0]])
 
@@ -289,19 +290,30 @@ def test_hinge_loss_negative_beyond_margin_is_zero():
 
 def test_astpn_train_step_records_11_nodes_and_5_per_branch(monkeypatch):
     # step: branches, attend, hinge, 2 x (matvec, add, cross_entropy), 2 adds;
-    # branch: 3 conv2d (each a whole conv layer), region_maxpool, rnn
-    subs = []
+    # branch: 3 conv2d (each a whole conv layer), region_maxpool, rnn, which
+    # also emits the post-tanh rows; a branch's backward starts from its
+    # output's gradient and adds no node
+    subs, replayed = [], []
 
     class Counted(tensor._Branch):
         def __init__(self):
             super().__init__()
             subs.append(self)
 
+        def backward(self, root):
+            replayed.append(len(self))
+            super().backward(root)
+
     monkeypatch.setattr(tensor, "_Branch", Counted)
-    cfg = toy_cfg()
-    graph = Graph()
-    total_loss(graph, toy_pair(same=False), toy_params(cfg), cfg)
-    assert [len(graph)] + [len(sub) for sub in subs] == [11, 5, 5]
+    for rnn_output in RNN_OUTPUTS:
+        subs.clear()
+        replayed.clear()
+        cfg = toy_cfg(rnn_output=rnn_output)
+        graph = Graph()
+        loss = total_loss(graph, toy_pair(same=False), toy_params(cfg), cfg)
+        assert [len(graph)] + [len(sub) for sub in subs] == [11, 5, 5], rnn_output
+        graph.backward(loss)
+        assert replayed == [5, 5], rnn_output
 
 
 def test_identity_loss_zero_weights_gives_log_k():
@@ -689,7 +701,7 @@ def test_failed_checkpoint_save_keeps_the_old_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(DatasetError, match="cannot write: disk full"):
         save_checkpoint(toy_params(toy_cfg(), seed=6), path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from astpn import layers, tensor
 from astpn.tensor import Graph, ShapeError, Tensor
+from conftest import SeededGraph
 
 FD_H = 1e-6
 FD_TOL = 1e-5
@@ -45,22 +46,21 @@ def fd_grad(fn, tensors, h=FD_H):
     return grads
 
 
-def check_op_gradients(build, tensors, rtol=FD_TOL):
-    """Compare the taped gradient of sum(build(graph)) to finite differences.
+def check_op_gradients(build, tensors, weights=None, rtol=FD_TOL):
+    """Compare the taped gradient of sum(weights * build(graph)), weights
+    ones where None, to finite differences.
 
     build(graph) must rerun the op on the same tensors each call; the finite
     difference probe perturbs tensor data in place.
     """
     for t in tensors:
         t.clear_grad()
-    graph = Graph()
-    out = build(graph)
-    graph.backward(graph.sum_all(out) if out.data.shape != () else out)
+    graph = SeededGraph(weights)
+    graph.backward(build(graph))
 
     def scalar():
-        g = Graph(record=False)
-        o = build(g)
-        return float(o.data.sum())
+        o = build(Graph(record=False)).data
+        return float((o if weights is None else o * weights).sum())
 
     numeric = fd_grad(scalar, tensors)
     for t, fd in zip(tensors, numeric):
@@ -113,7 +113,10 @@ def test_rnn_gradient(rng, steps):
     reps = Tensor(rng.standard_normal((steps, 5)))
     u_in = Tensor(rng.standard_normal((3, 5)) / 2)
     w_rec = Tensor(rng.standard_normal((3, 3)) / 2)
-    check_op_gradients(lambda g: g.rnn(reps, u_in, w_rec), [reps, u_in, w_rec])
+    weights = rng.standard_normal((steps, 3))
+    for post_tanh in (False, True):  # post_tanh also covers tanh's 1 - s^2
+        check_op_gradients(lambda g: g.rnn(reps, u_in, w_rec, post_tanh), [reps, u_in, w_rec],
+                           weights)
 
 
 @pytest.mark.parametrize("reps_shape,u_shape,w_shape", [
@@ -164,14 +167,21 @@ def attend_composition(p, g, u, d_p, d_g):
     return outs, (dp, dg, p.T @ dpu)
 
 
+def weighed(graph, outs, weights):
+    """A (1,) root whose gradient [1] hands each vector in outs exactly its
+    weights, each a (1, n) constant: the sum of their matvecs."""
+    terms = [graph.matvec(Tensor(w[None], requires_grad=False), out)
+             for out, w in zip(outs, weights)]
+    return functools.reduce(graph.add, terms)
+
+
 def attend_taped(p, g, u, d_p, d_g):
     """attend's outputs and the gradients its vjp gives p, g and u."""
     tensors = [Tensor(x.copy()) for x in (p, g, u)]
-    graph = Graph()
+    graph = SeededGraph()
     outs = graph.attend(*tensors)
-    terms = [graph.sum_all(graph.mul(out, Tensor(d, requires_grad=False)))
-             for out, d in zip(outs, (d_p, d_g)) if d is not None]
-    graph.backward(terms[0] if len(terms) == 1 else graph.add(*terms))
+    used = [(out, d) for out, d in zip(outs, (d_p, d_g)) if d is not None]
+    graph.backward(weighed(graph, *zip(*used)))
     return tuple(o.data for o in outs), tuple(t.grad for t in tensors)
 
 
@@ -206,11 +216,11 @@ def test_attend_zero_u_is_the_mean_and_leaves_a_constant_u_without_gradient(rng)
     p = Tensor(rng.standard_normal((5, 3)))
     g = Tensor(rng.standard_normal((2, 3)))
     u = Tensor(np.zeros((3, 3)), requires_grad=False)
-    graph = Graph()
+    graph = SeededGraph()
     v_p, v_g = graph.attend(p, g, u)
     np.testing.assert_array_equal(v_p.data, p.data.T @ np.full(5, 1.0 / 5))
     np.testing.assert_array_equal(v_g.data, g.data.T @ np.full(2, 1.0 / 2))
-    graph.backward(graph.sum_all(graph.mul(v_p, v_g)))
+    graph.backward(graph.add(v_p, v_g))
     assert u.grad is None
     assert p.grad is not None and g.grad is not None
 
@@ -260,12 +270,10 @@ def test_matmul_gradient(rng):
     p = Tensor(rng.standard_normal((3, 4)))
     g = Tensor(rng.standard_normal((5, 2)))
     u = Tensor(rng.standard_normal((4, 2)))
-    w_p = Tensor(rng.standard_normal(4), requires_grad=False)
-    w_g = Tensor(rng.standard_normal(2), requires_grad=False)
+    w_p, w_g = rng.standard_normal(4), rng.standard_normal(2)
 
     def build(graph):
-        v_p, v_g = graph.attend(p, g, u)
-        return graph.add(graph.sum_all(graph.mul(v_p, w_p)), graph.sum_all(graph.mul(v_g, w_g)))
+        return weighed(graph, graph.attend(p, g, u), (w_p, w_g))
 
     check_op_gradients(build, [p, g, u])
 
@@ -275,9 +283,8 @@ def test_transposed_operand_gets_a_c_ordered_gradient(rng):
     p = Tensor(rng.standard_normal((3, 4)))
     g = Tensor(rng.standard_normal((5, 2)))
     u = Tensor(rng.standard_normal((4, 2)))
-    graph = Graph()
-    v_p, v_g = graph.attend(p, g, u)
-    graph.backward(graph.add(graph.sum_all(v_p), graph.sum_all(v_g)))
+    graph = SeededGraph()
+    graph.backward(weighed(graph, graph.attend(p, g, u), (np.ones(4), np.ones(2))))
     assert g.grad.flags.c_contiguous and u.grad.flags.c_contiguous
 
 
@@ -292,17 +299,17 @@ def test_max_along_matches_numpy_and_gradient(rng, axis):
     weights = np.exp(best - best.max()) / np.exp(best - best.max()).sum()
     side = 0 if axis == 1 else 1
     np.testing.assert_allclose(Graph().attend(p, g, u)[side].data, weights, rtol=1e-14)
-    w = Tensor(rng.standard_normal(len(weights)), requires_grad=False)
-    check_op_gradients(lambda graph: graph.mul(graph.attend(p, g, u)[side], w), [p, g, u])
+    check_op_gradients(lambda graph: graph.attend(p, g, u)[side], [p, g, u],
+                       rng.standard_normal(len(weights)))
 
 
 def test_max_along_tie_takes_first_occurrence():
     # A = tanh(u) ties across row 0; its gradient goes to (0, 0) only
     eye = np.eye(2)
     u = Tensor(np.array([[1.0, 1.0], [0.0, 2.0]]))
-    graph = Graph()
+    graph = SeededGraph([1.0, 0.0])
     v_p, _ = graph.attend(Tensor(eye), Tensor(eye), u)
-    graph.backward(graph.sum_all(graph.mul(v_p, Tensor(np.array([1.0, 0.0])))))
+    graph.backward(v_p)
     assert u.grad[0, 0] != 0.0 and u.grad[1, 1] != 0.0
     assert u.grad[0, 1] == 0.0 and u.grad[1, 0] == 0.0
 
@@ -323,10 +330,10 @@ def test_softmax_gradient_matches_jacobian(rng):
     w = rng.standard_normal(4)
 
     def build(graph):
-        return graph.mul(graph.attend(Tensor(eye), Tensor(eye), u)[0], Tensor(w))
+        return graph.attend(Tensor(eye), Tensor(eye), u)[0]
 
-    graph = Graph()
-    graph.backward(graph.sum_all(build(graph)))
+    graph = SeededGraph(w)
+    graph.backward(build(graph))
     a = np.tanh(u.data)
     at = (np.arange(4), a.argmax(axis=1))
     y = np.exp(a[at] - a[at].max())
@@ -334,7 +341,7 @@ def test_softmax_gradient_matches_jacobian(rng):
     jac = np.diag(y) - np.outer(y, y)
     np.testing.assert_allclose(u.grad[at], (1 - a[at] ** 2) * (jac @ w), rtol=1e-10,
                                atol=1e-12)
-    check_op_gradients(build, [u])
+    check_op_gradients(build, [u], w)
 
 
 def test_softmax_extreme_values_stay_finite():
@@ -506,9 +513,7 @@ def test_conv2d_property_matches_direct_sum(case):
 def test_conv2d_property_gradient(case):
     x, kernel, bias, pad, pool, weights = case
     tensors = [Tensor(x), Tensor(kernel), Tensor(bias)]
-    w = Tensor(weights)
-    check_op_gradients(lambda g: g.mul(g.conv2d(*tensors, pad=pad, pool=pool), w),
-                       tensors)
+    check_op_gradients(lambda g: g.conv2d(*tensors, pad=pad, pool=pool), tensors, weights)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -518,9 +523,8 @@ def test_conv2d_property_constant_input_gets_no_gradient(case):
     grads = []
     for requires_grad in (True, False):
         xt, kt, bt = Tensor(x, requires_grad=requires_grad), Tensor(kernel), Tensor(bias)
-        g = Graph()
-        g.backward(g.sum_all(g.mul(g.conv2d(xt, kt, bt, pad=pad, pool=pool),
-                                   Tensor(weights))))
+        g = SeededGraph(weights)
+        g.backward(g.conv2d(xt, kt, bt, pad=pad, pool=pool))
         assert (xt.grad is not None) == requires_grad
         grads.append((kt.grad, bt.grad))
     for with_x, without_x in zip(*grads):
@@ -546,9 +550,8 @@ def conv_layer_grads(case):
     recorded graph."""
     x, kernel, bias, pad, pool, weights = case
     xt, kt = Tensor(x), Tensor(kernel)
-    g = Graph()
-    out = g.conv2d(xt, kt, Tensor(bias), pad=pad, pool=pool)
-    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    g = SeededGraph(weights)
+    g.backward(g.conv2d(xt, kt, Tensor(bias), pad=pad, pool=pool))
     return xt.grad, kt.grad
 
 
@@ -597,9 +600,9 @@ def conv2d_results(case):
     """Forward output and the gradients of x, kernel and bias for a case."""
     x, kernel, bias, pad, pool, weights = case
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
-    g = Graph()
+    g = SeededGraph(weights)
     out = g.conv2d(xt, kt, bt, pad=pad, pool=pool)
-    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    g.backward(out)
     return out.data, xt.grad, kt.grad, bt.grad
 
 
@@ -667,11 +670,11 @@ def test_conv2d_vjp_keeps_no_lowered_buffer(monkeypatch):
     x, kernel, bias, pad, pool, weights = case
     monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 2 * frame_bytes(case))
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
-    g = Graph()
+    g = SeededGraph(weights)
     out = g.conv2d(xt, kt, bt, pad=pad, pool=pool)
     kept = closure_arrays(g._tape[-1].vjp)
     assert sorted(map(id, kept)) == sorted((id(kt.data), id(out.data)))
-    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    g.backward(out)
     for actual, expected in zip((out.data, xt.grad, kt.grad, bt.grad), one_block):
         assert_close_to_rounding(actual, expected)
 
@@ -683,7 +686,7 @@ def test_pooled_conv2d_vjp_keeps_no_full_resolution_map(monkeypatch):
     x, kernel, bias, pad, pool, weights = case
     monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", forward_frame_bytes(case))
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
-    g = Graph()
+    g = SeededGraph(weights)
     out = g.conv2d(xt, kt, bt, pad=pad, pool=pool)
     assert out.shape == (4, 16, 10, 6)
     kept = closure_arrays(g._tape[-1].vjp)
@@ -691,7 +694,7 @@ def test_pooled_conv2d_vjp_keeps_no_full_resolution_map(monkeypatch):
     assert len(kept) == 3 and len(taps) == 1
     assert taps[0].dtype == np.uint8 and taps[0].shape == out.shape
     assert max(a.size for a in kept) < 4 * 16 * 20 * 12
-    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    g.backward(out)
     for actual, expected in zip((out.data, xt.grad, kt.grad, bt.grad), one_block):
         assert_close_to_rounding(actual, expected)
 
@@ -700,9 +703,9 @@ def one_by_one_layer(x):
     """conv2d of x under a 1x1 identity kernel, pooled, and the gradient its
     correlation got from an output gradient of ones: x.grad itself."""
     xt = Tensor(x)
-    g = Graph()
+    g = SeededGraph()
     out = g.conv2d(xt, Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1)), pad=0, pool=True)
-    g.backward(g.sum_all(out))
+    g.backward(out)
     return out.data, xt.grad
 
 
@@ -738,11 +741,11 @@ def test_conv2d_blocks_share_one_column_buffer_per_direction(monkeypatch):
 
     monkeypatch.setattr(tensor, "_lower", recording)
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
-    g = Graph()
+    g = SeededGraph(weights)
     out = g.conv2d(xt, kt, bt, pad=pad, pool=pool)
     cols = [c for _, c in lowered]
     lowered.clear()
-    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    g.backward(out)
     # forward: x along its width, 3 blocks of at most 3 frames; vjp: the
     # output gradient along its width and x along its height, 4 blocks of
     # at most 2 frames
@@ -900,18 +903,17 @@ def test_maxpool2d_gradient(rng):
 
 def test_maxpool2d_tie_goes_to_first_window_cell():
     x = Tensor(np.ones((1, 1, 2, 2)))
-    g = Graph()
-    out = g.maxpool2d(x, (2, 2))
-    g.backward(g.sum_all(out))
+    g = SeededGraph()
+    g.backward(g.maxpool2d(x, (2, 2)))
     np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
 def test_maxpool2d_gradient_mass_is_conserved(rng):
     # disjoint windows: every upstream unit lands on exactly one input cell
     x = Tensor(rng.standard_normal((2, 4, 8, 6)))
-    g = Graph()
+    g = SeededGraph()
     out = g.maxpool2d(x, (2, 2))
-    g.backward(g.sum_all(out))
+    g.backward(out)
     assert x.grad.sum() == out.data.size
     assert set(np.unique(x.grad)) <= {0.0, 1.0}
 
@@ -948,10 +950,10 @@ def pool_cases(draw):
 def test_maxpool2d_property_matches_window_loop(case):
     x, window, weights = case
     xt = Tensor(x)
-    g = Graph()
+    g = SeededGraph(weights)
     out = g.maxpool2d(xt, window)
     np.testing.assert_array_equal(out.data, [maxpool_reference(f, window) for f in x])
-    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    g.backward(out)
     np.testing.assert_array_equal(xt.grad, maxpool_grad_reference(x, window, weights))
 
 
@@ -1015,13 +1017,13 @@ def test_region_maxpool_property_matches_slicing(case):
     x, bins, weights = case
     t_n, c, h, w = x.shape
     xt = Tensor(x)
-    g = Graph()
+    g = SeededGraph(weights)
     out = g.region_maxpool(xt, bins)
     cells = pyramid_cells(h, w, bins, c)
     expected = [[x[t, ch, r0:r1, c0:c1].max() for ch, r0, r1, c0, c1 in cells]
                 for t in range(t_n)]
     np.testing.assert_array_equal(out.data, expected)
-    g.backward(g.sum_all(g.mul(out, Tensor(weights, requires_grad=False))))
+    g.backward(out)
     # each finest cell's weight lands on its first max cell in row-major scan
     dx = np.zeros_like(x)
     for t in range(t_n):
@@ -1047,11 +1049,11 @@ def test_pooling_ops_need_a_4d_stack(rng):
         Graph().region_maxpool(x, ((1, 1),))
 
 
-class ParentOps(Graph):
+class ParentOps(SeededGraph):
     """The ops the pyramid, the hinge and the conv layer were composed of
-    before each became one node, as they were: sub, relu, concat, a max
-    over explicit regions (r0, r1, c0, c1), half-open, and the correlation
-    alone."""
+    before each became one node, as they were: sub, mul, sum_all, relu,
+    tanh, concat, a max over explicit regions (r0, r1, c0, c1), half-open,
+    and the correlation alone."""
 
     def correlate(self, x, kernel, bias, pad):
         """conv2d before it pooled and tanh'd, in the same blocks and GEMMs."""
@@ -1110,6 +1112,22 @@ class ParentOps(Graph):
 
         return self._push(Tensor(a.data - b.data), (a, b), vjp)
 
+    def mul(self, a, b):
+        ad, bd = a.data, b.data
+
+        def vjp(g):
+            return g * bd, g * ad
+
+        return self._push(Tensor(ad * bd), (a, b), vjp)
+
+    def sum_all(self, x):
+        xshape = x.data.shape
+
+        def vjp(g):
+            return (np.full(xshape, g),)
+
+        return self._push(Tensor(x.data.sum()), (x,), vjp)
+
     def relu(self, x):
         xd = x.data
 
@@ -1117,6 +1135,17 @@ class ParentOps(Graph):
             return (g * (xd > 0.0),)
 
         return self._push(Tensor(np.maximum(xd, 0.0)), (x,), vjp)
+
+    def tanh(self, x):
+        od = np.tanh(x.data)
+
+        def vjp(g):
+            d = od * od
+            np.subtract(1.0, d, out=d)
+            d *= g
+            return (d,)
+
+        return self._push(Tensor(od), (x,), vjp)
 
     def concat(self, xs, axis):
         splits = np.cumsum([x.data.shape[axis] for x in xs])[:-1]
@@ -1186,9 +1215,9 @@ def bytes_of_run(build, inputs, weights):
     """Bytes of build(graph)'s output and of every input's gradient of
     sum(weights * output), on a fresh ParentOps tape."""
     tensors = [Tensor(x.copy()) for x in inputs]
-    graph = ParentOps()
+    graph = ParentOps(weights)
     out = build(graph, *tensors)
-    graph.backward(graph.sum_all(graph.mul(out, Tensor(weights, requires_grad=False))))
+    graph.backward(out)
     return [out.data.tobytes()] + [t.grad.tobytes() for t in tensors]
 
 
@@ -1262,21 +1291,6 @@ def test_hinge_rejects_unequal_shapes():
 # ---- elementwise ----
 
 
-def test_tanh_matches_math_library():
-    xs = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0])
-    out = Graph().tanh(Tensor(xs))
-    for v, x in zip(out.data, xs):
-        assert v == pytest.approx(math.tanh(x), rel=1e-15)
-
-
-def test_tanh_gradient_is_one_minus_square():
-    x = Tensor(np.array([0.3, -1.2, 2.0]))
-    g = Graph()
-    out = g.tanh(x)
-    g.backward(g.sum_all(out))
-    np.testing.assert_allclose(x.grad, 1.0 - np.tanh(x.data) ** 2, rtol=1e-15)
-
-
 def test_hinge_subgradient_at_the_margin_is_zero():
     # |a - b|^2 = 4: the slack 4.5 - 4 is active, 4 - 4 sits on the kink
     a, b = Tensor(np.array([2.0, 0.0])), Tensor(np.zeros(2))
@@ -1290,11 +1304,11 @@ def test_hinge_subgradient_at_the_margin_is_zero():
         np.testing.assert_array_equal(a.grad, grad)
 
 
-@pytest.mark.parametrize("op", ["add", "mul"])
+@pytest.mark.parametrize("op", ["add"])
 def test_binary_elementwise_oracle_and_gradient(rng, op):
     a = Tensor(rng.standard_normal((3, 4)))
     b = Tensor(rng.standard_normal((3, 4)))
-    expected = {"add": a.data + b.data, "mul": a.data * b.data}[op]
+    expected = {"add": a.data + b.data}[op]
     np.testing.assert_array_equal(getattr(Graph(), op)(a, b).data, expected)
     check_op_gradients(lambda g: getattr(g, op)(a, b), [a, b])
     with pytest.raises(ShapeError):
@@ -1307,17 +1321,6 @@ def test_binary_elementwise_oracle_and_gradient(rng, op):
 def test_reshape_gradient_restores_shape(rng):
     x = Tensor(rng.standard_normal((2, 6)))
     check_op_gradients(lambda g: g.reshape(x, (3, 4)), [x])
-
-
-# ---- reductions ----
-
-
-def test_sum_all_gradient_is_ones(rng):
-    x = Tensor(rng.standard_normal((2, 3)))
-    g = Graph()
-    out = g.sum_all(x)
-    g.backward(out)
-    np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
 # ---- probability ----
@@ -1353,26 +1356,27 @@ def test_cross_entropy_label_out_of_range():
 def test_reused_tensor_accumulates_both_paths(rng):
     x = Tensor(np.array([2.0]))
     g = Graph()
-    out = g.sum_all(g.add(g.mul(x, x), x))  # x^2 + x
+    out = g.add(g.hinge(x, Tensor(np.zeros(1)), True, 0.0), g.reshape(x, ()))  # x^2 + x
     g.backward(out)
     assert x.grad[0] == pytest.approx(2 * 2.0 + 1.0, rel=1e-15)
 
 
 def test_diamond_graph_gradient(rng):
-    x = Tensor(rng.standard_normal(4))
+    x = Tensor(rng.standard_normal((2, 4)))
+    u_in, w_rec = Tensor(rng.standard_normal((3, 4)) / 2), Tensor(rng.standard_normal((3, 3)) / 2)
 
     def build(g):
-        y = g.tanh(x)
-        return g.mul(y, y)  # both operands are the same node
+        y = g.rnn(x, u_in, w_rec, post_tanh=True)
+        return g.add(y, y)  # both operands are the same node
 
-    check_op_gradients(build, [x])
+    check_op_gradients(build, [x, u_in, w_rec], rng.standard_normal((2, 3)))
 
 
 def test_second_backward_raises_and_keeps_grads():
     x = Tensor(np.array([3.0]))
     w = Tensor(np.array([-2.0]))
     g = Graph()
-    out = g.sum_all(g.mul(g.mul(x, x), w))
+    out = g.hinge(x, w, True, 0.0)
     g.backward(out)
     first = (x.grad.copy(), w.grad.copy())
     assert len(g) == 0
@@ -1385,8 +1389,8 @@ def test_second_backward_raises_and_keeps_grads():
 def test_backward_frees_what_only_the_tape_holds(rng):
     x = Tensor(rng.standard_normal(3))
     g = Graph()
-    hidden = g.tanh(x)
-    out = g.sum_all(g.mul(hidden, hidden))
+    hidden = g.matvec(Tensor(rng.standard_normal((2, 3))), x)
+    out = g.hinge(hidden, Tensor(np.zeros(2)), True, 0.0)
     ref = weakref.ref(hidden)
     del hidden
     assert ref() is not None
@@ -1397,7 +1401,7 @@ def test_backward_frees_what_only_the_tape_holds(rng):
 def test_backward_requires_scalar_root(rng):
     x = Tensor(rng.standard_normal(3))
     g = Graph()
-    out = g.tanh(x)
+    out = g.reshape(x, (1, 3))
     with pytest.raises(ShapeError):
         g.backward(out)
 
@@ -1417,8 +1421,8 @@ def test_backward_ignores_unrelated_ops(rng):
     x = Tensor(rng.standard_normal(3))
     y = Tensor(rng.standard_normal(3))
     g = Graph()
-    out = g.sum_all(g.tanh(x))
-    g.sum_all(y)  # also on the tape, but not feeding the root
+    out = g.hinge(x, Tensor(np.zeros(3)), True, 0.0)
+    g.hinge(y, Tensor(np.zeros(3)), True, 0.0)  # also on the tape, but not feeding the root
     g.backward(out)
     assert x.grad is not None
     assert y.grad is None
@@ -1427,8 +1431,8 @@ def test_backward_ignores_unrelated_ops(rng):
 def test_backward_never_writes_grad_of_a_constant(rng):
     a = Tensor(rng.standard_normal((3, 4)))
     c = Tensor(rng.standard_normal(4), requires_grad=False)
-    g = Graph()
-    g.backward(g.sum_all(g.matvec(a, c)))
+    g = SeededGraph()
+    g.backward(g.matvec(a, c))
     assert c.grad is None
     np.testing.assert_allclose(a.grad, np.outer(np.ones(3), c.data), rtol=1e-15)
 
@@ -1440,10 +1444,10 @@ def test_long_composite_program_gradient(rng):
     v = Tensor(rng.standard_normal(3))
 
     def build(g):
-        m = g.tanh(g.rnn(a, b, w))
+        m = g.rnn(a, b, w, post_tanh=True)
         u = g.matvec(m, v)
         s, t = g.attend(m, m, w)
-        return g.mul(g.add(s, t), g.tanh(u))
+        return g.hinge(g.add(s, t), u, True, 0.0)
 
     check_op_gradients(build, [a, b, w, v])
 
@@ -1453,8 +1457,8 @@ def test_identical_runs_are_bitwise_identical(rng):
     results = []
     for _ in range(2):
         x = Tensor(data.copy())
-        g = Graph()
-        out = g.sum_all(g.tanh(g.rnn(x, x, x)))
+        g = SeededGraph()
+        out = g.rnn(x, x, x, post_tanh=True)
         g.backward(out)
         results.append((out.data.copy(), x.grad.copy()))
     np.testing.assert_array_equal(results[0][0], results[1][0])
@@ -1480,15 +1484,19 @@ def test_every_public_graph_op_has_a_call_site_in_the_package():
 
 
 def branch_program(g, x, w, b):
-    """A branch that reads the shared leaves w and b: tanh(w x + b) * (w x),
-    with w used twice."""
-    return g.mul(g.tanh(g.add(g.matvec(w, x), b)), g.matvec(w, x))
+    """A branch that reads the shared leaves w and b: the post-tanh rows of
+    a recurrence over x + b, with w as both of its matrices."""
+    return g.rnn(g.add(x, b), w, w, post_tanh=True)
+
+
+def branch_leaves(rng, n_branches):
+    """w (3x3), b (2x3) and one constant (2x3) x per branch."""
+    xs = [Tensor(rng.standard_normal((2, 3)), requires_grad=False) for _ in range(n_branches)]
+    return Tensor(rng.standard_normal((3, 3))), Tensor(rng.standard_normal((2, 3))), xs
 
 
 def test_branches_match_one_tape_in_sequence(rng):
-    w = Tensor(rng.standard_normal((4, 3)))
-    b = Tensor(rng.standard_normal(4))
-    xs = [Tensor(rng.standard_normal(3), requires_grad=False) for _ in range(2)]
+    w, b, xs = branch_leaves(rng, 2)
     grads, outs = [], []
     for concurrent in (False, True):
         g = Graph()
@@ -1496,7 +1504,7 @@ def test_branches_match_one_tape_in_sequence(rng):
             rows = g.branches(lambda sub, x: branch_program(sub, x, w, b), xs)
         else:
             rows = [branch_program(g, x, w, b) for x in xs]
-        loss = g.sum_all(g.mul(rows[0], g.tanh(rows[1])))
+        loss = g.hinge(rows[0], rows[1], True, 0.0)
         g.backward(loss)
         outs.append([r.data.copy() for r in rows])
         grads.append((w.grad, b.grad))
@@ -1511,11 +1519,9 @@ def test_branches_match_one_tape_in_sequence(rng):
 def test_branches_under_fast_thread_switching_match_one_tape(rng):
     # more branches than cores, switching threads every few microseconds: a
     # gradient lost or added twice between branches would show
-    w = Tensor(rng.standard_normal((4, 3)))
-    b = Tensor(rng.standard_normal(4))
-    xs = [Tensor(rng.standard_normal(3), requires_grad=False) for _ in range(6)]
-    g = Graph()
-    g.backward(functools.reduce(g.add, [g.sum_all(branch_program(g, x, w, b)) for x in xs]))
+    w, b, xs = branch_leaves(rng, 6)
+    g = SeededGraph()
+    g.backward(functools.reduce(g.add, [branch_program(g, x, w, b) for x in xs]))
     expected = (w.grad, b.grad)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1523,9 +1529,9 @@ def test_branches_under_fast_thread_switching_match_one_tape(rng):
         for _ in range(5):
             w.clear_grad()
             b.clear_grad()
-            g = Graph()
+            g = SeededGraph()
             rows = g.branches(lambda sub, x: branch_program(sub, x, w, b), xs)
-            g.backward(functools.reduce(g.add, [g.sum_all(row) for row in rows]))
+            g.backward(functools.reduce(g.add, rows))
             for got, want in zip((w.grad, b.grad), expected):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
     finally:
@@ -1533,24 +1539,23 @@ def test_branches_under_fast_thread_switching_match_one_tape(rng):
 
 
 def test_branches_gradient_matches_finite_differences(rng):
-    w = Tensor(rng.standard_normal((4, 3)))
-    b = Tensor(rng.standard_normal(4))
-    xs = [Tensor(rng.standard_normal(3), requires_grad=False) for _ in range(2)]
+    w, b, xs = branch_leaves(rng, 2)
 
     def build(g):
         rows = g.branches(lambda sub, x: branch_program(sub, x, w, b), xs)
-        return g.mul(rows[0], rows[1])
+        return g.hinge(rows[0], rows[1], True, 0.0)
 
     check_op_gradients(build, [w, b])
 
 
 def test_branches_gradient_reaches_only_through_used_outputs(rng):
     w = Tensor(rng.standard_normal((4, 3)))
-    x = Tensor(rng.standard_normal(3), requires_grad=False)
-    g = Graph()
-    used, unused = g.branches(lambda sub, a: sub.tanh(sub.matvec(w, a)), [x, x])
-    g.backward(g.sum_all(used))
-    expected = np.outer(1 - np.tanh(w.data @ x.data) ** 2, x.data)
+    w_rec = Tensor(np.zeros((4, 4)), requires_grad=False)
+    x = Tensor(rng.standard_normal((1, 3)), requires_grad=False)
+    g = SeededGraph()
+    used, unused = g.branches(lambda sub, a: sub.rnn(a, w, w_rec, post_tanh=True), [x, x])
+    g.backward(used)  # each branch: tanh(w x)
+    expected = np.outer(1 - np.tanh(w.data @ x.data[0]) ** 2, x.data[0])
     np.testing.assert_allclose(w.grad, expected, rtol=1e-13)
 
 
@@ -1564,7 +1569,7 @@ def test_branches_run_at_once_with_one_blas_thread_each():
     def branch(sub, x):
         barrier.wait()  # returns only while both branches run
         seen.append((threading.get_ident(), control[0]() if control else None))
-        return sub.tanh(x)
+        return sub.add(x, x)
 
     Graph().branches(branch, [Tensor(np.zeros(2)), Tensor(np.ones(2))])
     assert len({ident for ident, _ in seen}) == 2
@@ -1583,7 +1588,7 @@ def test_branches_raise_the_first_error_after_every_branch_ends():
         if x.item() == 2.0:
             raise ValueError("second")
         finished.append(x.item())
-        return sub.tanh(x)
+        return sub.add(x, x)
 
     threads_before = threading.active_count()
     with pytest.raises(ShapeError, match="first"):
@@ -1607,13 +1612,13 @@ def test_unrecorded_branches_run_at_once_on_the_graph_itself():
     def branch(sub, x):
         barrier.wait()  # returns only while both branches run
         seen.append((sub, threading.get_ident(), control[0]() if control else None))
-        return sub.tanh(x)
+        return sub.add(x, x)
 
     outs = g.branches(branch, [Tensor(np.zeros(2)), Tensor(np.ones(2))])
     assert all(sub is g for sub, _, _ in seen)
     assert len({ident for _, ident, _ in seen}) == 2
     assert len(g) == 0
-    np.testing.assert_array_equal(outs[1].data, np.tanh(np.ones(2)))
+    np.testing.assert_array_equal(outs[1].data, np.full(2, 2.0))
     if control:
         assert [n for _, _, n in seen] == [1, 1]
         assert control[0]() == blas_before
