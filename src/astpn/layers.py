@@ -14,7 +14,6 @@ from .tensor import Graph, Tensor
 
 CONV_CHANNELS = (16, 32, 32)
 CONV_KERNEL = 5
-CONV_PAD = 4
 POOL_WINDOW = (2, 2)
 DEFAULT_BINS = ((8, 8), (4, 4), (2, 2), (1, 1))
 RNN_OUTPUTS = ("pre_tanh", "post_tanh")
@@ -27,9 +26,9 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 
 
 def conv_stack_output_hw(hw: tuple[int, int]) -> tuple[int, int]:
-    """Spatial extents after conv+pool, conv+pool, conv: each conv grows an
-    extent by 2*CONV_PAD - CONV_KERNEL + 1, each 2x2 pool halves it (floor)."""
-    grow = 2 * CONV_PAD - CONV_KERNEL + 1
+    """Spatial extents after conv+pool, conv+pool, conv: each conv (a full
+    correlation) grows an extent by CONV_KERNEL - 1, each pool halves it."""
+    grow = CONV_KERNEL - 1
     out = []
     for e in hw:
         for _ in range(2):
@@ -41,12 +40,12 @@ def conv_stack_output_hw(hw: tuple[int, int]) -> tuple[int, int]:
 def conv_stack_forward(graph: Graph, frames: Tensor, kernels: list[Tensor],
                        biases: list[Tensor]) -> Tensor:
     """Run a (T,Cin,H,W) stack through the three conv layers, one
-    Graph.conv2d node each: conv at padding 4, a 2x2 max pool (stride 2) in
-    the first two layers only, then tanh.
+    Graph.conv2d node each: a full correlation (zero padding of kernel size
+    - 1), a 2x2 max pool (stride 2) in the first two layers only, then tanh.
     """
     h = frames
     for i in range(3):
-        h = graph.conv2d(h, kernels[i], biases[i], pad=CONV_PAD, pool=i < 2)
+        h = graph.conv2d(h, kernels[i], biases[i], pool=i < 2)
     return h
 
 

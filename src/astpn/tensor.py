@@ -216,15 +216,13 @@ def _row_sum(slabs: np.ndarray, cols: np.ndarray, row: int, n: int,
     return acc
 
 
-def _pad_or_crop(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """a with ph zero rows added at top and bottom (|ph| rows cut when ph is
-    negative) and pw columns likewise at left and right; a itself when both
-    are 0."""
-    cut_h, cut_w = max(-ph, 0), max(-pw, 0)
-    a = a[:, :, cut_h:a.shape[2] - cut_h, cut_w:a.shape[3] - cut_w]
-    if ph <= 0 and pw <= 0:
-        return a
-    return np.pad(a, ((0, 0), (0, 0), (max(ph, 0),) * 2, (max(pw, 0),) * 2))
+def _tanh_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(1 - s^2) g as a new array: the gradient of tanh's input, given its
+    output s and that output's gradient g."""
+    d = s * s
+    np.subtract(1.0, d, out=d)
+    d *= g
+    return d
 
 
 def _frame_blocks(t_n: int, frame_bytes: int, even: bool = False,
@@ -277,46 +275,40 @@ def _window_taps(h: int, w: int, window: tuple[int, int]) -> list[tuple]:
             for i in range(wh) for j in range(ww)]
 
 
-def _window_max(xb: np.ndarray, window: tuple[int, int]):
-    """Max over the tiling windows of a (T,C,H,W) array, stride equal to the
-    window, and the function that takes its gradient back onto xb.
+def _tap_map(shape: tuple[int, ...], window: tuple[int, int]) -> np.ndarray:
+    """An unfilled tap map for _window_max, of the smallest dtype that holds
+    the tap count."""
+    return np.empty(shape, np.min_scalar_type(window[0] * window[1]))
 
-    The max is np.maximum over the taps (_window_taps). The windows are
-    disjoint, so the backward assigns g into each tap's view of a zeroed dx
-    where that tap was the first to hold the max: ties go to the first tap,
-    a nan max to none.
-    """
+
+def _window_max(xb: np.ndarray, window: tuple[int, int], first=None) -> np.ndarray:
+    """Max over the tiling windows of a (T,C,H,W) array, stride equal to the
+    window: np.maximum over the taps (_window_taps). With first, a _tap_map
+    of the max's shape, also write there the index of the first tap that
+    holds each window's max (the sum of the chained masks "no tap up to this
+    one holds it"), or the tap count where the max is nan."""
     taps = _window_taps(*xb.shape[2:], window)
     best = xb[taps[0]].copy()
     for tap in taps[1:]:
         np.maximum(best, xb[tap], out=best)
-
-    def back(g):
-        dx = np.zeros(xb.shape)
-        taken = np.zeros(best.shape, dtype=bool)
-        for tap in taps:
-            # first: this tap holds the max and no earlier tap does
-            first = xb[tap] == best
-            first &= ~taken
-            taken |= first
-            np.multiply(first, g, out=dx[tap])
-        return dx
-
-    return best, back
+    if first is not None:
+        held = np.not_equal(xb[taps[0]], best)
+        first[...] = held.view(np.uint8)
+        differs = np.empty_like(held)
+        for tap in taps[1:]:
+            held &= np.not_equal(xb[tap], best, out=differs)
+            first += held.view(np.uint8)
+    return best
 
 
-def _first_taps(xb: np.ndarray, best: np.ndarray, first: np.ndarray) -> None:
-    """Write into the uint8 array first, of best's shape, which tap of each
-    2x2 window of xb first holds best, that window's max: the sum of the
-    chained masks "no tap up to this one holds it", so 0-3, and 4 where no
-    tap does (a nan max)."""
-    taps = _window_taps(*xb.shape[2:], (2, 2))
-    held = np.not_equal(xb[taps[0]], best)
-    first[...] = held.view(np.uint8)
-    differs = np.empty_like(held)
-    for tap in taps[1:]:
-        held &= np.not_equal(xb[tap], best, out=differs)
-        first += held.view(np.uint8)
+def _scatter_taps(g: np.ndarray, first: np.ndarray, shape, window) -> np.ndarray:
+    """g, a gradient of _window_max, taken back onto its input of the given
+    shape: each tap's view of a zeroed array takes g where the tap map first
+    names that tap, and 0 g elsewhere (all taps of a nan max)."""
+    dx = np.zeros(shape)
+    for k, tap in enumerate(_window_taps(*shape[2:], window)):
+        np.multiply(first == k, g, out=dx[tap])
+    return dx
 
 
 class Graph:
@@ -474,14 +466,9 @@ class Graph:
         out = Tensor(s if post_tanh else o)
 
         def vjp(g):
-            do = np.array(g)  # a copy: another node may hold g too
-            if post_tanh:
-                do *= 1.0 - s * s
+            do = _tanh_grad(s, g) if post_tanh else np.array(g)  # g may be shared
             for t in range(len(do) - 2, -1, -1):
-                d = s[t] * s[t]
-                np.subtract(1.0, d, out=d)
-                d *= wd.T @ do[t + 1]
-                do[t] += d
+                do[t] += _tanh_grad(s[t], wd.T @ do[t + 1])
             return do @ ud, do.T @ rd, do[1:].T @ s[:-1]
 
         return self._push(out, (reps, u_in, w_rec), vjp)
@@ -521,9 +508,7 @@ class Graph:
             da_g[at_g, cols] = w_g * (e_g - np.dot(e_g, w_g))
             da_p = np.zeros(a.shape)
             da_p[rows, at_p] = w_p * (e_p - np.dot(e_p, w_p))
-            ds = a * a
-            np.subtract(1.0, ds, out=ds)
-            ds *= da_g + da_p
+            ds = _tanh_grad(a, da_g + da_p)
             dpu = ds @ gd
             return (np.outer(w_p, d_p) + dpu @ ud.T, np.outer(w_g, d_g) + ds.T @ pu,
                     pd.T @ dpu if u.requires_grad else None)
@@ -532,15 +517,15 @@ class Graph:
 
     # ---- convolution and pooling ----
 
-    def conv2d(self, x: Tensor, kernel: Tensor, bias: Tensor, pad: int,
-               pool: bool = False) -> Tensor:
-        """One conv layer of the network as one node: cross-correlate a
-        (T,Cin,H,W) stack of at least one frame with kernel under zero
-        padding, at stride 1, then with pool take a 2x2 max pool (stride 2),
-        then tanh.
+    def conv2d(self, x: Tensor, kernel: Tensor, bias: Tensor, pool: bool = False) -> Tensor:
+        """One conv layer of the network as one node: the full
+        cross-correlation of a (T,Cin,H,W) stack of at least one frame with
+        kernel, at stride 1, then with pool a 2x2 max pool (stride 2), then
+        tanh.
 
-        kernel is (Cout,Cin,kh,kw) and bias is (Cout,). The correlation is
-        (H + 2*pad - kh + 1) by (W + 2*pad - kw + 1); the pool halves each
+        kernel is (Cout,Cin,kh,kw) and bias is (Cout,). Full: the frames are
+        zero-padded by kh-1 rows and kw-1 columns on each side, so the
+        correlation is (H + kh - 1) by (W + kw - 1); the pool halves each
         extent (floor). The frames are taken in blocks of at most
         CONV_BLOCK_BYTES of lowered rows and accumulators on a recorded
         graph, and one frame at a time on an unrecorded one, so the output
@@ -552,21 +537,19 @@ class Graph:
 
         Each block is pooled and tanh'd in its accumulator's layout while it
         is still in cache, so no full-resolution map outlives its block; a
-        recorded graph also notes which tap first holds each window's max
-        (_first_taps). The pool runs before the tanh: np.tanh never
-        decreases, so the values are those of pooling after it, and tanh runs
-        on a quarter of the cells. A gradient can land on another cell of a window only where
-        two different pre-activations have the same tanh.
+        recorded graph also writes the block's tap map (_window_max). The
+        pool runs before the tanh: np.tanh never decreases, so the values are
+        those of pooling after it, and tanh runs on a quarter of the cells. A
+        gradient can land on another cell of a window only where two
+        different pre-activations have the same tanh.
 
-        The vjp keeps x, the output s and the uint8 tap map: no lowered
-        buffer and no full-resolution map. It multiplies g by 1 - s^2 and,
-        with pool, scatters that by tap into a zeroed pre-pool gradient:
-        ties go to the first tap, and a nan max passes nothing. dx
-        correlates the result, padded by kh-1-pad and kw-1-pad (cropped
-        where negative), with the flipped kernel: each block lowers it along
-        its width and sums kh GEMMs, as the forward does. dkernel is one GEMM
-        per block, that same lowering times x lowered along its height,
-        whether or not x takes a gradient.
+        The vjp keeps x, the output s and the tap map: no lowered buffer and
+        no full-resolution map. It takes g to (1 - s^2) g and, with pool,
+        zeroes that at a nan max and scatters it (_scatter_taps). dx is the
+        valid correlation of the result with the flipped kernel: each block
+        lowers it along its width and sums kh GEMMs, as the forward does.
+        dkernel is one GEMM per block, that same lowering times x lowered
+        along its height, whether or not x takes a gradient.
         """
         if x.data.ndim != 4 or x.shape[0] == 0:
             raise ShapeError(f"conv2d needs a (T,C,H,W) input of at least one frame, "
@@ -575,17 +558,11 @@ class Graph:
             raise ShapeError(f"conv2d kernel must be 4-d, got {kernel.shape}")
         if bias.data.ndim != 1 or bias.shape[0] != kernel.shape[0]:
             raise ShapeError(f"conv2d bias shape {bias.shape} does not match kernel {kernel.shape}")
-        if pad < 0:
-            raise ShapeError(f"conv2d needs pad >= 0, got pad={pad}")
         t_n, cin, h, w = x.shape
         cout, kcin, kh, kw = kernel.shape
         if kcin != cin:
             raise ShapeError(f"conv2d: input has {cin} channels but kernel expects {kcin}")
-        hp, wp = h + 2 * pad, w + 2 * pad
-        if kh > hp or kw > wp:
-            raise ShapeError(
-                f"conv2d: kernel {kh}x{kw} does not fit input {h}x{w} padded by {pad}"
-            )
+        hp, wp = h + 2 * (kh - 1), w + 2 * (kw - 1)
         ho, wo = hp - kh + 1, wp - kw + 1
         if pool and min(ho, wo) < 2:
             raise ShapeError(f"conv2d: a 2x2 pool needs a map of at least 2x2, got {ho}x{wo}")
@@ -603,52 +580,42 @@ class Graph:
         # row i of the kernel as a (Cout x Cin*kw) slab
         kslabs = kd.transpose(2, 0, 1, 3).reshape(kh, cout, cin * kw)
         out_d = np.empty((t_n, cout) + ((ho // 2, wo // 2) if pool else (ho, wo)))
-        first = np.empty(out_d.shape, np.uint8) if pool and self.record else None
+        first = _tap_map(out_d.shape, (2, 2)) if pool and self.record else None
         for t0, t1 in blocks:
             xb = xp[:t1 - t0]
-            xb[:, :, pad:pad + h, pad:pad + w] = x.data[t0:t1]
+            xb[:, :, kh - 1:kh - 1 + h, kw - 1:kw - 1 + w] = x.data[t0:t1]
             cols = _lower(xb, kw, 3, cols_buf)
             row = (t1 - t0) * wo
             acc = _row_sum(kslabs, cols, row, ho * row, acc_buf, part_buf)
             acc += bias.data[:, None]
             y = acc.reshape(cout, ho, t1 - t0, wo).transpose(0, 2, 1, 3)  # (Cout, T, ho, wo)
             if pool:
-                best = _window_max(y, (2, 2))[0]
-                if first is not None:
-                    _first_taps(y, best, first[t0:t1].transpose(1, 0, 2, 3))
-                y = best
+                y = _window_max(y, (2, 2),
+                                None if first is None else first[t0:t1].transpose(1, 0, 2, 3))
             np.tanh(y, out=y)
             out_d[t0:t1] = y.transpose(1, 0, 2, 3)
         out = Tensor(out_d)
 
         def vjp(g):
-            d = out_d * out_d
-            np.subtract(1.0, d, out=d)
-            d *= g
-            if pool:  # each window's gradient to the tap that first held its max
-                d[first == 4] = 0.0  # a nan max passes nothing
-                g = np.zeros((t_n, cout, ho, wo))
-                for k, tap in enumerate(_window_taps(ho, wo, (2, 2))):
-                    np.multiply(first == k, d, out=g[tap])
-            else:
-                g = d
+            g = _tanh_grad(out_d, g)
+            if pool:
+                g[first == 4] = 0.0  # a nan max passes nothing
+                g = _scatter_taps(g, first, (t_n, cout, ho, wo), (2, 2))
             dbias = g.reshape(t_n, cout, ho * wo).sum(axis=(0, 2))
-            # gp is (T, Cout, h+kh-1, w+kw-1), and its width lowering has
-            # row (co, j) and column (r, t, x) holding gp[t, co, r, x+j]. dx
-            # sums, over kernel rows i, row i of the flipped kernel
-            # (Cin x Cout*kw) times the lowering's columns of rows y+i.
-            # dkernel is the lowering times x lowered along its height, x
-            # padded by kh-1 rows: row (ci, i) and column (r, t, x) then hold
-            # the x that kernel entry (i, kw-1-j) met at gp[t, co, r, x+j].
-            gp = _pad_or_crop(g, kh - 1 - pad, kw - 1 - pad)
+            # g's width lowering has row (co, j) and column (r, t, x) holding
+            # g[t, co, r, x+j]. dx sums, over kernel rows i, row i of the
+            # flipped kernel (Cin x Cout*kw) times the lowering's columns of
+            # rows y+i. dkernel is the lowering times x lowered along its
+            # height, x padded by kh-1 rows: row (ci, i) and column (r, t, x)
+            # then hold the x that kernel entry (i, kw-1-j) met at g[t, co, r, x+j].
             # a block counts dx's two accumulators whether or not x takes a
             # gradient, so dkernel's blocks, and its bits, do not depend on it
-            blocks = _frame_blocks(
-                t_n, ((cout * kw + cin * kh) * (h + kh - 1) + 2 * cin * h) * w * 8, even=True)
+            blocks = _frame_blocks(t_n, ((cout * kw + cin * kh) * ho + 2 * cin * h) * w * 8,
+                                   even=True)
             n_max = blocks[0][1]
-            gbuf = np.empty(cout * kw * (h + kh - 1) * n_max * w)
-            xbuf = np.empty(cin * kh * (h + kh - 1) * n_max * w)
-            xh = np.zeros((n_max, cin, h + 2 * (kh - 1), w))
+            gbuf = np.empty(cout * kw * ho * n_max * w)
+            xbuf = np.empty(cin * kh * ho * n_max * w)
+            xh = np.zeros((n_max, cin, hp, w))
             dk = np.zeros((cout * kw, cin * kh))
             dx = None
             if x.requires_grad:
@@ -656,7 +623,7 @@ class Graph:
                 dx = np.empty((t_n, cin, h, w))
                 acc_buf, part_buf = np.empty(cin * h * n_max * w), np.empty(cin * h * n_max * w)
             for t0, t1 in blocks:
-                gcols = _lower(gp[t0:t1], kw, 3, gbuf)
+                gcols = _lower(g[t0:t1], kw, 3, gbuf)
                 xb = xh[:t1 - t0]
                 xb[:, :, kh - 1:kh - 1 + h] = x.data[t0:t1]
                 dk += gcols @ _lower(xb, kh, 2, xbuf).T
@@ -673,23 +640,25 @@ class Graph:
     def maxpool2d(self, x: Tensor, window: tuple[int, int]) -> Tensor:
         """Max over the tiling windows of a (T,C,H,W) stack, stride equal to
         the window; rows and columns past the last whole window are dropped.
-        Ties go to the first cell in row-major scan (see _window_max). The
-        conv layers pool inside conv2d; this serves atpn_only's 2x2 head
-        (model.frame_reps) and max_pool's max over time (model.pool_pair).
+        A recorded graph keeps the tap map (_window_max), and the vjp sends
+        each window's gradient to the first cell in row-major scan that holds
+        its max (_scatter_taps). The conv layers pool inside conv2d; this
+        serves atpn_only's 2x2 head (model.frame_reps) and max_pool's max
+        over time (model.pool_pair).
         """
         wh, ww = window
         if min(wh, ww) < 1:
             raise ShapeError(f"maxpool2d needs a positive window, got {window}")
         if x.data.ndim != 4:
             raise ShapeError(f"maxpool2d needs a (T,C,H,W) input, got shape {x.shape}")
-        h, w = x.shape[2:]
+        t_n, c, h, w = x.shape
         if wh > h or ww > w:
             raise ShapeError(f"maxpool2d window {window} larger than input {h}x{w}")
-        best, back = _window_max(x.data, window)
-        out = Tensor(best)
+        first = _tap_map((t_n, c, h // wh, w // ww), window) if self.record else None
+        out = Tensor(_window_max(x.data, window, first))
 
         def vjp(g):
-            return (back(g),)
+            return (_scatter_taps(g, first, (t_n, c, h, w), window),)
 
         return self._push(out, (x,), vjp)
 
@@ -704,10 +673,12 @@ class Graph:
         (size, R) table of flat positions, each cell's column listing its
         positions row-major, padded with its last one; ties go to the first.
         On a map no smaller than the finest grid the cells nest, so each
-        coarser level is the 2x2 _window_max of the level before. The vjp
-        walks from the coarsest level down, adding each level's slice of g to
-        what the 2x2 max above hands back, then scatters onto the map in one
-        bincount over the finest level's first-max positions.
+        coarser level is the 2x2 _window_max of the level before, and a
+        recorded graph keeps each one's tap map. The vjp walks from the
+        coarsest level down, adding each level's slice of g to what the
+        level above scatters back through its tap map (_scatter_taps), then
+        scatters onto the map in one bincount over the finest level's
+        first-max positions.
         """
         if x.data.ndim != 4:
             raise ShapeError(f"region_maxpool needs a (T,C,H,W) input, got shape {x.shape}")
@@ -727,11 +698,10 @@ class Graph:
         table = (r0 + k // widths) * w + c0 + k % widths
         block = xb.reshape(t_n, c, h * w)[:, :, table]  # (T, C, size, R)
         vals = block.max(axis=2)
-        levels, backs = [vals.reshape(t_n, c, rows, cols)], []
-        for _ in bins[1:]:
-            best, back = _window_max(levels[-1], (2, 2))
-            levels.append(best)
-            backs.append(back)
+        levels, firsts = [vals.reshape(t_n, c, rows, cols)], []
+        for shape in bins[1:]:
+            firsts.append(_tap_map((t_n, c, *shape), (2, 2)) if self.record else None)
+            levels.append(_window_max(levels[-1], (2, 2), firsts[-1]))
         out = Tensor(np.concatenate([level.reshape(t_n, -1) for level in levels], axis=1))
         if not self.record:
             return out  # no vjp reads the first-max positions
@@ -742,10 +712,10 @@ class Graph:
         starts = np.cumsum([0] + [level[0].size for level in levels])
 
         def vjp(g):
-            grad = None
-            for i in reversed(range(len(levels))):
-                own = g[:, starts[i]:starts[i + 1]].reshape(levels[i].shape)
-                grad = own if grad is None else backs[i](grad) + own
+            grad = g[:, starts[-2]:].reshape(levels[-1].shape)
+            for i in reversed(range(len(firsts))):
+                grad = _scatter_taps(grad, firsts[i], levels[i].shape, (2, 2))
+                grad += g[:, starts[i]:starts[i + 1]].reshape(levels[i].shape)
             # one scatter; overlapping cells may share a position, so add
             dx = np.bincount(pos.ravel(), weights=grad.ravel(), minlength=xb.size)
             return (dx.reshape(t_n, c, h, w),)

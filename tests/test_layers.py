@@ -13,7 +13,6 @@ from astpn.datapipe import FRAME_CHANNELS
 from astpn.layers import (
     CONV_CHANNELS,
     CONV_KERNEL,
-    CONV_PAD,
     DEFAULT_BINS,
     POOL_WINDOW,
     RNN_OUTPUTS,
@@ -59,7 +58,7 @@ def test_conv_stack_shapes_for_standard_input(rng):
 
 
 def test_conv_stack_shape_chain_is_conv_pool_conv_pool_conv(rng):
-    # padding 4 grows each extent by 4 and pooling halves it with floor:
+    # a full 5x5 correlation grows each extent by 4 and pooling halves it with floor:
     # 128 -> 132 -> 66, 66 -> 70 -> 35, 35 -> 39, one conv2d node per layer
     g = Graph()
     conv_stack_forward(g, Tensor(rng.uniform(-1, 1, size=(1, 5, 128, 9))), *conv_weights(rng))
@@ -93,7 +92,7 @@ def conv_tanh_pool_reference(graph, frames, kernels, biases):
     layers, each of the first two followed by a maxpool2d."""
     h = frames
     for i in range(3):
-        h = graph.conv2d(h, kernels[i], biases[i], pad=CONV_PAD)
+        h = graph.conv2d(h, kernels[i], biases[i])
         if i < 2:
             h = graph.maxpool2d(h, POOL_WINDOW)
     return h
@@ -113,7 +112,7 @@ def test_conv_stack_pooling_before_tanh_keeps_the_values_of_pooling_after(rng):
         out = forward(g, Tensor(frames, requires_grad=False), kernels, biases)
         g.backward(out)
         results.append((out.data, [t.grad for t in kernels + biases]))
-    conv1 = Graph(record=False).conv2d(Tensor(frames), kernels[0], biases[0], pad=CONV_PAD)
+    conv1 = Graph(record=False).conv2d(Tensor(frames), kernels[0], biases[0])
     assert (conv1.data == 1.0).any()
     (ref_out, ref_grads), (out, grads) = results
     assert out.tobytes() == ref_out.tobytes()

@@ -358,13 +358,14 @@ def test_softmax_extreme_values_stay_finite():
 # ---- convolution ----
 
 
-def conv2d_reference(x, kernel, bias, pad):
-    """Direct-sum cross-correlation oracle, one output element at a time."""
+def conv2d_reference(x, kernel, bias):
+    """Direct-sum full cross-correlation oracle, one output element at a
+    time: the frame padded by kernel size - 1 zeros on each side."""
     cin, h, w = x.shape
     cout, _, kh, kw = kernel.shape
-    xp = np.zeros((cin, h + 2 * pad, w + 2 * pad))
-    xp[:, pad:pad + h, pad:pad + w] = x
-    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    xp = np.zeros((cin, h + 2 * (kh - 1), w + 2 * (kw - 1)))
+    xp[:, kh - 1:kh - 1 + h, kw - 1:kw - 1 + w] = x
+    ho, wo = h + kh - 1, w + kw - 1
     out = np.zeros((cout, ho, wo))
     for co in range(cout):
         for i in range(ho):
@@ -374,18 +375,18 @@ def conv2d_reference(x, kernel, bias, pad):
     return out
 
 
-def conv_layer_reference(x, kernel, bias, pad, pool):
+def conv_layer_reference(x, kernel, bias, pool):
     """The conv layer by its definition, frame by frame: the direct sum, its
     2x2 max with pool, then tanh; and the direct sum itself."""
-    pre = np.stack([conv2d_reference(f, kernel, bias, pad) for f in x])
+    pre = np.stack([conv2d_reference(f, kernel, bias) for f in x])
     pooled = np.stack([maxpool_reference(f, (2, 2)) for f in pre]) if pool else pre
     return np.tanh(pooled), pre
 
 
-def conv_correlation_grad(x, kernel, bias, pad, pool, g):
+def conv_correlation_grad(x, kernel, bias, pool, g):
     """The gradient the layer hands its correlation for an output gradient
     g: (1 - s^2) g, with pool sent to the first max cell of each window."""
-    s, pre = conv_layer_reference(x, kernel, bias, pad, pool)
+    s, pre = conv_layer_reference(x, kernel, bias, pool)
     d = (1.0 - s * s) * g
     return maxpool_grad_reference(pre, (2, 2), d) if pool else d
 
@@ -396,15 +397,15 @@ def small_kernel(rng, shape):
     return rng.standard_normal(shape) / math.sqrt(math.prod(shape[1:]))
 
 
-@pytest.mark.parametrize("h,w,pad", [(6, 5, 0), (6, 5, 2)])
-def test_conv2d_matches_direct_sum(rng, h, w, pad):
+@pytest.mark.parametrize("h,w,kh,kw", [(6, 5, 3, 3), (6, 5, 2, 4)])
+def test_conv2d_matches_direct_sum(rng, h, w, kh, kw):
     x = Tensor(rng.standard_normal((2, 3, h, w)))
-    kernel = Tensor(small_kernel(rng, (4, 3, 3, 3)))
+    kernel = Tensor(small_kernel(rng, (4, 3, kh, kw)))
     bias = Tensor(rng.standard_normal(4))
     for pool in (False, True):
-        expected, _ = conv_layer_reference(x.data, kernel.data, bias.data, pad, pool)
+        expected, _ = conv_layer_reference(x.data, kernel.data, bias.data, pool)
         for record in (True, False):
-            out = Graph(record=record).conv2d(x, kernel, bias, pad=pad, pool=pool)
+            out = Graph(record=record).conv2d(x, kernel, bias, pool=pool)
             assert out.shape == expected.shape
             np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
 
@@ -415,20 +416,20 @@ def test_conv2d_batched_equals_frame_by_frame(rng):
     bias = Tensor(rng.standard_normal(3))
     g = Graph()
     for pool in (False, True):
-        batched = g.conv2d(frames, kernel, bias, pad=1, pool=pool)
+        batched = g.conv2d(frames, kernel, bias, pool=pool)
         for t in range(4):
-            single = g.conv2d(Tensor(frames.data[t:t + 1]), kernel, bias, pad=1, pool=pool)
+            single = g.conv2d(Tensor(frames.data[t:t + 1]), kernel, bias, pool=pool)
             np.testing.assert_array_equal(batched.data[t], single.data[0])
 
 
-@pytest.mark.parametrize("extent,kernel,pad,expected", [(64, 5, 4, 68), (13, 5, 4, 17)])
-def test_conv2d_output_extent(rng, extent, kernel, pad, expected):
+@pytest.mark.parametrize("extent,kernel,expected", [(64, 5, 68), (13, 5, 17)])
+def test_conv2d_output_extent(rng, extent, kernel, expected):
     x = Tensor(rng.standard_normal((1, 1, extent, extent)))
     k = Tensor(rng.standard_normal((1, 1, kernel, kernel)))
     b = Tensor(np.zeros(1))
-    assert Graph().conv2d(x, k, b, pad=pad).shape == (1, 1, expected, expected)
+    assert Graph().conv2d(x, k, b).shape == (1, 1, expected, expected)
     # the pool halves each extent, dropping an odd last row and column
-    assert Graph().conv2d(x, k, b, pad=pad, pool=True).shape == (1, 1) + (expected // 2,) * 2
+    assert Graph().conv2d(x, k, b, pool=True).shape == (1, 1) + (expected // 2,) * 2
 
 
 def test_conv2d_gradient(rng):
@@ -436,7 +437,7 @@ def test_conv2d_gradient(rng):
     kernel = Tensor(small_kernel(rng, (3, 2, 3, 3)))
     bias = Tensor(rng.standard_normal(3))
     for pool in (False, True):
-        check_op_gradients(lambda g: g.conv2d(x, kernel, bias, pad=1, pool=pool),
+        check_op_gradients(lambda g: g.conv2d(x, kernel, bias, pool=pool),
                            [x, kernel, bias])
 
 
@@ -446,27 +447,25 @@ def test_conv2d_shape_errors(rng):
     k = Tensor(rng.standard_normal((4, 2, 3, 3)))  # wrong input channel count
     b = Tensor(np.zeros(4))
     with pytest.raises(ShapeError):
-        g.conv2d(x, k, b, pad=0)
+        g.conv2d(x, k, b)
     with pytest.raises(ShapeError):
-        g.conv2d(Tensor(x.data[0]), Tensor(np.zeros((4, 3, 3, 3))), b, pad=0)
+        g.conv2d(Tensor(x.data[0]), Tensor(np.zeros((4, 3, 3, 3))), b)
     with pytest.raises(ShapeError):
-        g.conv2d(x, Tensor(np.zeros((4, 3, 9, 9))), b, pad=0)  # kernel too big
-    with pytest.raises(ShapeError):
-        g.conv2d(x, Tensor(np.zeros((4, 3, 3, 3))), Tensor(np.zeros(5)), pad=0)
-    with pytest.raises(ShapeError, match="2x2 pool"):  # a 1x3 map has no 2x2 window
-        g.conv2d(x, Tensor(np.zeros((4, 3, 5, 3))), b, pad=0, pool=True)
+        g.conv2d(x, Tensor(np.zeros((4, 3, 3, 3))), Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError, match="2x2 pool"):  # a 1x7 map has no 2x2 window
+        g.conv2d(Tensor(x.data[:, :, :1]), Tensor(np.zeros((4, 3, 1, 3))), b, pool=True)
 
 
 @pytest.mark.parametrize("record", [True, False])
 def test_conv2d_rejects_a_stack_with_no_frames(record):
     kernel, bias = Tensor(np.zeros((4, 5, 3, 3))), Tensor(np.zeros(4))
     with pytest.raises(ShapeError, match="at least one frame"):
-        Graph(record=record).conv2d(Tensor(np.zeros((0, 5, 12, 8))), kernel, bias, pad=1)
+        Graph(record=record).conv2d(Tensor(np.zeros((0, 5, 12, 8))), kernel, bias)
 
 
-def conv_case(x_shape, k_shape, pad, seed, pool=False):
+def conv_case(x_shape, k_shape, seed, pool=False):
     """A conv2d problem from its shapes and a seed: (T,Cin,H,W) input,
-    kernel (small_kernel), bias, pad, pool, and fixed random weights for the
+    kernel (small_kernel), bias, pool, and fixed random weights for the
     output."""
     rng = np.random.default_rng(seed)
     t_n, _, h, w = x_shape
@@ -474,107 +473,103 @@ def conv_case(x_shape, k_shape, pad, seed, pool=False):
     x = rng.standard_normal(x_shape)
     kernel = small_kernel(rng, k_shape)
     bias = rng.standard_normal(cout)
-    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    ho, wo = h + kh - 1, w + kw - 1
     if pool:
         ho, wo = ho // 2, wo // 2
     weights = rng.standard_normal((t_n, cout, ho, wo))
-    return x, kernel, bias, pad, pool, weights
+    return x, kernel, bias, pool, weights
 
 
 @st.composite
-def conv_cases(draw, max_extent=7, max_pad=2, max_frames=3):
+def conv_cases(draw, max_extent=7, max_frames=3):
     """A random conv2d problem, as conv_case returns it; pooled where the
     correlation is at least 2x2."""
     cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    pad = draw(st.integers(0, max_pad))
-    h = draw(st.integers(max(1, kh - 2 * pad), max_extent))
-    w = draw(st.integers(max(1, kw - 2 * pad), max_extent))
+    h, w = draw(st.integers(1, max_extent)), draw(st.integers(1, max_extent))
     frames = draw(st.integers(1, max_frames))
-    can_pool = min(h + 2 * pad - kh, w + 2 * pad - kw) >= 1
+    can_pool = min(h + kh, w + kw) >= 3
     pool = draw(st.booleans()) if can_pool else False
-    return conv_case((frames, cin, h, w), (cout, cin, kh, kw), pad,
+    return conv_case((frames, cin, h, w), (cout, cin, kh, kw),
                      draw(st.integers(0, 2**32 - 1)), pool)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(conv_cases())
 def test_conv2d_property_matches_direct_sum(case):
-    x, kernel, bias, pad, pool, _ = case
-    expected, _ = conv_layer_reference(x, kernel, bias, pad, pool)
+    x, kernel, bias, pool, _ = case
+    expected, _ = conv_layer_reference(x, kernel, bias, pool)
     for record in (True, False):
-        out = Graph(record=record).conv2d(Tensor(x), Tensor(kernel), Tensor(bias), pad=pad,
-                                          pool=pool)
+        out = Graph(record=record).conv2d(Tensor(x), Tensor(kernel), Tensor(bias), pool=pool)
         np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(conv_cases(max_extent=5))
 def test_conv2d_property_gradient(case):
-    x, kernel, bias, pad, pool, weights = case
+    x, kernel, bias, pool, weights = case
     tensors = [Tensor(x), Tensor(kernel), Tensor(bias)]
-    check_op_gradients(lambda g: g.conv2d(*tensors, pad=pad, pool=pool), tensors, weights)
+    check_op_gradients(lambda g: g.conv2d(*tensors, pool=pool), tensors, weights)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(conv_cases())
 def test_conv2d_property_constant_input_gets_no_gradient(case):
-    x, kernel, bias, pad, pool, weights = case
+    x, kernel, bias, pool, weights = case
     grads = []
     for requires_grad in (True, False):
         xt, kt, bt = Tensor(x, requires_grad=requires_grad), Tensor(kernel), Tensor(bias)
         g = SeededGraph(weights)
-        g.backward(g.conv2d(xt, kt, bt, pad=pad, pool=pool))
+        g.backward(g.conv2d(xt, kt, bt, pool=pool))
         assert (xt.grad is not None) == requires_grad
         grads.append((kt.grad, bt.grad))
     for with_x, without_x in zip(*grads):
         np.testing.assert_array_equal(with_x, without_x)
 
 
-def conv2d_dx_reference(g, kernel, x_shape, pad):
+def conv2d_dx_reference(g, kernel, x_shape):
     """Input gradient of the correlation by direct sum: every output
     position adds g times the kernel into the padded input window it read."""
     t_n, cin, h, w = x_shape
     _, _, kh, kw = kernel.shape
-    dxp = np.zeros((t_n, cin, h + 2 * pad, w + 2 * pad))
+    dxp = np.zeros((t_n, cin, h + 2 * (kh - 1), w + 2 * (kw - 1)))
     for t in range(t_n):
         for i in range(g.shape[2]):
             for j in range(g.shape[3]):
                 window = (t, slice(None), slice(i, i + kh), slice(j, j + kw))
                 dxp[window] += np.tensordot(g[t, :, i, j], kernel, axes=1)
-    return dxp[:, :, pad:pad + h, pad:pad + w]
+    return dxp[:, :, kh - 1:kh - 1 + h, kw - 1:kw - 1 + w]
 
 
 def conv_layer_grads(case):
     """Forward output and the gradients of x and kernel for a case, on one
     recorded graph."""
-    x, kernel, bias, pad, pool, weights = case
+    x, kernel, bias, pool, weights = case
     xt, kt = Tensor(x), Tensor(kernel)
     g = SeededGraph(weights)
-    g.backward(g.conv2d(xt, kt, Tensor(bias), pad=pad, pool=pool))
+    g.backward(g.conv2d(xt, kt, Tensor(bias), pool=pool))
     return xt.grad, kt.grad
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(conv_cases(max_extent=9, max_pad=5))
-@example(conv_case((2, 3, 8, 6), (2, 3, 5, 5), 4, 0, True))  # the model's: g read unpadded
-@example(conv_case((1, 2, 4, 5), (2, 2, 5, 2), 2, 1))  # g padded in height, cropped in width
-@example(conv_case((1, 2, 3, 4), (2, 2, 2, 3), 3, 2))  # pad past the kernel: g cropped
+@given(conv_cases(max_extent=9))
+@example(conv_case((2, 3, 8, 6), (2, 3, 5, 5), 0, True))  # the model's 5x5 kernel, pooled
+@example(conv_case((1, 2, 4, 5), (2, 2, 5, 2), 1))  # a kernel taller than the frame
 def test_conv2d_dx_matches_direct_sum(case):
-    x, kernel, bias, pad, pool, weights = case
-    seed = conv_correlation_grad(x, kernel, bias, pad, pool, weights)
+    x, kernel, bias, pool, weights = case
+    seed = conv_correlation_grad(x, kernel, bias, pool, weights)
     np.testing.assert_allclose(conv_layer_grads(case)[0],
-                               conv2d_dx_reference(seed, kernel, x.shape, pad),
+                               conv2d_dx_reference(seed, kernel, x.shape),
                                rtol=0, atol=1e-12)
 
 
-def conv2d_dkernel_reference(g, x, k_shape, pad):
+def conv2d_dkernel_reference(g, x, k_shape):
     """Kernel gradient of the correlation by direct sum: every output
     position adds g times the padded input window it read."""
     t_n, cin, h, w = x.shape
     _, _, kh, kw = k_shape
-    xp = np.zeros((t_n, cin, h + 2 * pad, w + 2 * pad))
-    xp[:, :, pad:pad + h, pad:pad + w] = x
+    xp = np.zeros((t_n, cin, h + 2 * (kh - 1), w + 2 * (kw - 1)))
+    xp[:, :, kh - 1:kh - 1 + h, kw - 1:kw - 1 + w] = x
     dkernel = np.zeros(k_shape)
     for t in range(t_n):
         for i in range(g.shape[2]):
@@ -584,24 +579,23 @@ def conv2d_dkernel_reference(g, x, k_shape, pad):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(conv_cases(max_extent=9, max_pad=5))
-@example(conv_case((2, 3, 8, 6), (2, 3, 5, 5), 4, 0, True))  # the model's: g read unpadded
-@example(conv_case((1, 2, 4, 5), (2, 2, 5, 2), 2, 1))  # g padded in height, cropped in width
-@example(conv_case((1, 2, 3, 4), (2, 2, 2, 3), 3, 2))  # pad past the kernel: g cropped
+@given(conv_cases(max_extent=9))
+@example(conv_case((2, 3, 8, 6), (2, 3, 5, 5), 0, True))  # the model's 5x5 kernel, pooled
+@example(conv_case((1, 2, 4, 5), (2, 2, 5, 2), 1))  # a kernel taller than the frame
 def test_conv2d_dkernel_matches_direct_sum(case):
-    x, kernel, bias, pad, pool, weights = case
-    seed = conv_correlation_grad(x, kernel, bias, pad, pool, weights)
+    x, kernel, bias, pool, weights = case
+    seed = conv_correlation_grad(x, kernel, bias, pool, weights)
     np.testing.assert_allclose(conv_layer_grads(case)[1],
-                               conv2d_dkernel_reference(seed, x, kernel.shape, pad),
+                               conv2d_dkernel_reference(seed, x, kernel.shape),
                                rtol=0, atol=1e-12)
 
 
 def conv2d_results(case):
     """Forward output and the gradients of x, kernel and bias for a case."""
-    x, kernel, bias, pad, pool, weights = case
+    x, kernel, bias, pool, weights = case
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
     g = SeededGraph(weights)
-    out = g.conv2d(xt, kt, bt, pad=pad, pool=pool)
+    out = g.conv2d(xt, kt, bt, pool=pool)
     g.backward(out)
     return out.data, xt.grad, kt.grad, bt.grad
 
@@ -609,11 +603,11 @@ def conv2d_results(case):
 def forward_frame_bytes(case):
     """Bytes per frame of the forward: x's width lowering, which spans the
     padded height, and its two accumulators."""
-    x, kernel, _, pad, _, _ = case
+    x, kernel = case[:2]
     cout, cin, kh, kw = kernel.shape
     _, _, h, w = x.shape
-    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    return (cin * kw * (h + 2 * pad) + 2 * cout * ho) * wo * 8
+    ho, wo = h + kh - 1, w + kw - 1
+    return (cin * kw * (ho + kh - 1) + 2 * cout * ho) * wo * 8
 
 
 def backward_frame_bytes(case):
@@ -637,9 +631,9 @@ def assert_close_to_rounding(actual, expected):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(conv_cases(max_extent=9, max_pad=5, max_frames=5), st.integers(1, 2))
-@example(conv_case((5, 2, 8, 8), (3, 2, 3, 3), 1, 3), 1)
-@example(conv_case((4, 3, 9, 7), (2, 3, 2, 3), 5, 4, True), 2)
+@given(conv_cases(max_extent=9, max_frames=5), st.integers(1, 2))
+@example(conv_case((5, 2, 8, 8), (3, 2, 3, 3), 3), 1)
+@example(conv_case((4, 3, 9, 7), (2, 3, 2, 3), 4, True), 2)
 def test_conv2d_frame_blocks_match_one_block(case, frames_per_block):
     one_block = conv2d_results(case)
     with pytest.MonkeyPatch.context() as mp:
@@ -665,13 +659,13 @@ def closure_arrays(fn):
 
 
 def test_conv2d_vjp_keeps_no_lowered_buffer(monkeypatch):
-    case = conv_case((6, 2, 9, 7), (3, 2, 3, 3), 1, 5)
+    case = conv_case((6, 2, 9, 7), (3, 2, 3, 3), 5)
     one_block = conv2d_results(case)
-    x, kernel, bias, pad, pool, weights = case
+    x, kernel, bias, pool, weights = case
     monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 2 * frame_bytes(case))
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
     g = SeededGraph(weights)
-    out = g.conv2d(xt, kt, bt, pad=pad, pool=pool)
+    out = g.conv2d(xt, kt, bt, pool=pool)
     kept = closure_arrays(g._tape[-1].vjp)
     assert sorted(map(id, kept)) == sorted((id(kt.data), id(out.data)))
     g.backward(out)
@@ -681,13 +675,13 @@ def test_conv2d_vjp_keeps_no_lowered_buffer(monkeypatch):
 
 def test_pooled_conv2d_vjp_keeps_no_full_resolution_map(monkeypatch):
     # the model's conv1 at 16x8 crops: its 20x12 correlation pools to 10x6
-    case = conv_case((4, 5, 16, 8), (16, 5, 5, 5), 4, 6, True)
+    case = conv_case((4, 5, 16, 8), (16, 5, 5, 5), 6, True)
     one_block = conv2d_results(case)
-    x, kernel, bias, pad, pool, weights = case
+    x, kernel, bias, pool, weights = case
     monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", forward_frame_bytes(case))
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
     g = SeededGraph(weights)
-    out = g.conv2d(xt, kt, bt, pad=pad, pool=pool)
+    out = g.conv2d(xt, kt, bt, pool=pool)
     assert out.shape == (4, 16, 10, 6)
     kept = closure_arrays(g._tape[-1].vjp)
     taps = [a for a in kept if a is not kt.data and a is not out.data]
@@ -704,7 +698,7 @@ def one_by_one_layer(x):
     correlation got from an output gradient of ones: x.grad itself."""
     xt = Tensor(x)
     g = SeededGraph()
-    out = g.conv2d(xt, Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1)), pad=0, pool=True)
+    out = g.conv2d(xt, Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1)), pool=True)
     g.backward(out)
     return out.data, xt.grad
 
@@ -729,10 +723,10 @@ def test_pooled_conv2d_nan_max_passes_no_gradient():
 
 
 def test_conv2d_blocks_share_one_column_buffer_per_direction(monkeypatch):
-    case = conv_case((7, 2, 9, 7), (3, 2, 3, 3), 1, 5)
+    case = conv_case((7, 2, 9, 7), (3, 2, 3, 3), 5)
     one_block = conv2d_results(case)
-    x, kernel, bias, pad, pool, weights = case
-    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 2 * backward_frame_bytes(case))
+    x, kernel, bias, pool, weights = case
+    monkeypatch.setattr(tensor, "CONV_BLOCK_BYTES", 3 * forward_frame_bytes(case))
     lower, lowered = tensor._lower, []
 
     def recording(a, k, axis, buf):
@@ -742,7 +736,7 @@ def test_conv2d_blocks_share_one_column_buffer_per_direction(monkeypatch):
     monkeypatch.setattr(tensor, "_lower", recording)
     xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(bias)
     g = SeededGraph(weights)
-    out = g.conv2d(xt, kt, bt, pad=pad, pool=pool)
+    out = g.conv2d(xt, kt, bt, pool=pool)
     cols = [c for _, c in lowered]
     lowered.clear()
     g.backward(out)
@@ -763,7 +757,7 @@ def test_conv2d_blocks_share_one_column_buffer_per_direction(monkeypatch):
 
 def test_conv2d_block_rule_at_eval_shapes(monkeypatch):
     # eval's conv1 at 64x32 crops: 16 frames of 5 channels, a 5x5 kernel to
-    # 16 channels, pad 4; a frame's width lowering is 25 x 72*36 floats
+    # 16 channels; a frame's width lowering is 25 x 72*36 floats
     # (0.52 MB) and its two accumulators 16 x 68*36 floats each (0.31 MB)
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((16, 5, 64, 32)), requires_grad=False)
@@ -781,7 +775,7 @@ def test_conv2d_block_rule_at_eval_shapes(monkeypatch):
         lowered.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensor, "CONV_BLOCK_BYTES", block_bytes)
-            out = Graph(record=record).conv2d(x, kernel, bias, pad=4, pool=pool)
+            out = Graph(record=record).conv2d(x, kernel, bias, pool=pool)
             return out.data, list(lowered)
 
     lowering_bytes = 25 * 72 * 36 * 8
@@ -957,6 +951,52 @@ def test_maxpool2d_property_matches_window_loop(case):
     np.testing.assert_array_equal(xt.grad, maxpool_grad_reference(x, window, weights))
 
 
+def first_tap_reference(x, window, g):
+    """Max pooling and its gradient by a loop over windows: each window's g
+    goes to the first cell in row-major scan that equals its max; a window
+    holding a nan has a nan max, which no cell equals."""
+    wh, ww = window
+    out, dx = np.zeros(g.shape), np.zeros_like(x)
+    for t, c, i, j in np.ndindex(g.shape):
+        win = x[t, c, i * wh:(i + 1) * wh, j * ww:(j + 1) * ww]
+        out[t, c, i, j] = win.max()
+        held = np.flatnonzero(win == win.max())
+        if held.size:
+            a, b = np.unravel_index(held[0], win.shape)
+            dx[t, c, i * wh + a, j * ww + b] = g[t, c, i, j]
+    return out, dx
+
+
+def first_max_past_255(rng):
+    # max_pool's max over 300 frames: the first max sits past frame 255 in
+    # every column but the last, and ties a later frame in the middle two
+    x = rng.integers(-3, 3, size=(1, 1, 300, 4)).astype(float)
+    for col, frames in enumerate([(299,), (260, 280), (256, 257), (0, 270)]):
+        x[0, 0, list(frames), col] = 5.0
+    return x, (300, 1)
+
+
+def nan_in_a_window(rng):
+    x = rng.standard_normal((1, 2, 4, 4))
+    x[0, 1, 2, 1] = np.nan
+    return x, (2, 2)
+
+
+@pytest.mark.parametrize("make", [first_max_past_255, nan_in_a_window],
+                         ids=["300-taps", "nan"])
+def test_maxpool2d_first_tap_takes_the_gradient(rng, make):
+    x, window = make(rng)
+    weights = rng.standard_normal((x.shape[0], x.shape[1], x.shape[2] // window[0],
+                                   x.shape[3] // window[1]))
+    xt = Tensor(x)
+    g = SeededGraph(weights)
+    out = g.maxpool2d(xt, window)
+    g.backward(out)
+    expected_out, expected_dx = first_tap_reference(x, window, weights)
+    np.testing.assert_array_equal(out.data, expected_out)
+    np.testing.assert_array_equal(xt.grad, expected_dx)
+
+
 def test_maxpool2d_window_larger_than_input(rng):
     with pytest.raises(ShapeError):
         Graph().maxpool2d(Tensor(rng.standard_normal((1, 1, 2, 2))), (3, 3))
@@ -1055,12 +1095,13 @@ class ParentOps(SeededGraph):
     tanh, concat, a max over explicit regions (r0, r1, c0, c1), half-open,
     and the correlation alone."""
 
-    def correlate(self, x, kernel, bias, pad):
-        """conv2d before it pooled and tanh'd, in the same blocks and GEMMs."""
+    def correlate(self, x, kernel, bias):
+        """conv2d before it pooled and tanh'd, in the same blocks and GEMMs,
+        at the model's 5x5 kernels and padding 4."""
         t_n, cin, h, w = x.shape
         cout, _, kh, kw = kernel.shape
         kd = kernel.data
-        hp, wp = h + 2 * pad, w + 2 * pad
+        hp, wp = h + 8, w + 8
         ho, wo = hp - kh + 1, wp - kw + 1
         blocks = tensor._frame_blocks(t_n, (cin * kw * hp + 2 * cout * ho) * wo * 8)
         xp = np.zeros((blocks[0][1], cin, hp, wp))
@@ -1070,7 +1111,7 @@ class ParentOps(SeededGraph):
         out = np.empty((t_n, cout, ho, wo))
         for t0, t1 in blocks:
             xb = xp[:t1 - t0]
-            xb[:, :, pad:pad + h, pad:pad + w] = x.data[t0:t1]
+            xb[:, :, 4:4 + h, 4:4 + w] = x.data[t0:t1]
             cols = tensor._lower(xb, kw, 3, cols_buf)
             row = (t1 - t0) * wo
             acc = tensor._row_sum(kslabs, cols, row, ho * row, acc_buf, part_buf)
@@ -1078,8 +1119,8 @@ class ParentOps(SeededGraph):
             out[t0:t1] = acc.reshape(cout, ho, t1 - t0, wo).transpose(2, 0, 1, 3)
 
         def vjp(g):
+            # padding 4 is the 5x5 kernel's size - 1: dx correlates g itself
             dbias = g.reshape(t_n, cout, ho * wo).sum(axis=(0, 2))
-            gp = tensor._pad_or_crop(g, kh - 1 - pad, kw - 1 - pad)
             blocks = tensor._frame_blocks(
                 t_n, ((cout * kw + cin * kh) * (h + kh - 1) + 2 * cin * h) * w * 8, even=True)
             n_max = blocks[0][1]
@@ -1093,7 +1134,7 @@ class ParentOps(SeededGraph):
                 dx = np.empty((t_n, cin, h, w))
                 acc_buf, part_buf = np.empty(cin * h * n_max * w), np.empty(cin * h * n_max * w)
             for t0, t1 in blocks:
-                gcols = tensor._lower(gp[t0:t1], kw, 3, gbuf)
+                gcols = tensor._lower(g[t0:t1], kw, 3, gbuf)
                 xb = xh[:t1 - t0]
                 xb[:, :, kh - 1:kh - 1 + h] = x.data[t0:t1]
                 dk += gcols @ tensor._lower(xb, kh, 2, xbuf).T
@@ -1204,7 +1245,7 @@ def conv_stack_composition(graph, x, *weights):
     """The conv stack as three ops per layer built it: correlate, a 2x2
     maxpool2d in the first two layers, tanh."""
     for i in range(3):
-        x = graph.correlate(x, weights[2 * i], weights[2 * i + 1], pad=4)
+        x = graph.correlate(x, weights[2 * i], weights[2 * i + 1])
         if i < 2:
             x = graph.maxpool2d(x, (2, 2))
         x = graph.tanh(x)
