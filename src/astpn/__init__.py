@@ -42,7 +42,6 @@ from .evalkit import (
     CmcCurve,
     cmc_from_features,
     compute_cmc,
-    cross_dataset_eval,
     emit_report,
     rank_gallery,
 )

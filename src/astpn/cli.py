@@ -36,13 +36,7 @@ from .datapipe import (
     write_atomic,
     write_split_files,
 )
-from .evalkit import (
-    REPORT_RANKS,
-    compute_cmc,
-    cross_dataset_eval,
-    emit_report,
-    eval_sequence,
-)
+from .evalkit import REPORT_RANKS, CmcCurve, compute_cmc, emit_report, eval_sequence
 from .gradcheck import run_gradcheck
 from .layers import RNN_OUTPUTS
 from .model import (
@@ -294,35 +288,31 @@ def _load_checked(cfg: RunConfig, command: str, root):
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    params, index, usable = _load_checked(cfg, "eval", cfg.cross_dataset or cfg.data_root)
+    root = cfg.cross_dataset or cfg.data_root
+    params, index, usable = _load_checked(cfg, "eval", root)
     out_dir = Path(cfg.out)
     write_resolved_config(cfg, out_dir)
-    loss_cfg = cfg.loss_config()
-    eval_k = 1 if cfg.single_shot else None
-    stamp = time.strftime("%Y%m%d-%H%M%S")
     meta = {"config_hash": config_hash(cfg), "seed": cfg.seed}
-
     if cfg.cross_dataset:
-        curve = cross_dataset_eval(index, usable, params, loss_cfg, fraction=cfg.fraction,
-                                   seed=cfg.seed, eval_k=eval_k)
-        curves = [curve]
-        meta.update(fraction=cfg.fraction, n_identities=curve.n_probes, source=cfg.cross_dataset)
-        dataset_name = Path(cfg.cross_dataset).name or "dataset"
+        # one pass over a seeded share of the other set's identities, at least one
+        n_eval = max(1, round(cfg.fraction * len(usable)))
+        chosen = np.random.default_rng(cfg.seed).choice(len(usable), size=n_eval, replace=False)
+        passes = [[usable[i] for i in sorted(chosen)]]
+        meta.update(fraction=cfg.fraction, n_identities=n_eval, source=cfg.cross_dataset)
     else:
-        curves = []
-        features = {}  # every trial draws its test identities from one index
-        for trial in range(cfg.trials):
-            split = make_split(usable, cfg.seed, trial, cfg.split_mode)
-            curves.append(compute_cmc(index, split.test, params, loss_cfg,
-                                      eval_k=eval_k, seed=cfg.seed, features=features))
-        dataset_name = Path(cfg.data_root).name or "dataset"
+        passes = [make_split(usable, cfg.seed, trial, cfg.split_mode).test
+                  for trial in range(cfg.trials)]
+    features = {}  # every pass draws its identities from one index
+    curves = [compute_cmc(index, ids, params, cfg.loss_config(),
+                          eval_k=1 if cfg.single_shot else None, seed=cfg.seed,
+                          features=features) for ids in passes]
 
-    base = out_dir / f"cmc_{dataset_name}_{cfg.variant}_{stamp}"
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    base = out_dir / f"cmc_{Path(root).name or 'dataset'}_{cfg.variant}_{stamp}"
     csv_path, json_path = emit_report(curves, base, meta=meta)
-    table = np.stack([c.values for c in curves])
-    means = table.mean(axis=0)
+    mean = CmcCurve(np.mean([c.values for c in curves], axis=0), sum(c.n_probes for c in curves))
     for r in REPORT_RANKS:
-        print(f"rank-{r}: {means[min(r, len(means)) - 1]:.4f}")
+        print(f"rank-{r}: {mean.rank(r):.4f}")
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 

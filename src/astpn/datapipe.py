@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import _at_once, _usable_cpus
+from .tensor import _at_once, _cpu_runs
 
 FLOW_MAX_PX = 8.0
 FLOW_WINDOW_RADIUS = 2  # 5x5 uniform window
@@ -447,21 +447,16 @@ def preprocess_dataset(raws: list[RawSequence]) -> list[SequenceSample]:
     """Every raw sequence as a SequenceSample, in input order: its uint8
     frames plus the statistics of its YUV channels. No flow runs here.
 
-    One worker runs per CPU the process may use, never more than there are
-    sequences; worker k takes sequences k, k+n, ... (see tensor._at_once).
-    The result is bitwise equal to one thread's.
+    The sequences are cut into one contiguous run per CPU the process may
+    use, never more runs than sequences (tensor._cpu_runs), and the runs go
+    through their workers at the same time (tensor._at_once). The result is
+    bitwise equal to one thread's.
     """
-    if not raws:
-        return []
-    samples = [None] * len(raws)
-    n = min(_usable_cpus(), len(raws))
+    def work(run: slice) -> list[SequenceSample]:
+        return [_sample(raw) for raw in raws[run]]
 
-    def work(k: int) -> None:
-        for i in range(k, len(raws), n):
-            samples[i] = _sample(raws[i])
-
-    _at_once([functools.partial(work, k) for k in range(n)])
-    return samples
+    parts = _at_once([functools.partial(work, run) for run in _cpu_runs(len(raws))])
+    return [sample for part in parts for sample in part]
 
 
 def by_identity(samples: list[SequenceSample]) -> dict[str, dict[str, SequenceSample]]:

@@ -86,7 +86,9 @@ def eval_sequence(sample: SequenceSample, eval_k: int | None) -> SequenceView:
 def compute_cmc(index: dict[str, dict[str, SequenceSample]], test_ids, params: AstpnParams,
                 cfg: LossConfig, eval_k: int | None = None, seed: int = 0,
                 features: dict | None = None) -> CmcCurve:
-    """Evaluate one probe-vs-gallery pass over the given identities.
+    """Evaluate one probe-vs-gallery pass over the given identities: in
+    `astpn eval`, one trial's test identities, or the seeded share of another
+    set's identities that --cross-dataset scores.
 
     The lexicographically first camera of each identity is the probe view and
     the second the gallery view; identities with more than two cameras get a
@@ -120,27 +122,6 @@ def compute_cmc(index: dict[str, dict[str, SequenceSample]], test_ids, params: A
     return cmc_from_features(probe_feats, ids, gallery_feats, ids)
 
 
-def cross_dataset_eval(index: dict[str, dict[str, SequenceSample]], usable,
-                       params: AstpnParams, cfg: LossConfig, fraction: float = 0.5,
-                       seed: int = 0, eval_k: int | None = None) -> CmcCurve:
-    """Evaluate trained params on a seeded subset of another dataset.
-
-    index and usable (its identities seen by two or more cameras) come from
-    that dataset; fraction of the usable identities, at least one, are drawn
-    with the given seed.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    usable = sorted(usable)
-    if not usable:
-        raise DatasetError("no identities with two cameras")
-    n_eval = max(1, round(fraction * len(usable)))
-    rng = np.random.default_rng(seed)
-    chosen = sorted(rng.choice(len(usable), size=n_eval, replace=False).tolist())
-    ids = [usable[i] for i in chosen]
-    return compute_cmc(index, ids, params, cfg, eval_k=eval_k, seed=seed)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -158,7 +139,7 @@ def emit_report(curves: list[CmcCurve], base_path, meta: dict | None = None) -> 
     if len(lengths) != 1:
         raise ValueError(f"curves have mismatched lengths {sorted(lengths)}")
     table = np.stack([c.values for c in curves])
-    means = table.mean(axis=0)
+    mean = CmcCurve(table.mean(axis=0), sum(c.n_probes for c in curves))
     stds = table.std(axis=0)
     base = Path(base_path)
     make_dir(base.parent)
@@ -167,15 +148,13 @@ def emit_report(curves: list[CmcCurve], base_path, meta: dict | None = None) -> 
     header = "rank,mean,std," + ",".join(f"trial_{i + 1}" for i in range(len(curves)))
     lines = [header]
     for r in range(table.shape[1]):
-        cells = [str(r + 1), _fmt(means[r]), _fmt(stds[r])]
+        cells = [str(r + 1), _fmt(mean.values[r]), _fmt(stds[r])]
         cells += [_fmt(table[t, r]) for t in range(table.shape[0])]
         lines.append(",".join(cells))
     write_atomic(csv_path, "\n".join(lines) + "\n")
 
     summary = {
-        "rank_means": {
-            str(r): means[min(r, len(means)) - 1] for r in REPORT_RANKS
-        },
+        "rank_means": {str(r): mean.rank(r) for r in REPORT_RANKS},
         "n_trials": len(curves),
         "n_probes": [c.n_probes for c in curves],
         "gallery_size": int(table.shape[1]),

@@ -23,7 +23,7 @@ from .layers import (
     spp_forward,
     uniform_init,
 )
-from .tensor import Graph, Tensor, _one_blas_thread, _usable_cpus, check_bins
+from .tensor import Graph, Tensor, _one_blas_thread, _cpu_runs, check_bins
 
 VARIANTS = ("astpn", "atpn_only", "aspn_only", "mean_pool", "max_pool")
 
@@ -242,22 +242,20 @@ def extract_feature(seq, params: AstpnParams, cfg: LossConfig) -> np.ndarray:
     seq is a datapipe.SequenceView, or anything else with n_frames and a
     channels(run) that gives the (len, C, H, W) float stack of the frames in
     run. Its frames are cut into one contiguous run per CPU the process may
-    use, never more runs than frames (a sequence with none is one empty
-    run, which Graph.conv2d refuses), and the runs go through frame_reps as
-    the branches of one unrecorded graph (Graph.branches), at the same time,
-    each built by the worker that featurises it. Their rows are joined in
-    frame order; the recurrence and the pooling then run on the calling
-    thread, and no built channels outlive the call. The whole call runs
-    OpenBLAS at one thread, so the feature is bitwise the same whatever the
-    caller's BLAS thread count and CPU count.
+    use, never more runs than frames (tensor._cpu_runs; a sequence with none
+    is one empty run, which Graph.conv2d refuses), and the runs go through
+    frame_reps as the branches of one unrecorded graph (Graph.branches), at
+    the same time, each built by the worker that featurises it. Their rows
+    are joined in frame order; the recurrence and the pooling then run on
+    the calling thread, and no built channels outlive the call. The whole
+    call runs OpenBLAS at one thread, so the feature is bitwise the same
+    whatever the caller's BLAS thread count and CPU count.
     """
-    n = max(1, min(_usable_cpus(), seq.n_frames))
-    cuts = [seq.n_frames * k // n for k in range(n + 1)]
     graph = Graph(record=False)
     with _one_blas_thread():
         parts = graph.branches(
             lambda branch, run: frame_reps(branch, seq.channels(run), params, cfg),
-            [slice(t0, t1) for t0, t1 in zip(cuts, cuts[1:])])
+            _cpu_runs(seq.n_frames))
         reps = Tensor(np.concatenate([part.data for part in parts]), requires_grad=False)
         rows = rnn_forward(graph, reps, params["rnn.u_in"], params["rnn.w_rec"], cfg.rnn_output)
         v_p, _ = pool_pair(graph, rows, rows, params, cfg)

@@ -83,13 +83,17 @@ def _one_blas_thread():
         put(before)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where the platform
-    has one."""
+def _cpu_runs(n: int) -> list[slice]:
+    """range(n) cut into contiguous runs in order, one per CPU this process
+    may run on (its affinity mask, where the platform has one), never more
+    runs than items and never none: zero items make one empty run."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    runs = max(1, min(cpus, n))
+    cuts = [n * k // runs for k in range(runs + 1)]
+    return [slice(t0, t1) for t0, t1 in zip(cuts, cuts[1:])]
 
 
 def _at_once(calls: list) -> list:

@@ -70,6 +70,16 @@ def trained_run(cli_data, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def hard_data(tmp_path_factory):
+    """8 identities of which one frame in eight shows the identity, so the
+    trained_run checkpoint ranks some true matches below rank 1."""
+    root = tmp_path_factory.mktemp("cli") / "hard"
+    assert main(["synth", str(root), "--ids", "8", "--frames", "8", "--seed", "0",
+                 "--signal-frames", "1"]) == EXIT_OK
+    return root
+
+
 # ---- synth ----
 
 
@@ -523,6 +533,39 @@ def test_eval_cross_dataset_mode(trained_run, tmp_path):
     assert (summary["seed"], summary["fraction"], summary["n_identities"]) == (0, 0.5, 3)
     assert summary["source"] == str(foreign)
     assert summary["n_probes"] == [3]
+
+
+def test_eval_cross_dataset_scores_a_seeded_share_of_the_identities(hard_data, trained_run,
+                                                                     tmp_path):
+    def report(out, *flags):
+        code = main(["eval", "--out", str(tmp_path / out), "--feature-dim", "16",
+                     "--checkpoint", str(trained_run / "checkpoint.astp"), "--seed", "3",
+                     *flags])
+        assert code == EXIT_OK
+        summary = json.loads(next((tmp_path / out).glob("cmc_hard_*.json")).read_text())
+        return next((tmp_path / out).glob("cmc_hard_*.csv")).read_bytes(), summary["n_probes"]
+
+    # every identity, drawn as a cross-dataset share, is the one trial of --split-mode all
+    whole = report("whole", "--cross-dataset", str(hard_data), "--fraction", "1.0")
+    assert whole == report("trial", "--data-root", str(hard_data), "--split-mode", "all",
+                           "--trials", "1")
+    assert whole[1] == [8] and not whole[0].startswith(b"rank,mean,std,trial_1\n1,1,")
+    half = report("half", "--cross-dataset", str(hard_data), "--fraction", "0.5")
+    assert half[1] == [round(0.5 * 8)]
+    assert half == report("again", "--cross-dataset", str(hard_data), "--fraction", "0.5")
+
+
+def test_eval_prints_the_rank_means_of_its_report(hard_data, trained_run, tmp_path, capsys):
+    out = tmp_path / "eval"
+    # three trials over 4 test identities each: rank-10 and rank-20 clamp to rank-4
+    code = main(["eval", "--data-root", str(hard_data), "--out", str(out),
+                 "--checkpoint", str(trained_run / "checkpoint.astp"), "--feature-dim", "16",
+                 "--trials", "3", "--split-mode", "half", "--seed", "2"])
+    assert code == EXIT_OK
+    summary = json.loads(next(out.glob("cmc_*.json")).read_text())
+    assert summary["gallery_size"] == 4 and 0 < summary["rank_means"]["1"] < 1
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("rank-")]
+    assert printed == [f"rank-{r}: {summary['rank_means'][str(r)]:.4f}" for r in (1, 5, 10, 20)]
 
 
 def test_eval_cross_dataset_frame_size_is_data_error(tmp_path):

@@ -41,6 +41,7 @@ from astpn.datapipe import (
 )
 from astpn.evalkit import eval_sequence
 from astpn.model import LossConfig, extract_feature, init_params
+from astpn.tensor import _cpu_runs
 
 
 # ---- reference implementations: the straightforward forms that the
@@ -447,6 +448,24 @@ def test_preprocess_dataset_on_one_cpu_starts_no_thread(monkeypatch, fake_cpus, 
     samples = preprocess_dataset(raws)
     assert ([eval_sequence(s, None).channels().tobytes() for s in samples]
             == [ref_view(r, slice(None), 4, 4, False).tobytes() for r in raws])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_cpu_runs_cut_items_into_one_contiguous_run_per_cpu(monkeypatch, fake_cpus, n, cpus):
+    fake_cpus(cpus)
+    runs = _cpu_runs(n)
+    assert len(runs) == max(1, min(cpus, n))
+    assert runs[0].start == 0 and runs[-1].stop == n
+    assert all(run.step is None for run in runs)
+    assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
+    assert [i for run in runs for i in range(n)[run]] == list(range(n))
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert preprocess_dataset([]) == []
 
 
 def test_preprocess_dataset_error_in_a_worker_keeps_its_type(fake_cpus, rng):

@@ -11,7 +11,6 @@ from astpn.evalkit import (
     CmcCurve,
     cmc_from_features,
     compute_cmc,
-    cross_dataset_eval,
     emit_report,
     eval_sequence,
     rank_gallery,
@@ -255,26 +254,6 @@ def test_compute_cmc_missing_identity(synth_index):
         compute_cmc(synth_index, ["ghost"], params, TOY_CFG)
     with pytest.raises(DatasetError):
         compute_cmc(synth_index, [], params, TOY_CFG)
-
-
-def test_cross_dataset_eval_full_fraction_covers_all(synth_index):
-    params = init_params(0, 8, TOY_CFG, feature_dim=8, frame_hw=(16, 8))
-    curve = cross_dataset_eval(synth_index, sorted(synth_index), params, TOY_CFG,
-                               fraction=1.0, seed=0)
-    assert curve.n_probes == 8
-    direct = compute_cmc(synth_index, sorted(synth_index), params, TOY_CFG)
-    np.testing.assert_array_equal(curve.values, direct.values)
-
-
-def test_cross_dataset_eval_fraction_selects_subset(synth_index):
-    params = init_params(0, 8, TOY_CFG, feature_dim=8, frame_hw=(16, 8))
-    usable = sorted(synth_index)
-    half = cross_dataset_eval(synth_index, usable, params, TOY_CFG, fraction=0.5, seed=0)
-    assert half.n_probes == 4
-    again = cross_dataset_eval(synth_index, usable, params, TOY_CFG, fraction=0.5, seed=0)
-    np.testing.assert_array_equal(half.values, again.values)
-    with pytest.raises(ValueError):
-        cross_dataset_eval(synth_index, usable, params, TOY_CFG, fraction=0.0)
 
 
 # ---- reports ----
