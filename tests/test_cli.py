@@ -535,26 +535,6 @@ def test_eval_cross_dataset_mode(trained_run, tmp_path):
     assert summary["n_probes"] == [3]
 
 
-def test_eval_cross_dataset_scores_a_seeded_share_of_the_identities(hard_data, trained_run,
-                                                                     tmp_path):
-    def report(out, *flags):
-        code = main(["eval", "--out", str(tmp_path / out), "--feature-dim", "16",
-                     "--checkpoint", str(trained_run / "checkpoint.astp"), "--seed", "3",
-                     *flags])
-        assert code == EXIT_OK
-        summary = json.loads(next((tmp_path / out).glob("cmc_hard_*.json")).read_text())
-        return next((tmp_path / out).glob("cmc_hard_*.csv")).read_bytes(), summary["n_probes"]
-
-    # every identity, drawn as a cross-dataset share, is the one trial of --split-mode all
-    whole = report("whole", "--cross-dataset", str(hard_data), "--fraction", "1.0")
-    assert whole == report("trial", "--data-root", str(hard_data), "--split-mode", "all",
-                           "--trials", "1")
-    assert whole[1] == [8] and not whole[0].startswith(b"rank,mean,std,trial_1\n1,1,")
-    half = report("half", "--cross-dataset", str(hard_data), "--fraction", "0.5")
-    assert half[1] == [round(0.5 * 8)]
-    assert half == report("again", "--cross-dataset", str(hard_data), "--fraction", "0.5")
-
-
 def test_eval_prints_the_rank_means_of_its_report(hard_data, trained_run, tmp_path, capsys):
     out = tmp_path / "eval"
     # three trials over 4 test identities each: rank-10 and rank-20 clamp to rank-4

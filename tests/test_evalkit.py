@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from astpn.cli import EXIT_DATA, EXIT_OK, main
 from astpn.datapipe import ChannelStack, DatasetError
 from astpn.evalkit import (
     CmcCurve,
@@ -15,7 +16,7 @@ from astpn.evalkit import (
     eval_sequence,
     rank_gallery,
 )
-from astpn.model import LossConfig, extract_feature, init_params
+from astpn.model import LossConfig, extract_feature, init_params, save_checkpoint
 from astpn.tensor import ShapeError
 
 TOY_CFG = LossConfig(spp_bins=((2, 2), (1, 1)))
@@ -254,6 +255,44 @@ def test_compute_cmc_missing_identity(synth_index):
         compute_cmc(synth_index, ["ghost"], params, TOY_CFG)
     with pytest.raises(DatasetError):
         compute_cmc(synth_index, [], params, TOY_CFG)
+
+
+# ---- cross-dataset selection (eval --cross-dataset) ----
+
+
+@pytest.fixture(scope="module")
+def cross_eval(tmp_path_factory):
+    """eval from an untrained checkpoint: the CSV bytes and per-pass probe
+    counts of its report, or the exit code of a refused run."""
+    tmp = tmp_path_factory.mktemp("cross")
+    checkpoint = tmp / "init.astp"
+    save_checkpoint(init_params(0, 8, LossConfig(), feature_dim=16, frame_hw=(16, 12)),
+                    checkpoint)
+
+    def report(out, *flags):
+        code = main(["eval", "--out", str(tmp / out), "--feature-dim", "16",
+                     "--checkpoint", str(checkpoint), "--seed", "3", *flags])
+        if code != EXIT_OK:
+            return code
+        summary = json.loads(next((tmp / out).glob("cmc_sparse8_*.json")).read_text())
+        return next((tmp / out).glob("cmc_sparse8_*.csv")).read_bytes(), summary["n_probes"]
+
+    return report
+
+
+def test_cross_dataset_eval_full_fraction_covers_all(sparse_root, cross_eval):
+    # every identity, drawn as a cross-dataset share, is the one trial of --split-mode all
+    whole = cross_eval("whole", "--cross-dataset", str(sparse_root), "--fraction", "1.0")
+    assert whole == cross_eval("trial", "--data-root", str(sparse_root), "--split-mode", "all",
+                               "--trials", "1")
+    assert whole[1] == [8] and not whole[0].startswith(b"rank,mean,std,trial_1\n1,1,")
+
+
+def test_cross_dataset_eval_fraction_selects_subset(sparse_root, cross_eval):
+    half = cross_eval("half", "--cross-dataset", str(sparse_root), "--fraction", "0.5")
+    assert half[1] == [round(0.5 * 8)]
+    assert half == cross_eval("again", "--cross-dataset", str(sparse_root), "--fraction", "0.5")
+    assert cross_eval("none", "--cross-dataset", str(sparse_root), "--fraction", "0") == EXIT_DATA
 
 
 # ---- reports ----
