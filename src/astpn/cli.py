@@ -288,6 +288,14 @@ def _load_checked(cfg: RunConfig, command: str, root):
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    if cfg.cross_dataset:
+        # a cross-dataset run is one pass over its own root; a config file may
+        # still hold the train run's data_root, trials and split_mode
+        ignored = [f"--{name.replace('_', '-')}" for name in ("data_root", "trials", "split_mode")
+                   if getattr(args, name) is not None]
+        if ignored:
+            raise DatasetError(f"--cross-dataset evaluates one pass over its own root; "
+                               f"it takes no {', '.join(ignored)}")
     root = cfg.cross_dataset or cfg.data_root
     params, index, usable = _load_checked(cfg, "eval", root)
     out_dir = Path(cfg.out)

@@ -29,8 +29,8 @@ def _pin_heap() -> None:
     each reuse then faults its pages in afresh. Buffers under 32 MiB (glibc's
     own ceiling for its dynamic threshold) come from the heap, and the heap
     is trimmed only past 1 GiB of free top: a train step at 128x64 crops
-    frees about 93 MiB at its end, and would otherwise fault it all back in
-    on the next step. glibc keeps one arena: a buffer a worker thread of
+    holds up to about 64 MiB of arrays (tracemalloc), all freed by its end,
+    and would otherwise fault them back in on the next step. glibc keeps one arena: a buffer a worker thread of
     Graph.branches frees then goes back to the pinned main heap, where the
     next step's buffers are carved from resident pages, not to an arena of
     that thread, which dies with the step. Other C libraries are left alone.
@@ -305,14 +305,15 @@ def _window_max(xb: np.ndarray, window: tuple[int, int], first=None) -> np.ndarr
     return best
 
 
-def _scatter_taps(g: np.ndarray, first: np.ndarray, shape, window) -> np.ndarray:
-    """g, a gradient of _window_max, taken back onto its input of the given
-    shape: each tap's view of a zeroed array takes g where the tap map first
-    names that tap, and 0 g elsewhere (all taps of a nan max)."""
-    dx = np.zeros(shape)
-    for k, tap in enumerate(_window_taps(*shape[2:], window)):
-        np.multiply(first == k, g, out=dx[tap])
-    return dx
+def _scatter_taps(g: np.ndarray, first: np.ndarray, window, out: np.ndarray) -> np.ndarray:
+    """g, a gradient of _window_max, taken back onto out, an array of its
+    input's shape: each tap's view of out takes g where the tap map first
+    names that tap, and 0 g elsewhere (all taps of a nan max). Every cell of
+    a whole window is written; the rows and columns past the last one are
+    left as they are, so a zeroed out can be scattered into again."""
+    for k, tap in enumerate(_window_taps(*out.shape[2:], window)):
+        np.multiply(first == k, g, out=out[tap])
+    return out
 
 
 class Graph:
@@ -549,11 +550,14 @@ class Graph:
 
         The vjp keeps x, the output s and the tap map: no lowered buffer and
         no full-resolution map. It takes g to (1 - s^2) g and, with pool,
-        zeroes that at a nan max and scatters it (_scatter_taps). dx is the
-        valid correlation of the result with the flipped kernel: each block
-        lowers it along its width and sums kh GEMMs, as the forward does.
-        dkernel is one GEMM per block, that same lowering times x lowered
-        along its height, whether or not x takes a gradient.
+        zeroes that at a nan max; then each block scatters its frames of
+        that (_scatter_taps) into one block-sized buffer that every block
+        reuses, so the backward never holds a full-resolution gradient
+        either. dbias adds each frame's per-channel sum in frame order. dx is
+        the valid correlation of the block's gradient with the flipped
+        kernel: each block lowers it along its width and sums kh GEMMs, as
+        the forward does. dkernel is one GEMM per block, that same lowering
+        times x lowered along its height, whether or not x takes a gradient.
         """
         if x.data.ndim != 4 or x.shape[0] == 0:
             raise ShapeError(f"conv2d needs a (T,C,H,W) input of at least one frame, "
@@ -604,8 +608,6 @@ class Graph:
             g = _tanh_grad(out_d, g)
             if pool:
                 g[first == 4] = 0.0  # a nan max passes nothing
-                g = _scatter_taps(g, first, (t_n, cout, ho, wo), (2, 2))
-            dbias = g.reshape(t_n, cout, ho * wo).sum(axis=(0, 2))
             # g's width lowering has row (co, j) and column (r, t, x) holding
             # g[t, co, r, x+j]. dx sums, over kernel rows i, row i of the
             # flipped kernel (Cin x Cout*kw) times the lowering's columns of
@@ -620,14 +622,24 @@ class Graph:
             gbuf = np.empty(cout * kw * ho * n_max * w)
             xbuf = np.empty(cin * kh * ho * n_max * w)
             xh = np.zeros((n_max, cin, hp, w))
+            # with pool, each block scatters its frames of g onto their cells
+            # of the correlation in the front of gmap, zeroed once: the cells
+            # past the last whole window are never written
+            gmap = np.zeros((n_max, cout, ho, wo)) if pool else None
             dk = np.zeros((cout * kw, cin * kh))
+            dbias = np.zeros(cout)
             dx = None
             if x.requires_grad:
                 kslabs = kd[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(kh, cin, cout * kw)
                 dx = np.empty((t_n, cin, h, w))
                 acc_buf, part_buf = np.empty(cin * h * n_max * w), np.empty(cin * h * n_max * w)
             for t0, t1 in blocks:
-                gcols = _lower(g[t0:t1], kw, 3, gbuf)
+                gb = g[t0:t1]
+                if pool:
+                    gb = _scatter_taps(gb, first[t0:t1], (2, 2), gmap[:t1 - t0])
+                for gt in gb:  # frame by frame, so dbias does not depend on the blocks
+                    dbias += gt.reshape(cout, ho * wo).sum(axis=1)
+                gcols = _lower(gb, kw, 3, gbuf)
                 xb = xh[:t1 - t0]
                 xb[:, :, kh - 1:kh - 1 + h] = x.data[t0:t1]
                 dk += gcols @ _lower(xb, kh, 2, xbuf).T
@@ -662,7 +674,7 @@ class Graph:
         out = Tensor(_window_max(x.data, window, first))
 
         def vjp(g):
-            return (_scatter_taps(g, first, (t_n, c, h, w), window),)
+            return (_scatter_taps(g, first, window, np.zeros((t_n, c, h, w))),)
 
         return self._push(out, (x,), vjp)
 
@@ -718,7 +730,7 @@ class Graph:
         def vjp(g):
             grad = g[:, starts[-2]:].reshape(levels[-1].shape)
             for i in reversed(range(len(firsts))):
-                grad = _scatter_taps(grad, firsts[i], levels[i].shape, (2, 2))
+                grad = _scatter_taps(grad, firsts[i], (2, 2), np.zeros(levels[i].shape))
                 grad += g[:, starts[i]:starts[i + 1]].reshape(levels[i].shape)
             # one scatter; overlapping cells may share a position, so add
             dx = np.bincount(pos.ravel(), weights=grad.ravel(), minlength=xb.size)

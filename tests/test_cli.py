@@ -535,6 +535,33 @@ def test_eval_cross_dataset_mode(trained_run, tmp_path):
     assert summary["n_probes"] == [3]
 
 
+@pytest.mark.parametrize("flag", [["--data-root", "{data}"], ["--trials", "2"],
+                                  ["--split-mode", "all"]])
+def test_eval_cross_dataset_refuses_a_flag_it_would_ignore(cli_data, trained_run, tmp_path,
+                                                           capsys, flag):
+    out = tmp_path / "cross"
+    code = main(["eval", "--out", str(out), "--checkpoint", str(trained_run / "checkpoint.astp"),
+                 "--feature-dim", "16", "--cross-dataset", str(cli_data),
+                 *(arg.format(data=cli_data) for arg in flag)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and flag[0] in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eval_cross_dataset_takes_a_train_config(cli_data, trained_run, tmp_path):
+    # the train run's config.json holds data_root, trials and split_mode
+    resolved = json.loads((trained_run / "config.json").read_text())
+    assert resolved["data_root"] == str(cli_data)
+    out = tmp_path / "cross"
+    code = main(["eval", "--config", str(trained_run / "config.json"), "--out", str(out),
+                 "--checkpoint", str(trained_run / "checkpoint.astp"),
+                 "--cross-dataset", str(cli_data), "--fraction", "0.5"])
+    assert code == EXIT_OK
+    summary = json.loads(next(out.glob("cmc_data_*.json")).read_text())
+    assert summary["n_trials"] == 1 and summary["source"] == str(cli_data)
+
+
 def test_eval_prints_the_rank_means_of_its_report(hard_data, trained_run, tmp_path, capsys):
     out = tmp_path / "eval"
     # three trials over 4 test identities each: rank-10 and rank-20 clamp to rank-4

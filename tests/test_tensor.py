@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -753,6 +754,87 @@ def test_conv2d_blocks_share_one_column_buffer_per_direction(monkeypatch):
         assert not np.shares_memory(first[0], second[0])
     for actual, expected in zip((out.data, xt.grad, kt.grad, bt.grad), one_block):
         assert_close_to_rounding(actual, expected)
+
+
+def test_pooled_conv2d_vjp_holds_no_full_resolution_gradient(monkeypatch):
+    # the model's conv1 at 64x32 crops over 32 frames, whose input is a
+    # constant: a 68x36 correlation of 16 channels per frame, one frame per
+    # vjp block
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((32, 5, 64, 32)), requires_grad=False)
+    kernel, bias = Tensor(small_kernel(rng, (16, 5, 5, 5))), Tensor(rng.standard_normal(16))
+    graph = Graph()
+    out = graph.conv2d(x, kernel, bias, pool=True)
+    g_out = rng.standard_normal(out.shape)
+    scatter, scattered = tensor._scatter_taps, []
+
+    def recording(g, first, window, buf):
+        scattered.append(buf)
+        return scatter(g, first, window, buf)
+
+    monkeypatch.setattr(tensor, "_scatter_taps", recording)
+    tracemalloc.start()
+    try:
+        grads = graph._tape[-1].vjp(g_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads[0] is None and all(np.isfinite(d).all() for d in grads[1:])
+    full_map_bytes = 32 * 16 * 68 * 36 * 8
+    assert peak < 0.75 * full_map_bytes
+    # one zeroed buffer of one frame's correlation serves every block
+    assert len(scattered) == 32
+    assert all(b.shape == (1, 16, 68, 36) for b in scattered)
+    assert all(np.shares_memory(b, scattered[0]) for b in scattered)
+
+
+def test_pooled_conv2d_nan_max_in_a_later_block(monkeypatch):
+    # small integers, and outputs s whose 1 - s^2 is exact, make every sum
+    # of the vjp exact, so its bits cannot depend on the order of summing:
+    # a difference between block cuts is a cell summed twice, missed, or
+    # left over from another block. The 9x7 correlation pools to 4x3, so
+    # its last row and column lie past every whole window.
+    rng = np.random.default_rng(8)
+    x = rng.integers(-3, 4, (6, 2, 7, 5)).astype(float)
+    kernel = rng.integers(-2, 3, (3, 2, 3, 3)).astype(float)
+    s = rng.choice([0.0, 0.5, -0.5], (6, 3, 4, 3))
+    weights = rng.integers(-3, 4, s.shape).astype(float)
+    nan_at = (5, 1, 2, 1)  # frame 5 falls in the last block
+    weights[nan_at] = 2.0
+    scatter = tensor._scatter_taps
+
+    def grads(weights, nan, block_bytes):
+        xt, kt, bt = Tensor(x), Tensor(kernel), Tensor(np.zeros(3))
+        graph = SeededGraph(weights)
+        out = graph.conv2d(xt, kt, bt, pool=True)
+        out.data[...] = s
+        if nan:  # what the forward keeps for a window whose max is nan
+            first = next(a for a in closure_arrays(graph._tape[-1].vjp) if a.dtype == np.uint8)
+            out.data[nan_at], first[nan_at] = np.nan, 4
+        blocks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "CONV_BLOCK_BYTES", block_bytes)
+            mp.setattr(tensor, "_scatter_taps", lambda *args: blocks.append(1) or scatter(*args))
+            graph.backward(out)
+        return len(blocks), (xt.grad, kt.grad, bt.grad)
+
+    three_blocks = 2 * backward_frame_bytes((x, kernel))
+    n_blocks, blocked = grads(weights, True, three_blocks)
+    assert n_blocks == 3
+    assert all(np.isfinite(d).all() for d in blocked)
+    n_blocks, one_block = grads(weights, True, 2**40)
+    assert n_blocks == 1
+    for actual, expected in zip(blocked, one_block):
+        assert actual.tobytes() == expected.tobytes()
+    # the nan window passes what a window of zero gradient passes, and its
+    # gradient would reach every result
+    silent = weights.copy()
+    silent[nan_at] = 0.0
+    _, zeroed = grads(silent, False, three_blocks)
+    _, passed = grads(weights, False, three_blocks)
+    for nan_run, zero_run, live_run in zip(blocked, zeroed, passed):
+        assert nan_run.tobytes() == zero_run.tobytes()
+        assert not np.array_equal(live_run, zero_run)
 
 
 def test_conv2d_block_rule_at_eval_shapes(monkeypatch):
