@@ -14,7 +14,6 @@ from .tensor import Graph, Tensor
 
 CONV_CHANNELS = (16, 32, 32)
 CONV_KERNEL = 5
-POOL_WINDOW = (2, 2)
 DEFAULT_BINS = ((8, 8), (4, 4), (2, 2), (1, 1))
 RNN_OUTPUTS = ("pre_tanh", "post_tanh")
 

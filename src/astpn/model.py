@@ -14,7 +14,6 @@ from .layers import (
     CONV_CHANNELS,
     CONV_KERNEL,
     DEFAULT_BINS,
-    POOL_WINDOW,
     RNN_OUTPUTS,
     attentive_summary,
     conv_stack_forward,
@@ -139,7 +138,7 @@ def frame_reps(graph: Graph, frames: np.ndarray, params: AstpnParams,
     fmap = conv_stack_forward(graph, x, [params[f"conv{i}.kernel"] for i in (1, 2, 3)],
                               [params[f"conv{i}.bias"] for i in (1, 2, 3)])
     if cfg.variant == "atpn_only":
-        pooled = graph.maxpool2d(fmap, POOL_WINDOW)
+        pooled = graph.maxpool2d(fmap)
         return graph.reshape(pooled, (pooled.shape[0], -1))
     return spp_forward(graph, fmap, cfg.spp_bins)
 
@@ -162,13 +161,16 @@ def pool_pair(graph: Graph, p_rows: Tensor, g_rows: Tensor, params: AstpnParams,
     astpn and atpn_only pool attentively, each sequence's weights depending
     on the other. aspn_only and mean_pool run the same head with a constant
     zero U, which weighs every frame 1/T. max_pool takes the elementwise max
-    over time: a maxpool2d of the (1, 1, T, N) view with window (T, 1).
+    over time: a region_maxpool of the (1, 1, T, N) view with one level of
+    (1, N) cells, one column each. Its gradient goes to the first frame that
+    holds each column's max; where that max is nan, to frame 0. (No CLI run
+    reaches a nan max: train exits 3 on a non-finite loss before backward.)
     """
     if cfg.variant == "max_pool":
         def max_over_time(rows):
             t_n, n = rows.shape
-            return graph.reshape(graph.maxpool2d(graph.reshape(rows, (1, 1, t_n, n)),
-                                                 (t_n, 1)), (n,))
+            return graph.reshape(graph.region_maxpool(graph.reshape(rows, (1, 1, t_n, n)),
+                                                      ((1, n),)), (n,))
 
         return max_over_time(p_rows), max_over_time(g_rows)
     u_att = params["att.u_att"]

@@ -268,30 +268,21 @@ def check_bins(bins) -> None:
                              f"{(n_rows, n_cols)} after {(rows, cols)}")
 
 
-def _window_taps(h: int, w: int, window: tuple[int, int]) -> list[tuple]:
-    """The cells (i, j) of the tiling windows of an (..., h, w) array,
-    stride equal to the window, each as the index of one strided view (a
-    tap), row-major; rows and columns past the last whole window are
-    dropped."""
-    wh, ww = window
-    ho, wo = h // wh, w // ww
-    return [(..., slice(i, ho * wh, wh), slice(j, wo * ww, ww))
-            for i in range(wh) for j in range(ww)]
+def _window_taps(h: int, w: int) -> list[tuple]:
+    """The four cells (i, j) of the 2x2 tiling windows of an (..., h, w)
+    array, stride 2, each as the index of one strided view (a tap),
+    row-major; a last odd row or column is dropped."""
+    return [(..., slice(i, h - h % 2, 2), slice(j, w - w % 2, 2))
+            for i in range(2) for j in range(2)]
 
 
-def _tap_map(shape: tuple[int, ...], window: tuple[int, int]) -> np.ndarray:
-    """An unfilled tap map for _window_max, of the smallest dtype that holds
-    the tap count."""
-    return np.empty(shape, np.min_scalar_type(window[0] * window[1]))
-
-
-def _window_max(xb: np.ndarray, window: tuple[int, int], first=None) -> np.ndarray:
-    """Max over the tiling windows of a (T,C,H,W) array, stride equal to the
-    window: np.maximum over the taps (_window_taps). With first, a _tap_map
-    of the max's shape, also write there the index of the first tap that
-    holds each window's max (the sum of the chained masks "no tap up to this
-    one holds it"), or the tap count where the max is nan."""
-    taps = _window_taps(*xb.shape[2:], window)
+def _window_max(xb: np.ndarray, first=None) -> np.ndarray:
+    """Max over the 2x2 tiling windows of a (T,C,H,W) array, stride 2:
+    np.maximum over the taps (_window_taps). With first, a np.uint8 map of
+    the max's shape, also write there the index of the first tap that holds
+    each window's max (the sum of the chained masks "no tap up to this one
+    holds it"), or 4 where the max is nan."""
+    taps = _window_taps(*xb.shape[2:])
     best = xb[taps[0]].copy()
     for tap in taps[1:]:
         np.maximum(best, xb[tap], out=best)
@@ -305,13 +296,13 @@ def _window_max(xb: np.ndarray, window: tuple[int, int], first=None) -> np.ndarr
     return best
 
 
-def _scatter_taps(g: np.ndarray, first: np.ndarray, window, out: np.ndarray) -> np.ndarray:
+def _scatter_taps(g: np.ndarray, first: np.ndarray, out: np.ndarray) -> np.ndarray:
     """g, a gradient of _window_max, taken back onto out, an array of its
     input's shape: each tap's view of out takes g where the tap map first
     names that tap, and 0 g elsewhere (all taps of a nan max). Every cell of
-    a whole window is written; the rows and columns past the last one are
-    left as they are, so a zeroed out can be scattered into again."""
-    for k, tap in enumerate(_window_taps(*out.shape[2:], window)):
+    a whole window is written; a last odd row or column is left as it is,
+    so a zeroed out can be scattered into again."""
+    for k, tap in enumerate(_window_taps(*out.shape[2:])):
         np.multiply(first == k, g, out=out[tap])
     return out
 
@@ -588,7 +579,7 @@ class Graph:
         # row i of the kernel as a (Cout x Cin*kw) slab
         kslabs = kd.transpose(2, 0, 1, 3).reshape(kh, cout, cin * kw)
         out_d = np.empty((t_n, cout) + ((ho // 2, wo // 2) if pool else (ho, wo)))
-        first = _tap_map(out_d.shape, (2, 2)) if pool and self.record else None
+        first = np.empty(out_d.shape, np.uint8) if pool and self.record else None
         for t0, t1 in blocks:
             xb = xp[:t1 - t0]
             xb[:, :, kh - 1:kh - 1 + h, kw - 1:kw - 1 + w] = x.data[t0:t1]
@@ -598,8 +589,7 @@ class Graph:
             acc += bias.data[:, None]
             y = acc.reshape(cout, ho, t1 - t0, wo).transpose(0, 2, 1, 3)  # (Cout, T, ho, wo)
             if pool:
-                y = _window_max(y, (2, 2),
-                                None if first is None else first[t0:t1].transpose(1, 0, 2, 3))
+                y = _window_max(y, None if first is None else first[t0:t1].transpose(1, 0, 2, 3))
             np.tanh(y, out=y)
             out_d[t0:t1] = y.transpose(1, 0, 2, 3)
         out = Tensor(out_d)
@@ -636,7 +626,7 @@ class Graph:
             for t0, t1 in blocks:
                 gb = g[t0:t1]
                 if pool:
-                    gb = _scatter_taps(gb, first[t0:t1], (2, 2), gmap[:t1 - t0])
+                    gb = _scatter_taps(gb, first[t0:t1], gmap[:t1 - t0])
                 for gt in gb:  # frame by frame, so dbias does not depend on the blocks
                     dbias += gt.reshape(cout, ho * wo).sum(axis=1)
                 gcols = _lower(gb, kw, 3, gbuf)
@@ -653,28 +643,24 @@ class Graph:
 
         return self._push(out, (x, kernel, bias), vjp)
 
-    def maxpool2d(self, x: Tensor, window: tuple[int, int]) -> Tensor:
-        """Max over the tiling windows of a (T,C,H,W) stack, stride equal to
-        the window; rows and columns past the last whole window are dropped.
-        A recorded graph keeps the tap map (_window_max), and the vjp sends
-        each window's gradient to the first cell in row-major scan that holds
-        its max (_scatter_taps). The conv layers pool inside conv2d; this
-        serves atpn_only's 2x2 head (model.frame_reps) and max_pool's max
-        over time (model.pool_pair).
+    def maxpool2d(self, x: Tensor) -> Tensor:
+        """Max over the 2x2 tiling windows of a (T,C,H,W) stack, stride 2; a
+        last odd row or column is dropped. A recorded graph keeps the tap
+        map (_window_max), and the vjp sends each window's gradient to the
+        first cell in row-major scan that holds its max, and a nan max's to
+        none (_scatter_taps). The conv layers pool inside conv2d; this
+        serves atpn_only's head (model.frame_reps).
         """
-        wh, ww = window
-        if min(wh, ww) < 1:
-            raise ShapeError(f"maxpool2d needs a positive window, got {window}")
         if x.data.ndim != 4:
             raise ShapeError(f"maxpool2d needs a (T,C,H,W) input, got shape {x.shape}")
         t_n, c, h, w = x.shape
-        if wh > h or ww > w:
-            raise ShapeError(f"maxpool2d window {window} larger than input {h}x{w}")
-        first = _tap_map((t_n, c, h // wh, w // ww), window) if self.record else None
-        out = Tensor(_window_max(x.data, window, first))
+        if min(h, w) < 2:
+            raise ShapeError(f"maxpool2d needs a map of at least 2x2, got {h}x{w}")
+        first = np.empty((t_n, c, h // 2, w // 2), np.uint8) if self.record else None
+        out = Tensor(_window_max(x.data, first))
 
         def vjp(g):
-            return (_scatter_taps(g, first, window, np.zeros((t_n, c, h, w))),)
+            return (_scatter_taps(g, first, np.zeros((t_n, c, h, w))),)
 
         return self._push(out, (x,), vjp)
 
@@ -716,8 +702,8 @@ class Graph:
         vals = block.max(axis=2)
         levels, firsts = [vals.reshape(t_n, c, rows, cols)], []
         for shape in bins[1:]:
-            firsts.append(_tap_map((t_n, c, *shape), (2, 2)) if self.record else None)
-            levels.append(_window_max(levels[-1], (2, 2), firsts[-1]))
+            firsts.append(np.empty((t_n, c, *shape), np.uint8) if self.record else None)
+            levels.append(_window_max(levels[-1], firsts[-1]))
         out = Tensor(np.concatenate([level.reshape(t_n, -1) for level in levels], axis=1))
         if not self.record:
             return out  # no vjp reads the first-max positions
@@ -730,7 +716,7 @@ class Graph:
         def vjp(g):
             grad = g[:, starts[-2]:].reshape(levels[-1].shape)
             for i in reversed(range(len(firsts))):
-                grad = _scatter_taps(grad, firsts[i], (2, 2), np.zeros(levels[i].shape))
+                grad = _scatter_taps(grad, firsts[i], np.zeros(levels[i].shape))
                 grad += g[:, starts[i]:starts[i + 1]].reshape(levels[i].shape)
             # one scatter; overlapping cells may share a position, so add
             dx = np.bincount(pos.ravel(), weights=grad.ravel(), minlength=xb.size)

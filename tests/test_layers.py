@@ -14,7 +14,6 @@ from astpn.layers import (
     CONV_CHANNELS,
     CONV_KERNEL,
     DEFAULT_BINS,
-    POOL_WINDOW,
     RNN_OUTPUTS,
     attentive_summary,
     conv_stack_forward,
@@ -94,7 +93,7 @@ def conv_tanh_pool_reference(graph, frames, kernels, biases):
     for i in range(3):
         h = graph.conv2d(h, kernels[i], biases[i])
         if i < 2:
-            h = graph.maxpool2d(h, POOL_WINDOW)
+            h = graph.maxpool2d(h)
     return h
 
 

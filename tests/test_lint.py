@@ -1,6 +1,7 @@
 """Source hygiene the repository runs no linter for: every name a module
-imports is read somewhere in that module, and every private module-level
-helper of the package is used somewhere in it."""
+imports is read somewhere in that module, every private module-level
+helper of the package is used somewhere in it, and every public Graph
+method is called outside tensor.py."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,19 @@ def test_no_private_helper_is_unreferenced():
         if names:
             unreferenced[str(p.relative_to(ROOT))] = names
     assert unreferenced == {}
+
+
+def test_every_public_graph_method_has_a_caller_outside_the_tape():
+    # the tape keeps only the ops that some layer needs: each public method
+    # of Graph is called as an attribute in some other module of the package
+    tree = ast.parse((ROOT / "src" / "astpn" / "tensor.py").read_text())
+    graph = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Graph")
+    public = {node.name for node in graph.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for p in sorted((ROOT / "src" / "astpn").glob("*.py")):
+        if p.name != "tensor.py":
+            called.update(node.func.attr for node in ast.walk(ast.parse(p.read_text()))
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute))
+    assert sorted(public - called) == []

@@ -148,6 +148,66 @@ def test_max_pool_is_the_max_over_time_and_its_gradient_takes_the_first_max():
                                               [0.0, 0.0, 0.0]])
 
 
+def test_max_pool_head_sends_each_columns_gradient_to_its_first_max_past_frame_255():
+    # the max over 300 frames: the first max sits past frame 255 in every
+    # column but the last, and ties a later frame in the middle two
+    rng = np.random.default_rng(3)
+    rows = rng.integers(-3, 3, size=(300, 4)).astype(float)
+    for col, frames in enumerate([(299,), (260, 280), (256, 257), (0, 270)]):
+        rows[list(frames), col] = 5.0
+    cfg = toy_cfg("max_pool")
+    params = toy_params(cfg, feature_dim=4)
+    v, _ = pool_pair(Graph(record=False), Tensor(rows), Tensor(rows), params, cfg)
+    assert v.data.tobytes() == rows.max(axis=0).tobytes()
+    weights = rng.standard_normal(4)
+    rows_t = Tensor(rows)
+    g = SeededGraph(weights)
+    v_p, _ = pool_pair(g, rows_t, rows_t, params, cfg)
+    assert v_p.data.tobytes() == rows.max(axis=0).tobytes()
+    g.backward(v_p)
+    expected = np.zeros_like(rows)
+    expected[[299, 260, 256, 0], range(4)] = weights
+    assert rows_t.grad.tobytes() == expected.tobytes()
+
+
+def window_max_over_time(graph, p_rows, g_rows, params, cfg):
+    """max_pool's head by the rule of a (T, 1) max pooling window: each
+    column's max, whose gradient g each frame k takes as (k is the column's
+    first max) * g, so the other frames take 0 * g. Rows must hold no nan."""
+    def max_over_time(rows):
+        x = rows.data
+        best = x.max(axis=0)
+        first = (x == best).argmax(axis=0)
+
+        def vjp(g):
+            dx = np.empty_like(x)
+            for k in range(len(x)):
+                np.multiply(first == k, g, out=dx[k])
+            return (dx,)
+
+        return graph._push(Tensor(best), (rows,), vjp)
+
+    return max_over_time(p_rows), max_over_time(g_rows)
+
+
+def test_max_pool_gradients_equal_the_window_rule_bitwise(monkeypatch):
+    cfg = toy_cfg("max_pool")
+    for same in (True, False):
+        pair = toy_pair(seed=5, same=same, steps=5)
+        grads = []
+        for head in (pool_pair, window_max_over_time):
+            monkeypatch.setattr("astpn.model.pool_pair", head)
+            params = toy_params(cfg, feature_dim=8)
+            g = Graph()
+            g.backward(total_loss(g, pair, params, cfg))
+            grads.append({n: t.grad for n, t in params.named_tensors().items()})
+        for name, expected in grads[1].items():
+            if expected is None:
+                assert grads[0][name] is None, name
+            else:
+                assert grads[0][name].tobytes() == expected.tobytes(), name
+
+
 def test_atpn_only_uses_plain_pooling_head():
     cfg = toy_cfg("atpn_only")
     # conv output for 12x8 frames is 10x9, pooled to 5x4

@@ -380,7 +380,7 @@ def conv_layer_reference(x, kernel, bias, pool):
     """The conv layer by its definition, frame by frame: the direct sum, its
     2x2 max with pool, then tanh; and the direct sum itself."""
     pre = np.stack([conv2d_reference(f, kernel, bias) for f in x])
-    pooled = np.stack([maxpool_reference(f, (2, 2)) for f in pre]) if pool else pre
+    pooled = np.stack([maxpool_reference(f) for f in pre]) if pool else pre
     return np.tanh(pooled), pre
 
 
@@ -389,7 +389,7 @@ def conv_correlation_grad(x, kernel, bias, pool, g):
     g: (1 - s^2) g, with pool sent to the first max cell of each window."""
     s, pre = conv_layer_reference(x, kernel, bias, pool)
     d = (1.0 - s * s) * g
-    return maxpool_grad_reference(pre, (2, 2), d) if pool else d
+    return maxpool_grad_reference(pre, d) if pool else d
 
 
 def small_kernel(rng, shape):
@@ -768,9 +768,9 @@ def test_pooled_conv2d_vjp_holds_no_full_resolution_gradient(monkeypatch):
     g_out = rng.standard_normal(out.shape)
     scatter, scattered = tensor._scatter_taps, []
 
-    def recording(g, first, window, buf):
+    def recording(g, first, buf):
         scattered.append(buf)
-        return scatter(g, first, window, buf)
+        return scatter(g, first, buf)
 
     monkeypatch.setattr(tensor, "_scatter_taps", recording)
     tracemalloc.start()
@@ -954,33 +954,30 @@ def test_buffer_freed_on_a_worker_thread_is_reused_on_the_main_thread():
 # ---- pooling ----
 
 
-def maxpool_reference(x, window):
+def maxpool_reference(x):
     c, h, w = x.shape
-    wh, ww = window
-    ho, wo = h // wh, w // ww
-    out = np.zeros((c, ho, wo))
-    for i in range(ho):
-        for j in range(wo):
-            out[:, i, j] = x[:, i * wh:(i + 1) * wh, j * ww:(j + 1) * ww].max(axis=(1, 2))
+    out = np.zeros((c, h // 2, w // 2))
+    for i in range(h // 2):
+        for j in range(w // 2):
+            out[:, i, j] = x[:, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max(axis=(1, 2))
     return out
 
 
-@pytest.mark.parametrize("window", [(2, 2), (3, 2), (2, 3)])
-def test_maxpool2d_matches_window_loop(rng, window):
-    x = Tensor(rng.standard_normal((2, 3, 8, 9)))
-    out = Graph().maxpool2d(x, window)
-    np.testing.assert_array_equal(out.data, [maxpool_reference(f, window) for f in x.data])
+def test_maxpool2d_matches_window_loop_on_odd_extents(rng):
+    x = Tensor(rng.standard_normal((2, 3, 9, 7)))
+    out = Graph().maxpool2d(x)
+    np.testing.assert_array_equal(out.data, [maxpool_reference(f) for f in x.data])
 
 
 def test_maxpool2d_gradient(rng):
     x = Tensor(rng.standard_normal((1, 2, 6, 6)))
-    check_op_gradients(lambda g: g.maxpool2d(x, (2, 2)), [x])
+    check_op_gradients(lambda g: g.maxpool2d(x), [x])
 
 
 def test_maxpool2d_tie_goes_to_first_window_cell():
     x = Tensor(np.ones((1, 1, 2, 2)))
     g = SeededGraph()
-    g.backward(g.maxpool2d(x, (2, 2)))
+    g.backward(g.maxpool2d(x))
     np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
@@ -988,100 +985,72 @@ def test_maxpool2d_gradient_mass_is_conserved(rng):
     # disjoint windows: every upstream unit lands on exactly one input cell
     x = Tensor(rng.standard_normal((2, 4, 8, 6)))
     g = SeededGraph()
-    out = g.maxpool2d(x, (2, 2))
+    out = g.maxpool2d(x)
     g.backward(out)
     assert x.grad.sum() == out.data.size
     assert set(np.unique(x.grad)) <= {0.0, 1.0}
 
 
-def maxpool_grad_reference(x, window, g):
+def maxpool_grad_reference(x, g):
     """Input gradient by a direct window loop: each output's g goes to the
     first max cell of its window in row-major scan."""
-    wh, ww = window
     dx = np.zeros_like(x)
     for t, c, i, j in np.ndindex(g.shape):
-        win = x[t, c, i * wh:(i + 1) * wh, j * ww:(j + 1) * ww]
+        win = x[t, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
         a, b = np.unravel_index(np.argmax(win), win.shape)
-        dx[t, c, i * wh + a, j * ww + b] += g[t, c, i, j]
+        dx[t, c, 2 * i + a, 2 * j + b] += g[t, c, i, j]
     return dx
 
 
 @st.composite
 def pool_cases(draw):
     """Small-integer frames, so windows tie, with integer output weights;
-    extents need not be multiples of the window."""
-    window = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    h, w = draw(st.integers(window[0], 8)), draw(st.integers(window[1], 8))
+    extents may be odd."""
+    h, w = draw(st.integers(2, 8)), draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.integers(-2, 3, size=(draw(st.integers(1, 2)), draw(st.integers(1, 3)), h, w))
-    g = rng.integers(1, 5, size=x.shape[:2] + (h // window[0], w // window[1]))
-    return x.astype(float), window, g.astype(float)
+    g = rng.integers(1, 5, size=x.shape[:2] + (h // 2, w // 2))
+    return x.astype(float), g.astype(float)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(pool_cases())
-@example((np.array([[[[0.0, 1.0, 1.0]]]]), (1, 2), np.array([[[[1.0]]]])))
-@example((np.ones((1, 1, 3, 3)), (2, 2), np.full((1, 1, 1, 1), 3.0)))
-@example((np.ones((1, 2, 4, 4)), (2, 2), np.arange(1.0, 9.0).reshape(1, 2, 2, 2)))
+@example((np.array([[[[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]]]]), np.array([[[[1.0]]]])))
+@example((np.ones((1, 1, 3, 3)), np.full((1, 1, 1, 1), 3.0)))
+@example((np.ones((1, 2, 4, 4)), np.arange(1.0, 9.0).reshape(1, 2, 2, 2)))
 def test_maxpool2d_property_matches_window_loop(case):
-    x, window, weights = case
+    x, weights = case
     xt = Tensor(x)
     g = SeededGraph(weights)
-    out = g.maxpool2d(xt, window)
-    np.testing.assert_array_equal(out.data, [maxpool_reference(f, window) for f in x])
+    out = g.maxpool2d(xt)
+    np.testing.assert_array_equal(out.data, [maxpool_reference(f) for f in x])
     g.backward(out)
-    np.testing.assert_array_equal(xt.grad, maxpool_grad_reference(x, window, weights))
+    np.testing.assert_array_equal(xt.grad, maxpool_grad_reference(x, weights))
 
 
-def first_tap_reference(x, window, g):
-    """Max pooling and its gradient by a loop over windows: each window's g
-    goes to the first cell in row-major scan that equals its max; a window
-    holding a nan has a nan max, which no cell equals."""
-    wh, ww = window
-    out, dx = np.zeros(g.shape), np.zeros_like(x)
-    for t, c, i, j in np.ndindex(g.shape):
-        win = x[t, c, i * wh:(i + 1) * wh, j * ww:(j + 1) * ww]
-        out[t, c, i, j] = win.max()
-        held = np.flatnonzero(win == win.max())
-        if held.size:
-            a, b = np.unravel_index(held[0], win.shape)
-            dx[t, c, i * wh + a, j * ww + b] = g[t, c, i, j]
-    return out, dx
-
-
-def first_max_past_255(rng):
-    # max_pool's max over 300 frames: the first max sits past frame 255 in
-    # every column but the last, and ties a later frame in the middle two
-    x = rng.integers(-3, 3, size=(1, 1, 300, 4)).astype(float)
-    for col, frames in enumerate([(299,), (260, 280), (256, 257), (0, 270)]):
-        x[0, 0, list(frames), col] = 5.0
-    return x, (300, 1)
-
-
-def nan_in_a_window(rng):
+def test_maxpool2d_nan_max_passes_no_gradient(rng):
+    # a window holding a nan has a nan max, which no cell equals: it passes
+    # nothing, and every other window passes its g to its first max
     x = rng.standard_normal((1, 2, 4, 4))
     x[0, 1, 2, 1] = np.nan
-    return x, (2, 2)
-
-
-@pytest.mark.parametrize("make", [first_max_past_255, nan_in_a_window],
-                         ids=["300-taps", "nan"])
-def test_maxpool2d_first_tap_takes_the_gradient(rng, make):
-    x, window = make(rng)
-    weights = rng.standard_normal((x.shape[0], x.shape[1], x.shape[2] // window[0],
-                                   x.shape[3] // window[1]))
+    weights = rng.standard_normal((1, 2, 2, 2))
     xt = Tensor(x)
     g = SeededGraph(weights)
-    out = g.maxpool2d(xt, window)
+    out = g.maxpool2d(xt)
     g.backward(out)
-    expected_out, expected_dx = first_tap_reference(x, window, weights)
+    expected_out = np.array([maxpool_reference(f) for f in x])
+    assert np.isnan(expected_out[0, 1, 1, 0])
     np.testing.assert_array_equal(out.data, expected_out)
+    expected_dx = maxpool_grad_reference(x, weights)
+    expected_dx[0, 1, 2:, :2] = 0.0
     np.testing.assert_array_equal(xt.grad, expected_dx)
 
 
 def test_maxpool2d_window_larger_than_input(rng):
-    with pytest.raises(ShapeError):
-        Graph().maxpool2d(Tensor(rng.standard_normal((1, 1, 2, 2))), (3, 3))
+    # the 2x2 window needs a map of at least 2x2
+    for shape in [(1, 1, 1, 2), (1, 1, 2, 1), (1, 1, 1, 1)]:
+        with pytest.raises(ShapeError, match="at least 2x2"):
+            Graph().maxpool2d(Tensor(rng.standard_normal(shape)))
 
 
 def test_region_maxpool_matches_slicing(rng):
@@ -1166,7 +1135,7 @@ def test_region_maxpool_out_of_bounds(rng):
 def test_pooling_ops_need_a_4d_stack(rng):
     x = Tensor(rng.standard_normal((2, 4, 4)))
     with pytest.raises(ShapeError):
-        Graph().maxpool2d(x, (2, 2))
+        Graph().maxpool2d(x)
     with pytest.raises(ShapeError):
         Graph().region_maxpool(x, ((1, 1),))
 
@@ -1310,7 +1279,7 @@ def pyramid_composition(graph, fmap, bins):
     parts = [level]
     grid = graph.reshape(level, (t_n, c, rows, cols))
     for rows, cols in bins[1:]:
-        grid = graph.maxpool2d(grid, (2, 2))
+        grid = graph.maxpool2d(grid)
         parts.append(graph.reshape(grid, (t_n, c * rows * cols)))
     return graph.concat(parts, axis=1)
 
@@ -1329,7 +1298,7 @@ def conv_stack_composition(graph, x, *weights):
     for i in range(3):
         x = graph.correlate(x, weights[2 * i], weights[2 * i + 1])
         if i < 2:
-            x = graph.maxpool2d(x, (2, 2))
+            x = graph.maxpool2d(x)
         x = graph.tanh(x)
     return x
 
