@@ -954,13 +954,29 @@ def test_buffer_freed_on_a_worker_thread_is_reused_on_the_main_thread():
 # ---- pooling ----
 
 
-def maxpool_reference(x):
+def maxpool_reference(x, window=(2, 2)):
     c, h, w = x.shape
-    out = np.zeros((c, h // 2, w // 2))
-    for i in range(h // 2):
-        for j in range(w // 2):
-            out[:, i, j] = x[:, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max(axis=(1, 2))
+    wh, ww = window
+    ho, wo = h // wh, w // ww
+    out = np.zeros((c, ho, wo))
+    for i in range(ho):
+        for j in range(wo):
+            out[:, i, j] = x[:, i * wh:(i + 1) * wh, j * ww:(j + 1) * ww].max(axis=(1, 2))
     return out
+
+
+@pytest.mark.parametrize("window", [(2, 2), (3, 2), (2, 3)])
+def test_maxpool2d_matches_window_loop(rng, window):
+    # maxpool2d is the 2x2 window; any other window that tiles the map is a
+    # one-level region_maxpool of whole-window cells, as max_pool's max over
+    # time takes it
+    x = Tensor(rng.standard_normal((2, 3, 12, 12)))
+    grid = (12 // window[0], 12 // window[1])
+    if window == (2, 2):
+        out = Graph().maxpool2d(x).data
+    else:
+        out = Graph().region_maxpool(x, (grid,)).data.reshape(2, 3, *grid)
+    np.testing.assert_array_equal(out, [maxpool_reference(f, window) for f in x.data])
 
 
 def test_maxpool2d_matches_window_loop_on_odd_extents(rng):
